@@ -18,7 +18,10 @@ and the analytic free energy
     F(v) = -b * sum(v) - sum_m sum_ij softplus(corr(v, W_m)_ij + c_m).
 
 Training follows CD-k: a k-round Gibbs chain started at the data image,
-with hidden probabilities (not samples) in both gradient phases.  Exact
+with hidden probabilities (not samples) in both gradient phases.  A
+minibatch runs as one batched chain, drawing its uniforms in the order of
+one-image chains run image after image, so batching never changes a
+sample.  Exact
 log-likelihood and its gradient are available for desk-scale models
 (visible units <= 20) via full enumeration; they are the test oracles and
 never the training path.
@@ -38,6 +41,9 @@ from .seeding import derive_rng
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 1 << 16
+# most uniforms drawn ahead for one chunk of a CD batch (8 MB of doubles);
+# a chunk holds as many whole images as fit, and at least one
+_CD_CHUNK_DRAWS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +218,21 @@ def _check_visible(model: CrbmModel, pixels: np.ndarray) -> None:
 
 
 def _hidden_activations(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
-    return kernels.corr_valid(pixels, model.filters) \
-        + model.hidden_biases[:, None, None]
+    """Hidden pre-activations of (..., N, N) images -> (..., M, H, H)."""
+    act = kernels.corr_valid(pixels, model.filters)
+    act += model.hidden_biases[:, None, None]
+    return act
 
 
 def _hidden_probs(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
-    return expit(_hidden_activations(model, pixels))
+    act = _hidden_activations(model, pixels)
+    return expit(act, out=act)
 
 
 def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
-    return expit(kernels.conv_full(hmaps, model.filters) + model.visible_bias)
+    act = kernels.conv_full(hmaps, model.filters)
+    act += model.visible_bias
+    return expit(act, out=act)
 
 
 def hidden_probabilities(model: CrbmModel, v: Image2D) -> HiddenState:
@@ -249,20 +260,42 @@ def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(probs.shape) < probs).astype(np.float64)
 
 
-def _gibbs_raw(model: CrbmModel, v0: np.ndarray, k: int, rng: np.random.Generator):
-    """Chain internals on plain arrays: returns (v_k, h0_probs, hk_probs, v1_probs)."""
-    h_probs0 = _hidden_probs(model, v0)
-    h_sample = sample_bernoulli(h_probs0, rng)
-    v = v0
-    v1_probs = None
+def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
+                 rng: np.random.Generator):
+    """k Gibbs rounds for a stack of images v0 (B, N, N) at once.
+
+    Every uniform is drawn before any kernel runs, image by image in the
+    order a one-image chain consumes them ([hidden, visible] x k), so the
+    batch gets the samples its images would get chained one after another
+    from the same generator.  A sample is 1.0 where uniform < probability;
+    it is written over its uniform.  Returns (v_k, h0_probs, hk_probs,
+    v1_probs), each with the leading batch axis.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n, side = model.input_size, model.hidden_side
+    u_h = np.empty((k, len(v0), model.num_filters, side, side))
+    u_v = np.empty((k, len(v0), n, n))
+    for i in range(len(v0)):
+        for step in range(k):
+            rng.random(out=u_h[step, i])
+            rng.random(out=u_v[step, i])
+    h0_probs = probs = _hidden_probs(model, v0)
     for step in range(k):
-        if step > 0:
-            h_sample = sample_bernoulli(_hidden_probs(model, v), rng)
-        v_probs = _visible_probs(model, h_sample)
+        if step:
+            probs = _hidden_probs(model, v)
+        h = np.less(u_h[step], probs, out=u_h[step])
+        v_probs = _visible_probs(model, h)
         if step == 0:
             v1_probs = v_probs
-        v = sample_bernoulli(v_probs, rng)
-    return v, h_probs0, _hidden_probs(model, v), v1_probs
+        v = np.less(u_v[step], v_probs, out=u_v[step])
+    del u_h, h, probs  # spent: free them before the last hidden pass
+    return v, h0_probs, _hidden_probs(model, v), v1_probs
+
+
+def _gibbs_raw(model: CrbmModel, v0: np.ndarray, k: int, rng: np.random.Generator):
+    """One-image chain on plain arrays: returns (v_k, h0_probs, hk_probs, v1_probs)."""
+    return tuple(a[0] for a in _gibbs_batch(model, v0[None], k, rng))
 
 
 def gibbs_chain(model: CrbmModel, v0: Image2D, k: int,
@@ -274,8 +307,6 @@ def gibbs_chain(model: CrbmModel, v0: Image2D, k: int,
     step k are the CD statistics; v1_probs (reconstruction probabilities
     after the first round) feeds the training diagnostics.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     _check_visible(model, v0.pixels)
     v, h0, hk, v1_probs = _gibbs_raw(model, v0.pixels, k, rng)
     return GibbsResult(v_k=Image2D(pixels=v),
@@ -397,9 +428,7 @@ def exact_log_likelihood_grad(model: CrbmModel, data: list) -> CrbmGradient:
         configs = ((np.arange(start, stop)[:, None] >> bits[None, :]) & 1).astype(np.float64)
         p = np.exp(-free[start:stop] - log_z)
         imgs = configs.reshape(-1, n, n)
-        probs = expit(np.stack([kernels.corr_valid(img, model.filters)
-                                for img in imgs])
-                      + model.hidden_biases[None, :, None, None])
+        probs = _hidden_probs(model, imgs)
         windows = np.lib.stride_tricks.sliding_window_view(
             imgs, (side, side), axis=(1, 2))          # (B, K, K, H, H)
         e_w += np.einsum("b,bmij,brsij->mrs", p, probs, windows, optimize=True)
@@ -424,6 +453,44 @@ def exact_log_likelihood_grad(model: CrbmModel, data: list) -> CrbmGradient:
 # Contrastive divergence
 # ---------------------------------------------------------------------------
 
+def _stack_visible(model: CrbmModel, images: list) -> np.ndarray:
+    """Pixels of equal-sized images as one (B, N, N) array."""
+    pixels = np.empty((len(images), model.input_size, model.input_size))
+    for i, img in enumerate(images):
+        _check_visible(model, img.pixels)
+        pixels[i] = img.pixels
+    return pixels
+
+
+def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
+             rng: np.random.Generator):
+    """CD-k statistics of a stack of images (B, N, N), summed over images.
+
+    Returns (CrbmGradient of data-phase minus chain-phase statistics,
+    summed reconstruction cross-entropy of the first round).  The batch
+    runs in chunks of whole images that draw at most _CD_CHUNK_DRAWS
+    uniforms each; chunks consume the generator in image order, so the
+    chunking never changes a sample.
+    """
+    per_image = k * (model.num_hidden + model.num_visible)
+    step = max(1, _CD_CHUNK_DRAWS // per_image)
+    g_w = np.zeros_like(model.filters)
+    g_b = 0.0
+    g_c = np.zeros(model.num_filters)
+    ce = 0.0
+    for start in range(0, len(pixels), step):
+        v0 = pixels[start:start + step]
+        vk, p0, pk, v1_probs = _gibbs_batch(model, v0, k, rng)
+        g_w += kernels.corr_grad(v0, p0)
+        g_w -= kernels.corr_grad(vk, pk)
+        g_b += float(v0.sum() - vk.sum())
+        p0 -= pk
+        g_c += p0.sum(axis=(0, 2, 3))
+        ce += _recon_cross_entropy_sum(v0, v1_probs)
+        del vk, p0, pk, v1_probs  # free this chunk's maps before the next chain
+    return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c), ce
+
+
 def cd_gradient_estimate(model: CrbmModel, images: list, k: int,
                          rng: np.random.Generator) -> CrbmGradient:
     """CD-k estimate of the log-likelihood gradient, summed over images.
@@ -432,22 +499,12 @@ def cd_gradient_estimate(model: CrbmModel, images: list, k: int,
     phase statistics come from the sampled v_k.  Sum convention matches
     exact_log_likelihood_grad so the two are directly comparable.
     """
-    g_w = np.zeros_like(model.filters)
-    g_b = 0.0
-    g_c = np.zeros(model.num_filters)
-    for img in images:
-        v0 = img.pixels
-        _check_visible(model, v0)
-        vk, p0, pk, _ = _gibbs_raw(model, v0, k, rng)
-        g_w += kernels.corr_grad(v0, p0) - kernels.corr_grad(vk, pk)
-        g_b += float(v0.sum() - vk.sum())
-        g_c += (p0 - pk).sum(axis=(1, 2))
-    return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c)
+    return _cd_sums(model, _stack_visible(model, images), k, rng)[0]
 
 
-def _recon_cross_entropy(v0: np.ndarray, v_probs: np.ndarray) -> float:
+def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
     p = np.clip(v_probs, 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(v0 * np.log(p) + (1.0 - v0) * np.log(1.0 - p)))
+    return float(-np.sum(v0 * np.log(p) + (1.0 - v0) * np.log(1.0 - p)))
 
 
 def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
@@ -465,29 +522,20 @@ def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
     """
     if not batch:
         raise TrainingError("empty batch")
-    n_h = model.hidden_side ** 2
-    d_w = np.zeros_like(model.filters)
-    d_b = 0.0
-    d_c = np.zeros(model.num_filters)
-    ce = 0.0
-    for img in batch:
-        v0 = img.pixels
-        if cfg.binarize_visible:
-            v0 = (v0 >= 0.5).astype(np.float64)
-        _check_visible(model, v0)
-        vk, p0, pk, v1_probs = _gibbs_raw(model, v0, cfg.cd_steps, rng)
-        d_w += kernels.corr_grad(v0, p0) - kernels.corr_grad(vk, pk)
-        d_b += float(np.mean(v0 - vk))
-        d_c += (p0 - pk).sum(axis=(1, 2)) / n_h
-        ce += _recon_cross_entropy(v0, v1_probs)
+    pixels = _stack_visible(model, batch)
+    if cfg.binarize_visible:
+        pixels = (pixels >= 0.5).astype(np.float64)
+    grad, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
-    dw_applied = scale * d_w
+    dw_applied = scale * grad.filters
+    d_b = grad.visible_bias / model.num_visible
+    d_c = grad.hidden_biases / model.hidden_side ** 2
     updated = CrbmModel(filters=model.filters + dw_applied,
                         visible_bias=model.visible_bias + scale * d_b,
                         hidden_biases=model.hidden_biases + scale * d_c,
                         input_size=model.input_size)
     diagnostics = {
-        "recon_cross_entropy": ce / len(batch),
+        "recon_cross_entropy": ce / pixels.size,
         "mean_abs_dw": float(np.abs(dw_applied).mean()),
     }
     return updated, diagnostics

@@ -137,14 +137,16 @@ def read_pgm(path) -> tuple:
         width, height, maxval = (int(t) for t in dims)
     except ValueError as exc:
         raise RasterFormatError(f"{path}: bad PGM header") from exc
+    if width < 1 or height < 1:
+        raise RasterFormatError(f"{path}: bad PGM size {width}x{height}")
     if maxval not in (255, 65535):
         raise RasterFormatError(f"{path}: unsupported maxval {maxval} (need 255 or 65535)")
     pos += 1  # single whitespace after maxval
-    dtype = np.dtype(">u2") if maxval == 65535 else np.uint8
+    dtype = np.dtype(">u2" if maxval == 65535 else np.uint8)
     count = width * height
-    raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    if raw.size != count:
+    if len(data) - pos < count * dtype.itemsize:
         raise RasterFormatError(f"{path}: pixel data truncated")
+    raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     return raw.reshape(height, width).astype(np.uint16), maxval
 
 

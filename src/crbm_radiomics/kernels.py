@@ -1,23 +1,28 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: three convolutions and two texture counters.
 
 The package spends nearly all of its time in five inner loops: the three
 convolution kernels used by the CRBM (valid cross-correlation for hidden
 activations, full convolution for visible reconstruction, and the K x K
 weight-gradient correlation) and the two texture-matrix counters (GLCM
-pair counts, GLRLM run counts).  Each kernel exists twice:
+pair counts, GLRLM run counts).
 
-* ``_nb_*``  -- numba ``@njit`` loops, compiled lazily and cached on disk;
-* ``_np_*``  -- vectorized numpy, used when numba is unavailable or when
-  the environment variable ``CRBM_RADIOMICS_NUMBA`` is set to ``0``,
-  ``false`` or ``off``.
+Each convolution has one numpy implementation, one matrix product over
+sliding windows.  All three take an optional leading batch axis (any
+number of leading axes, written ``...`` below), so a CD minibatch goes
+through each kernel in one call:
 
-Both paths implement identical arithmetic (same summation structure), so
-results agree to float64 rounding; the equivalence is covered by tests and
-``benchmarks/bench_kernels.py`` compares their speed.
+* ``corr_valid``  (..., N, N) x (M, K, K) -> (..., M, H, H), H = N - K + 1;
+* ``conv_full``   (..., M, H, H) x (M, K, K) -> (..., N, N), summed over maps;
+* ``corr_grad``   (..., N, N) x (..., M, H, H) -> (M, K, K), summed over
+  the leading axes.
 
-The active implementation is chosen once at import time.  ``BACKENDS``
-keeps both variants addressable so benchmarks and tests can compare them
-without re-importing the module.
+The texture counters exist twice: ``_nb_*`` numba ``@njit`` loops, compiled
+lazily and cached on disk, and ``_np_*`` vectorized numpy, used when numba
+is unavailable or when the environment variable ``CRBM_RADIOMICS_NUMBA`` is
+``0``, ``false`` or ``off``.  Both give identical counts.  The active
+counters are chosen once at import time; ``BACKENDS`` keeps both variants
+addressable so benchmarks and tests can compare them without re-importing
+the module.
 """
 
 import os
@@ -42,46 +47,52 @@ def _numba_requested() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numpy implementations
+# Convolutions (numpy only)
 # ---------------------------------------------------------------------------
 
-def _np_corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of image v (N,N) with filters w (M,K,K) -> (M,H,H)."""
+def corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of images v (..., N, N) with filters w (M, K, K)
+    -> (..., M, H, H)."""
     m, k, _ = w.shape
-    windows = sliding_window_view(v, (k, k))          # (H, H, K, K)
-    h = windows.shape[0]
-    flat = windows.reshape(h * h, k * k)
-    out = flat @ w.reshape(m, k * k).T                # (H*H, M)
-    return np.ascontiguousarray(out.T.reshape(m, h, h))
+    lead, hside = v.shape[:-2], v.shape[-1] - k + 1
+    # windows[..., r, s, i, j] = v[..., i + r, j + s]; the reshape copies
+    windows = sliding_window_view(v, (hside, hside), axis=(-2, -1))
+    flat = windows.reshape(*lead, k * k, hside * hside)
+    return (w.reshape(m, k * k) @ flat).reshape(*lead, m, hside, hside)
 
 
-def _np_conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Full convolution of hidden maps (M,H,H) with filters (M,K,K), summed over
-    filters -> (N,N) with N = H + K - 1."""
-    m, hside, _ = hmaps.shape
-    k = w.shape[1]
+def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Full convolution of hidden maps (..., M, H, H) with filters (M, K, K),
+    summed over filters -> (..., N, N) with N = H + K - 1."""
+    m, k, _ = w.shape
+    lead, hside = hmaps.shape[:-3], hmaps.shape[-1]
     n = hside + k - 1
-    pad = k - 1
-    out = np.zeros((n, n))
-    wf = w[:, ::-1, ::-1]                             # flipped: full conv == valid corr on padded maps
-    for i in range(m):
-        padded = np.zeros((hside + 2 * pad, hside + 2 * pad))
-        padded[pad:pad + hside, pad:pad + hside] = hmaps[i]
-        windows = sliding_window_view(padded, (k, k)).reshape(n * n, k * k)
-        out += (windows @ wf[i].ravel()).reshape(n, n)
+    # taps[..., r, s, i, j] = sum_m w[m, r, s] * hmaps[..., m, i, j]
+    taps = w.reshape(m, k * k).T @ hmaps.reshape(*lead, m, hside * hside)
+    taps = taps.reshape(*lead, k, k, hside, hside)
+    out = np.zeros((*lead, n, n))
+    for r in range(k):
+        for s in range(k):
+            out[..., r:r + hside, s:s + hside] += taps[..., r, s, :, :]
     return out
 
 
-def _np_corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """K x K weight-gradient patches: grad[m,r,s] = sum_ij p[m,i,j] * v[i+r, j+s]."""
-    m, hside, _ = p.shape
-    n = v.shape[0]
+def corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """K x K weight-gradient patches summed over the leading axes:
+    grad[m,r,s] = sum_..ij p[..., m, i, j] * v[..., i+r, j+s] -> (M, K, K)."""
+    m, hside = p.shape[-3], p.shape[-1]
+    n = v.shape[-1]
     k = n - hside + 1
-    windows = sliding_window_view(v, (hside, hside))  # (K, K, H, H)
-    flat = windows.reshape(k * k, hside * hside)
-    out = flat @ p.reshape(m, hside * hside).T        # (K*K, M)
-    return np.ascontiguousarray(out.T.reshape(m, k, k))
+    # both operands as (rows, B*H*H) for one product over every image
+    windows = sliding_window_view(v.reshape(-1, n, n), (hside, hside), axis=(1, 2))
+    flat = np.moveaxis(windows, 0, 2).reshape(k * k, -1)
+    maps = np.moveaxis(p.reshape(-1, m, hside * hside), 0, 1).reshape(m, -1)
+    return (maps @ flat.T).reshape(m, k, k)
 
+
+# ---------------------------------------------------------------------------
+# Texture counters: numpy implementations
+# ---------------------------------------------------------------------------
 
 def _np_glcm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
                     levels: int) -> np.ndarray:
@@ -132,18 +143,16 @@ def _np_glrlm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
     return out
 
 
-_NUMPY_IMPL = {
-    "corr_valid": _np_corr_valid,
-    "conv_full": _np_conv_full,
-    "corr_grad": _np_corr_grad,
+BACKENDS = {"numpy": {
+    "corr_valid": corr_valid,
+    "conv_full": conv_full,
+    "corr_grad": corr_grad,
     "glcm_counts": _np_glcm_counts,
     "glrlm_counts": _np_glrlm_counts,
-}
-
-BACKENDS = {"numpy": _NUMPY_IMPL}
+}}
 
 # ---------------------------------------------------------------------------
-# numba implementations
+# Texture counters: numba implementations
 # ---------------------------------------------------------------------------
 
 try:
@@ -154,55 +163,6 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
     _HAVE_NUMBA = False
 
 if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _nb_corr_valid(v, w):
-        m, k, _ = w.shape
-        n = v.shape[0]
-        hside = n - k + 1
-        out = np.zeros((m, hside, hside))
-        for f in range(m):
-            for i in range(hside):
-                for j in range(hside):
-                    acc = 0.0
-                    for r in range(k):
-                        for s in range(k):
-                            acc += w[f, r, s] * v[i + r, j + s]
-                    out[f, i, j] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_conv_full(hmaps, w):
-        m, hside, _ = hmaps.shape
-        k = w.shape[1]
-        n = hside + k - 1
-        out = np.zeros((n, n))
-        for f in range(m):
-            for i in range(hside):
-                for j in range(hside):
-                    hv = hmaps[f, i, j]
-                    if hv == 0.0:
-                        continue
-                    for r in range(k):
-                        for s in range(k):
-                            out[i + r, j + s] += w[f, r, s] * hv
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_corr_grad(v, p):
-        m, hside, _ = p.shape
-        n = v.shape[0]
-        k = n - hside + 1
-        out = np.zeros((m, k, k))
-        for f in range(m):
-            for r in range(k):
-                for s in range(k):
-                    acc = 0.0
-                    for i in range(hside):
-                        for j in range(hside):
-                            acc += p[f, i, j] * v[i + r, j + s]
-                    out[f, r, s] = acc
-        return out
 
     @numba.njit(cache=True)
     def _nb_glcm_counts(codes, roi, dr, dc, levels):
@@ -244,21 +204,16 @@ if _HAVE_NUMBA:
         return out
 
     BACKENDS["numba"] = {
-        "corr_valid": _nb_corr_valid,
-        "conv_full": _nb_conv_full,
-        "corr_grad": _nb_corr_grad,
         "glcm_counts": _nb_glcm_counts,
         "glrlm_counts": _nb_glrlm_counts,
     }
 
 _ACTIVE = "numba" if (_HAVE_NUMBA and _numba_requested()) else "numpy"
 
-corr_valid = BACKENDS[_ACTIVE]["corr_valid"]
-conv_full = BACKENDS[_ACTIVE]["conv_full"]
-corr_grad = BACKENDS[_ACTIVE]["corr_grad"]
 glcm_counts = BACKENDS[_ACTIVE]["glcm_counts"]
 glrlm_counts = BACKENDS[_ACTIVE]["glrlm_counts"]
 
 
 def active_backend() -> str:
+    """Backend of the texture counters: "numba" or "numpy"."""
     return _ACTIVE

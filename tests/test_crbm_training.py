@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scipy.signal import correlate2d
+
 from crbm_radiomics import crbm
 from crbm_radiomics.data_model import Image2D
 from crbm_radiomics.errors import TrainingError
@@ -47,6 +49,91 @@ def test_cd_update_matches_manual_replay():
                                model.hidden_biases + scale * d_c, atol=1e-12)
     assert diag["mean_abs_dw"] == pytest.approx(
         np.abs(scale * d_w).mean(), abs=1e-12)
+
+
+def replay_chain(model, v0, k, rng):
+    """The one-image chain step by step through the public conditionals,
+    drawing [hidden, visible] x k from rng: (v_k, h0, hk, v1_probs)."""
+    h0 = probs = crbm.hidden_probabilities(model, Image2D(pixels=v0)).maps
+    for step in range(k):
+        if step:
+            probs = crbm.hidden_probabilities(model, Image2D(pixels=v)).maps
+        h = crbm.HiddenState(maps=crbm.sample_bernoulli(probs, rng), kind="samples")
+        v_probs = crbm.visible_probabilities(model, h).pixels
+        if step == 0:
+            v1_probs = v_probs
+        v = crbm.sample_bernoulli(v_probs, rng)
+    hk = crbm.hidden_probabilities(model, Image2D(pixels=v)).maps
+    return v, h0, hk, v1_probs
+
+
+def weight_correlations(v, p):
+    return np.stack([correlate2d(v, maps, mode="valid") for maps in p])
+
+
+def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
+    model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=4)
+    cfg = crbm.CrbmTrainConfig(learning_rate=0.1, cd_steps=2, batch_size=7,
+                               binarize_visible=True)
+    rng = derive_rng(11, "grey")
+    batch = [Image2D(pixels=rng.random((6, 6))) for _ in range(7)]
+    per_image = cfg.cd_steps * (model.num_hidden + model.num_visible)
+    monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", 2 * per_image)
+    chunks = []
+    batched = crbm._gibbs_batch
+
+    def spy(model, v0, k, rng):
+        chunks.append(len(v0))
+        return batched(model, v0, k, rng)
+
+    monkeypatch.setattr(crbm, "_gibbs_batch", spy)
+    updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(12, "u"))
+    assert chunks == [2, 2, 2, 1]
+
+    replay = derive_rng(12, "u")
+    d_w = np.zeros_like(model.filters)
+    d_b = 0.0
+    d_c = np.zeros(model.num_filters)
+    ce = []
+    for img in batch:
+        v0 = (img.pixels >= 0.5).astype(np.float64)
+        vk, h0, hk, v1_probs = replay_chain(model, v0, 2, replay)
+        d_w += weight_correlations(v0, h0) - weight_correlations(vk, hk)
+        d_b += np.mean(v0 - vk)
+        d_c += (h0 - hk).mean(axis=(1, 2))
+        ce.append(-np.mean(v0 * np.log(v1_probs) + (1 - v0) * np.log(1 - v1_probs)))
+    scale = cfg.learning_rate / len(batch)
+    np.testing.assert_allclose(updated.filters, model.filters + scale * d_w,
+                               atol=1e-12)
+    assert updated.visible_bias == pytest.approx(
+        model.visible_bias + scale * d_b, abs=1e-12)
+    np.testing.assert_allclose(updated.hidden_biases,
+                               model.hidden_biases + scale * d_c, atol=1e-12)
+    assert diag["recon_cross_entropy"] == pytest.approx(np.mean(ce), abs=1e-12)
+
+
+def test_cd_gradient_estimate_of_a_list_is_the_sum_of_one_image_estimates():
+    rng = derive_rng(13, "est")
+    model = crbm.init_model(2, 3, 5, weight_init_sigma=0.5, seed=6)
+    data = binary_images(rng, 5, 6)
+    whole = crbm.cd_gradient_estimate(model, data, 3, derive_rng(13, "s"))
+    stream = derive_rng(13, "s")
+    parts = [crbm.cd_gradient_estimate(model, [img], 3, stream) for img in data]
+    np.testing.assert_allclose(whole.flatten(),
+                               np.sum([g.flatten() for g in parts], axis=0),
+                               atol=1e-12)
+
+
+def test_gibbs_chain_follows_the_one_image_draw_order():
+    rng = derive_rng(14, "chain")
+    model = crbm.init_model(3, 2, 5, weight_init_sigma=0.8, seed=7)
+    v0 = binary_images(rng, 5, 1)[0]
+    got = crbm.gibbs_chain(model, v0, 3, derive_rng(14, "draws"))
+    vk, h0, hk, v1_probs = replay_chain(model, v0.pixels, 3, derive_rng(14, "draws"))
+    assert np.array_equal(got.v_k.pixels, vk)
+    np.testing.assert_allclose(got.h0_probs.maps, h0, atol=1e-12)
+    np.testing.assert_allclose(got.hk_probs.maps, hk, atol=1e-12)
+    np.testing.assert_allclose(got.v1_probs, v1_probs, atol=1e-12)
 
 
 def test_cd_update_rejects_empty_batch():

@@ -48,6 +48,22 @@ def test_pgm_rejects_wrong_magic(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("maxval,body", [(255, bytes(5)), (65535, bytes(11))])
+def test_pgm_rejects_truncated_pixel_data(tmp_path, maxval, body):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n3 2\n%d\n" % maxval + body)
+    with pytest.raises(RasterFormatError, match="short.pgm: pixel data truncated"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("dims", [b"0 0", b"0 3", b"3 0"])
+def test_pgm_rejects_empty_raster(tmp_path, dims):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n")
+    with pytest.raises(RasterFormatError, match="empty.pgm: bad PGM size"):
+        read_pgm(path)
+
+
 def test_image_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     img = Image2D(pixels=rng.integers(0, 256, size=(9, 9)) / 255.0)

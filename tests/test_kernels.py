@@ -1,16 +1,22 @@
-"""Backend equivalence and independent oracles for the five hot kernels."""
+"""Independent oracles for the five hot kernels and backend equivalence
+for the texture counters."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import convolve2d, correlate2d
 
 from crbm_radiomics import kernels
 from texture_bruteforce import brute_glcm, brute_glrlm
 
 NUMPY = kernels.BACKENDS["numpy"]
+# the convolutions have one implementation; the texture counters also have
+# a numba twin when numba is installed
 BACKENDS = [("numpy", NUMPY)]
+COUNTER_BACKENDS = list(BACKENDS)
 if kernels.BACKENDS.get("numba") is not None:
-    BACKENDS.append(("numba", kernels.BACKENDS["numba"]))
+    COUNTER_BACKENDS.append(("numba", kernels.BACKENDS["numba"]))
 
 
 def _random_case(seed):
@@ -71,7 +77,7 @@ def _random_quantized(seed):
 OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 
-@pytest.mark.parametrize("name,backend", BACKENDS)
+@pytest.mark.parametrize("name,backend", COUNTER_BACKENDS)
 def test_glcm_counts_match_brute_force(name, backend):
     for seed in range(8):
         codes, roi, levels = _random_quantized(seed)
@@ -81,7 +87,7 @@ def test_glcm_counts_match_brute_force(name, backend):
             assert np.array_equal(np.asarray(got, dtype=float), want)
 
 
-@pytest.mark.parametrize("name,backend", BACKENDS)
+@pytest.mark.parametrize("name,backend", COUNTER_BACKENDS)
 def test_glrlm_counts_match_brute_force(name, backend):
     for seed in range(8):
         codes, roi, levels = _random_quantized(seed)
@@ -93,7 +99,7 @@ def test_glrlm_counts_match_brute_force(name, backend):
                 f"direction ({dr},{dc}) seed {seed}"
 
 
-@pytest.mark.parametrize("name,backend", BACKENDS)
+@pytest.mark.parametrize("name,backend", COUNTER_BACKENDS)
 def test_glrlm_runs_cover_roi_pixels_exactly_once(name, backend):
     # sum of length * count over the matrix = number of in-ROI pixels
     for seed in range(8):
@@ -106,26 +112,70 @@ def test_glrlm_runs_cover_roi_pixels_exactly_once(name, backend):
             assert (mat * lengths).sum() == roi.sum()
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numba backend unavailable")
-def test_backends_agree_bitwise_on_counts_and_closely_on_floats():
-    rng = np.random.default_rng(99)
-    v = rng.random((30, 30))
-    filters = rng.normal(size=(4, 5, 5))
-    h = rng.random((4, 26, 26))
+@pytest.mark.skipif(len(COUNTER_BACKENDS) < 2, reason="numba backend unavailable")
+def test_numba_counters_agree_bitwise_with_numpy():
     codes, roi, levels = _random_quantized(5)
-    nb, py = kernels.BACKENDS["numba"], NUMPY
-    np.testing.assert_allclose(nb["corr_valid"](v, filters),
-                               py["corr_valid"](v, filters), atol=1e-12)
-    np.testing.assert_allclose(nb["conv_full"](h, filters),
-                               py["conv_full"](h, filters), atol=1e-12)
-    np.testing.assert_allclose(nb["corr_grad"](v, h),
-                               py["corr_grad"](v, h), atol=1e-10)
+    nb = kernels.BACKENDS["numba"]
     assert np.array_equal(nb["glcm_counts"](codes, roi, 1, -1, levels),
-                          py["glcm_counts"](codes, roi, 1, -1, levels))
+                          NUMPY["glcm_counts"](codes, roi, 1, -1, levels))
     assert np.array_equal(
         nb["glrlm_counts"](codes, roi, 1, 1, levels, codes.shape[0]),
-        py["glrlm_counts"](codes, roi, 1, 1, levels, codes.shape[0]))
+        NUMPY["glrlm_counts"](codes, roi, 1, 1, levels, codes.shape[0]))
 
 
 def test_active_backend_reports_a_known_name():
     assert kernels.active_backend() in ("numpy", "numba")
+
+
+# Property tests: the batched convolutions against scipy.signal, image by
+# image, over random batch shapes (None = no batch axis), filter counts,
+# kernel and image sizes.
+BATCH = st.one_of(st.none(), st.integers(1, 3))
+
+
+def _batched_case(seed, batch, m, k, n):
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    side = n - k + 1
+    return (rng.random((*lead, n, n)), rng.normal(size=(m, k, k)),
+            rng.random((*lead, m, side, side)))
+
+
+def _images(arr, inner_ndim):
+    return arr.reshape(-1, *arr.shape[-inner_ndim:])
+
+
+CASE = dict(seed=st.integers(0, 2**32 - 1), batch=BATCH, m=st.integers(1, 4),
+            k=st.integers(1, 5), extra=st.integers(0, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CASE)
+def test_corr_valid_batched_matches_scipy_per_image(seed, batch, m, k, extra):
+    v, filters, _ = _batched_case(seed, batch, m, k, k + extra)
+    got = kernels.corr_valid(v, filters)
+    assert got.shape == v.shape[:-2] + (m, extra + 1, extra + 1)
+    want = [np.stack([correlate2d(img, f, mode="valid") for f in filters])
+            for img in _images(v, 2)]
+    np.testing.assert_allclose(_images(got, 3), want, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CASE)
+def test_conv_full_batched_matches_scipy_per_image(seed, batch, m, k, extra):
+    _, filters, h = _batched_case(seed, batch, m, k, k + extra)
+    got = kernels.conv_full(h, filters)
+    assert got.shape == h.shape[:-3] + (k + extra, k + extra)
+    want = [sum(convolve2d(maps[i], filters[i], mode="full") for i in range(m))
+            for maps in _images(h, 3)]
+    np.testing.assert_allclose(_images(got, 2), want, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CASE)
+def test_corr_grad_batched_is_sum_of_per_image_correlations(seed, batch, m, k, extra):
+    v, _, h = _batched_case(seed, batch, m, k, k + extra)
+    got = kernels.corr_grad(v, h)
+    want = sum(np.stack([correlate2d(img, maps[i], mode="valid") for i in range(m)])
+               for img, maps in zip(_images(v, 2), _images(h, 3)))
+    np.testing.assert_allclose(got, want, atol=1e-12)
