@@ -7,9 +7,7 @@ draw from streams derived from an explicit seed, so refits are
 bit-reproducible.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -304,53 +302,3 @@ def rf_predict_proba(model: RfModel, X: np.ndarray) -> np.ndarray:
     for i in range(X.shape[0]):
         out[i] = sum(_tree_predict(tree, X[i]) for tree in model.trees)
     return out / model.n_trees
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def save_classifier(model, path) -> None:
-    """One JSON format for the three heads, discriminated by "kind"."""
-    if isinstance(model, LrModel):
-        doc = {"kind": "lr", "weights": model.weights.tolist(),
-               "bias": model.bias, "l2": model.l2}
-    elif isinstance(model, SvmModel):
-        doc = {"kind": "svm", "weights": model.weights.tolist(),
-               "bias": model.bias, "C": model.C}
-    elif isinstance(model, RfModel):
-        doc = {"kind": "rf", "n_trees": model.n_trees,
-               "max_depth": model.max_depth,
-               "features_per_split": model.features_per_split,
-               "n_features": model.n_features,
-               "rng_seed": model.rng_seed,
-               "trees": [[[f, t, None if f >= 0 else p] for f, t, p in tree]
-                         for tree in model.trees]}
-    else:
-        raise TypeError(f"not a classifier model: {type(model).__name__}")
-    doc = {"format": "classifier", "version": 1, **doc}
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def load_classifier(path):
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "classifier":
-        raise ValueError(f"{path}: not a classifier file")
-    kind = doc["kind"]
-    if kind == "lr":
-        return LrModel(weights=np.array(doc["weights"], dtype=np.float64),
-                       bias=float(doc["bias"]), l2=float(doc["l2"]))
-    if kind == "svm":
-        return SvmModel(weights=np.array(doc["weights"], dtype=np.float64),
-                        bias=float(doc["bias"]), C=float(doc["C"]))
-    if kind == "rf":
-        trees = tuple(
-            tuple((int(f), float(t), float("nan") if p is None else float(p))
-                  for f, t, p in tree)
-            for tree in doc["trees"])
-        return RfModel(trees=trees, n_trees=int(doc["n_trees"]),
-                       max_depth=int(doc["max_depth"]),
-                       features_per_split=int(doc["features_per_split"]),
-                       n_features=int(doc["n_features"]),
-                       rng_seed=int(doc["rng_seed"]))
-    raise ValueError(f"{path}: unknown classifier kind {kind!r}")

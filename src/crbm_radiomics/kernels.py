@@ -4,28 +4,24 @@ The package spends nearly all of its time in five inner loops: the three
 convolution kernels used by the CRBM (valid cross-correlation for hidden
 activations, full convolution for visible reconstruction, and the K x K
 weight-gradient correlation) and the two texture-matrix counters (GLCM
-pair counts, GLRLM run counts).
+pair counts, GLRLM run counts).  Each has one numpy implementation.
 
-Each convolution has one numpy implementation, one matrix product over
-sliding windows.  All three take an optional leading batch axis (any
-number of leading axes, written ``...`` below), so a CD minibatch goes
-through each kernel in one call:
+Each convolution is one matrix product over sliding windows.  All three
+take an optional leading batch axis (any number of leading axes, written
+``...`` below), so a CD minibatch goes through each kernel in one call:
 
 * ``corr_valid``  (..., N, N) x (M, K, K) -> (..., M, H, H), H = N - K + 1;
 * ``conv_full``   (..., M, H, H) x (M, K, K) -> (..., N, N), summed over maps;
 * ``corr_grad``   (..., N, N) x (..., M, H, H) -> (M, K, K), summed over
   the leading axes.
 
-The texture counters exist twice: ``_nb_*`` numba ``@njit`` loops, compiled
-lazily and cached on disk, and ``_np_*`` vectorized numpy, used when numba
-is unavailable or when the environment variable ``CRBM_RADIOMICS_NUMBA`` is
-``0``, ``false`` or ``off``.  Both give identical counts.  The active
-counters are chosen once at import time; ``BACKENDS`` keeps both variants
-addressable so benchmarks and tests can compare them without re-importing
-the module.
-"""
+Each texture counter takes quantized codes (1..levels) and an ROI mask of
+one slice and costs a fixed number of numpy calls per offset, with no
+Python loop over pixels, lines or runs:
 
-import os
+* ``glcm_counts``   pairs at offset (dr, dc)  -> (levels, levels);
+* ``glrlm_counts``  maximal runs along (dr, dc) -> (levels, max_run).
+"""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,17 +33,11 @@ __all__ = [
     "glcm_counts",
     "glrlm_counts",
     "active_backend",
-    "BACKENDS",
 ]
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("CRBM_RADIOMICS_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
 # ---------------------------------------------------------------------------
-# Convolutions (numpy only)
+# Convolutions
 # ---------------------------------------------------------------------------
 
 def corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -91,11 +81,11 @@ def corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Texture counters: numpy implementations
+# Texture counters
 # ---------------------------------------------------------------------------
 
-def _np_glcm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
-                    levels: int) -> np.ndarray:
+def glcm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
+                levels: int) -> np.ndarray:
     """Raw co-occurrence counts of code pairs at offset (dr, dc); both pixels in-ROI."""
     h, w = codes.shape
     r0, r1 = max(0, -dr), h - max(0, dr)
@@ -112,108 +102,52 @@ def _np_glcm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
     return counts.reshape(levels, levels).astype(np.float64)
 
 
-def _np_glrlm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
-                     levels: int, max_run: int) -> np.ndarray:
-    """Counts of maximal in-ROI runs of equal codes along direction (dr, dc)."""
-    x = np.where(roi > 0, codes, 0).astype(np.int64)  # 0 breaks runs (codes are >= 1)
+def _anti_diagonals(x: np.ndarray) -> np.ndarray:
+    """Lines of x along (1, -1), one per row, zero-filled: (h + w - 1, h)."""
+    h, w = x.shape
+    # Row-major, a step of h + w - 1 in a (h, w + h) array moves one row
+    # down and one column left, so column s of the reshaped array walks the
+    # anti-diagonal i + j = s; where it leaves x it runs into the zero pad.
+    padded = np.zeros((h, w + h), dtype=x.dtype)
+    padded[:, :w] = x
+    return padded.ravel()[:h * (w + h - 1)].reshape(h, w + h - 1).T
+
+
+def glrlm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
+                 levels: int, max_run: int) -> np.ndarray:
+    """Counts of maximal in-ROI runs of equal codes along direction (dr, dc);
+    a run longer than max_run is counted in the last column.
+
+    Out-of-ROI pixels become 0 (codes are >= 1), and the pixels are laid
+    out as lines of the direction, each followed by a 0 separator, in one
+    flat array: rows for (0, 1), columns for (1, 0), and the anti-diagonals
+    of x (1, -1) or of x flipped upside down (1, 1).  A run then starts
+    wherever the flat array changes value, so one ``diff`` finds every run
+    of every line, and one ``bincount`` counts the nonzero ones.
+    """
+    x = np.where(roi > 0, codes, 0)
     if (dr, dc) == (0, 1):
-        lines = list(x)
+        lines = x
     elif (dr, dc) == (1, 0):
-        lines = list(x.T)
-    elif (dr, dc) == (1, 1):
-        h, w = x.shape
-        lines = [np.diagonal(x, off) for off in range(-(h - 1), w)]
+        lines = x.T
     elif (dr, dc) == (1, -1):
-        h, w = x.shape
-        flipped = np.fliplr(x)
-        lines = [np.diagonal(flipped, off) for off in range(-(h - 1), w)]
+        lines = _anti_diagonals(x)
+    elif (dr, dc) == (1, 1):
+        lines = _anti_diagonals(x[::-1])
     else:
         raise ValueError(f"unsupported run direction {(dr, dc)}")
-    out = np.zeros((levels, max_run))
-    for line in lines:
-        if line.size == 0:
-            continue
-        breaks = np.flatnonzero(np.diff(line) != 0)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [line.size - 1]))
-        for s, e in zip(starts, ends):
-            val = line[s]
-            if val > 0:
-                out[val - 1, min(e - s, max_run - 1)] += 1.0
-    return out
-
-
-BACKENDS = {"numpy": {
-    "corr_valid": corr_valid,
-    "conv_full": conv_full,
-    "corr_grad": corr_grad,
-    "glcm_counts": _np_glcm_counts,
-    "glrlm_counts": _np_glrlm_counts,
-}}
-
-# ---------------------------------------------------------------------------
-# Texture counters: numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _nb_glcm_counts(codes, roi, dr, dc, levels):
-        h, w = codes.shape
-        out = np.zeros((levels, levels))
-        for i in range(h):
-            i2 = i + dr
-            if i2 < 0 or i2 >= h:
-                continue
-            for j in range(w):
-                j2 = j + dc
-                if j2 < 0 or j2 >= w:
-                    continue
-                if roi[i, j] > 0 and roi[i2, j2] > 0:
-                    out[codes[i, j] - 1, codes[i2, j2] - 1] += 1.0
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_glrlm_counts(codes, roi, dr, dc, levels, max_run):
-        h, w = codes.shape
-        out = np.zeros((levels, max_run))
-        for i in range(h):
-            for j in range(w):
-                if roi[i, j] == 0:
-                    continue
-                # run start: predecessor along the direction is absent or different
-                pi, pj = i - dr, j - dc
-                if 0 <= pi < h and 0 <= pj < w and roi[pi, pj] > 0 \
-                        and codes[pi, pj] == codes[i, j]:
-                    continue
-                length = 1
-                ni, nj = i + dr, j + dc
-                while 0 <= ni < h and 0 <= nj < w and roi[ni, nj] > 0 \
-                        and codes[ni, nj] == codes[i, j]:
-                    length += 1
-                    ni += dr
-                    nj += dc
-                out[codes[i, j] - 1, min(length, max_run) - 1] += 1.0
-        return out
-
-    BACKENDS["numba"] = {
-        "glcm_counts": _nb_glcm_counts,
-        "glrlm_counts": _nb_glrlm_counts,
-    }
-
-_ACTIVE = "numba" if (_HAVE_NUMBA and _numba_requested()) else "numpy"
-
-glcm_counts = BACKENDS[_ACTIVE]["glcm_counts"]
-glrlm_counts = BACKENDS[_ACTIVE]["glrlm_counts"]
+    flat = np.zeros((lines.shape[0], lines.shape[1] + 1), dtype=np.int64)
+    flat[:, :-1] = lines
+    flat = flat.ravel()
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    lengths = np.diff(starts, append=flat.size)
+    values = flat[starts]
+    keep = values > 0
+    cells = (values[keep] - 1) * max_run + np.minimum(lengths[keep], max_run) - 1
+    counts = np.bincount(cells, minlength=levels * max_run)
+    return counts.reshape(levels, max_run).astype(np.float64)
 
 
 def active_backend() -> str:
-    """Backend of the texture counters: "numba" or "numpy"."""
-    return _ACTIVE
+    """Backend of the texture counters, recorded in report provenance."""
+    return "numpy"

@@ -10,9 +10,7 @@ An alternative "vip-subset" reducer keeps the top-A original columns by
 VIP (variable importance in projection) instead of latent scores.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -170,34 +168,3 @@ def apply_reducer(reducer: Reducer, X: FeatureMatrix) -> np.ndarray:
     std = _standardize(reducer.pls, X)
     pos = {n: i for i, n in enumerate(reducer.pls.feature_names)}
     return std[:, [pos[n] for n in reducer.selected]]
-
-
-def save_pls(model: PlsModel, path) -> None:
-    doc = {
-        "format": "pls-model",
-        "version": 1,
-        "n_components": model.n_components,
-        "feature_names": list(model.feature_names),
-        "dropped_names": list(model.dropped_names),
-        "column_means": model.column_means.tolist(),
-        "column_sds": model.column_sds.tolist(),
-        "weights": model.weights.T.tolist(),
-        "loadings": model.loadings.T.tolist(),
-        "y_loadings": model.y_loadings.tolist(),
-        "score_sq_norms": model.score_sq_norms.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def load_pls(path) -> PlsModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "pls-model":
-        raise ValueError(f"{path}: not a PLS model file")
-    return PlsModel(weights=np.array(doc["weights"]).T,
-                    loadings=np.array(doc["loadings"]).T,
-                    y_loadings=np.array(doc["y_loadings"]),
-                    score_sq_norms=np.array(doc["score_sq_norms"]),
-                    column_means=np.array(doc["column_means"]),
-                    column_sds=np.array(doc["column_sds"]),
-                    feature_names=tuple(doc["feature_names"]),
-                    dropped_names=tuple(doc["dropped_names"]))

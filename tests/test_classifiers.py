@@ -8,13 +8,11 @@ from crbm_radiomics.classifiers import (
     RfModel,
     SvmModel,
     _best_split,
-    load_classifier,
     lr_fit,
     lr_loss_and_grad,
     lr_predict_proba,
     rf_fit,
     rf_predict_proba,
-    save_classifier,
     svm_decision,
     svm_fit,
     svm_objective,
@@ -226,47 +224,3 @@ def test_rf_rejects_width_mismatch_and_zero_trees():
         rf_predict_proba(model, np.zeros((2, 9)))
     with pytest.raises(ValueError):
         rf_fit(X, y, n_trees=0)
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def test_save_load_round_trip_all_kinds(tmp_path):
-    X, y = separable_problem(14, n=50)
-    lr = lr_fit(X, y, steps=50)
-    svm, _ = svm_fit(X, 2 * y - 1, epochs=10, seed=0)
-    rf = rf_fit(X, y, n_trees=4, max_depth=3, seed=0)
-    probe = derive_rng(14, "probe").normal(size=(7, X.shape[1]))
-    for name, model, score in (
-            ("lr", lr, lr_predict_proba),
-            ("svm", svm, svm_decision),
-            ("rf", rf, rf_predict_proba)):
-        path = tmp_path / f"{name}.json"
-        save_classifier(model, path)
-        back = load_classifier(path)
-        assert type(back) is type(model)
-        np.testing.assert_array_equal(score(back, probe), score(model, probe))
-
-
-def test_save_rejects_non_models(tmp_path):
-    with pytest.raises(TypeError):
-        save_classifier({"weights": [1.0]}, tmp_path / "x.json")
-
-
-def test_load_rejects_other_formats(tmp_path):
-    (tmp_path / "bad.json").write_text('{"format": "pls-model"}\n')
-    with pytest.raises(ValueError):
-        load_classifier(tmp_path / "bad.json")
-
-
-def test_rf_round_trip_preserves_tree_structure(tmp_path):
-    X, y = separable_problem(15, n=30)
-    model = rf_fit(X, y, n_trees=3, max_depth=3, seed=5)
-    save_classifier(model, tmp_path / "rf.json")
-    back = load_classifier(tmp_path / "rf.json")
-    for ta, tb in zip(model.trees, back.trees):
-        assert len(ta) == len(tb)
-        for (fa, tha, pa), (fb, thb, pb) in zip(ta, tb):
-            assert fa == fb and tha == thb
-            assert (np.isnan(pa) and np.isnan(pb)) or pa == pb

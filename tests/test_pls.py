@@ -10,8 +10,6 @@ from crbm_radiomics.pls import (
     apply_reducer,
     fit_pls,
     fit_reducer,
-    load_pls,
-    save_pls,
     transform,
     vip_scores,
 )
@@ -203,30 +201,3 @@ def test_reducer_rejects_unknown_mode():
     X, y = random_problem(16)
     with pytest.raises(ValueError):
         Reducer(mode="pca", pls=fit_pls(X, y, 1), selected=())
-
-
-def test_save_load_round_trip(tmp_path):
-    X, y = random_problem(17)
-    model = fit_pls(X, y, 3)
-    save_pls(model, tmp_path / "pls.json")
-    back = load_pls(tmp_path / "pls.json")
-    np.testing.assert_array_equal(back.weights, model.weights)
-    np.testing.assert_array_equal(back.loadings, model.loadings)
-    np.testing.assert_array_equal(back.y_loadings, model.y_loadings)
-    assert back.feature_names == model.feature_names
-    np.testing.assert_allclose(transform(back, X), transform(model, X),
-                               atol=0.0)
-
-
-def test_save_is_byte_deterministic(tmp_path):
-    X, y = random_problem(18)
-    model = fit_pls(X, y, 2)
-    save_pls(model, tmp_path / "a.json")
-    save_pls(model, tmp_path / "b.json")
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
-def test_load_rejects_wrong_format(tmp_path):
-    (tmp_path / "x.json").write_text('{"format": "other"}\n')
-    with pytest.raises(ValueError):
-        load_pls(tmp_path / "x.json")

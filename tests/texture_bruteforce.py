@@ -20,6 +20,7 @@ def brute_glcm(codes, roi, dr, dc, levels):
 
 
 def brute_glrlm(codes, roi, dr, dc, levels, max_run):
+    # a run longer than max_run is counted in the last column
     h, w = codes.shape
     counts = np.zeros((levels, max_run))
     seen = set()
@@ -37,5 +38,5 @@ def brute_glrlm(codes, roi, dr, dc, levels, max_run):
                 seen.add((rr, cc))
                 run += 1
                 rr, cc = rr + dr, cc + dc
-            counts[codes[r, c] - 1, run - 1] += 1
+            counts[codes[r, c] - 1, min(run, max_run) - 1] += 1
     return counts
