@@ -8,16 +8,24 @@ CD chunk).  The texture counters run on 32-level quantized planes: one
 128x128 image, and the 32x32 slice and 16x16 Haar subbands that the
 radiomics catalog feeds them (elliptical ROI).  ``glrlm_counts`` is timed
 in all four directions, since rows, columns and the two diagonals lay
-their lines out differently.  Run from the repository root:
+their lines out differently.
+
+Two stages of the ``radiomics-rf`` workload are timed whole: the texture
+descriptors of one 32x32 slice (20 GLCMs at 32 levels and the 20 GLRLMs
+of the slice and its four 16x16 subbands, zero-padded to 32 run columns,
+each family one stacked call) and one random-forest node (150 bootstrap
+rows, 5 of 20 features).  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
+import itertools
 import time
 
 import numpy as np
 
-from crbm_radiomics import kernels
+from crbm_radiomics import classifiers, kernels, radiomics
+from crbm_radiomics.data_model import RoiMask
 
 REPS = 20
 WARMUP = 3
@@ -49,6 +57,25 @@ PLANES = (("128x128", texture_plane(128, (rng.random((128, 128)) < 0.85)
           ("16x16", texture_plane(16, ellipse(16))))
 DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
+# one slice's texture matrices: the 32x32 plane and four 16x16 subbands
+SLICE_PLANES = [texture_plane(32, ellipse(32))] + \
+    [texture_plane(16, ellipse(16)) for _ in range(4)]
+glcm_stack = np.stack([
+    radiomics.glcm_compute(radiomics.QuantizedImage(codes, 32, RoiMask(roi)),
+                           offset).matrix
+    for codes, roi in SLICE_PLANES for offset in DIRECTIONS])
+glrlm_stack = np.zeros((20, 32, 32))
+for stacked, ((codes, roi), (dr, dc)) in zip(
+        glrlm_stack, itertools.product(SLICE_PLANES, DIRECTIONS)):
+    stacked[:, :codes.shape[0]] = kernels.glrlm_counts(
+        codes, roi, dr, dc, 32, codes.shape[0])
+
+# one forest node: bootstrap rows of PLS-like scores, 5 of 20 features
+node_X = rng.normal(size=(150, 20))
+node_y = (node_X[:, 0] + rng.normal(size=150) > 0).astype(np.float64)
+node_rows = rng.integers(0, 150, size=150)
+node_features = rng.permutation(20)[:5]
+
 CASES = (
     ("corr_valid  (1x256x256, 64x5x5)", kernels.corr_valid, (image, filters)),
     ("corr_valid  (16x16x16, 16x5x5)", kernels.corr_valid, (patches, patch_filters)),
@@ -64,6 +91,11 @@ CASES = (
     (f"glrlm_counts({name}, {dr},{dc})", kernels.glrlm_counts,
      (codes, roi, dr, dc, 32, codes.shape[0]))
     for name, (codes, roi) in PLANES for dr, dc in DIRECTIONS
+) + (
+    ("glcm descriptors (20 x 32x32)", radiomics._glcm_descriptors, (glcm_stack,)),
+    ("glrlm descriptors (20 x 32x32)", radiomics._glrlm_descriptors, (glrlm_stack,)),
+    ("rf node split (150 rows, 5 of 20)", classifiers._best_split,
+     (node_X, node_y, node_rows, node_features)),
 )
 
 
@@ -79,9 +111,9 @@ def time_call(fn, args):
 
 
 print(f"{REPS} reps after {WARMUP} warmup calls, times in ms\n")
-header = f"{'kernel':<34}{'mean':>10}{'std':>8}"
+header = f"{'kernel':<36}{'mean':>10}{'std':>8}"
 print(header)
 print("-" * len(header))
 for label, fn, args in CASES:
     mean, std = time_call(fn, args)
-    print(f"{label:<34}{mean:>10.3f}{std:>8.3f}")
+    print(f"{label:<36}{mean:>10.3f}{std:>8.3f}")

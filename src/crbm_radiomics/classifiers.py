@@ -184,47 +184,38 @@ def rf_bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _gini(counts1: float, total: float) -> float:
-    if total == 0:
-        return 0.0
-    p = counts1 / total
-    return 2.0 * p * (1.0 - p)
-
-
 def _best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
                 feature_ids: np.ndarray):
-    """Lowest weighted-Gini (feature, threshold) over midpoint candidates.
+    """Lowest weighted-Gini (feature, threshold) over midpoint candidates,
+    or None if every candidate feature is constant on the rows (n >= 2).
 
-    Ties break toward the lowest feature index, then the lowest threshold
-    (features and thresholds are scanned in ascending order and only a
-    strict improvement replaces the incumbent).
+    All candidate features are scanned at once: each row of the (m, n)
+    block of feature values is sorted, and every cut position between
+    two distinct values is scored.  Ties break toward the lowest feature
+    index, then the lowest threshold (argmin keeps the first minimum).
     """
-    best = None
-    best_score = np.inf
+    features = np.sort(feature_ids)
     n = rows.size
-    y_rows = y[rows]
-    for f in np.sort(feature_ids):
-        col = X[rows, f]
-        order = np.argsort(col, kind="stable")
-        col_sorted = col[order]
-        y_sorted = y_rows[order]
-        distinct = np.nonzero(np.diff(col_sorted) > 0)[0]
-        if distinct.size == 0:
-            continue
-        left_n = distinct + 1
-        left_pos = np.cumsum(y_sorted)[distinct]
-        total_pos = y_sorted.sum()
-        right_n = n - left_n
-        right_pos = total_pos - left_pos
-        p_l = left_pos / left_n
-        p_r = right_pos / right_n
-        scores = (left_n * 2 * p_l * (1 - p_l) + right_n * 2 * p_r * (1 - p_r)) / n
-        idx = int(np.argmin(scores))  # first minimum = lowest threshold
-        if scores[idx] < best_score:
-            cut = distinct[idx]
-            best_score = scores[idx]
-            best = (int(f), float((col_sorted[cut] + col_sorted[cut + 1]) / 2))
-    return best
+    cols = X[np.ix_(rows, features)].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols_sorted = np.take_along_axis(cols, order, axis=1)
+    y_sorted = y[rows][order]
+    left_n = np.arange(1, n)
+    left_pos = np.cumsum(y_sorted, axis=1)[:, :-1]
+    right_n = n - left_n
+    right_pos = y_sorted.sum(axis=1, keepdims=True) - left_pos
+    p_l = left_pos / left_n
+    p_r = right_pos / right_n
+    scores = (left_n * 2 * p_l * (1 - p_l) + right_n * 2 * p_r * (1 - p_r)) / n
+    scores[np.diff(cols_sorted, axis=1) <= 0] = np.inf
+    cuts = np.argmin(scores, axis=1)
+    best = scores[np.arange(features.size), cuts]
+    k = int(np.argmin(best))
+    if best[k] == np.inf:
+        return None
+    cut = cuts[k]
+    return (int(features[k]),
+            float((cols_sorted[k, cut] + cols_sorted[k, cut + 1]) / 2))
 
 
 def _grow(X: np.ndarray, y: np.ndarray, rows: np.ndarray, depth: int,
@@ -241,10 +232,9 @@ def _grow(X: np.ndarray, y: np.ndarray, rows: np.ndarray, depth: int,
         return
     f, threshold = split
     out.append((f, threshold, float("nan")))
-    left = rows[X[rows, f] <= threshold]
-    right = rows[X[rows, f] > threshold]
-    _grow(X, y, left, depth + 1, max_depth, m_features, rng, out)
-    _grow(X, y, right, depth + 1, max_depth, m_features, rng, out)
+    goes_left = X[rows, f] <= threshold
+    _grow(X, y, rows[goes_left], depth + 1, max_depth, m_features, rng, out)
+    _grow(X, y, rows[~goes_left], depth + 1, max_depth, m_features, rng, out)
 
 
 def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,

@@ -13,6 +13,7 @@ the four offsets (0,1), (1,0), (1,1), (1,-1) with symmetrization; GLRLM
 uses the same four directions.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,40 +267,72 @@ def glcm_compute(q: QuantizedImage, offset: tuple, symmetric: bool = True) -> Gl
     return Glcm(matrix=counts / total, offset=(dr, dc))
 
 
-def _glcm_feature_values(p: np.ndarray) -> np.ndarray:
-    levels = p.shape[0]
-    idx = np.arange(1, levels + 1, dtype=np.float64)
-    i = idx[:, None]
-    j = idx[None, :]
-    diff = i - j
-    contrast = float((p * diff ** 2).sum())
-    dissimilarity = float((p * np.abs(diff)).sum())
-    homogeneity = float((p / (1.0 + diff ** 2)).sum())
-    asm = float((p * p).sum())
-    nz = p[p > 0]
-    entropy = float(-(nz * np.log2(nz)).sum())
-    p_i = p.sum(axis=1)
-    p_j = p.sum(axis=0)
-    mu_i = float(idx @ p_i)
-    mu_j = float(idx @ p_j)
-    var_i = float(((idx - mu_i) ** 2) @ p_i)
-    var_j = float(((idx - mu_j) ** 2) @ p_j)
-    if var_i > 0 and var_j > 0:
-        correlation = float(((i - mu_i) * (j - mu_j) * p).sum()
-                            / np.sqrt(var_i * var_j))
-    else:
-        correlation = 0.0
-    dev = i + j - mu_i - mu_j
-    shade = float((dev ** 3 * p).sum())
-    prominence = float((dev ** 4 * p).sum())
-    return np.array([contrast, dissimilarity, homogeneity, asm, entropy,
-                     correlation, shade, prominence])
+@functools.lru_cache(maxsize=None)
+def _glcm_design(levels: int) -> np.ndarray:
+    """0/1 matrix D of shape (levels², 6 levels - 2): a flattened
+    probability matrix times D is [p_{x-y}(d) for d = 1-L..L-1,
+    p_{x+y}(s) for s = 2..2L, the row marginal, the column marginal]."""
+    width = 2 * levels - 1
+    i, j = np.divmod(np.arange(levels * levels), levels)
+    design = np.zeros((levels * levels, 2 * width + 2 * levels))
+    for column in (i - j + levels - 1, width + i + j,
+                   2 * width + i, 2 * width + levels + j):
+        design[np.arange(levels * levels), column] = 1.0
+    design.setflags(write=False)
+    return design
+
+
+def _glcm_descriptors(p: np.ndarray) -> np.ndarray:
+    """The 8 GLCM_FEATURE_NAMES of each matrix of an (n, L, L) stack of
+    co-occurrence probabilities -> (n, 8).  An all-zero member (no pair
+    at its offset) gives all zeros.
+
+    Everything but ASM and entropy is a sum over the difference and sum
+    histograms p_{x-y}, p_{x+y} or the marginals (Haralick 1973; Unser
+    1986), all read off one product with the cached _glcm_design.  The
+    covariance is Unser's (var(x+y) - var(x-y)) / 4, a difference of two
+    centered sums, which keeps near-zero correlations accurate where
+    E[ij] - mu_i mu_j would cancel.  Correlation is 0 when either marginal
+    sits on a single gray level.
+    """
+    n, levels, _ = p.shape
+    width = 2 * levels - 1
+    flat = p.reshape(n, levels * levels)
+    hist = flat @ _glcm_design(levels)
+    p_diff, p_sum = hist[:, :width], hist[:, width:2 * width]
+    p_i, p_j = hist[:, 2 * width:2 * width + levels], hist[:, 2 * width + levels:]
+    gray = np.arange(1, levels + 1, dtype=np.float64)
+    diff = np.arange(1 - levels, levels, dtype=np.float64)
+    sums = np.arange(2, 2 * levels + 1, dtype=np.float64)
+    mu_i = p_i @ gray
+    mu_j = p_j @ gray
+    var_i = ((gray - mu_i[:, None]) ** 2 * p_i).sum(axis=1)
+    var_j = ((gray - mu_j[:, None]) ** 2 * p_j).sum(axis=1)
+    dev = sums - (mu_i + mu_j)[:, None]
+    dev2 = dev * dev
+    var_sum = (dev2 * p_sum).sum(axis=1)
+    var_diff = ((diff - (mu_i - mu_j)[:, None]) ** 2 * p_diff).sum(axis=1)
+    spread = (np.count_nonzero(p_i, axis=1) > 1) & (np.count_nonzero(p_j, axis=1) > 1)
+    correlation = np.zeros(n)
+    np.divide(var_sum - var_diff, 4.0 * np.sqrt(var_i * var_j),
+              out=correlation, where=spread)
+    logs = np.log(np.where(flat > 0, flat, 1.0))  # 0 log 0 = 0
+    return np.stack([
+        p_diff @ diff ** 2,                   # contrast
+        p_diff @ np.abs(diff),                # dissimilarity
+        p_diff @ (1.0 / (1.0 + diff ** 2)),   # homogeneity
+        np.einsum("nk,nk->n", flat, flat),    # asm
+        -np.einsum("nk,nk->n", flat, logs) / np.log(2.0),  # entropy, bits
+        correlation,
+        (dev2 * dev * p_sum).sum(axis=1),     # cluster shade
+        (dev2 * dev2 * p_sum).sum(axis=1),    # cluster prominence
+    ], axis=1)
 
 
 def glcm_features(g: Glcm) -> FeatureVector:
     """Haralick-style descriptors of one co-occurrence matrix (8 features)."""
     return FeatureVector(names=GLCM_FEATURE_NAMES,
-                         values=_glcm_feature_values(g.matrix))
+                         values=_glcm_descriptors(g.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,29 +353,33 @@ def glrlm_compute(q: QuantizedImage, direction: tuple) -> Glrlm:
     return Glrlm(matrix=counts, direction=(dr, dc))
 
 
-def _glrlm_feature_values(mat: np.ndarray) -> np.ndarray:
-    n_runs = mat.sum()
-    if n_runs == 0:
+def _glrlm_descriptors(mats: np.ndarray) -> np.ndarray:
+    """The 7 GLRLM_FEATURE_NAMES of each matrix of an (n, levels, max_run)
+    stack of run counts -> (n, 7).  Zero columns past a member's own
+    max_run change nothing, so matrices of different max_run can share a
+    stack once zero-padded to the widest."""
+    n_runs = mats.sum(axis=(1, 2))
+    if not n_runs.all():
         raise ValueError("run-length matrix has zero runs")
-    lengths = np.arange(1, mat.shape[1] + 1, dtype=np.float64)
-    grays = np.arange(1, mat.shape[0] + 1, dtype=np.float64)
-    n_pixels = float((mat * lengths[None, :]).sum())
-    by_length = mat.sum(axis=0)
-    by_gray = mat.sum(axis=1)
-    sre = float((by_length / lengths ** 2).sum() / n_runs)
-    lre = float((by_length * lengths ** 2).sum() / n_runs)
-    gln = float((by_gray ** 2).sum() / n_runs)
-    rln = float((by_length ** 2).sum() / n_runs)
-    rp = float(n_runs / n_pixels)
-    lgre = float((by_gray / grays ** 2).sum() / n_runs)
-    hgre = float((by_gray * grays ** 2).sum() / n_runs)
-    return np.array([sre, lre, gln, rln, rp, lgre, hgre])
+    lengths = np.arange(1, mats.shape[2] + 1, dtype=np.float64)
+    grays = np.arange(1, mats.shape[1] + 1, dtype=np.float64)
+    by_length = mats.sum(axis=1)
+    by_gray = mats.sum(axis=2)
+    return np.stack([
+        by_length @ (1.0 / lengths ** 2) / n_runs,   # short-run emphasis
+        by_length @ lengths ** 2 / n_runs,           # long-run emphasis
+        (by_gray ** 2).sum(axis=1) / n_runs,         # gray-level nonuniformity
+        (by_length ** 2).sum(axis=1) / n_runs,       # run-length nonuniformity
+        n_runs / (by_length @ lengths),              # run percentage
+        by_gray @ (1.0 / grays ** 2) / n_runs,       # low gray-level emphasis
+        by_gray @ grays ** 2 / n_runs,               # high gray-level emphasis
+    ], axis=1)
 
 
 def glrlm_features(r: Glrlm) -> FeatureVector:
     """Run-emphasis and nonuniformity descriptors (7 features)."""
     return FeatureVector(names=GLRLM_FEATURE_NAMES,
-                         values=_glrlm_feature_values(r.matrix))
+                         values=_glrlm_descriptors(r.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +435,52 @@ def downsample_mask(mask: RoiMask) -> RoiMask:
 # Full catalog
 # ---------------------------------------------------------------------------
 
-def _texture_features(values: np.ndarray, roi: RoiMask, levels: int, prefix: str):
-    """GLCM (4 offsets) + GLRLM (4 directions) on one value plane."""
-    q = QuantizedImage(codes=_quantize_array(values, roi.bits, levels),
-                       levels=levels, roi=roi)
-    names, vals = [], []
-    for offset in GLCM_OFFSETS:
-        tag = _offset_tag(offset)
-        try:
-            feats = _glcm_feature_values(glcm_compute(q, offset).matrix)
-        except EmptyCooccurrenceError:
-            # degenerate ROI at this offset: keep the catalog total, emit zeros
-            feats = np.zeros(len(GLCM_FEATURE_NAMES))
-        names += [f"{prefix}glcm_{tag}_{n}" for n in GLCM_FEATURE_NAMES]
-        vals.append(feats)
-    for direction in GLRLM_DIRECTIONS:
-        tag = _offset_tag(direction)
-        mat = glrlm_compute(q, direction).matrix
-        names += [f"{prefix}glrlm_{tag}_{n}" for n in GLRLM_FEATURE_NAMES]
-        vals.append(_glrlm_feature_values(mat))
-    return names, np.concatenate(vals)
+def _catalog_names() -> tuple:
+    def texture(prefix):
+        return ([f"{prefix}glcm_{_offset_tag(o)}_{n}"
+                 for o in GLCM_OFFSETS for n in GLCM_FEATURE_NAMES]
+                + [f"{prefix}glrlm_{_offset_tag(d)}_{n}"
+                   for d in GLRLM_DIRECTIONS for n in GLRLM_FEATURE_NAMES])
+
+    names = [f"original_firstorder_{n}" for n in FIRST_ORDER_NAMES]
+    names += [f"shape_{n}" for n in SHAPE_NAMES]
+    names += texture("original_")
+    for band in WAVELET_BANDS:
+        names += [f"wavelet_{band}_firstorder_{n}" for n in FIRST_ORDER_NAMES]
+        names += texture(f"wavelet_{band}_")
+    return tuple(names)
+
+
+_CATALOG_NAMES = _catalog_names()
+
+
+def _texture_features(planes, levels: int) -> tuple:
+    """GLCM (4 offsets) and GLRLM (4 directions) descriptors of each
+    (values, roi) plane -> ((planes, 32), (planes, 28)).
+
+    Every matrix of every plane goes into one stack per family, so each
+    family's descriptors are one call.  An offset with no in-ROI pair
+    contributes an all-zero GLCM, hence zero descriptors, which keeps the
+    catalog total on degenerate ROIs.  GLRLMs are zero-padded to the
+    widest plane's max_run.
+    """
+    glcms, glrlms = [], []
+    for values, roi in planes:
+        q = QuantizedImage(codes=_quantize_array(values, roi.bits, levels),
+                           levels=levels, roi=roi)
+        for offset in GLCM_OFFSETS:
+            try:
+                glcms.append(glcm_compute(q, offset).matrix)
+            except EmptyCooccurrenceError:
+                glcms.append(np.zeros((levels, levels)))
+        glrlms += [glrlm_compute(q, direction).matrix
+                   for direction in GLRLM_DIRECTIONS]
+    runs = np.zeros((len(glrlms), levels, max(m.shape[1] for m in glrlms)))
+    for stacked, mat in zip(runs, glrlms):
+        stacked[:, :mat.shape[1]] = mat
+    n = len(planes)
+    return (_glcm_descriptors(np.stack(glcms)).reshape(n, -1),
+            _glrlm_descriptors(runs).reshape(n, -1))
 
 
 def extract_all(img: Image2D, mask: RoiMask,
@@ -432,23 +495,13 @@ def extract_all(img: Image2D, mask: RoiMask,
     inside = mask.bits > 0
     if not inside.any():
         raise ValueError("empty mask")
-    names = [f"original_firstorder_{n}" for n in FIRST_ORDER_NAMES]
-    values = [_first_order_values(img.pixels[inside])]
-    names += [f"shape_{n}" for n in SHAPE_NAMES]
-    values.append(shape_features(mask).values)
-    tex_names, tex_vals = _texture_features(img.pixels, mask, cfg.levels, "original_")
-    names += tex_names
-    values.append(tex_vals)
-
     subbands = wavelet_decompose(img)
     sub_mask = downsample_mask(mask)
     sub_inside = sub_mask.bits > 0
-    for band in WAVELET_BANDS:
-        plane = subbands[band]
-        names += [f"wavelet_{band}_firstorder_{n}" for n in FIRST_ORDER_NAMES]
-        values.append(_first_order_values(plane[sub_inside]))
-        tex_names, tex_vals = _texture_features(plane, sub_mask, cfg.levels,
-                                                f"wavelet_{band}_")
-        names += tex_names
-        values.append(tex_vals)
-    return FeatureVector(names=tuple(names), values=np.concatenate(values))
+    planes = [(img.pixels, mask)] + [(subbands[b], sub_mask) for b in WAVELET_BANDS]
+    glcm, glrlm = _texture_features(planes, cfg.levels)
+    values = [_first_order_values(img.pixels[inside]), shape_features(mask).values,
+              glcm[0], glrlm[0]]
+    for k, band in enumerate(WAVELET_BANDS, start=1):
+        values += [_first_order_values(subbands[band][sub_inside]), glcm[k], glrlm[k]]
+    return FeatureVector(names=_CATALOG_NAMES, values=np.concatenate(values))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crbm_radiomics import classifiers
 from crbm_radiomics.classifiers import (
     LrModel,
     RfModel,
@@ -171,6 +174,84 @@ def test_best_split_returns_none_for_constant_features():
     X = np.ones((4, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0])
     assert _best_split(X, y, np.arange(4), np.array([0, 1])) is None
+
+
+def loop_best_split(X, y, rows, feature_ids):
+    """Reference split search: one feature at a time in ascending order,
+    the first minimum per feature, replaced only on strict improvement."""
+    best = None
+    best_score = np.inf
+    n = rows.size
+    y_rows = y[rows]
+    for f in np.sort(feature_ids):
+        col = X[rows, f]
+        order = np.argsort(col, kind="stable")
+        col_sorted = col[order]
+        y_sorted = y_rows[order]
+        distinct = np.nonzero(np.diff(col_sorted) > 0)[0]
+        if distinct.size == 0:
+            continue
+        left_n = distinct + 1
+        left_pos = np.cumsum(y_sorted)[distinct]
+        total_pos = y_sorted.sum()
+        right_n = n - left_n
+        right_pos = total_pos - left_pos
+        p_l = left_pos / left_n
+        p_r = right_pos / right_n
+        scores = (left_n * 2 * p_l * (1 - p_l) + right_n * 2 * p_r * (1 - p_r)) / n
+        idx = int(np.argmin(scores))
+        if scores[idx] < best_score:
+            cut = distinct[idx]
+            best_score = scores[idx]
+            best = (int(f), float((col_sorted[cut] + col_sorted[cut + 1]) / 2))
+    return best
+
+
+@st.composite
+def split_cases(draw):
+    # few distinct values per column give ties and constant columns
+    n_samples, p = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(1, 6, size=p)
+    X = rng.integers(0, distinct, size=(n_samples, p)) * rng.normal(size=p)
+    y = (rng.random(n_samples) < draw(st.sampled_from((0.1, 0.5, 0.9)))).astype(float)
+    rows = rng.integers(0, n_samples, size=draw(st.integers(2, 2 * n_samples)))
+    features = rng.permutation(p)[:draw(st.integers(1, p))]
+    return X, y, rows, features
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_best_split_equals_the_per_feature_loop(case):
+    X, y, rows, features = case
+    assert _best_split(X, y, rows, features) == loop_best_split(X, y, rows, features)
+
+
+def nan_aware_equal(trees_a, trees_b):
+    # internal nodes carry prob = nan, which never equals itself
+    if len(trees_a) != len(trees_b):
+        return False
+    for a, b in zip(trees_a, trees_b):
+        if len(a) != len(b):
+            return False
+        for (fa, ta, pa), (fb, tb, pb) in zip(a, b):
+            if fa != fb or ta != tb:
+                return False
+            if not (pa == pb or (np.isnan(pa) and np.isnan(pb))):
+                return False
+    return True
+
+
+def test_rf_forest_is_node_for_node_the_per_feature_loop_forest(monkeypatch):
+    rng = derive_rng(14, "forest")
+    X = np.round(rng.normal(size=(120, 12)), 1)  # rounding makes ties
+    X[:, 3] = 1.0
+    y = (X[:, 0] + X[:, 5] + 0.5 * rng.normal(size=120) > 0).astype(float)
+    fast = rf_fit(X, y, n_trees=15, max_depth=8, seed=5)
+    monkeypatch.setattr(classifiers, "_best_split", loop_best_split)
+    slow = rf_fit(X, y, n_trees=15, max_depth=8, seed=5)
+    assert sum(len(t) for t in fast.trees) > 15 * 3
+    assert nan_aware_equal(fast.trees, slow.trees)
 
 
 def test_rf_fits_a_noiseless_threshold_rule():

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbm_radiomics.config import (
     ClassifierSection,
@@ -83,6 +85,21 @@ def test_trapezoid_equals_mann_whitney_with_ties():
         a = auc_trapezoid(roc_curve(scores, labels))
         b = auc_mann_whitney(scores, labels)
         assert abs(a - b) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 80), st.integers(1, 40), st.floats(0.05, 0.95),
+       st.integers(0, 2**32 - 1))
+def test_trapezoid_equals_mann_whitney_under_random_ties(n, distinct, share, seed):
+    # `distinct` score values shared by n samples: from all tied to no ties
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, distinct, size=n) / 7.0
+    labels = (rng.random(n) < share).astype(int)
+    labels[:2] = [0, 1]  # both classes present, at any balance
+    rng.shuffle(labels)
+    a = auc_trapezoid(roc_curve(scores, labels))
+    b = auc_mann_whitney(scores, labels)
+    assert abs(a - b) < 1e-9
 
 
 def test_roc_validation_errors():
@@ -194,6 +211,26 @@ def test_patient_folds_never_split_a_patient():
     sizes = plan.fold_sizes()
     assert sum(sizes) == 60
     assert max(sizes) - min(sizes) <= 3  # bounded by the largest group
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=30), st.integers(2, 6),
+       st.integers(0, 2**16))
+def test_patient_folds_never_split_a_patient_of_any_size(sizes, k, seed):
+    if len(sizes) < k:
+        sizes = sizes + [1] * (k - len(sizes))
+    patients = [f"P{p}" for p, size in enumerate(sizes) for _ in range(size)]
+    labels = derive_rng(seed, "pg-labels").integers(0, 2, size=len(patients))
+    ds = dummy_dataset(labels, patients)
+    plan = make_folds(ds, k, "patient-grouped", seed=seed)
+    fold_of = {}
+    for i, r in enumerate(ds.records):
+        fold_of.setdefault(r.patient_id, set()).add(plan.assignments[i])
+    assert all(len(s) == 1 for s in fold_of.values())
+    assert sum(plan.fold_sizes()) == len(patients)
+    # greedy least-loaded, biggest patients first: no fold exceeds another
+    # by more than the largest patient
+    assert max(plan.fold_sizes()) - min(plan.fold_sizes()) <= max(sizes)
 
 
 def test_patient_folds_handle_uneven_group_sizes():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbm_radiomics import radiomics
 from crbm_radiomics.data_model import Image2D, RoiMask
@@ -25,6 +27,7 @@ from crbm_radiomics.radiomics import (
     wavelet_reconstruct,
 )
 from crbm_radiomics.seeding import derive_rng
+from texture_bruteforce import reference_glcm_features, reference_glrlm_features
 
 
 def full_mask(shape):
@@ -348,6 +351,118 @@ def test_glrlm_total_pixels_equals_roi_size():
 
 
 # ---------------------------------------------------------------------------
+# Stacked descriptors against the per-matrix reference formulas
+# ---------------------------------------------------------------------------
+
+# A member of a GLCM stack: integer pair counts of one of these kinds,
+# optionally symmetrized, then normalized (all-zero members stay zero, as
+# for an offset with no in-ROI pair).
+GLCM_KINDS = ("dense", "sparse", "single_cell", "one_row", "one_column", "zero")
+
+
+def glcm_member(rng, levels, kind, symmetric):
+    counts = rng.integers(0, 6, size=(levels, levels)).astype(np.float64)
+    if kind == "sparse":
+        counts *= rng.random((levels, levels)) < 0.1
+    elif kind == "single_cell":
+        # both marginals constant: correlation must be 0
+        counts = np.zeros((levels, levels))
+        counts[tuple(rng.integers(0, levels, size=2))] = rng.integers(1, 6)
+        symmetric = False
+    elif kind in ("one_row", "one_column"):
+        # a constant row (or column) marginal: correlation must be 0
+        line = np.zeros((levels, levels))
+        line[int(rng.integers(0, levels))] = counts[0] + 1
+        counts = line if kind == "one_row" else line.T
+        symmetric = False
+    elif kind == "zero":
+        counts = np.zeros((levels, levels))
+    if symmetric:
+        counts = counts + counts.T
+    total = counts.sum()
+    return counts / total if total > 0 else counts
+
+
+@st.composite
+def glcm_stacks(draw):
+    levels = draw(st.integers(2, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(GLCM_KINDS), min_size=1, max_size=5))
+    return kinds, np.stack([glcm_member(rng, levels, kind, draw(st.booleans()))
+                            for kind in kinds])
+
+
+def cluster_scale(p, power):
+    # E[(|i + j - mu_i - mu_j| + 1) ** power]: the size of the cluster
+    # shade/prominence terms, with the deviation (itself a difference that
+    # rounds) counted as at least one gray level
+    idx = np.arange(1, p.shape[0] + 1)
+    mu_i = idx @ p.sum(axis=1)
+    mu_j = idx @ p.sum(axis=0)
+    dev = np.abs(idx[:, None] + idx[None, :] - mu_i - mu_j)
+    return ((dev + 1.0) ** power * p).sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(glcm_stacks())
+def test_stacked_glcm_descriptors_match_the_reference(case):
+    kinds, stack = case
+    got = radiomics._glcm_descriptors(stack)
+    assert got.shape == (len(kinds), 8)
+    for kind, p, row in zip(kinds, stack, got):
+        want = reference_glcm_features(p)
+        # relative agreement; correlation (in [-1, 1]) and cluster shade
+        # are sums of signed terms that can cancel to 0, and the cluster
+        # terms are powers of a rounded deviation, so these three also get
+        # an absolute floor of 1e-12 at the scale of their terms
+        atol = np.zeros(8)
+        atol[5] = 1e-12
+        atol[6] = 1e-12 * cluster_scale(p, 3)
+        atol[7] = 1e-12 * cluster_scale(p, 4)
+        err = np.abs(row - want)
+        assert (err <= 1e-9 * np.abs(want) + atol).all(), (kind, row, want, err)
+        if kind in ("single_cell", "one_row", "one_column", "zero"):
+            assert row[5] == 0.0
+        if kind == "zero":
+            assert not row.any()
+
+
+@st.composite
+def glrlm_stacks(draw):
+    # members of different max_run share one stack, zero-padded to the widest
+    levels = draw(st.integers(2, 32))
+    widths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    members = []
+    for width in widths:
+        mat = rng.integers(0, 4, size=(levels, width)) * (rng.random((levels, width)) < density)
+        mat[tuple(rng.integers(0, (levels, width)))] += 1  # at least one run
+        members.append(mat.astype(np.float64))
+    stack = np.zeros((len(widths), levels, max(widths)))
+    for padded, mat in zip(stack, members):
+        padded[:, :mat.shape[1]] = mat
+    return members, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(glrlm_stacks())
+def test_stacked_glrlm_descriptors_match_the_reference(case):
+    members, stack = case
+    got = radiomics._glrlm_descriptors(stack)
+    assert got.shape == (len(members), 7)
+    for mat, row in zip(members, got):
+        np.testing.assert_allclose(row, reference_glrlm_features(mat), rtol=1e-9)
+
+
+def test_stacked_glrlm_descriptors_reject_a_member_without_runs():
+    stack = np.zeros((2, 3, 4))
+    stack[0, 1, 2] = 1
+    with pytest.raises(ValueError):
+        radiomics._glrlm_descriptors(stack)
+
+
+# ---------------------------------------------------------------------------
 # Haar wavelet
 # ---------------------------------------------------------------------------
 
@@ -434,6 +549,33 @@ def test_extract_all_name_inventory():
         assert count(f"wavelet_{band}_firstorder_") == 13
         assert count(f"wavelet_{band}_glcm_") == 32
         assert count(f"wavelet_{band}_glrlm_") == 28
+
+
+def test_extract_all_texture_columns_are_the_per_matrix_features():
+    # the stacked catalog puts each plane's descriptors under its own names
+    rng = derive_rng(12, "stack")
+    img, mask = random_image_and_mask(rng, size=15)
+    fv = extract_all(img, mask)
+    got = dict(zip(fv.names, fv.values))
+    subbands = wavelet_decompose(img)
+    planes = [("original_", img.pixels, mask)] + [
+        (f"wavelet_{b}_", subbands[b], radiomics.downsample_mask(mask))
+        for b in radiomics.WAVELET_BANDS]
+    for prefix, values, roi in planes:
+        q = QuantizedImage(codes=radiomics._quantize_array(values, roi.bits, 32),
+                           levels=32, roi=roi)
+        for offset in radiomics.GLCM_OFFSETS:
+            fv = glcm_features(glcm_compute(q, offset))
+            tag = radiomics._offset_tag(offset)
+            for name, value in zip(fv.names, fv.values):
+                assert got[f"{prefix}glcm_{tag}_{name}"] == pytest.approx(
+                    value, rel=1e-12, abs=1e-12)
+        for direction in radiomics.GLRLM_DIRECTIONS:
+            fv = glrlm_features(glrlm_compute(q, direction))
+            tag = radiomics._offset_tag(direction)
+            for name, value in zip(fv.names, fv.values):
+                assert got[f"{prefix}glrlm_{tag}_{name}"] == pytest.approx(
+                    value, rel=1e-12, abs=1e-12)
 
 
 def test_extract_all_invariant_under_even_translation():
