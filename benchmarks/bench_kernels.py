@@ -4,7 +4,10 @@ Time the five hot kernels at the shapes the pipeline calls them with.
 The convolutions are timed as the CD path calls them: one batch of 16
 patches of 16x16 (16 filters of 5x5, the README quick-start) and one
 256x256 slice with 64 filters of 5x5 (the paper-scale CRBM, one image per
-CD chunk).  The texture counters run on 32-level quantized planes: one
+CD chunk).  The hidden conditional P(h|v) of the CRBM, the
+valid correlation plus the in-place sigmoid with the hidden biases, is
+timed at the same two shapes; its time minus the ``corr_valid`` line is
+the sigmoid's.  The texture counters run on 32-level quantized planes: one
 128x128 image, and the 32x32 slice and 16x16 Haar subbands that the
 radiomics catalog feeds them (elliptical ROI).  ``glrlm_counts`` is timed
 in all four directions, since rows, columns and the two diagonals lay
@@ -24,7 +27,7 @@ import time
 
 import numpy as np
 
-from crbm_radiomics import classifiers, kernels, radiomics
+from crbm_radiomics import classifiers, crbm, kernels, radiomics
 from crbm_radiomics.data_model import RoiMask
 
 REPS = 20
@@ -39,6 +42,11 @@ hidden = rng.random((1, 64, 252, 252))
 patches = rng.random((16, 16, 16))
 patch_filters = rng.normal(size=(16, 5, 5))
 patch_hidden = rng.random((16, 16, 12, 12))
+
+slice_model = crbm.CrbmModel(filters=filters, visible_bias=0.0,
+                             hidden_biases=rng.normal(size=64), input_size=256)
+patch_model = crbm.CrbmModel(filters=patch_filters, visible_bias=0.0,
+                             hidden_biases=rng.normal(size=16), input_size=16)
 
 
 def texture_plane(side, roi):
@@ -83,6 +91,8 @@ CASES = (
     ("conv_full   (16x16x12x12, 5x5)", kernels.conv_full, (patch_hidden, patch_filters)),
     ("corr_grad   (1x256x256, 64 maps)", kernels.corr_grad, (image, hidden)),
     ("corr_grad   (16x16x16, 16 maps)", kernels.corr_grad, (patches, patch_hidden)),
+    ("P(h|v)      (1x64x252x252)", crbm._hidden_probs, (slice_model, image)),
+    ("P(h|v)      (16x16x12x12)", crbm._hidden_probs, (patch_model, patches)),
 ) + tuple(
     (f"glcm_counts ({name}, 0,1)", kernels.glcm_counts,
      (codes, roi, 0, 1, 32))

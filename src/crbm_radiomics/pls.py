@@ -11,6 +11,7 @@ VIP (variable importance in projection) instead of latent scores.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -28,6 +29,8 @@ class PlsModel:
     column_sds: np.ndarray     # (p,) all > 0
     feature_names: tuple       # retained columns, order matches the arrays
     dropped_names: tuple       # zero-variance columns removed before fitting
+    source_names: tuple        # every column of the fitted matrix, in order
+    source_columns: np.ndarray  # (p,) position of each retained column there
 
     def __post_init__(self):
         p, a = self.weights.shape
@@ -35,8 +38,8 @@ class PlsModel:
             raise ValueError("inconsistent component shapes")
         if self.column_means.shape != (p,) or self.column_sds.shape != (p,):
             raise ValueError("inconsistent column-statistic shapes")
-        if len(self.feature_names) != p:
-            raise ValueError("feature_names length mismatch")
+        if len(self.feature_names) != p or self.source_columns.shape != (p,):
+            raise ValueError("feature_names or source_columns length mismatch")
         if (self.column_sds <= 0).any():
             raise ValueError("column_sds must be positive")
 
@@ -51,6 +54,10 @@ class PlsModel:
 
 
 def _column_order(X: FeatureMatrix, model: PlsModel) -> np.ndarray:
+    """Positions of the model's columns in X; a matrix with the columns
+    the model was fit on, in that order, skips the lookup by name."""
+    if X.names == model.source_names:
+        return model.source_columns
     pos = {name: i for i, name in enumerate(X.names)}
     missing = [n for n in model.feature_names if n not in pos]
     if missing:
@@ -85,8 +92,8 @@ def fit_pls(X: FeatureMatrix, y: np.ndarray, n_components: int) -> PlsModel:
     keep = sds > 0
     if not keep.any():
         raise ValueError("all feature columns are constant")
-    names = tuple(n for n, kept in zip(X.names, keep) if kept)
-    dropped = tuple(n for n, kept in zip(X.names, keep) if not kept)
+    names = tuple(compress(X.names, keep.tolist()))
+    dropped = tuple(compress(X.names, (~keep).tolist()))
     means = vals.mean(axis=0)[keep]
     sds = sds[keep]
     p = sds.size
@@ -121,7 +128,8 @@ def fit_pls(X: FeatureMatrix, y: np.ndarray, n_components: int) -> PlsModel:
         W[:, a], P[:, a], q[a], tt[a] = w, p_a, q_a, t_sq
     return PlsModel(weights=W, loadings=P, y_loadings=q, score_sq_norms=tt,
                     column_means=means, column_sds=sds,
-                    feature_names=names, dropped_names=dropped)
+                    feature_names=names, dropped_names=dropped,
+                    source_names=X.names, source_columns=np.flatnonzero(keep))
 
 
 def transform(model: PlsModel, X: FeatureMatrix) -> np.ndarray:

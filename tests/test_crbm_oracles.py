@@ -6,9 +6,13 @@ energy, the partition function, and the exact likelihood gradient.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit, logsumexp
 
 from crbm_radiomics import crbm
@@ -59,6 +63,39 @@ def test_hidden_probabilities_match_manual_sigmoid():
                 act = np.sum(v.pixels[i:i + 2, j:j + 2] * model.filters[m])
                 want = expit(act + model.hidden_biases[m])
                 assert got[m, i, j] == pytest.approx(want, abs=1e-12)
+
+
+# activations over the whole range the sigmoid sees, with extra weight on
+# -745..-709, where exp(-x) overflows but expit(x) is still a subnormal
+ACTIVATIONS = st.one_of(st.floats(-800.0, 800.0), st.floats(-750.0, -704.0))
+
+
+@st.composite
+def activations_and_bias(draw):
+    shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
+    act = draw(hnp.arrays(np.float64, shape, elements=ACTIVATIONS))
+    if draw(st.booleans()):
+        bias = draw(hnp.arrays(np.float64, (shape[0], 1, 1),
+                               elements=st.floats(-5.0, 5.0)))
+    else:
+        bias = draw(st.floats(-5.0, 5.0))
+    return act, bias
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=activations_and_bias())
+def test_sigmoid_matches_expit(case):
+    act, bias = case
+    want = expit(act + bias)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = crbm._sigmoid(act.copy(), bias)
+    assert got.shape == act.shape
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+    normal = want >= 1e-300
+    err = np.abs(got - want)
+    assert (err[normal] <= 1e-15 * want[normal]).all()
+    assert (err[~normal] <= 1e-300).all()
 
 
 def test_visible_probabilities_match_manual_sum():

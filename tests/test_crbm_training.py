@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from scipy.signal import correlate2d
+from scipy.special import expit
 
-from crbm_radiomics import crbm
+from crbm_radiomics import crbm, kernels
 from crbm_radiomics.data_model import Image2D
 from crbm_radiomics.errors import TrainingError
 from crbm_radiomics.seeding import derive_rng
@@ -36,7 +37,6 @@ def test_cd_update_matches_manual_replay():
     d_c = np.zeros(model.num_filters)
     for img in batch:
         vk, p0, pk, _ = crbm._gibbs_raw(model, img.pixels, 2, replay)
-        from crbm_radiomics import kernels
         d_w += kernels.corr_grad(img.pixels, p0) - kernels.corr_grad(vk, pk)
         d_b += float(np.mean(img.pixels - vk))
         d_c += (p0 - pk).sum(axis=(1, 2)) / n_h
@@ -134,6 +134,57 @@ def test_gibbs_chain_follows_the_one_image_draw_order():
     np.testing.assert_allclose(got.h0_probs.maps, h0, atol=1e-12)
     np.testing.assert_allclose(got.hk_probs.maps, hk, atol=1e-12)
     np.testing.assert_allclose(got.v1_probs, v1_probs, atol=1e-12)
+
+
+def expit_hidden_probs(model, pixels):
+    act = kernels.corr_valid(pixels, model.filters)
+    act += model.hidden_biases[:, None, None]
+    return expit(act, out=act)
+
+
+def expit_visible_probs(model, hmaps):
+    act = kernels.conv_full(hmaps, model.filters)
+    act += model.visible_bias
+    return expit(act, out=act)
+
+
+@pytest.mark.parametrize("binarize", [False, True])
+def test_cd_update_samples_equal_those_of_the_expit_conditionals(monkeypatch,
+                                                                 binarize):
+    # quick-start shapes: 16 images of 16x16, 16 filters of 5x5
+    model = crbm.init_model(16, 5, 16, weight_init_sigma=0.3, seed=8)
+    model = crbm.CrbmModel(filters=model.filters, visible_bias=-0.2,
+                           hidden_biases=np.linspace(-1.0, 1.0, 16),
+                           input_size=16)
+    cfg = crbm.CrbmTrainConfig(learning_rate=0.05, cd_steps=2, batch_size=16,
+                               binarize_visible=binarize)
+    rng = derive_rng(15, "grey")
+    batch = [Image2D(pixels=rng.random((16, 16))) for _ in range(16)]
+    batched = crbm._gibbs_batch
+
+    def run():
+        samples = []
+
+        def spy(model, v0, k, rng):
+            out = batched(model, v0, k, rng)
+            samples.append(out[0].copy())
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(crbm, "_gibbs_batch", spy)
+            updated, _ = crbm.cd_update(model, batch, cfg, derive_rng(15, "u"))
+        return updated, np.concatenate(samples)
+
+    got, got_vk = run()
+    monkeypatch.setattr(crbm, "_hidden_probs", expit_hidden_probs)
+    monkeypatch.setattr(crbm, "_visible_probs", expit_visible_probs)
+    want, want_vk = run()
+    assert got_vk.shape == (16, 16, 16)
+    assert np.array_equal(got_vk, want_vk)
+    np.testing.assert_allclose(got.filters, want.filters, rtol=1e-12)
+    assert got.visible_bias == pytest.approx(want.visible_bias, rel=1e-12)
+    np.testing.assert_allclose(got.hidden_biases, want.hidden_biases,
+                               rtol=1e-12)
 
 
 def test_cd_update_rejects_empty_batch():

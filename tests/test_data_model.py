@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crbm_radiomics.data_model import (
     Dataset, Image2D, RoiMask, SampleRecord, binarize, crop_to_roi,
@@ -62,6 +65,62 @@ def test_pgm_rejects_empty_raster(tmp_path, dims):
     path.write_bytes(b"P5\n" + dims + b"\n255\n")
     with pytest.raises(RasterFormatError, match="empty.pgm: bad PGM size"):
         read_pgm(path)
+
+
+# header tokens a damaged or hand-edited PGM may carry
+ODD_TOKENS = (b"", b"0", b"-1", b"+3", b"3_0", b"1e3", b"0x10", b"255.0",
+              b"65536", b"9" * 30, b"9" * 5000, b"P2", b"P5P5", b"#", b"\xff",
+              b"\x00", b"\xc2\xa0", b"\x1c")
+
+
+@st.composite
+def pgm_files(draw):
+    """Bytes of a write_pgm file, then damaged by one random mutation."""
+    maxval = draw(st.sampled_from((255, 65535)))
+    raw = draw(hnp.arrays(np.uint16, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                      max_side=5),
+                          elements=st.integers(0, maxval)))
+    height, width = raw.shape
+    header = f"P5\n{width} {height}\n{maxval}\n".encode()
+    body = raw.astype(">u2" if maxval == 65535 else np.uint8).tobytes()
+    data = header + body
+    kind = draw(st.sampled_from(("token", "byte", "insert", "delete",
+                                 "truncate", "append")))
+    if kind == "token":
+        tokens = header.split()
+        i = draw(st.integers(0, 3))
+        tokens[i] = draw(st.sampled_from(ODD_TOKENS) | st.binary(max_size=4))
+        sep = draw(st.sampled_from((b" ", b"\n", b"\t", b"\r\n", b" # x\n")))
+        return sep.join(tokens) + draw(st.sampled_from((b"\n", b"", b"  "))) + body
+    at = draw(st.integers(0, len(data)))
+    if kind == "byte" and at < len(data):
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    if kind == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 4)):]
+    if kind == "truncate":
+        return data[:at]
+    return data + draw(st.binary(min_size=1, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=pgm_files())
+def test_damaged_pgm_reads_back_or_names_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "damaged.pgm"
+    path.write_bytes(data)
+    try:
+        raw, maxval = read_pgm(path)
+    except RasterFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert maxval in (255, 65535)
+    assert raw.ndim == 2 and raw.dtype == np.uint16 and raw.size >= 1
+    assert int(raw.max()) <= maxval
+    again = path.with_name("again.pgm")
+    write_pgm(again, raw, maxval)
+    back, back_maxval = read_pgm(again)
+    assert back_maxval == maxval and np.array_equal(back, raw)
 
 
 def test_image_save_load_round_trip(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbm_radiomics.errors import TrainingError
 from crbm_radiomics.features import FeatureMatrix
@@ -80,6 +82,54 @@ def test_training_scores_are_pairwise_orthogonal():
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() < 1e-8
     np.testing.assert_allclose(np.diag(gram), model.score_sq_norms, atol=1e-8)
+
+
+def nipals_scores(model, Xz):
+    """Replay the fit's deflation with its weights and loadings: (n, A)."""
+    T = np.empty((Xz.shape[0], model.n_components))
+    for a in range(model.n_components):
+        T[:, a] = Xz @ model.weights[:, a]
+        Xz = Xz - np.outer(T[:, a], model.loadings[:, a])
+    return T
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 12),
+       extra_rows=st.integers(3, 30), a=st.integers(1, 5),
+       const=st.integers(-1000, 1000), data=st.data())
+def test_nipals_scores_are_orthogonal_and_transform_reproduces_them(
+        seed, p, extra_rows, a, const, data):
+    rng = np.random.default_rng(seed)
+    n = p + extra_rows
+    vals = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    y = np.tile([0.0, 1.0], n)[:n]
+    rng.shuffle(y)
+    plain = matrix_from(vals)
+    # the fit sees one extra constant column, which it drops
+    at = data.draw(st.integers(0, p), label="constant column position")
+    names = plain.names[:at] + ("const",) + plain.names[at:]
+    with_const = matrix_from(np.insert(vals, at, float(const), axis=1), names)
+    model = fit_pls(with_const, y, min(a, p))
+    assert model.dropped_names == ("const",)
+    assert model.feature_names == plain.names
+
+    T = nipals_scores(model, (vals - model.column_means) / model.column_sds)
+    norms = np.linalg.norm(T, axis=0)
+    gram = T.T @ T
+    off = gram - np.diag(np.diag(gram))
+    assert (np.abs(off) <= 1e-9 * np.outer(norms, norms)).all()
+    np.testing.assert_allclose(np.diag(gram), model.score_sq_norms, rtol=1e-9)
+
+    tol = 1e-8 * norms.max()
+    got = transform(model, with_const)
+    np.testing.assert_allclose(got, T, rtol=0, atol=tol)
+    np.testing.assert_allclose(transform(model, plain), got, rtol=0,
+                               atol=1e-12 * norms.max())
+    perm = data.draw(st.permutations(range(p + 1)), label="column order")
+    shuffled = matrix_from(with_const.values[:, perm],
+                           tuple(with_const.names[i] for i in perm))
+    np.testing.assert_allclose(transform(model, shuffled), got, rtol=0,
+                               atol=1e-12 * norms.max())
 
 
 def test_full_rank_fit_reconstructs_standardized_matrix():
