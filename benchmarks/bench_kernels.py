@@ -69,8 +69,7 @@ DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
 SLICE_PLANES = [texture_plane(32, ellipse(32))] + \
     [texture_plane(16, ellipse(16)) for _ in range(4)]
 glcm_stack = np.stack([
-    radiomics.glcm_compute(radiomics.QuantizedImage(codes, 32, RoiMask(roi)),
-                           offset).matrix
+    radiomics.glcm_compute(radiomics.QuantizedImage(codes, 32, RoiMask(roi)), offset)
     for codes, roi in SLICE_PLANES for offset in DIRECTIONS])
 glrlm_stack = np.zeros((20, 32, 32))
 for stacked, ((codes, roi), (dr, dc)) in zip(

@@ -7,7 +7,6 @@ module is enough to re-run the experiment exactly.
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -196,8 +195,3 @@ def config_echo(config) -> dict:
 def effective_patch_stride(config: PipelineConfig) -> int:
     return config.patch_stride if config.patch_stride > 0 else config.crbm.input_size
 
-
-def effective_rf_features(config: ClassifierSection, n_features: int) -> int:
-    if config.rf_features_per_split > 0:
-        return min(config.rf_features_per_split, n_features)
-    return max(1, math.isqrt(n_features - 1) + 1) if n_features > 1 else 1

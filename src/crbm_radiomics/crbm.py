@@ -259,16 +259,6 @@ def hidden_probabilities(model: CrbmModel, v: Image2D) -> HiddenState:
     return HiddenState(maps=_hidden_probs(model, v.pixels), kind="probabilities")
 
 
-def visible_probabilities(model: CrbmModel, h: HiddenState) -> Image2D:
-    """P(v_uw = 1 | h): each hidden unit redistributes its evidence to the
-    K x K pixels it reads (full convolution with the filters), plus b."""
-    side = model.hidden_side
-    if h.maps.shape != (model.num_filters, side, side):
-        raise ShapeMismatchError(
-            f"hidden maps must be {(model.num_filters, side, side)}, got {h.maps.shape}")
-    return Image2D(pixels=_visible_probs(model, h.maps))
-
-
 def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Elementwise Bernoulli draw; deterministic given the generator state."""
     probs = np.asarray(probs)
@@ -310,11 +300,6 @@ def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
     return v, h0_probs, _hidden_probs(model, v), v1_probs
 
 
-def _gibbs_raw(model: CrbmModel, v0: np.ndarray, k: int, rng: np.random.Generator):
-    """One-image chain on plain arrays: returns (v_k, h0_probs, hk_probs, v1_probs)."""
-    return tuple(a[0] for a in _gibbs_batch(model, v0[None], k, rng))
-
-
 def gibbs_chain(model: CrbmModel, v0: Image2D, k: int,
                 rng: np.random.Generator) -> GibbsResult:
     """k full rounds of alternating Gibbs sampling started at v0.
@@ -325,7 +310,7 @@ def gibbs_chain(model: CrbmModel, v0: Image2D, k: int,
     after the first round) feeds the training diagnostics.
     """
     _check_visible(model, v0.pixels)
-    v, h0, hk, v1_probs = _gibbs_raw(model, v0.pixels, k, rng)
+    v, h0, hk, v1_probs = (a[0] for a in _gibbs_batch(model, v0.pixels[None], k, rng))
     return GibbsResult(v_k=Image2D(pixels=v),
                        h0_probs=HiddenState(maps=h0, kind="probabilities"),
                        hk_probs=HiddenState(maps=hk, kind="probabilities"),
@@ -411,8 +396,7 @@ def exact_log_likelihood(model: CrbmModel, data: list) -> float:
 
     Desk-scale oracle only; guarded to <= 20 visible units.
     """
-    _guard_enumeration(model)
-    log_z = float(logsumexp(-_enumerated_free_energies(model)))
+    log_z = log_partition(model)
     return sum(-free_energy(model, v) - log_z for v in data)
 
 

@@ -61,17 +61,6 @@ class RoiMask:
             raise ValueError("mask bits must be 0 or 1")
         object.__setattr__(self, "bits", b.astype(np.uint8))
 
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -96,15 +85,6 @@ class Dataset:
         """(n_positive, n_negative)."""
         pos = sum(1 for r in self.records if r.label == 1)
         return pos, len(self.records) - pos
-
-    def filter(self, stage: str | None = None, subtype: str | None = None) -> "Dataset":
-        """Subset by manifest metadata; None keeps everything for that field."""
-        kept = tuple(
-            r for r in self.records
-            if (stage is None or r.stage == stage)
-            and (subtype is None or r.subtype == subtype)
-        )
-        return Dataset(records=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +113,8 @@ def read_pgm(path) -> tuple:
     magic, *dims = tokens
     if magic != b"P5":
         raise RasterFormatError(f"{path}: not a binary PGM (magic {magic!r})")
+    if not all(t.isdigit() for t in dims):  # bytes.isdigit: ASCII 0-9 only
+        raise RasterFormatError(f"{path}: bad PGM header")
     try:
         width, height, maxval = (int(t) for t in dims)
     except ValueError as exc:
@@ -234,13 +216,17 @@ def load_manifest(path) -> Dataset:
 
 
 def load_sample(record: SampleRecord) -> tuple:
-    """Load (Image2D, RoiMask) for a record, checking dimensions agree."""
+    """Load (Image2D, RoiMask) for a record, checking dimensions agree and
+    that the mask sets at least one pixel."""
     img = load_image(record.image_path)
     mask = load_mask(record.mask_path)
     if img.pixels.shape != mask.bits.shape:
         raise ShapeMismatchError(
             f"sample {record.sample_id}: image {img.pixels.shape} vs "
             f"mask {mask.bits.shape}")
+    if not mask.bits.any():
+        raise ManifestError(
+            f"sample {record.sample_id}: empty mask {record.mask_path}")
     return img, mask
 
 
@@ -257,13 +243,6 @@ def normalize_image(raw: np.ndarray, bit_depth: int) -> Image2D:
     if raw.min() < 0 or raw.max() > limit:
         raise RasterFormatError(f"raw values outside [0, {limit}]")
     return Image2D(pixels=raw.astype(np.float64) / limit)
-
-
-def binarize(img: Image2D, threshold: float) -> Image2D:
-    """Threshold pixels to {0, 1}: 1 where pixel >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    return Image2D(pixels=(img.pixels >= threshold).astype(np.float64))
 
 
 def crop_to_roi(img: Image2D, mask: RoiMask) -> Image2D:

@@ -25,7 +25,8 @@ class FeatureMatrix:
     """Named columns over identified rows, ready for reduction/classification.
 
     parents maps each row to the manifest sample it came from; outside
-    patch mode it equals row_ids.
+    patch mode it equals row_ids.  The builders below check that the names
+    are unique; construction checks only their count.
     """
 
     names: tuple
@@ -40,8 +41,6 @@ class FeatureMatrix:
         n, p = values.shape
         if len(self.names) != p:
             raise ValueError("column count and names length mismatch")
-        if len(set(self.names)) != p:
-            raise ValueError("column names must be unique")
         if not (len(self.row_ids) == len(self.patient_ids)
                 == len(self.parents) == self.labels.shape[0] == n):
             raise ValueError("row metadata length mismatch")
@@ -116,54 +115,41 @@ def _encode(model, img: Image2D, weights: np.ndarray) -> np.ndarray:
     return crbm_mod.reduce_1x1(stack, weights).ravel()
 
 
+def _assemble(names: tuple, rows) -> FeatureMatrix:
+    """The FeatureMatrix of (record, row_id, values) rows: labels, patients
+    and parents come from each row's manifest record.  Column names are
+    checked for uniqueness here, once per build, not on every take()."""
+    if len(set(names)) != len(names):
+        raise ValueError("column names must be unique")
+    records, ids, values = zip(*rows)
+    return FeatureMatrix(names=names, values=np.stack(values), row_ids=ids,
+                         labels=np.array([r.label for r in records]),
+                         patient_ids=tuple(r.patient_id for r in records),
+                         parents=tuple(r.sample_id for r in records))
+
+
 def radiomics_features(dataset: Dataset,
                        cfg: radiomics_mod.RadiomicsConfig) -> FeatureMatrix:
-    rows, ids, labels, patients = [], [], [], []
-    first_names = None
-    for record in dataset.records:
-        img, mask = load_sample(record)
-        fv = radiomics_mod.extract_all(img, mask, cfg)
-        if first_names is None:
-            first_names = fv.names
-        rows.append(fv.values)
-        ids.append(record.sample_id)
-        labels.append(record.label)
-        patients.append(record.patient_id)
-    return FeatureMatrix(names=first_names, values=np.stack(rows),
-                         row_ids=tuple(ids), labels=np.array(labels),
-                         patient_ids=tuple(patients), parents=tuple(ids))
+    rows = ((r, r.sample_id, radiomics_mod.extract_all(*load_sample(r), cfg).values)
+            for r in dataset.records)
+    return _assemble(radiomics_mod.CATALOG_NAMES, rows)
 
 
 def crbm_image_features(dataset: Dataset, model,
                         weights: np.ndarray) -> FeatureMatrix:
-    rows, ids, labels, patients = [], [], [], []
-    for record in dataset.records:
-        img = _standardized_crop(record, model.input_size)
-        rows.append(_encode(model, img, weights))
-        ids.append(record.sample_id)
-        labels.append(record.label)
-        patients.append(record.patient_id)
-    return FeatureMatrix(names=_map_names(model.hidden_side),
-                         values=np.stack(rows), row_ids=tuple(ids),
-                         labels=np.array(labels), patient_ids=tuple(patients),
-                         parents=tuple(ids))
+    rows = ((r, r.sample_id,
+             _encode(model, _standardized_crop(r, model.input_size), weights))
+            for r in dataset.records)
+    return _assemble(_map_names(model.hidden_side), rows)
 
 
 def crbm_patch_features(dataset: Dataset, model, weights: np.ndarray,
                         stride: int) -> FeatureMatrix:
     """One row per ROI patch; each row carries its parent slice's label."""
-    rows, ids, labels, patients, parents = [], [], [], [], []
-    for record in dataset.records:
-        for i, patch in enumerate(_roi_patches(record, model.input_size, stride)):
-            rows.append(_encode(model, patch, weights))
-            ids.append(f"{record.sample_id}#p{i}")
-            labels.append(record.label)
-            patients.append(record.patient_id)
-            parents.append(record.sample_id)
-    return FeatureMatrix(names=_map_names(model.hidden_side),
-                         values=np.stack(rows), row_ids=tuple(ids),
-                         labels=np.array(labels), patient_ids=tuple(patients),
-                         parents=tuple(parents))
+    rows = ((r, f"{r.sample_id}#p{i}", _encode(model, patch, weights))
+            for r in dataset.records
+            for i, patch in enumerate(_roi_patches(r, model.input_size, stride)))
+    return _assemble(_map_names(model.hidden_side), rows)
 
 
 def build_features(dataset: Dataset, config: PipelineConfig,

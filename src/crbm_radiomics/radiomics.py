@@ -99,39 +99,13 @@ class FeatureVector:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class Glcm:
-    """Normalized co-occurrence probabilities at one offset."""
-
-    matrix: np.ndarray
-    offset: tuple
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeMismatchError("GLCM must be square")
-        if m.min() < 0:
-            raise ValueError("GLCM entries must be non-negative")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class Glrlm:
-    """Run counts, rows = gray level, columns = run length (1-based)."""
-
-    matrix: np.ndarray
-    direction: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           np.asarray(self.matrix, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # Quantization
 # ---------------------------------------------------------------------------
 
 def _quantize_array(values: np.ndarray, roi_bits: np.ndarray, levels: int) -> np.ndarray:
+    """Equal-width binning of the in-ROI values into codes [1, levels]
+    between their minimum and maximum; 0 outside the ROI."""
     inside = roi_bits > 0
     if not inside.any():
         raise ValueError("empty mask")
@@ -146,16 +120,6 @@ def _quantize_array(values: np.ndarray, roi_bits: np.ndarray, levels: int) -> np
     return codes
 
 
-def quantize(img: Image2D, mask: RoiMask, levels: int = 32) -> QuantizedImage:
-    """Equal-width binning of in-ROI intensities into [1, levels]."""
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
-    if img.pixels.shape != mask.bits.shape:
-        raise ShapeMismatchError("image and mask dimensions differ")
-    codes = _quantize_array(img.pixels, mask.bits, levels)
-    return QuantizedImage(codes=codes, levels=levels, roi=mask)
-
-
 # ---------------------------------------------------------------------------
 # First-order statistics
 # ---------------------------------------------------------------------------
@@ -166,6 +130,13 @@ def _nearest_rank(sorted_vals: np.ndarray, pct: float) -> float:
 
 
 def _first_order_values(x: np.ndarray) -> np.ndarray:
+    """The 13 FIRST_ORDER_NAMES of a pixel multiset (the in-ROI pixels).
+
+    Variance is population variance; skewness and excess kurtosis are 0 for
+    constant regions; entropy uses a 256-bin histogram over the in-ROI
+    range (log base 2); percentiles use the nearest-rank rule and the
+    median averages the two middle values for even counts.
+    """
     x = np.asarray(x, dtype=np.float64).ravel()
     mean = x.mean()
     var = x.var()
@@ -192,23 +163,6 @@ def _first_order_values(x: np.ndarray) -> np.ndarray:
         _nearest_rank(xs, 10.0), _nearest_rank(xs, 90.0),
         float(np.mean(np.abs(x - mean))),
     ])
-
-
-def first_order_features(img: Image2D, mask: RoiMask) -> FeatureVector:
-    """13 intensity statistics over the in-ROI pixel multiset.
-
-    Variance is population variance; skewness and excess kurtosis are 0 for
-    constant regions; entropy uses a 256-bin histogram over the in-ROI
-    range (log base 2); percentiles use the nearest-rank rule and the
-    median averages the two middle values for even counts.
-    """
-    if img.pixels.shape != mask.bits.shape:
-        raise ShapeMismatchError("image and mask dimensions differ")
-    inside = mask.bits > 0
-    if not inside.any():
-        raise ValueError("empty mask")
-    return FeatureVector(names=FIRST_ORDER_NAMES,
-                         values=_first_order_values(img.pixels[inside]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +206,19 @@ def shape_features(mask: RoiMask) -> FeatureVector:
 # GLCM
 # ---------------------------------------------------------------------------
 
-def glcm_compute(q: QuantizedImage, offset: tuple, symmetric: bool = True) -> Glcm:
-    """Co-occurrence probabilities of code pairs at the offset; both pixels
-    of a pair must be in-ROI.  Raises EmptyCooccurrenceError if no pair exists."""
+def glcm_compute(q: QuantizedImage, offset: tuple) -> np.ndarray:
+    """(levels, levels) symmetrized co-occurrence probabilities of code
+    pairs at the offset; both pixels of a pair must be in-ROI.  Raises
+    EmptyCooccurrenceError if no pair exists."""
     dr, dc = offset
     if (dr, dc) == (0, 0):
         raise ValueError("offset (0, 0) is not a co-occurrence")
     counts = kernels.glcm_counts(q.codes, q.roi.bits, dr, dc, q.levels)
-    if symmetric:
-        counts = counts + counts.T
+    counts = counts + counts.T
     total = counts.sum()
     if total == 0:
         raise EmptyCooccurrenceError(f"no valid pixel pair at offset {offset}")
-    return Glcm(matrix=counts / total, offset=(dr, dc))
+    return counts / total
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,28 +283,20 @@ def _glcm_descriptors(p: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def glcm_features(g: Glcm) -> FeatureVector:
-    """Haralick-style descriptors of one co-occurrence matrix (8 features)."""
-    return FeatureVector(names=GLCM_FEATURE_NAMES,
-                         values=_glcm_descriptors(g.matrix[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # GLRLM
 # ---------------------------------------------------------------------------
 
-def glrlm_compute(q: QuantizedImage, direction: tuple) -> Glrlm:
-    """Counts of maximal in-ROI runs of equal codes along the direction;
-    an out-of-ROI pixel breaks a run."""
+def glrlm_compute(q: QuantizedImage, direction: tuple) -> np.ndarray:
+    """Counts of maximal in-ROI runs of equal codes along the direction,
+    rows = gray level, columns = run length (1-based); an out-of-ROI pixel
+    breaks a run."""
     if tuple(direction) not in GLRLM_DIRECTIONS:
         raise ValueError(f"direction must be one of {GLRLM_DIRECTIONS}")
     if not (q.roi.bits > 0).any():
         raise ValueError("empty mask")
-    h, w = q.codes.shape
-    max_run = max(h, w)
-    dr, dc = direction
-    counts = kernels.glrlm_counts(q.codes, q.roi.bits, dr, dc, q.levels, max_run)
-    return Glrlm(matrix=counts, direction=(dr, dc))
+    return kernels.glrlm_counts(q.codes, q.roi.bits, *direction, q.levels,
+                                max(q.codes.shape))
 
 
 def _glrlm_descriptors(mats: np.ndarray) -> np.ndarray:
@@ -374,12 +320,6 @@ def _glrlm_descriptors(mats: np.ndarray) -> np.ndarray:
         by_gray @ (1.0 / grays ** 2) / n_runs,       # low gray-level emphasis
         by_gray @ grays ** 2 / n_runs,               # high gray-level emphasis
     ], axis=1)
-
-
-def glrlm_features(r: Glrlm) -> FeatureVector:
-    """Run-emphasis and nonuniformity descriptors (7 features)."""
-    return FeatureVector(names=GLRLM_FEATURE_NAMES,
-                         values=_glrlm_descriptors(r.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +391,7 @@ def _catalog_names() -> tuple:
     return tuple(names)
 
 
-_CATALOG_NAMES = _catalog_names()
+CATALOG_NAMES = _catalog_names()
 
 
 def _texture_features(planes, levels: int) -> tuple:
@@ -470,11 +410,10 @@ def _texture_features(planes, levels: int) -> tuple:
                            levels=levels, roi=roi)
         for offset in GLCM_OFFSETS:
             try:
-                glcms.append(glcm_compute(q, offset).matrix)
+                glcms.append(glcm_compute(q, offset))
             except EmptyCooccurrenceError:
                 glcms.append(np.zeros((levels, levels)))
-        glrlms += [glrlm_compute(q, direction).matrix
-                   for direction in GLRLM_DIRECTIONS]
+        glrlms += [glrlm_compute(q, direction) for direction in GLRLM_DIRECTIONS]
     runs = np.zeros((len(glrlms), levels, max(m.shape[1] for m in glrlms)))
     for stacked, mat in zip(runs, glrlms):
         stacked[:, :mat.shape[1]] = mat
@@ -504,4 +443,4 @@ def extract_all(img: Image2D, mask: RoiMask,
               glcm[0], glrlm[0]]
     for k, band in enumerate(WAVELET_BANDS, start=1):
         values += [_first_order_values(subbands[band][sub_inside]), glcm[k], glrlm[k]]
-    return FeatureVector(names=_CATALOG_NAMES, values=np.concatenate(values))
+    return FeatureVector(names=CATALOG_NAMES, values=np.concatenate(values))

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from crbm_radiomics import cli
-from crbm_radiomics.data_model import load_manifest
+from crbm_radiomics.data_model import (MANIFEST_HEADER, RoiMask, load_manifest,
+                                       save_mask)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +155,27 @@ def test_exit_code_1_for_missing_manifest(workspace, tmp_path, capsys):
                      "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["radiomics_cfg", "crbm_cfg"])
+def test_exit_code_1_names_the_sample_and_file_of_an_empty_mask(workspace, tmp_path,
+                                                                capsys, config):
+    records = load_manifest(workspace["manifest"]).records
+    empty = tmp_path / "empty_mask.pgm"
+    save_mask(empty, RoiMask(bits=np.zeros((32, 32), dtype=np.uint8)))
+    rows = [",".join(MANIFEST_HEADER)] + [
+        ",".join((r.sample_id, r.patient_id, r.image_path,
+                  str(empty) if i == 3 else r.mask_path, str(r.label),
+                  r.stage, r.subtype))
+        for i, r in enumerate(records)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    code = cli.main(["run", "--config", str(workspace[config]),
+                     "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(empty) in err and records[3].sample_id in err
 
 
 def test_usage_errors_exit_2():

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from crbm_radiomics.classifiers import rf_fit
 from crbm_radiomics.config import (
     ClassifierSection,
     CrbmSection,
@@ -12,11 +14,11 @@ from crbm_radiomics.config import (
     SynthSpec,
     config_echo,
     effective_patch_stride,
-    effective_rf_features,
     load_pipeline_config,
     load_synth_spec,
 )
 from crbm_radiomics.errors import ConfigError
+from crbm_radiomics.seeding import derive_rng
 
 
 def write_json(path, doc):
@@ -125,14 +127,21 @@ def test_effective_patch_stride():
 
 
 def test_effective_rf_features_ceil_sqrt():
+    def used(section, n_features):
+        X = derive_rng(n_features, "width").normal(size=(6, n_features))
+        y = np.array([0.0, 1.0] * 3)
+        return rf_fit(X, y, n_trees=1, max_depth=0,
+                      features_per_split=section.rf_features_per_split
+                      ).features_per_split
+
     section = ClassifierSection(kind="rf")
-    assert effective_rf_features(section, 1) == 1
-    assert effective_rf_features(section, 4) == 2
-    assert effective_rf_features(section, 5) == 3
-    assert effective_rf_features(section, 374) == 20
+    assert used(section, 1) == 1
+    assert used(section, 4) == 2
+    assert used(section, 5) == 3
+    assert used(section, 374) == 20
     fixed = ClassifierSection(kind="rf", rf_features_per_split=7)
-    assert effective_rf_features(fixed, 374) == 7
-    assert effective_rf_features(fixed, 5) == 5  # capped at n_features
+    assert used(fixed, 374) == 7
+    assert used(fixed, 5) == 5  # capped at n_features
 
 
 def test_crbm_section_train_config_threads_all_fields():

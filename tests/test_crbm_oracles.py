@@ -101,9 +101,8 @@ def test_sigmoid_matches_expit(case):
 def test_visible_probabilities_match_manual_sum():
     rng = derive_rng(2, "vp")
     model = random_tiny_model(rng, 4, 2, 2)
-    h = crbm.HiddenState(maps=(rng.random((2, 3, 3)) < 0.5).astype(float),
-                         kind="samples")
-    got = crbm.visible_probabilities(model, h).pixels
+    h = (rng.random((2, 3, 3)) < 0.5).astype(float)
+    got = crbm._visible_probs(model, h)
     for u in range(4):
         for w in range(4):
             act = model.visible_bias
@@ -112,7 +111,7 @@ def test_visible_probabilities_match_manual_sum():
                     for j in range(3):
                         r, c = u - i, w - j
                         if 0 <= r < 2 and 0 <= c < 2:
-                            act += h.maps[m, i, j] * model.filters[m, r, c]
+                            act += h[m, i, j] * model.filters[m, r, c]
             assert got[u, w] == pytest.approx(expit(act), abs=1e-12)
 
 

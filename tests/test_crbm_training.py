@@ -36,7 +36,8 @@ def test_cd_update_matches_manual_replay():
     d_b = 0.0
     d_c = np.zeros(model.num_filters)
     for img in batch:
-        vk, p0, pk, _ = crbm._gibbs_raw(model, img.pixels, 2, replay)
+        chain = crbm.gibbs_chain(model, img, 2, replay)
+        vk, p0, pk = chain.v_k.pixels, chain.h0_probs.maps, chain.hk_probs.maps
         d_w += kernels.corr_grad(img.pixels, p0) - kernels.corr_grad(vk, pk)
         d_b += float(np.mean(img.pixels - vk))
         d_c += (p0 - pk).sum(axis=(1, 2)) / n_h
@@ -52,14 +53,14 @@ def test_cd_update_matches_manual_replay():
 
 
 def replay_chain(model, v0, k, rng):
-    """The one-image chain step by step through the public conditionals,
+    """The one-image chain step by step through the two conditionals,
     drawing [hidden, visible] x k from rng: (v_k, h0, hk, v1_probs)."""
     h0 = probs = crbm.hidden_probabilities(model, Image2D(pixels=v0)).maps
     for step in range(k):
         if step:
             probs = crbm.hidden_probabilities(model, Image2D(pixels=v)).maps
-        h = crbm.HiddenState(maps=crbm.sample_bernoulli(probs, rng), kind="samples")
-        v_probs = crbm.visible_probabilities(model, h).pixels
+        h = crbm.sample_bernoulli(probs, rng)
+        v_probs = crbm._visible_probs(model, h)
         if step == 0:
             v1_probs = v_probs
         v = crbm.sample_bernoulli(v_probs, rng)
@@ -76,7 +77,9 @@ def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
     cfg = crbm.CrbmTrainConfig(learning_rate=0.1, cd_steps=2, batch_size=7,
                                binarize_visible=True)
     rng = derive_rng(11, "grey")
-    batch = [Image2D(pixels=rng.random((6, 6))) for _ in range(7)]
+    pixels = rng.random((7, 6, 6))
+    pixels[0, 0, :2] = (0.5, np.nextafter(0.5, 0.0))  # the threshold is inclusive
+    batch = [Image2D(pixels=p) for p in pixels]
     per_image = cfg.cd_steps * (model.num_hidden + model.num_visible)
     monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", 2 * per_image)
     chunks = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crbm_radiomics.data_model import (
-    Dataset, Image2D, RoiMask, SampleRecord, binarize, crop_to_roi,
+    Image2D, RoiMask, crop_to_roi,
     extract_patches, load_image, load_manifest, load_mask, normalize_image,
     read_pgm, resize_or_pad, save_image, save_mask, write_pgm)
 from crbm_radiomics.errors import (ManifestError, RasterFormatError,
@@ -64,6 +64,16 @@ def test_pgm_rejects_empty_raster(tmp_path, dims):
     path = tmp_path / "empty.pgm"
     path.write_bytes(b"P5\n" + dims + b"\n255\n")
     with pytest.raises(RasterFormatError, match="empty.pgm: bad PGM size"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("data", [b"P5 3_0 1 255\n" + bytes(30),  # int(): 30 wide
+                                  b"P5 +3 1 255\n" + bytes(3),    # int(): 3 wide
+                                  b"P5 3 1 +255\n" + bytes(3)])
+def test_pgm_rejects_header_numbers_that_are_not_ascii_decimal(tmp_path, data):
+    path = tmp_path / "odd.pgm"
+    path.write_bytes(data)
+    with pytest.raises(RasterFormatError, match="odd.pgm: bad PGM header"):
         read_pgm(path)
 
 
@@ -145,14 +155,6 @@ def test_normalize_image_divides_by_full_scale():
     np.testing.assert_allclose(img16.pixels, [[0.0, 1.0]])
     with pytest.raises(RasterFormatError):
         normalize_image(np.array([[300]]), 8)
-
-
-def test_binarize_threshold_is_inclusive():
-    img = Image2D(pixels=np.array([[0.2, 0.5, 0.8]]))
-    out = binarize(img, 0.5)
-    np.testing.assert_array_equal(out.pixels, [[0.0, 1.0, 1.0]])
-    with pytest.raises(ValueError):
-        binarize(img, 1.0)
 
 
 def test_crop_to_roi_zeroes_outside_mask():
@@ -253,16 +255,3 @@ def test_manifest_reports_offending_line_number(tmp_path):
     with pytest.raises(ManifestError, match=":3"):
         load_manifest(_write_manifest(tmp_path, rows))
 
-
-def test_dataset_filter_by_stage_and_subtype():
-    def rec(i, stage, subtype):
-        return SampleRecord(sample_id=f"s{i}", patient_id="p", image_path="i",
-                            mask_path="m", label=i % 2, stage=stage,
-                            subtype=subtype)
-    ds = Dataset(records=(rec(0, "baseline", "HR+HER2-"),
-                          rec(1, "early", "HR+HER2-"),
-                          rec(2, "baseline", "TN/HER2+")))
-    assert len(ds.filter(stage="baseline")) == 2
-    assert len(ds.filter(subtype="HR+HER2-")) == 2
-    assert len(ds.filter(stage="baseline", subtype="TN/HER2+")) == 1
-    assert len(ds.filter()) == 3

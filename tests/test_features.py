@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crbm_radiomics import crbm
+from crbm_radiomics import crbm, features
 from crbm_radiomics.config import CrbmSection, PipelineConfig
 from crbm_radiomics.errors import ConfigError
 from crbm_radiomics.features import (
@@ -43,7 +43,6 @@ def test_feature_matrix_validation():
     FeatureMatrix(**valid_kwargs())  # baseline passes
     for corrupt in (
             dict(names=("a",)),
-            dict(names=("a", "a")),
             dict(row_ids=("r0", "r0")),
             dict(row_ids=("r0",)),
             dict(labels=np.array([0, 2])),
@@ -144,6 +143,14 @@ def test_build_features_dispatch(tiny_corpus):
 
     with pytest.raises(ConfigError):
         build_features(dataset, small_config(), None)
+
+
+def test_build_features_rejects_duplicate_column_names(tiny_corpus, monkeypatch):
+    # names are checked once per build, not on every FeatureMatrix
+    dataset, _ = tiny_corpus
+    monkeypatch.setattr(features, "_map_names", lambda side: ("crbm",) * side * side)
+    with pytest.raises(ValueError, match="column names must be unique"):
+        build_features(dataset, small_config(), small_model())
 
 
 def test_build_features_uses_configured_reduction(tiny_corpus):

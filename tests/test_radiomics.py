@@ -12,22 +12,21 @@ from crbm_radiomics.errors import EmptyCooccurrenceError, ShapeMismatchError
 from crbm_radiomics.radiomics import (
     FEATURE_COUNT,
     FIRST_ORDER_NAMES,
+    GLCM_FEATURE_NAMES,
+    GLRLM_FEATURE_NAMES,
     FeatureVector,
     QuantizedImage,
     RadiomicsConfig,
     extract_all,
-    first_order_features,
     glcm_compute,
-    glcm_features,
     glrlm_compute,
-    glrlm_features,
-    quantize,
     shape_features,
     wavelet_decompose,
     wavelet_reconstruct,
 )
 from crbm_radiomics.seeding import derive_rng
-from texture_bruteforce import reference_glcm_features, reference_glrlm_features
+from texture_bruteforce import (brute_glcm, brute_glrlm, reference_glcm_features,
+                                reference_glrlm_features)
 
 
 def full_mask(shape):
@@ -52,52 +51,53 @@ def test_feature_vector_rejects_duplicates_and_non_finite():
 # ---------------------------------------------------------------------------
 
 def test_quantize_equal_width_hand_case():
-    img = Image2D(pixels=np.array([[0.0, 0.25, 0.5, 0.75, 1.0]]))
-    q = quantize(img, full_mask((1, 5)), levels=4)
-    assert q.codes.tolist() == [[1, 2, 3, 4, 4]]
+    values = np.array([[0.0, 0.25, 0.5, 0.75, 1.0]])
+    codes = radiomics._quantize_array(values, np.ones((1, 5)), 4)
+    assert codes.tolist() == [[1, 2, 3, 4, 4]]
 
 
 def test_quantize_constant_region_maps_to_one():
-    img = Image2D(pixels=np.full((3, 3), 0.4))
-    q = quantize(img, full_mask((3, 3)), levels=32)
-    assert set(q.codes.ravel()) == {1}
+    codes = radiomics._quantize_array(np.full((3, 3), 0.4), np.ones((3, 3)), 32)
+    assert set(codes.ravel()) == {1}
 
 
 def test_quantize_marks_outside_pixels_zero():
     bits = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-    img = Image2D(pixels=np.array([[0.1, 0.9], [0.5, 0.8]]))
-    q = quantize(img, RoiMask(bits=bits), levels=8)
-    assert q.codes[0, 1] == 0
-    assert (q.codes[bits > 0] >= 1).all()
+    codes = radiomics._quantize_array(np.array([[0.1, 0.9], [0.5, 0.8]]), bits, 8)
+    assert codes[0, 1] == 0
+    assert (codes[bits > 0] >= 1).all()
 
 
 def test_quantize_uses_roi_range_only():
     # the bright outside pixel must not stretch the bins
     bits = np.array([[1, 1, 0]], dtype=np.uint8)
-    img = Image2D(pixels=np.array([[0.2, 0.4, 1.0]]))
-    q = quantize(img, RoiMask(bits=bits), levels=2)
-    assert q.codes.tolist() == [[1, 2, 0]]
+    codes = radiomics._quantize_array(np.array([[0.2, 0.4, 1.0]]), bits, 2)
+    assert codes.tolist() == [[1, 2, 0]]
 
 
 def test_quantize_validation_errors():
-    img = Image2D(pixels=np.zeros((2, 2)))
+    # fewer than 2 levels is refused by the config, a size mismatch by
+    # extract_all, an empty ROI by the quantizer itself
     with pytest.raises(ValueError):
-        quantize(img, full_mask((2, 2)), levels=1)
+        RadiomicsConfig(levels=1)
     with pytest.raises(ShapeMismatchError):
-        quantize(img, full_mask((3, 3)))
+        extract_all(Image2D(pixels=np.zeros((2, 2))), full_mask((3, 3)))
     with pytest.raises(ValueError):
-        quantize(img, RoiMask(bits=np.zeros((2, 2), dtype=np.uint8)))
+        radiomics._quantize_array(np.zeros((2, 2)), np.zeros((2, 2), dtype=np.uint8), 32)
 
 
 # ---------------------------------------------------------------------------
 # First order
 # ---------------------------------------------------------------------------
 
+def first_order(pixels):
+    return dict(zip(FIRST_ORDER_NAMES, radiomics._first_order_values(pixels)))
+
+
 def test_first_order_matches_scipy_on_random_data():
     rng = derive_rng(1, "fo")
     x = rng.random((6, 7))
-    fv = first_order_features(Image2D(pixels=x), full_mask((6, 7)))
-    got = dict(zip(fv.names, fv.values))
+    got = first_order(x)
     flat = x.ravel()
     assert got["mean"] == pytest.approx(flat.mean(), abs=1e-12)
     assert got["variance"] == pytest.approx(flat.var(), abs=1e-12)
@@ -115,9 +115,7 @@ def test_first_order_matches_scipy_on_random_data():
 
 def test_first_order_percentiles_use_nearest_rank():
     x = np.arange(1.0, 11.0)  # 1..10
-    fv = first_order_features(Image2D(pixels=x.reshape(2, 5) / 10.0),
-                              full_mask((2, 5)))
-    got = dict(zip(fv.names, fv.values))
+    got = first_order(x.reshape(2, 5) / 10.0)
     assert got["p10"] == pytest.approx(0.1)  # ceil(0.1 * 10) = rank 1
     assert got["p90"] == pytest.approx(0.9)  # ceil(0.9 * 10) = rank 9
     assert got["median"] == pytest.approx(0.55)
@@ -125,14 +123,10 @@ def test_first_order_percentiles_use_nearest_rank():
 
 def test_first_order_entropy_hand_cases():
     # half zeros, half ones: one bit; constant region: zero
-    img = Image2D(pixels=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    fv = first_order_features(img, full_mask((2, 2)))
-    got = dict(zip(fv.names, fv.values))
+    got = first_order(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert got["entropy"] == pytest.approx(1.0, abs=1e-12)
 
-    const = first_order_features(Image2D(pixels=np.full((2, 2), 0.3)),
-                                 full_mask((2, 2)))
-    cg = dict(zip(const.names, const.values))
+    cg = first_order(np.full((2, 2), 0.3))
     assert cg["entropy"] == 0.0
     assert cg["skewness"] == 0.0
     assert cg["kurtosis"] == 0.0
@@ -142,11 +136,13 @@ def test_first_order_entropy_hand_cases():
 def test_first_order_ignores_pixels_outside_roi():
     bits = np.array([[1, 1, 0]], dtype=np.uint8)
     img = Image2D(pixels=np.array([[0.2, 0.4, 0.9]]))
-    fv = first_order_features(img, RoiMask(bits=bits))
-    got = dict(zip(fv.names, fv.values))
+    fv = extract_all(img, RoiMask(bits=bits))
+    got = {name[len("original_firstorder_"):]: value
+           for name, value in zip(fv.names, fv.values)
+           if name.startswith("original_firstorder_")}
     assert got["mean"] == pytest.approx(0.3, abs=1e-12)
     assert got["maximum"] == pytest.approx(0.4)
-    assert len(fv) == len(FIRST_ORDER_NAMES)
+    assert len(got) == len(FIRST_ORDER_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +224,16 @@ def test_glcm_hand_computed_matrix():
     q = hand_quantized([[1, 1, 2], [2, 2, 3]])
     g = glcm_compute(q, (0, 1))
     want = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 0]]) / 8.0
-    np.testing.assert_allclose(g.matrix, want, atol=1e-15)
+    np.testing.assert_allclose(g, want, atol=1e-15)
+
+
+def glcm_descriptors(p):
+    return dict(zip(GLCM_FEATURE_NAMES, radiomics._glcm_descriptors(p[None])[0]))
 
 
 def test_glcm_feature_hand_values():
     q = hand_quantized([[1, 1, 2], [2, 2, 3]])
-    fv = glcm_features(glcm_compute(q, (0, 1)))
-    got = dict(zip(fv.names, fv.values))
+    got = glcm_descriptors(glcm_compute(q, (0, 1)))
     # from the known 8-pair matrix above
     assert got["contrast"] == pytest.approx(0.5, abs=1e-12)
     assert got["dissimilarity"] == pytest.approx(0.5, abs=1e-12)
@@ -251,9 +250,9 @@ def test_glcm_matrix_is_symmetric_and_normalized():
     q = QuantizedImage(codes=codes, levels=5, roi=full_mask((9, 9)))
     for offset in radiomics.GLCM_OFFSETS:
         g = glcm_compute(q, offset)
-        np.testing.assert_allclose(g.matrix, g.matrix.T, atol=1e-15)
-        assert g.matrix.sum() == pytest.approx(1.0, abs=1e-12)
-        assert g.matrix.shape == (5, 5)
+        np.testing.assert_allclose(g, g.T, atol=1e-15)
+        assert g.sum() == pytest.approx(1.0, abs=1e-12)
+        assert g.shape == (5, 5)
 
 
 def test_glcm_requires_in_roi_pairs():
@@ -263,7 +262,7 @@ def test_glcm_requires_in_roi_pairs():
     with pytest.raises(EmptyCooccurrenceError):
         glcm_compute(q, (0, 1))  # diagonal neighbours only
     g = glcm_compute(q, (1, 1))
-    assert g.matrix[0, 0] == 1.0  # the single 1-1 diagonal pair
+    assert g[0, 0] == 1.0  # the single 1-1 diagonal pair
 
 
 def test_glcm_rejects_zero_offset():
@@ -275,10 +274,8 @@ def test_glcm_rejects_zero_offset():
 def test_glcm_correlation_of_column_stripes():
     codes = np.tile(np.arange(1, 9, dtype=np.int32), (8, 1))
     q = QuantizedImage(codes=codes, levels=8, roi=full_mask((8, 8)))
-    fv_across = glcm_features(glcm_compute(q, (0, 1)))
-    fv_along = glcm_features(glcm_compute(q, (1, 0)))
-    across = dict(zip(fv_across.names, fv_across.values))
-    along = dict(zip(fv_along.names, fv_along.values))
+    across = glcm_descriptors(glcm_compute(q, (0, 1)))
+    along = glcm_descriptors(glcm_compute(q, (1, 0)))
     # along a column every pair repeats the same code: perfect correlation
     assert along["correlation"] == pytest.approx(1.0, abs=1e-12)
     assert along["contrast"] == 0.0
@@ -298,13 +295,12 @@ def test_glrlm_hand_computed_runs():
     want[0, 1] = 1  # run of 1s, length 2
     want[1, 2] = 1  # run of 2s, length 3
     want[0, 0] = 1  # run of 1s, length 1
-    np.testing.assert_array_equal(r.matrix, want)
+    np.testing.assert_array_equal(r, want)
 
 
 def test_glrlm_feature_hand_values():
-    fv = glrlm_features(glrlm_compute(hand_quantized([[1, 1, 2, 2, 2, 1]]),
-                                      (0, 1)))
-    got = dict(zip(fv.names, fv.values))
+    runs = glrlm_compute(hand_quantized([[1, 1, 2, 2, 2, 1]]), (0, 1))
+    got = dict(zip(GLRLM_FEATURE_NAMES, radiomics._glrlm_descriptors(runs[None])[0]))
     assert got["sre"] == pytest.approx((1 + 1 / 4 + 1 / 9) / 3, abs=1e-12)
     assert got["lre"] == pytest.approx((1 + 4 + 9) / 3, abs=1e-12)
     assert got["gln"] == pytest.approx((4 + 1) / 3, abs=1e-12)
@@ -319,18 +315,18 @@ def test_glrlm_out_of_roi_pixel_breaks_run():
     bits = np.array([[1, 1, 0, 1]], dtype=np.uint8)
     q = QuantizedImage(codes=codes * (bits > 0), levels=1, roi=RoiMask(bits=bits))
     r = glrlm_compute(q, (0, 1))
-    assert r.matrix[0, 1] == 1  # leading pair
-    assert r.matrix[0, 0] == 1  # isolated trailing pixel
-    assert r.matrix.sum() == 2
+    assert r[0, 1] == 1  # leading pair
+    assert r[0, 0] == 1  # isolated trailing pixel
+    assert r.sum() == 2
 
 
 def test_glrlm_diagonal_direction_hand_case():
     q = hand_quantized([[1, 2], [2, 1]])
     r = glrlm_compute(q, (1, 1))
     # main diagonal: run "1,1"? no: codes are 1 then 1 -> a length-2 run
-    assert r.matrix[0, 1] == 1
+    assert r[0, 1] == 1
     # off-diagonals are single pixels: two length-1 runs of gray 2
-    assert r.matrix[1, 0] == 2
+    assert r[1, 0] == 2
 
 
 def test_glrlm_rejects_unknown_direction():
@@ -346,7 +342,7 @@ def test_glrlm_total_pixels_equals_roi_size():
     q = QuantizedImage(codes=codes * (bits > 0), levels=4, roi=RoiMask(bits=bits))
     lengths = np.arange(1, 8)
     for direction in radiomics.GLRLM_DIRECTIONS:
-        mat = glrlm_compute(q, direction).matrix
+        mat = glrlm_compute(q, direction)
         assert (mat * lengths[None, :]).sum() == bits.sum()
 
 
@@ -403,6 +399,20 @@ def cluster_scale(p, power):
     return ((dev + 1.0) ** power * p).sum()
 
 
+def assert_glcm_row_matches_reference(row, p, context=None):
+    want = reference_glcm_features(p)
+    # relative agreement; correlation (in [-1, 1]) and cluster shade are
+    # sums of signed terms that can cancel to 0, and the cluster terms are
+    # powers of a rounded deviation, so these three also get an absolute
+    # floor of 1e-12 at the scale of their terms
+    atol = np.zeros(8)
+    atol[5] = 1e-12
+    atol[6] = 1e-12 * cluster_scale(p, 3)
+    atol[7] = 1e-12 * cluster_scale(p, 4)
+    err = np.abs(row - want)
+    assert (err <= 1e-9 * np.abs(want) + atol).all(), (context, row, want, err)
+
+
 @settings(max_examples=150, deadline=None)
 @given(glcm_stacks())
 def test_stacked_glcm_descriptors_match_the_reference(case):
@@ -410,17 +420,7 @@ def test_stacked_glcm_descriptors_match_the_reference(case):
     got = radiomics._glcm_descriptors(stack)
     assert got.shape == (len(kinds), 8)
     for kind, p, row in zip(kinds, stack, got):
-        want = reference_glcm_features(p)
-        # relative agreement; correlation (in [-1, 1]) and cluster shade
-        # are sums of signed terms that can cancel to 0, and the cluster
-        # terms are powers of a rounded deviation, so these three also get
-        # an absolute floor of 1e-12 at the scale of their terms
-        atol = np.zeros(8)
-        atol[5] = 1e-12
-        atol[6] = 1e-12 * cluster_scale(p, 3)
-        atol[7] = 1e-12 * cluster_scale(p, 4)
-        err = np.abs(row - want)
-        assert (err <= 1e-9 * np.abs(want) + atol).all(), (kind, row, want, err)
+        assert_glcm_row_matches_reference(row, p, kind)
         if kind in ("single_cell", "one_row", "one_column", "zero"):
             assert row[5] == 0.0
         if kind == "zero":
@@ -552,7 +552,9 @@ def test_extract_all_name_inventory():
 
 
 def test_extract_all_texture_columns_are_the_per_matrix_features():
-    # the stacked catalog puts each plane's descriptors under its own names
+    # the stacked catalog puts each plane's descriptors under its own
+    # names: each column group equals the textbook formulas over the
+    # brute-force enumerated matrix of its plane and offset
     rng = derive_rng(12, "stack")
     img, mask = random_image_and_mask(rng, size=15)
     fv = extract_all(img, mask)
@@ -562,20 +564,18 @@ def test_extract_all_texture_columns_are_the_per_matrix_features():
         (f"wavelet_{b}_", subbands[b], radiomics.downsample_mask(mask))
         for b in radiomics.WAVELET_BANDS]
     for prefix, values, roi in planes:
-        q = QuantizedImage(codes=radiomics._quantize_array(values, roi.bits, 32),
-                           levels=32, roi=roi)
+        codes = radiomics._quantize_array(values, roi.bits, 32)
         for offset in radiomics.GLCM_OFFSETS:
-            fv = glcm_features(glcm_compute(q, offset))
+            pairs = brute_glcm(codes, roi.bits, *offset, 32)
+            p = (pairs + pairs.T) / (2 * pairs.sum())
             tag = radiomics._offset_tag(offset)
-            for name, value in zip(fv.names, fv.values):
-                assert got[f"{prefix}glcm_{tag}_{name}"] == pytest.approx(
-                    value, rel=1e-12, abs=1e-12)
+            row = np.array([got[f"{prefix}glcm_{tag}_{n}"] for n in GLCM_FEATURE_NAMES])
+            assert_glcm_row_matches_reference(row, p, (prefix, offset))
         for direction in radiomics.GLRLM_DIRECTIONS:
-            fv = glrlm_features(glrlm_compute(q, direction))
+            runs = brute_glrlm(codes, roi.bits, *direction, 32, max(codes.shape))
             tag = radiomics._offset_tag(direction)
-            for name, value in zip(fv.names, fv.values):
-                assert got[f"{prefix}glrlm_{tag}_{name}"] == pytest.approx(
-                    value, rel=1e-12, abs=1e-12)
+            row = np.array([got[f"{prefix}glrlm_{tag}_{n}"] for n in GLRLM_FEATURE_NAMES])
+            np.testing.assert_allclose(row, reference_glrlm_features(runs), rtol=1e-9)
 
 
 def test_extract_all_invariant_under_even_translation():
