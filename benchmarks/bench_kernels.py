@@ -7,31 +7,45 @@ patches of 16x16 (16 filters of 5x5, the README quick-start) and one
 CD chunk).  The hidden conditional P(h|v) of the CRBM, the
 valid correlation plus the in-place sigmoid with the hidden biases, is
 timed at the same two shapes; its time minus the ``corr_valid`` line is
-the sigmoid's.  The texture counters run on 32-level quantized planes: one
-128x128 image, and the 32x32 slice and 16x16 Haar subbands that the
-radiomics catalog feeds them (elliptical ROI).  ``glrlm_counts`` is timed
-in all four directions, since rows, columns and the two diagonals lay
-their lines out differently.
+the sigmoid's.
 
-Two stages of the ``radiomics-rf`` workload are timed whole: the texture
-descriptors of one 32x32 slice (20 GLCMs at 32 levels and the 20 GLRLMs
-of the slice and its four 16x16 subbands, zero-padded to 32 run columns,
-each family one stacked call) and one random-forest node (150 bootstrap
-rows, 5 of 20 features).  Run from the repository root:
+The texture counters run on 32-level quantized planes with the
+``radiomics-rf`` workload's elliptical ROI, at the two stack shapes the
+radiomics catalog feeds them: 8 slices of 32x32 (one stack at the
+default budget) and their 32 Haar subbands of 16x16.  Each is timed as
+one stacked call and as one call per slice, the way the catalog counted
+before it took stacks.  ``glrlm_counts`` is timed in all four directions,
+since rows, columns and the two diagonals lay their lines out
+differently.
+
+Three stages of the ``radiomics-rf`` workload are timed whole: the
+texture descriptors of one 32x32 slice (20 GLCMs at 32 levels and the 20
+GLRLMs of the slice and its four 16x16 subbands, zero-padded to 32 run
+columns, each family one stacked call), one random-forest node (150
+bootstrap rows, 5 of 20 features), and the 374-feature catalog of 200
+slices of 32x32, in stacks of 8 as ``features.radiomics_features`` runs
+it and slice by slice through the per-slice reference in
+``tests/radiomics_reference.py``.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import itertools
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from crbm_radiomics import classifiers, crbm, kernels, radiomics
-from crbm_radiomics.data_model import RoiMask
+from crbm_radiomics import classifiers, crbm, kernels, radiomics, synth
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import radiomics_reference  # noqa: E402
 
 REPS = 20
 WARMUP = 3
+SLOW_REPS = 3
+SLOW_S = 0.1
 
 rng = np.random.default_rng(0)
 
@@ -49,33 +63,49 @@ patch_model = crbm.CrbmModel(filters=patch_filters, visible_bias=0.0,
                              hidden_biases=rng.normal(size=16), input_size=16)
 
 
-def texture_plane(side, roi):
-    codes = rng.integers(1, 33, size=(side, side))
-    return np.where(roi > 0, codes, 0).astype(np.int32), roi
-
-
-def ellipse(side):
-    r, c = np.mgrid[:side, :side] + 0.5 - side / 2
-    return ((r / (0.45 * side)) ** 2 + (c / (0.35 * side)) ** 2 <= 1).astype(np.uint8)
-
-
-PLANES = (("128x128", texture_plane(128, (rng.random((128, 128)) < 0.85)
-                                    .astype(np.uint8))),
-          ("32x32", texture_plane(32, ellipse(32))),
-          ("16x16", texture_plane(16, ellipse(16))))
+ROI32 = synth._ellipse_mask(32).bits
+ROI16 = radiomics.downsample_mask(ROI32)
 DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
+
+def texture_stack(n, roi):
+    """n planes of 32-level codes, 0 outside the ROI, and their ROIs."""
+    rois = np.repeat(roi[None], n, axis=0)
+    codes = rng.integers(1, 33, size=rois.shape)
+    return np.where(rois > 0, codes, 0).astype(np.int32), rois
+
+
+STACKS = (("8x32x32", texture_stack(8, ROI32)), ("32x16x16", texture_stack(32, ROI16)))
+
+
+def per_slice(counter):
+    """The counter called once per slice of the stack."""
+    return lambda codes, rois, *args: [counter(c, r, *args) for c, r in zip(codes, rois)]
+
+
 # one slice's texture matrices: the 32x32 plane and four 16x16 subbands
-SLICE_PLANES = [texture_plane(32, ellipse(32))] + \
-    [texture_plane(16, ellipse(16)) for _ in range(4)]
-glcm_stack = np.stack([
-    radiomics.glcm_compute(radiomics.QuantizedImage(codes, 32, RoiMask(roi)), offset)
+SLICE_PLANES = [texture_stack(1, ROI32)] + [texture_stack(1, ROI16) for _ in range(4)]
+glcm_stack = np.concatenate([
+    radiomics.glcm_compute(codes, roi, offset, 32)
     for codes, roi in SLICE_PLANES for offset in DIRECTIONS])
 glrlm_stack = np.zeros((20, 32, 32))
-for stacked, ((codes, roi), (dr, dc)) in zip(
+for stacked, ((codes, roi), direction) in zip(
         glrlm_stack, itertools.product(SLICE_PLANES, DIRECTIONS)):
-    stacked[:, :codes.shape[0]] = kernels.glrlm_counts(
-        codes, roi, dr, dc, 32, codes.shape[0])
+    stacked[:, :codes.shape[-1]] = radiomics.glrlm_compute(codes, roi, direction, 32)[0]
+
+# the catalog's input: 200 slices of 32x32 with the workload's ROI
+catalog_pixels = rng.random((200, 32, 32))
+catalog_bits = np.repeat(ROI32[None], 200, axis=0)
+
+
+def catalog_stacked(pixels, bits):
+    return [radiomics.extract_all(pixels[i:i + 8], bits[i:i + 8])
+            for i in range(0, len(pixels), 8)]
+
+
+def catalog_per_slice(pixels, bits):
+    return [radiomics_reference.extract_one(p, b) for p, b in zip(pixels, bits)]
+
 
 # one forest node: bootstrap rows of PLS-like scores, 5 of 20 features
 node_X = rng.normal(size=(150, 20))
@@ -93,36 +123,49 @@ CASES = (
     ("P(h|v)      (1x64x252x252)", crbm._hidden_probs, (slice_model, image)),
     ("P(h|v)      (16x16x12x12)", crbm._hidden_probs, (patch_model, patches)),
 ) + tuple(
-    (f"glcm_counts ({name}, 0,1)", kernels.glcm_counts,
-     (codes, roi, 0, 1, 32))
-    for name, (codes, roi) in PLANES
+    (f"glcm_counts ({name}, 0,1) {how}", fn, (codes, rois, 0, 1, 32))
+    for name, (codes, rois) in STACKS
+    for how, fn in (("stacked", kernels.glcm_counts),
+                    ("per slice", per_slice(kernels.glcm_counts)))
 ) + tuple(
-    (f"glrlm_counts({name}, {dr},{dc})", kernels.glrlm_counts,
-     (codes, roi, dr, dc, 32, codes.shape[0]))
-    for name, (codes, roi) in PLANES for dr, dc in DIRECTIONS
+    (f"glrlm_counts({name}, {dr},{dc}) {how}", fn,
+     (codes, rois, dr, dc, 32, codes.shape[-1]))
+    for name, (codes, rois) in STACKS for dr, dc in DIRECTIONS
+    for how, fn in (("stacked", kernels.glrlm_counts),
+                    ("per slice", per_slice(kernels.glrlm_counts)))
 ) + (
     ("glcm descriptors (20 x 32x32)", radiomics._glcm_descriptors, (glcm_stack,)),
     ("glrlm descriptors (20 x 32x32)", radiomics._glrlm_descriptors, (glrlm_stack,)),
     ("rf node split (150 rows, 5 of 20)", classifiers._best_split,
      (node_X, node_y, node_rows, node_features)),
+    ("catalog 200x32x32, stacks of 8", catalog_stacked,
+     (catalog_pixels, catalog_bits)),
+    ("catalog 200x32x32, per slice", catalog_per_slice,
+     (catalog_pixels, catalog_bits)),
 )
 
 
 def time_call(fn, args):
-    for _ in range(WARMUP):
+    """Mean and sd in ms over REPS calls after WARMUP, or over SLOW_REPS
+    calls when the first call takes more than SLOW_S."""
+    start = time.perf_counter()
+    fn(*args)
+    slow = time.perf_counter() - start > SLOW_S
+    for _ in range(0 if slow else WARMUP - 1):
         fn(*args)
     samples = []
-    for _ in range(REPS):
+    for _ in range(SLOW_REPS if slow else REPS):
         start = time.perf_counter()
         fn(*args)
         samples.append((time.perf_counter() - start) * 1000)
     return np.mean(samples), np.std(samples)
 
 
-print(f"{REPS} reps after {WARMUP} warmup calls, times in ms\n")
-header = f"{'kernel':<36}{'mean':>10}{'std':>8}"
+print(f"{REPS} reps after {WARMUP} warmup calls ({SLOW_REPS} reps after one "
+      f"for calls over {SLOW_S} s), times in ms\n")
+header = f"{'kernel':<42}{'mean':>10}{'std':>8}"
 print(header)
 print("-" * len(header))
 for label, fn, args in CASES:
     mean, std = time_call(fn, args)
-    print(f"{label:<36}{mean:>10.3f}{std:>8.3f}")
+    print(f"{label:<42}{mean:>10.3f}{std:>8.3f}")

@@ -147,24 +147,36 @@ class SynthSpec:
 _SECTIONS = {"crbm": CrbmSection, "classifier": ClassifierSection, "cv": CvSection}
 
 
+def _has_type(value, annotation) -> bool:
+    """Whether a JSON value fits a scalar field's annotation.  An int fits
+    a float field and is kept as is, so an echoed config keeps the file's
+    numbers; a bool (an int subclass) fits only a bool field."""
+    if isinstance(value, bool) or annotation is bool:
+        return isinstance(value, bool) and annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
+
+
 def _build(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = set(data) - fields
+    fields = {f.name: f.type for f in cls.__dataclass_fields__.values()}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
         if key in _SECTIONS:
             kwargs[key] = _build(_SECTIONS[key], value, f"{context}.{key}")
-        else:
+        elif _has_type(value, fields[key]):
             kwargs[key] = value
+        else:
+            raise ConfigError(f"{context}.{key}: expected {fields[key].__name__}, "
+                              f"got {type(value).__name__}")
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -182,8 +194,8 @@ def _read_json(path) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, bad UTF-8, an int of > 4300 digits
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 

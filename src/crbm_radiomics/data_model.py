@@ -8,6 +8,7 @@ whose paths are resolved relative to the manifest's directory.
 """
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,44 +176,57 @@ def load_manifest(path) -> Dataset:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     base = path.parent
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty file, expected header") from None
-        if tuple(h.strip() for h in header) != MANIFEST_HEADER:
-            raise ManifestError(
-                f"{path}: bad header {header!r}, expected {','.join(MANIFEST_HEADER)}")
-        records = []
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(MANIFEST_HEADER):
-                raise ManifestError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} "
-                                    f"columns, got {len(row)}")
-            sample_id, patient_id, image, mask, label, stage, subtype = \
-                (c.strip() for c in row)
-            if sample_id in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
-            seen.add(sample_id)
-            if label not in ("0", "1"):
-                raise ManifestError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            if stage not in STAGES:
-                raise ManifestError(f"{path}:{lineno}: unknown stage {stage!r}")
-            if subtype not in SUBTYPES:
-                raise ManifestError(f"{path}:{lineno}: unknown subtype {subtype!r}")
-            records.append(SampleRecord(
-                sample_id=sample_id,
-                patient_id=patient_id,
-                image_path=str(base / image),
-                mask_path=str(base / mask),
-                label=int(label),
-                stage=stage,
-                subtype=subtype,
-            ))
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ManifestError(f"{path}: empty file, expected header") from None
+    if tuple(h.strip() for h in header) != MANIFEST_HEADER:
+        raise ManifestError(
+            f"{path}: bad header {header!r}, expected {','.join(MANIFEST_HEADER)}")
+    records = []
+    seen = set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(MANIFEST_HEADER):
+            raise ManifestError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} "
+                                f"columns, got {len(row)}")
+        sample_id, patient_id, image, mask, label, stage, subtype = \
+            (c.strip() for c in row)
+        if sample_id in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
+        if label not in ("0", "1"):
+            raise ManifestError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        if stage not in STAGES:
+            raise ManifestError(f"{path}:{lineno}: unknown stage {stage!r}")
+        if subtype not in SUBTYPES:
+            raise ManifestError(f"{path}:{lineno}: unknown subtype {subtype!r}")
+        records.append(SampleRecord(
+            sample_id=sample_id,
+            patient_id=patient_id,
+            image_path=str(base / image),
+            mask_path=str(base / mask),
+            label=int(label),
+            stage=stage,
+            subtype=subtype,
+        ))
     return Dataset(records=tuple(records))
+
+
+def _csv_rows(path: Path):
+    """The rows of a UTF-8 CSV file; undecodable bytes and malformed CSV
+    (an over-long field, say) are ManifestErrors naming the file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ManifestError(f"{path}:{reader.line_num}: bad CSV ({exc})") from exc
 
 
 def load_sample(record: SampleRecord) -> tuple:

@@ -25,9 +25,5 @@ class TrainingError(PipelineError):
     """Training aborted, e.g. non-finite parameters or empty data."""
 
 
-class EmptyCooccurrenceError(PipelineError):
-    """No valid pixel pair exists for the requested GLCM offset."""
-
-
 class EnumerationGuardError(PipelineError):
     """Exact-enumeration oracle called on a model too large to enumerate."""

@@ -1,6 +1,7 @@
 """Feature-matrix assembly for the three feature sources.
 
-radiomics: one row per slice, the 374-feature hand-crafted catalog.
+radiomics: one row per slice, the 374-feature hand-crafted catalog,
+computed over stacks of consecutive same-shape slices.
 crbm-image: one row per slice; the ROI crop is standardized to the model's
 input size, pushed through the CRBM, the hidden maps are combined by a
 1x1 reduction and flattened.
@@ -18,6 +19,11 @@ from .config import PipelineConfig, effective_patch_stride
 from .data_model import (Dataset, Image2D, crop_to_roi, extract_patches,
                          load_sample, resize_or_pad)
 from .errors import ConfigError
+
+# Original-plane pixels per radiomics stack: 8 slices of 32x32.  The
+# catalog's temporaries, and so the peak memory, grow with the stack; at 8
+# slices its per-call numpy overhead is already spread over the stack.
+_STACK_PIXELS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -128,10 +134,31 @@ def _assemble(names: tuple, rows) -> FeatureMatrix:
                          parents=tuple(r.sample_id for r in records))
 
 
+def _same_shape_runs(records):
+    """Lists of (record, pixels, bits) of consecutive same-shape samples,
+    in manifest order, each at most _STACK_PIXELS original-plane pixels
+    (or one sample, if a single one is larger)."""
+    run = []
+    for record in records:
+        img, mask = load_sample(record)
+        if run and (img.pixels.shape != run[0][1].shape
+                    or (len(run) + 1) * img.pixels.size > _STACK_PIXELS):
+            yield run
+            run = []
+        run.append((record, img.pixels, mask.bits))
+    if run:
+        yield run
+
+
 def radiomics_features(dataset: Dataset,
                        cfg: radiomics_mod.RadiomicsConfig) -> FeatureMatrix:
-    rows = ((r, r.sample_id, radiomics_mod.extract_all(*load_sample(r), cfg).values)
-            for r in dataset.records)
+    """One catalog row per slice, in manifest order; each run of
+    consecutive same-shape slices goes through extract_all as one stack."""
+    rows = []
+    for run in _same_shape_runs(dataset.records):
+        records, pixels, bits = zip(*run)
+        values = radiomics_mod.extract_all(np.stack(pixels), np.stack(bits), cfg)
+        rows += [(r, r.sample_id, v) for r, v in zip(records, values)]
     return _assemble(radiomics_mod.CATALOG_NAMES, rows)
 
 

@@ -15,12 +15,14 @@ take an optional leading batch axis (any number of leading axes, written
 * ``corr_grad``   (..., N, N) x (..., M, H, H) -> (M, K, K), summed over
   the leading axes.
 
-Each texture counter takes quantized codes (1..levels) and an ROI mask of
-one slice and costs a fixed number of numpy calls per offset, with no
-Python loop over pixels, lines or runs:
+Each texture counter takes quantized codes (1..levels) and ROI masks of a
+stack of same-shape slices, (..., h, w), and returns one matrix per slice.
+It costs a fixed number of numpy calls per stack, with no Python loop over
+slices, pixels, lines or runs: each slice's cells are offset by
+``slice * levels * width``, so one ``bincount`` counts the whole stack:
 
-* ``glcm_counts``   pairs at offset (dr, dc)  -> (levels, levels);
-* ``glrlm_counts``  maximal runs along (dr, dc) -> (levels, max_run).
+* ``glcm_counts``   pairs at offset (dr, dc)  -> (..., levels, levels);
+* ``glrlm_counts``  maximal runs along (dr, dc) -> (..., levels, max_run).
 """
 
 import numpy as np
@@ -86,66 +88,76 @@ def corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def glcm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
                 levels: int) -> np.ndarray:
-    """Raw co-occurrence counts of code pairs at offset (dr, dc); both pixels in-ROI."""
-    h, w = codes.shape
+    """Raw co-occurrence counts of code pairs at offset (dr, dc), both pixels
+    in-ROI, of each slice of a stack (..., h, w) -> (..., levels, levels)."""
+    *lead, h, w = codes.shape
+    codes = codes.reshape(-1, h, w)
+    roi = roi.reshape(-1, h, w)
+    n = codes.shape[0]
     r0, r1 = max(0, -dr), h - max(0, dr)
     c0, c1 = max(0, -dc), w - max(0, dc)
     if r1 <= r0 or c1 <= c0:
-        return np.zeros((levels, levels))
-    a = codes[r0:r1, c0:c1]
-    b = codes[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
-    valid = (roi[r0:r1, c0:c1] > 0) & (roi[r0 + dr:r1 + dr, c0 + dc:c1 + dc] > 0)
-    if not valid.any():
-        return np.zeros((levels, levels))
-    pairs = (a[valid].astype(np.int64) - 1) * levels + (b[valid].astype(np.int64) - 1)
-    counts = np.bincount(pairs, minlength=levels * levels)
-    return counts.reshape(levels, levels).astype(np.float64)
+        return np.zeros((*lead, levels, levels))
+    a = codes[:, r0:r1, c0:c1]
+    b = codes[:, r0 + dr:r1 + dr, c0 + dc:c1 + dc]
+    valid = (roi[:, r0:r1, c0:c1] > 0) & (roi[:, r0 + dr:r1 + dr, c0 + dc:c1 + dc] > 0)
+    first = np.arange(n, dtype=np.int64)[:, None, None] * levels + a - 1
+    cells = first * levels + b - 1
+    counts = np.bincount(cells[valid], minlength=n * levels * levels)
+    return counts.reshape(*lead, levels, levels).astype(np.float64)
 
 
 def _anti_diagonals(x: np.ndarray) -> np.ndarray:
-    """Lines of x along (1, -1), one per row, zero-filled: (h + w - 1, h)."""
-    h, w = x.shape
-    # Row-major, a step of h + w - 1 in a (h, w + h) array moves one row
-    # down and one column left, so column s of the reshaped array walks the
+    """Lines of each slice of x (n, h, w) along (1, -1), one per row,
+    zero-filled: (n, h + w - 1, h)."""
+    n, h, w = x.shape
+    # Row-major, a step of h + w - 1 in a (h, w + h) slice moves one row
+    # down and one column left, so column s of the reshaped slice walks the
     # anti-diagonal i + j = s; where it leaves x it runs into the zero pad.
-    padded = np.zeros((h, w + h), dtype=x.dtype)
-    padded[:, :w] = x
-    return padded.ravel()[:h * (w + h - 1)].reshape(h, w + h - 1).T
+    padded = np.zeros((n, h, w + h), dtype=x.dtype)
+    padded[:, :, :w] = x
+    lines = padded.reshape(n, h * (w + h))[:, :h * (w + h - 1)]
+    return lines.reshape(n, h, w + h - 1).transpose(0, 2, 1)
 
 
 def glrlm_counts(codes: np.ndarray, roi: np.ndarray, dr: int, dc: int,
                  levels: int, max_run: int) -> np.ndarray:
-    """Counts of maximal in-ROI runs of equal codes along direction (dr, dc);
-    a run longer than max_run is counted in the last column.
+    """Counts of maximal in-ROI runs of equal codes along direction (dr, dc)
+    of each slice of a stack (..., h, w) -> (..., levels, max_run); a run
+    longer than max_run is counted in the last column.
 
     Out-of-ROI pixels become 0 (codes are >= 1), and the pixels are laid
     out as lines of the direction, each followed by a 0 separator, in one
-    flat array: rows for (0, 1), columns for (1, 0), and the anti-diagonals
-    of x (1, -1) or of x flipped upside down (1, 1).  A run then starts
-    wherever the flat array changes value, so one ``diff`` finds every run
-    of every line, and one ``bincount`` counts the nonzero ones.
+    flat array, slice after slice: rows for (0, 1), columns for (1, 0), and
+    the anti-diagonals of x (1, -1) or of x flipped upside down (1, 1).  A
+    run then starts wherever the flat array changes value and never
+    crosses a line or a slice, so one ``diff`` finds every run of the
+    stack, and one ``bincount`` counts the nonzero ones.
     """
-    x = np.where(roi > 0, codes, 0)
+    *lead, h, w = codes.shape
+    x = np.where(roi > 0, codes, 0).reshape(-1, h, w)
     if (dr, dc) == (0, 1):
         lines = x
     elif (dr, dc) == (1, 0):
-        lines = x.T
+        lines = x.transpose(0, 2, 1)
     elif (dr, dc) == (1, -1):
         lines = _anti_diagonals(x)
     elif (dr, dc) == (1, 1):
-        lines = _anti_diagonals(x[::-1])
+        lines = _anti_diagonals(x[:, ::-1])
     else:
         raise ValueError(f"unsupported run direction {(dr, dc)}")
-    flat = np.zeros((lines.shape[0], lines.shape[1] + 1), dtype=np.int64)
-    flat[:, :-1] = lines
+    n, n_lines, length = lines.shape
+    flat = np.zeros((n, n_lines, length + 1), dtype=np.int64)
+    flat[:, :, :-1] = lines
     flat = flat.ravel()
     starts = np.flatnonzero(np.diff(flat, prepend=-1))
     lengths = np.diff(starts, append=flat.size)
     values = flat[starts]
     keep = values > 0
-    cells = (values[keep] - 1) * max_run + np.minimum(lengths[keep], max_run) - 1
-    counts = np.bincount(cells, minlength=levels * max_run)
-    return counts.reshape(levels, max_run).astype(np.float64)
+    first = starts[keep] // (n_lines * (length + 1)) * levels + values[keep] - 1
+    cells = first * max_run + np.minimum(lengths[keep], max_run) - 1
+    counts = np.bincount(cells, minlength=n * levels * max_run)
+    return counts.reshape(*lead, levels, max_run).astype(np.float64)
 
 
 def active_backend() -> str:

@@ -1,4 +1,4 @@
-"""Hand-crafted texture features over an ROI.
+"""Hand-crafted texture features over an ROI, for stacks of slices.
 
 Five families: first-order intensity statistics, binary shape descriptors,
 gray-level co-occurrence (GLCM), gray-level run-length (GLRLM), and the
@@ -11,16 +11,20 @@ Intensities are quantized to ``levels`` equal-width bins between the
 in-ROI minimum and maximum before any texture matrix is built.  GLCM uses
 the four offsets (0,1), (1,0), (1,1), (1,-1) with symmetrization; GLRLM
 uses the same four directions.
+
+The catalog runs over a stack of same-shape slices: pixel values and ROI
+masks of shape (n, h, w), one ROI per slice, each of its own size and
+shape.  Quantization, the Haar subbands, the first-order statistics and
+the texture counters cost a fixed number of numpy calls per stack, not
+per slice; only the shape descriptors are computed slice by slice.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .data_model import Image2D, RoiMask
-from .errors import EmptyCooccurrenceError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 GLCM_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 GLRLM_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
@@ -62,24 +66,6 @@ class RadiomicsConfig:
 
 
 @dataclass(frozen=True)
-class QuantizedImage:
-    """Integer codes in [1, levels] inside the ROI, 0 outside."""
-
-    codes: np.ndarray
-    levels: int
-    roi: RoiMask
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int32)
-        if codes.shape != self.roi.bits.shape:
-            raise ShapeMismatchError("codes and ROI dimensions differ")
-        inside = codes[self.roi.bits > 0]
-        if inside.size and (inside.min() < 1 or inside.max() > self.levels):
-            raise ValueError("in-ROI codes must lie in [1, levels]")
-        object.__setattr__(self, "codes", codes)
-
-
-@dataclass(frozen=True)
 class FeatureVector:
     names: tuple
     values: np.ndarray
@@ -103,80 +89,108 @@ class FeatureVector:
 # Quantization
 # ---------------------------------------------------------------------------
 
-def _quantize_array(values: np.ndarray, roi_bits: np.ndarray, levels: int) -> np.ndarray:
-    """Equal-width binning of the in-ROI values into codes [1, levels]
-    between their minimum and maximum; 0 outside the ROI."""
-    inside = roi_bits > 0
-    if not inside.any():
-        raise ValueError("empty mask")
-    lo = values[inside].min()
-    hi = values[inside].max()
-    codes = np.zeros(values.shape, dtype=np.int32)
-    if hi == lo:
-        codes[inside] = 1
-    else:
-        scaled = np.floor((values[inside] - lo) / (hi - lo) * levels).astype(np.int32) + 1
-        codes[inside] = np.minimum(scaled, levels)
-    return codes
+def _quantize(values: np.ndarray, inside: np.ndarray, levels: int) -> np.ndarray:
+    """Equal-width binning of each slice's in-ROI values (n, h, w) into
+    codes [1, levels] between that slice's in-ROI minimum and maximum; 0
+    outside the ROI, 1 throughout a constant ROI.  Every slice needs at
+    least one in-ROI pixel."""
+    lo = np.where(inside, values, np.inf).min(axis=(1, 2), keepdims=True)
+    hi = np.where(inside, values, -np.inf).max(axis=(1, 2), keepdims=True)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    # out-of-ROI pixels are binned as the minimum, so none overflows the cast
+    scaled = np.floor((np.where(inside, values, lo) - lo) / span * levels)
+    scaled = scaled.astype(np.int32) + 1
+    return np.where(inside, np.minimum(scaled, levels), 0).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
 # First-order statistics
 # ---------------------------------------------------------------------------
 
-def _nearest_rank(sorted_vals: np.ndarray, pct: float) -> float:
-    rank = int(np.ceil(pct / 100.0 * sorted_vals.size))
-    return float(sorted_vals[max(rank, 1) - 1])
+def _histograms(x: np.ndarray, inside: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
+    """np.histogram(pixels, 256, range=(lo, hi)) of each slice's in-ROI
+    pixels -> (n, 256) counts; all zero for a slice with hi == lo.
 
-
-def _first_order_values(x: np.ndarray) -> np.ndarray:
-    """The 13 FIRST_ORDER_NAMES of a pixel multiset (the in-ROI pixels).
-
-    Variance is population variance; skewness and excess kurtosis are 0 for
-    constant regions; entropy uses a 256-bin histogram over the in-ROI
-    range (log base 2); percentiles use the nearest-rank rule and the
-    median averages the two middle values for even counts.
+    One bincount over (slice, bin) cells.  The bin of a value is
+    np.histogram's: the scaled index, moved down by one where the value
+    lies below its bin's left edge and up by one where it reaches the
+    next edge, with the edges np.linspace(lo, hi, 257) computes,
+    k * ((hi - lo) / 256) + lo.  So a value on an edge lands in the same
+    bin as in np.histogram.  (np.linspace computes the edges another way
+    when (hi - lo) / 256 underflows to 0, which no [0, 1] image with
+    distinct 16-bit pixel values comes near.)
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    mean = x.mean()
-    var = x.var()
+    n, bins = x.shape[0], 256
+    rows, cols = np.nonzero(inside & (hi > lo)[:, None])
+    v, first, span = x[rows, cols], lo[rows], (hi - lo)[rows]
+    index = ((v - first) / span * bins).astype(np.intp)
+    index[index == bins] -= 1
+    step = span / bins
+    index[v < index * step + first] -= 1
+    index[(v >= (index + 1) * step + first) & (index != bins - 1)] += 1
+    counts = np.bincount(rows * bins + index, minlength=n * bins)
+    return counts.reshape(n, bins)
+
+
+def _first_order(values: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The 13 FIRST_ORDER_NAMES of each slice's in-ROI pixels, for a stack
+    (n, h, w) with at least one in-ROI pixel per slice -> (n, 13).
+
+    Variance is population variance; a constant ROI has zero variance,
+    skewness, excess kurtosis and entropy, and its own value as mean.
+    Entropy uses a 256-bin histogram over the in-ROI range (log base 2);
+    percentiles use the nearest-rank rule and the median averages the two
+    middle values for even counts.  The moments are masked row sums; the
+    order statistics come from one sort of each slice's pixels with +inf
+    outside the ROI, which puts the in-ROI values first.
+    """
+    n = values.shape[0]
+    x = values.reshape(n, -1)
+    inside = inside.reshape(n, -1)
+    count = np.count_nonzero(inside, axis=1)
+    ordered = np.sort(np.where(inside, x, np.inf), axis=1)
+
+    def rank(k):
+        """The k-th smallest in-ROI value of each slice, from 0."""
+        return np.take_along_axis(ordered, k[:, None], axis=1)[:, 0]
+
+    def nearest_rank(pct):
+        return rank(np.maximum(np.ceil(pct / 100.0 * count).astype(np.intp), 1) - 1)
+
+    lo, hi = ordered[:, 0], rank(count - 1)
+    masked = np.where(inside, x, 0.0)
+    mean = np.where(hi > lo, masked.sum(axis=1) / count, lo)
+    dev = np.where(inside, x - mean[:, None], 0.0)
+    dev2 = dev * dev
+    var = dev2.sum(axis=1) / count
     sd = np.sqrt(var)
-    if sd > 0:
-        skew = float(np.mean((x - mean) ** 3) / sd ** 3)
-        kurt = float(np.mean((x - mean) ** 4) / sd ** 4 - 3.0)
-    else:
-        skew = 0.0
-        kurt = 0.0
-    energy = float(np.sum(x * x))
-    lo, hi = x.min(), x.max()
-    if hi > lo:
-        counts, _ = np.histogram(x, bins=256, range=(lo, hi))
-        p = counts[counts > 0] / x.size
-        entropy = float(-np.sum(p * np.log2(p)))
-    else:
-        entropy = 0.0
-    xs = np.sort(x)
-    return np.array([
-        mean, var, skew, kurt, energy, entropy,
-        float(lo), float(hi), float(hi - lo),
-        float(np.median(x)),
-        _nearest_rank(xs, 10.0), _nearest_rank(xs, 90.0),
-        float(np.mean(np.abs(x - mean))),
-    ])
+    spread = sd > 0
+    sd = np.where(spread, sd, 1.0)
+    skew = np.where(spread, (dev2 * dev).sum(axis=1) / count / sd ** 3, 0.0)
+    kurt = np.where(spread, (dev2 * dev2).sum(axis=1) / count / sd ** 4 - 3.0, 0.0)
+    p = _histograms(x, inside, lo, hi) / count[:, None]
+    entropy = 0.0 - (p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
+    median = (rank((count - 1) // 2) + rank(count // 2)) / 2
+    return np.stack([
+        mean, var, skew, kurt, (masked * masked).sum(axis=1), entropy,
+        lo, hi, hi - lo, median, nearest_rank(10.0), nearest_rank(90.0),
+        np.abs(dev).sum(axis=1) / count,
+    ], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Shape
 # ---------------------------------------------------------------------------
 
-def shape_features(mask: RoiMask) -> FeatureVector:
-    """9 binary-shape descriptors of the mask.
+def shape_features(bits: np.ndarray) -> FeatureVector:
+    """9 binary-shape descriptors of one 2-D ROI mask (nonzero = set).
 
     Perimeter counts boundary edges between a set pixel and an unset (or
     outside) pixel; the axis lengths come from the eigenvalues of the
     second-moment matrix of the set-pixel coordinates (length = 4 sqrt(lambda)).
     """
-    bits = mask.bits
+    bits = np.asarray(bits) > 0
     rows, cols = np.nonzero(bits)
     if rows.size == 0:
         raise ValueError("empty mask")
@@ -206,34 +220,41 @@ def shape_features(mask: RoiMask) -> FeatureVector:
 # GLCM
 # ---------------------------------------------------------------------------
 
-def glcm_compute(q: QuantizedImage, offset: tuple) -> np.ndarray:
-    """(levels, levels) symmetrized co-occurrence probabilities of code
-    pairs at the offset; both pixels of a pair must be in-ROI.  Raises
-    EmptyCooccurrenceError if no pair exists."""
+def glcm_compute(codes: np.ndarray, roi: np.ndarray, offset: tuple,
+                 levels: int) -> np.ndarray:
+    """(..., levels, levels) symmetrized co-occurrence probabilities of the
+    code pairs at the offset in each slice of a stack (..., h, w); both
+    pixels of a pair must be in-ROI.  A slice with no such pair gets an
+    all-zero matrix."""
     dr, dc = offset
     if (dr, dc) == (0, 0):
         raise ValueError("offset (0, 0) is not a co-occurrence")
-    counts = kernels.glcm_counts(q.codes, q.roi.bits, dr, dc, q.levels)
-    counts = counts + counts.T
-    total = counts.sum()
-    if total == 0:
-        raise EmptyCooccurrenceError(f"no valid pixel pair at offset {offset}")
-    return counts / total
+    counts = kernels.glcm_counts(codes, roi, dr, dc, levels)
+    counts = counts + np.swapaxes(counts, -1, -2)
+    total = counts.sum(axis=(-2, -1), keepdims=True)
+    return counts / np.where(total > 0, total, 1.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _glcm_design(levels: int) -> np.ndarray:
-    """0/1 matrix D of shape (levels², 6 levels - 2): a flattened
-    probability matrix times D is [p_{x-y}(d) for d = 1-L..L-1,
-    p_{x+y}(s) for s = 2..2L, the row marginal, the column marginal]."""
-    width = 2 * levels - 1
-    i, j = np.divmod(np.arange(levels * levels), levels)
-    design = np.zeros((levels * levels, 2 * width + 2 * levels))
-    for column in (i - j + levels - 1, width + i + j,
-                   2 * width + i, 2 * width + levels + j):
-        design[np.arange(levels * levels), column] = 1.0
-    design.setflags(write=False)
-    return design
+def _rowdot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a stack of rows, summed within each row, so a row's value
+    does not depend on the other rows (a BLAS product's blocking, and so
+    its rounding, changes with the number of rows)."""
+    return (a * v).sum(axis=1)
+
+
+def _diagonal_sums(p: np.ndarray) -> np.ndarray:
+    """Sums of each (L, L) matrix of a stack over its anti-diagonals
+    i + j = s, s = 0..2L-2 -> (n, 2L - 1).
+
+    Row-major, the first L (2L - 1) cells of a (L, 2L) zero-padded copy,
+    read as (L, 2L - 1), hold row i shifted right by i, so cell (i, j)
+    lands in column i + j and a column sum is an anti-diagonal sum.
+    """
+    n, levels, _ = p.shape
+    padded = np.zeros((n, levels, 2 * levels))
+    padded[:, :, :levels] = p
+    shifted = padded.reshape(n, 2 * levels * levels)[:, :levels * (2 * levels - 1)]
+    return shifted.reshape(n, levels, 2 * levels - 1).sum(axis=1)
 
 
 def _glcm_descriptors(p: np.ndarray) -> np.ndarray:
@@ -242,24 +263,25 @@ def _glcm_descriptors(p: np.ndarray) -> np.ndarray:
     at its offset) gives all zeros.
 
     Everything but ASM and entropy is a sum over the difference and sum
-    histograms p_{x-y}, p_{x+y} or the marginals (Haralick 1973; Unser
-    1986), all read off one product with the cached _glcm_design.  The
-    covariance is Unser's (var(x+y) - var(x-y)) / 4, a difference of two
-    centered sums, which keeps near-zero correlations accurate where
-    E[ij] - mu_i mu_j would cancel.  Correlation is 0 when either marginal
+    histograms p_{x-y}, p_{x+y} (anti-diagonal sums of p with its columns
+    reversed, and of p) or the marginals (Haralick 1973; Unser 1986).
+    Every sum runs within one member, so a member's descriptors are the
+    same bits whatever else is in the stack.  The covariance is Unser's
+    (var(x+y) - var(x-y)) / 4, a difference of two centered sums, which
+    keeps near-zero correlations accurate where E[ij] - mu_i mu_j would
+    cancel.  Correlation is 0 when either marginal
     sits on a single gray level.
     """
     n, levels, _ = p.shape
-    width = 2 * levels - 1
     flat = p.reshape(n, levels * levels)
-    hist = flat @ _glcm_design(levels)
-    p_diff, p_sum = hist[:, :width], hist[:, width:2 * width]
-    p_i, p_j = hist[:, 2 * width:2 * width + levels], hist[:, 2 * width + levels:]
+    p_diff = _diagonal_sums(p[:, :, ::-1])
+    p_sum = _diagonal_sums(p)
+    p_i, p_j = p.sum(axis=2), p.sum(axis=1)
     gray = np.arange(1, levels + 1, dtype=np.float64)
     diff = np.arange(1 - levels, levels, dtype=np.float64)
     sums = np.arange(2, 2 * levels + 1, dtype=np.float64)
-    mu_i = p_i @ gray
-    mu_j = p_j @ gray
+    mu_i = _rowdot(p_i, gray)
+    mu_j = _rowdot(p_j, gray)
     var_i = ((gray - mu_i[:, None]) ** 2 * p_i).sum(axis=1)
     var_j = ((gray - mu_j[:, None]) ** 2 * p_j).sum(axis=1)
     dev = sums - (mu_i + mu_j)[:, None]
@@ -272,14 +294,14 @@ def _glcm_descriptors(p: np.ndarray) -> np.ndarray:
               out=correlation, where=spread)
     logs = np.log(np.where(flat > 0, flat, 1.0))  # 0 log 0 = 0
     return np.stack([
-        p_diff @ diff ** 2,                   # contrast
-        p_diff @ np.abs(diff),                # dissimilarity
-        p_diff @ (1.0 / (1.0 + diff ** 2)),   # homogeneity
-        np.einsum("nk,nk->n", flat, flat),    # asm
+        _rowdot(p_diff, diff ** 2),                 # contrast
+        _rowdot(p_diff, np.abs(diff)),              # dissimilarity
+        _rowdot(p_diff, 1.0 / (1.0 + diff ** 2)),   # homogeneity
+        np.einsum("nk,nk->n", flat, flat),          # asm
         -np.einsum("nk,nk->n", flat, logs) / np.log(2.0),  # entropy, bits
         correlation,
-        (dev2 * dev * p_sum).sum(axis=1),     # cluster shade
-        (dev2 * dev2 * p_sum).sum(axis=1),    # cluster prominence
+        (dev2 * dev * p_sum).sum(axis=1),           # cluster shade
+        (dev2 * dev2 * p_sum).sum(axis=1),          # cluster prominence
     ], axis=1)
 
 
@@ -287,16 +309,16 @@ def _glcm_descriptors(p: np.ndarray) -> np.ndarray:
 # GLRLM
 # ---------------------------------------------------------------------------
 
-def glrlm_compute(q: QuantizedImage, direction: tuple) -> np.ndarray:
-    """Counts of maximal in-ROI runs of equal codes along the direction,
-    rows = gray level, columns = run length (1-based); an out-of-ROI pixel
+def glrlm_compute(codes: np.ndarray, roi: np.ndarray, direction: tuple,
+                  levels: int) -> np.ndarray:
+    """Counts of maximal in-ROI runs of equal codes along the direction in
+    each slice of a stack (..., h, w) -> (..., levels, max(h, w)); rows =
+    gray level, columns = run length (1-based); an out-of-ROI pixel
     breaks a run."""
     if tuple(direction) not in GLRLM_DIRECTIONS:
         raise ValueError(f"direction must be one of {GLRLM_DIRECTIONS}")
-    if not (q.roi.bits > 0).any():
-        raise ValueError("empty mask")
-    return kernels.glrlm_counts(q.codes, q.roi.bits, *direction, q.levels,
-                                max(q.codes.shape))
+    return kernels.glrlm_counts(codes, roi, *direction, levels,
+                                max(codes.shape[-2:]))
 
 
 def _glrlm_descriptors(mats: np.ndarray) -> np.ndarray:
@@ -312,13 +334,13 @@ def _glrlm_descriptors(mats: np.ndarray) -> np.ndarray:
     by_length = mats.sum(axis=1)
     by_gray = mats.sum(axis=2)
     return np.stack([
-        by_length @ (1.0 / lengths ** 2) / n_runs,   # short-run emphasis
-        by_length @ lengths ** 2 / n_runs,           # long-run emphasis
-        (by_gray ** 2).sum(axis=1) / n_runs,         # gray-level nonuniformity
-        (by_length ** 2).sum(axis=1) / n_runs,       # run-length nonuniformity
-        n_runs / (by_length @ lengths),              # run percentage
-        by_gray @ (1.0 / grays ** 2) / n_runs,       # low gray-level emphasis
-        by_gray @ grays ** 2 / n_runs,               # high gray-level emphasis
+        _rowdot(by_length, 1.0 / lengths ** 2) / n_runs,  # short-run emphasis
+        _rowdot(by_length, lengths ** 2) / n_runs,        # long-run emphasis
+        (by_gray ** 2).sum(axis=1) / n_runs,              # gray-level nonuniformity
+        (by_length ** 2).sum(axis=1) / n_runs,            # run-length nonuniformity
+        n_runs / _rowdot(by_length, lengths),             # run percentage
+        _rowdot(by_gray, 1.0 / grays ** 2) / n_runs,      # low gray-level emphasis
+        _rowdot(by_gray, grays ** 2) / n_runs,            # high gray-level emphasis
     ], axis=1)
 
 
@@ -327,22 +349,26 @@ def _glrlm_descriptors(mats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pad_even(arr: np.ndarray) -> np.ndarray:
-    h, w = arr.shape
-    return np.pad(arr, ((0, h % 2), (0, w % 2)), mode="edge")
+    """Edge-replicate odd last two dimensions to even."""
+    h, w = arr.shape[-2:]
+    lead = ((0, 0),) * (arr.ndim - 2)
+    return np.pad(arr, lead + ((0, h % 2), (0, w % 2)), mode="edge")
 
 
-def wavelet_decompose(img: Image2D):
-    """Single-level orthonormal 2-D Haar transform.
+def wavelet_decompose(pixels: np.ndarray) -> dict:
+    """Single-level orthonormal 2-D Haar transform of each slice of a
+    stack (..., h, w).
 
     Odd dimensions are edge-replicated to even first.  Returns the four
-    half-size subbands (LL, LH, HL, HH); LH carries horizontal detail
-    (differences along columns), HL vertical detail.
+    half-size subbands (LL, LH, HL, HH), each (..., ceil(h/2), ceil(w/2));
+    LH carries horizontal detail (differences along columns), HL vertical
+    detail.
     """
-    x = _pad_even(img.pixels)
-    a = x[0::2, 0::2]
-    b = x[0::2, 1::2]
-    c = x[1::2, 0::2]
-    d = x[1::2, 1::2]
+    x = _pad_even(np.asarray(pixels, dtype=np.float64))
+    a = x[..., 0::2, 0::2]
+    b = x[..., 0::2, 1::2]
+    c = x[..., 1::2, 0::2]
+    d = x[..., 1::2, 1::2]
     return {
         "LL": (a + b + c + d) / 2.0,
         "LH": (a - b + c - d) / 2.0,
@@ -363,12 +389,12 @@ def wavelet_reconstruct(subbands: dict) -> np.ndarray:
     return out
 
 
-def downsample_mask(mask: RoiMask) -> RoiMask:
-    """2x2 any-set downsampling, matching the wavelet subband geometry."""
-    bits = _pad_even(mask.bits)
-    stacked = (bits[0::2, 0::2] | bits[0::2, 1::2]
-               | bits[1::2, 0::2] | bits[1::2, 1::2])
-    return RoiMask(bits=stacked)
+def downsample_mask(bits: np.ndarray) -> np.ndarray:
+    """2x2 any-set downsampling of each mask of a stack (..., h, w),
+    matching the wavelet subband geometry."""
+    bits = _pad_even(bits)
+    return (bits[..., 0::2, 0::2] | bits[..., 0::2, 1::2]
+            | bits[..., 1::2, 0::2] | bits[..., 1::2, 1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -394,53 +420,53 @@ def _catalog_names() -> tuple:
 CATALOG_NAMES = _catalog_names()
 
 
-def _texture_features(planes, levels: int) -> tuple:
-    """GLCM (4 offsets) and GLRLM (4 directions) descriptors of each
-    (values, roi) plane -> ((planes, 32), (planes, 28)).
+def _plane_features(values: np.ndarray, inside: np.ndarray,
+                    levels: int) -> np.ndarray:
+    """First-order (13), GLCM (4 offsets x 8) and GLRLM (4 directions x 7)
+    features of each plane of a stack (n, h, w) -> (n, 73).
 
-    Every matrix of every plane goes into one stack per family, so each
-    family's descriptors are one call.  An offset with no in-ROI pair
-    contributes an all-zero GLCM, hence zero descriptors, which keeps the
-    catalog total on degenerate ROIs.  GLRLMs are zero-padded to the
-    widest plane's max_run.
+    An offset with no in-ROI pair contributes an all-zero GLCM, hence zero
+    descriptors, which keeps the catalog total on degenerate ROIs.
     """
-    glcms, glrlms = [], []
-    for values, roi in planes:
-        q = QuantizedImage(codes=_quantize_array(values, roi.bits, levels),
-                           levels=levels, roi=roi)
-        for offset in GLCM_OFFSETS:
-            try:
-                glcms.append(glcm_compute(q, offset))
-            except EmptyCooccurrenceError:
-                glcms.append(np.zeros((levels, levels)))
-        glrlms += [glrlm_compute(q, direction) for direction in GLRLM_DIRECTIONS]
-    runs = np.zeros((len(glrlms), levels, max(m.shape[1] for m in glrlms)))
-    for stacked, mat in zip(runs, glrlms):
-        stacked[:, :mat.shape[1]] = mat
-    n = len(planes)
-    return (_glcm_descriptors(np.stack(glcms)).reshape(n, -1),
-            _glrlm_descriptors(runs).reshape(n, -1))
+    n = values.shape[0]
+    codes = _quantize(values, inside, levels)
+    glcms = np.stack([glcm_compute(codes, inside, offset, levels)
+                      for offset in GLCM_OFFSETS], axis=1)
+    runs = np.stack([glrlm_compute(codes, inside, direction, levels)
+                     for direction in GLRLM_DIRECTIONS], axis=1)
+    return np.concatenate([
+        _first_order(values, inside),
+        _glcm_descriptors(glcms.reshape(-1, levels, levels)).reshape(n, -1),
+        _glrlm_descriptors(runs.reshape(-1, *runs.shape[2:])).reshape(n, -1),
+    ], axis=1)
 
 
-def extract_all(img: Image2D, mask: RoiMask,
-                cfg: RadiomicsConfig = RadiomicsConfig()) -> FeatureVector:
-    """The full 374-feature catalog with stable prefixed names.
+def extract_all(pixels: np.ndarray, bits: np.ndarray,
+                cfg: RadiomicsConfig = RadiomicsConfig()) -> np.ndarray:
+    """The full 374-feature catalog of each slice of a stack -> (n, 374),
+    columns in CATALOG_NAMES order.
 
-    original plane: first-order (13) + shape (9) + GLCM (32) + GLRLM (28);
-    each Haar subband: first-order (13) + GLCM (32) + GLRLM (28).
+    pixels and bits are (n, h, w): the slices and their ROI masks, each
+    mask with at least one set pixel.  Original plane: first-order (13) +
+    shape (9) + GLCM (32) + GLRLM (28); each Haar subband: first-order
+    (13) + GLCM (32) + GLRLM (28).  The four subbands of every slice go
+    through the plane features as one stack of 4n planes.
     """
-    if img.pixels.shape != mask.bits.shape:
+    pixels = np.asarray(pixels, dtype=np.float64)
+    bits = np.asarray(bits)
+    if pixels.ndim != 3 or pixels.shape != bits.shape:
         raise ShapeMismatchError("image and mask dimensions differ")
-    inside = mask.bits > 0
-    if not inside.any():
+    inside = bits > 0
+    if not inside.any(axis=(1, 2)).all():
         raise ValueError("empty mask")
-    subbands = wavelet_decompose(img)
-    sub_mask = downsample_mask(mask)
-    sub_inside = sub_mask.bits > 0
-    planes = [(img.pixels, mask)] + [(subbands[b], sub_mask) for b in WAVELET_BANDS]
-    glcm, glrlm = _texture_features(planes, cfg.levels)
-    values = [_first_order_values(img.pixels[inside]), shape_features(mask).values,
-              glcm[0], glrlm[0]]
-    for k, band in enumerate(WAVELET_BANDS, start=1):
-        values += [_first_order_values(subbands[band][sub_inside]), glcm[k], glrlm[k]]
-    return FeatureVector(names=CATALOG_NAMES, values=np.concatenate(values))
+    n = pixels.shape[0]
+    original = _plane_features(pixels, inside, cfg.levels)
+    subbands = wavelet_decompose(pixels)
+    bands = np.stack([subbands[b] for b in WAVELET_BANDS], axis=1)
+    sub_inside = np.repeat(downsample_mask(inside), len(WAVELET_BANDS), axis=0)
+    sub = _plane_features(bands.reshape(-1, *bands.shape[2:]), sub_inside,
+                          cfg.levels).reshape(n, -1)
+    shape = np.stack([shape_features(b).values for b in inside])
+    first = len(FIRST_ORDER_NAMES)
+    return np.concatenate([original[:, :first], shape, original[:, first:], sub],
+                          axis=1)

@@ -20,10 +20,9 @@ from crbm_radiomics.classifiers import (lr_loss_and_grad, rf_fit,
 from crbm_radiomics.config import (CrbmSection, CvSection, PipelineConfig,
                                    SynthSpec)
 from crbm_radiomics.crbm import CrbmModel, CrbmTrainConfig
-from crbm_radiomics.data_model import Dataset, Image2D, RoiMask, load_manifest
-from crbm_radiomics.radiomics import (QuantizedImage, glcm_compute,
-                                      glrlm_compute, wavelet_decompose,
-                                      wavelet_reconstruct)
+from crbm_radiomics.data_model import Dataset, Image2D, load_manifest
+from crbm_radiomics.radiomics import (glcm_compute, glrlm_compute,
+                                      wavelet_decompose, wavelet_reconstruct)
 from crbm_radiomics.seeding import derive_rng
 
 from gibbs_enumeration import expected_cd_cosines
@@ -308,22 +307,23 @@ TEXTURE_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 def test_criterion_07_texture_matrices_match_brute_force():
     compared = 0
     for codes, roi, levels in TEXTURE_FIXTURES:
-        q = QuantizedImage(codes=codes, levels=levels, roi=RoiMask(bits=roi))
+        codes = codes.astype(np.int32)
         for offset in TEXTURE_OFFSETS:
-            pairs = brute_glcm(q.codes, roi, *offset, levels)
+            pairs = brute_glcm(codes, roi, *offset, levels)
             want = pairs + pairs.T
-            assert np.array_equal(glcm_compute(q, offset), want / want.sum())
+            assert np.array_equal(glcm_compute(codes, roi, offset, levels),
+                                  want / want.sum())
 
-            runs = brute_glrlm(q.codes, roi, *offset, levels,
+            runs = brute_glrlm(codes, roi, *offset, levels,
                                max(codes.shape))
-            assert np.array_equal(glrlm_compute(q, offset), runs)
+            assert np.array_equal(glrlm_compute(codes, roi, offset, levels), runs)
             compared += 2
 
     rng = np.random.default_rng(77)
     worst_rec, worst_energy = 0.0, 0.0
     for h, w in ((6, 6), (7, 5), (8, 9), (1, 4), (11, 11)):
         image = Image2D(pixels=rng.random((h, w)))
-        bands = wavelet_decompose(image)
+        bands = wavelet_decompose(image.pixels)
         back = wavelet_reconstruct(bands)
         gap = np.abs(back[:h, :w] - image.pixels).max()
         assert gap < 1e-10

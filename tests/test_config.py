@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbm_radiomics.classifiers import rf_fit
 from crbm_radiomics.config import (
@@ -17,7 +19,7 @@ from crbm_radiomics.config import (
     load_pipeline_config,
     load_synth_spec,
 )
-from crbm_radiomics.errors import ConfigError
+from crbm_radiomics.errors import ConfigError, PipelineError
 from crbm_radiomics.seeding import derive_rng
 
 
@@ -93,10 +95,50 @@ def test_missing_file_and_bad_json(tmp_path):
         load_pipeline_config(tmp_path / "list.json")
 
 
+def test_undecodable_config_names_the_file(tmp_path):
+    for i, data in enumerate((b'\xff{"seed": 1}', b'{"seed": ' + b"9" * 5000 + b"}")):
+        path = tmp_path / f"odd{i}.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"odd{i}.json: invalid JSON"):
+            load_pipeline_config(path)
+
+
 def test_wrong_type_is_reported_as_config_error(tmp_path):
-    path = write_json(tmp_path / "c.json", {"seed": "lots"})
-    config = load_pipeline_config(path)  # dataclasses do not coerce
-    assert config.seed == "lots" or isinstance(config.seed, str)
+    # the message names the file, the dotted field, the expected type and
+    # the type found
+    cases = [
+        ({"seed": "lots"}, "badcfg.json.seed: expected int, got str"),
+        ({"crbm": {"num_filters": "x"}},
+         "badcfg.json.crbm.num_filters: expected int, got str"),
+        ({"cv": {"k": 2.5}}, "badcfg.json.cv.k: expected int, got float"),
+        ({"crbm": {"learning_rate": "0.1"}},
+         "badcfg.json.crbm.learning_rate: expected float, got str"),
+        ({"classifier": {"rf_trees": True}},
+         "badcfg.json.classifier.rf_trees: expected int, got bool"),
+        ({"crbm": {"binarize_visible": 1}},
+         "badcfg.json.crbm.binarize_visible: expected bool, got int"),
+        ({"feature_source": None}, "badcfg.json.feature_source: expected str, got NoneType"),
+        ({"pls_components": [3]}, "badcfg.json.pls_components: expected int, got list"),
+    ]
+    for doc, message in cases:
+        path = write_json(tmp_path / "badcfg.json", doc)
+        with pytest.raises(ConfigError) as err:
+            load_pipeline_config(path)
+        assert str(err.value) == message
+    with pytest.raises(ConfigError, match=r"^bad\.json\.noise_level: expected float, got str$"):
+        load_synth_spec(write_json(tmp_path / "bad.json", {"noise_level": "0.5"}))
+
+
+def test_int_for_a_float_field_is_kept_as_written(tmp_path):
+    # not converted: the echoed config (and so a report) keeps the file's bytes
+    path = write_json(tmp_path / "c.json", {"crbm": {"learning_rate": 1},
+                                            "classifier": {"svm_c": 2}})
+    config = load_pipeline_config(path)
+    echo = config_echo(config)
+    assert type(echo["crbm"]["learning_rate"]) is int
+    assert json.dumps(echo["classifier"]["svm_c"]) == "2"
+    spec = load_synth_spec(write_json(tmp_path / "s.json", {"noise_level": 2}))
+    assert type(spec.noise_level) is int
 
 
 def test_synth_spec_load_and_validation(tmp_path):
@@ -163,3 +205,59 @@ def test_cv_section_defaults():
     assert CvSection().mode == "slice-level"
     with pytest.raises(ConfigError):
         CvSection(k=0)
+
+
+# Fuzzed config files, in the style of the damaged-PGM fuzzer: a complete
+# pipeline config or synth spec with one field, key or section replaced,
+# or its bytes damaged.  Each file loads, or raises a PipelineError whose
+# message names the file; never a bare TypeError, ValueError, KeyError or
+# IndexError.
+ODD_VALUES = (None, True, False, 0, -1, 1, 2.5, -0.0, 10 ** 30, 1e308,
+              float("nan"), float("inf"), "", "x", "0.1", "lr", "radiomics",
+              [], [1], {}, {"k": 2}, "9" * 5000)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def config_files(draw, base):
+    doc = json.loads(json.dumps(config_echo(base)))
+    sections = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+    where = draw(st.sampled_from(sections))
+    kind = draw(st.sampled_from(("value", "key", "drop", "bytes")))
+    value = draw(st.sampled_from(ODD_VALUES) | JSON_VALUES)
+    if kind == "value":
+        where[draw(st.sampled_from(sorted(where)))] = value
+    elif kind == "key":
+        where[draw(st.text(max_size=6))] = value
+    elif kind == "drop":
+        del where[draw(st.sampled_from(sorted(where)))]
+    data = json.dumps(doc).encode()
+    if kind == "bytes":
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(("byte", "insert", "delete", "truncate")))
+        if how == "byte":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif how == "insert":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+        elif how == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 4)):]
+        else:
+            data = data[:at]
+    return data
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_loads_or_names_the_file(tmp_path_factory, data):
+    loader, base = data.draw(st.sampled_from(((load_pipeline_config, PipelineConfig()),
+                                              (load_synth_spec, SynthSpec()))))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(data.draw(config_files(base)))
+    try:
+        loader(path)
+    except PipelineError as exc:
+        assert "fuzzed.json" in str(exc)

@@ -10,8 +10,8 @@ from crbm_radiomics.data_model import (
     Image2D, RoiMask, crop_to_roi,
     extract_patches, load_image, load_manifest, load_mask, normalize_image,
     read_pgm, resize_or_pad, save_image, save_mask, write_pgm)
-from crbm_radiomics.errors import (ManifestError, RasterFormatError,
-                                   ShapeMismatchError)
+from crbm_radiomics.errors import (ManifestError, PipelineError,
+                                   RasterFormatError, ShapeMismatchError)
 
 
 def test_image_requires_unit_interval():
@@ -255,3 +255,68 @@ def test_manifest_reports_offending_line_number(tmp_path):
     with pytest.raises(ManifestError, match=":3"):
         load_manifest(_write_manifest(tmp_path, rows))
 
+
+
+def test_manifest_undecodable_or_malformed_csv_names_the_file(tmp_path):
+    header = b"sample_id,patient_id,image,mask,label,stage,subtype\n"
+    for data, message in ((b"\xff" + header, "not UTF-8"),
+                          (header + b"a," + b"x" * 140000 + b",m,1,baseline,unknown\n",
+                           "bad CSV")):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(data)
+        with pytest.raises(ManifestError, match=message) as err:
+            load_manifest(path)
+        assert str(path) in str(err.value)
+
+
+# Fuzzed manifests, in the style of the damaged-PGM fuzzer: a valid
+# manifest with one cell, row or the header replaced, or its bytes
+# damaged.  Each file loads, or raises a PipelineError whose message names
+# the file; never a bare TypeError, ValueError, KeyError or IndexError.
+ODD_CELLS = ("", " ", "2", "-1", "1.0", " 1 ", "early", "HR+HER2-", "bogus",
+             '"', '"a,b"', "a\nb", "\x00", "\x1c", "\xa0", "x" * 140000)
+
+
+@st.composite
+def manifest_files(draw):
+    rows = [["sample_id", "patient_id", "image", "mask", "label", "stage", "subtype"]]
+    for k in range(draw(st.integers(0, 4))):
+        rows.append([f"s{k}", f"p{k // 2}", f"i{k}.pgm", f"m{k}.pgm", str(k % 2),
+                     draw(st.sampled_from(("baseline", "unknown"))), "unknown"])
+    kind = draw(st.sampled_from(("cell", "row", "duplicate", "bytes")))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "cell":
+        j = draw(st.integers(0, 6))
+        rows[i][j] = draw(st.sampled_from(ODD_CELLS) | st.text(max_size=4))
+    elif kind == "row":
+        rows[i] = draw(st.lists(st.sampled_from(ODD_CELLS[:10]), max_size=9))
+    elif kind == "duplicate":
+        rows.append(list(rows[i]))
+    text = "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(("\n", "", "\r\n")))
+    data = text.encode("utf-8", "surrogatepass")
+    if kind == "bytes":
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(("byte", "insert", "delete", "truncate")))
+        if how == "byte":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif how == "insert":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+        elif how == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 4)):]
+        else:
+            data = data[:at]
+    return data
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=manifest_files())
+def test_fuzzed_manifest_loads_or_names_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_bytes(data)
+    try:
+        dataset = load_manifest(path)
+    except PipelineError as exc:
+        assert str(path) in str(exc)
+        return
+    for record in dataset.records:
+        assert record.label in (0, 1)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from crbm_radiomics import crbm, features
+from crbm_radiomics import crbm, features, radiomics
 from crbm_radiomics.config import CrbmSection, PipelineConfig
+from crbm_radiomics.data_model import (MANIFEST_HEADER, Image2D, RoiMask,
+                                       load_manifest, load_sample, save_image,
+                                       save_mask)
 from crbm_radiomics.errors import ConfigError
 from crbm_radiomics.features import (
     FeatureMatrix,
@@ -15,6 +18,7 @@ from crbm_radiomics.features import (
     radiomics_features,
 )
 from crbm_radiomics.radiomics import FEATURE_COUNT, RadiomicsConfig
+from radiomics_reference import assert_catalog_row_matches_reference
 
 
 def small_config(**over):
@@ -80,6 +84,61 @@ def test_radiomics_features_one_row_per_slice(tiny_corpus):
     assert fm.parents == fm.row_ids
     assert fm.labels.tolist() == [r.label for r in dataset.records]
     assert fm.patient_ids == tuple(r.patient_id for r in dataset.records)
+
+
+def spy_on_extract_all(monkeypatch):
+    """The stack sizes extract_all is called with, in call order."""
+    sizes = []
+    real = radiomics.extract_all
+
+    def spy(pixels, bits, cfg):
+        sizes.append(pixels.shape[0])
+        return real(pixels, bits, cfg)
+
+    monkeypatch.setattr(radiomics, "extract_all", spy)
+    return sizes
+
+
+def test_radiomics_rows_do_not_depend_on_the_stack_budget(tiny_corpus, monkeypatch):
+    dataset, _ = tiny_corpus
+    sizes = spy_on_extract_all(monkeypatch)
+    default = radiomics_features(dataset, RadiomicsConfig()).values
+    # 24 slices of 32x32: 8 per stack at the default budget of 2**13 pixels
+    assert sizes == [8, 8, 8]
+    for budget, stacks in ((1, [1] * len(dataset)), (10 ** 9, [len(dataset)])):
+        sizes.clear()
+        monkeypatch.setattr(features, "_STACK_PIXELS", budget)
+        values = radiomics_features(dataset, RadiomicsConfig()).values
+        assert sizes == stacks
+        assert np.array_equal(values, default)  # bit-identical
+
+
+def write_mixed_shape_corpus(root):
+    """A manifest of slices of mixed and odd shapes, runs of equal shapes
+    broken up and resumed, each with its own ROI."""
+    rng = np.random.default_rng(11)
+    shapes = [(9, 7), (9, 7), (12, 12), (9, 7), (5, 11), (5, 11), (5, 11),
+              (1, 6), (12, 12), (3, 3)]
+    lines = [",".join(MANIFEST_HEADER)]
+    for k, (h, w) in enumerate(shapes):
+        bits = (rng.random((h, w)) < 0.6).astype(np.uint8)
+        bits[rng.integers(h), rng.integers(w)] = 1
+        save_image(root / f"s{k}.pgm", Image2D(pixels=rng.random((h, w))))
+        save_mask(root / f"m{k}.pgm", RoiMask(bits=bits))
+        lines.append(f"s{k},p{k // 2},s{k}.pgm,m{k}.pgm,{k % 2},unknown,unknown")
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return load_manifest(root / "manifest.csv")
+
+
+def test_radiomics_rows_of_mixed_shapes_follow_the_manifest(tmp_path, monkeypatch):
+    dataset = write_mixed_shape_corpus(tmp_path)
+    sizes = spy_on_extract_all(monkeypatch)
+    fm = radiomics_features(dataset, RadiomicsConfig())
+    assert sizes == [2, 1, 1, 3, 1, 1, 1]  # one stack per run of equal shapes
+    assert fm.row_ids == tuple(r.sample_id for r in dataset.records)
+    for row, record in zip(fm.values, dataset.records):
+        img, mask = load_sample(record)
+        assert_catalog_row_matches_reference(row, img.pixels, mask.bits, 32)
 
 
 def test_crbm_image_features_shape_and_names(tiny_corpus):

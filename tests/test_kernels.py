@@ -178,3 +178,64 @@ def test_corr_grad_batched_is_sum_of_per_image_correlations(seed, batch, m, k, e
     want = sum(np.stack([correlate2d(img, maps[i], mode="valid") for i in range(m)])
                for img, maps in zip(_images(v, 2), _images(h, 3)))
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+# Property tests on stacks: one call counts every member of a random stack
+# of same-shape slices, and each member's matrix equals the brute-force
+# enumeration of that member alone.  Members get their own ROI: empty,
+# a single pixel, a checkerboard (no pair at (0, 1) or (1, 0)), random
+# densities or full; h and w are drawn independently.
+ROI_KINDS = ("empty", "single", "checker", "sparse", "dense", "full")
+
+
+def _member_roi(rng, kind, h, w):
+    if kind == "empty":
+        return np.zeros((h, w), dtype=np.uint8)
+    if kind == "single":
+        roi = np.zeros((h, w), dtype=np.uint8)
+        roi[rng.integers(h), rng.integers(w)] = 1
+        return roi
+    if kind == "checker":
+        return (np.add.outer(np.arange(h), np.arange(w)) % 2 == 0).astype(np.uint8)
+    density = {"sparse": 0.3, "dense": 0.8, "full": 1.0}[kind]
+    return (rng.random((h, w)) < density).astype(np.uint8)
+
+
+@st.composite
+def quantized_stacks(draw):
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    levels = draw(st.integers(2, 8))
+    kinds = draw(st.lists(st.sampled_from(ROI_KINDS), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roi = np.stack([_member_roi(rng, kind, h, w) for kind in kinds])
+    codes = rng.integers(1, levels + 1, size=roi.shape)
+    if draw(st.booleans()):
+        codes = np.sort(codes, axis=draw(st.sampled_from((1, 2))))
+    codes = np.where(roi > 0, codes, 0).astype(np.int32)
+    return codes, roi, levels, draw(st.sampled_from(OFFSETS)), \
+        draw(st.integers(1, max(h, w)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(quantized_stacks())
+def test_stacked_glcm_counts_match_brute_force_per_member(case):
+    codes, roi, levels, (dr, dc), _ = case
+    got = kernels.glcm_counts(codes, roi, dr, dc, levels)
+    assert got.shape == (codes.shape[0], levels, levels)
+    for member, c, r in zip(got, codes, roi):
+        assert np.array_equal(member, brute_glcm(c, r, dr, dc, levels))
+    # any number of leading axes: a (1, n) stack counts the same
+    assert np.array_equal(kernels.glcm_counts(codes[None], roi[None], dr, dc, levels),
+                          got[None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(quantized_stacks())
+def test_stacked_glrlm_counts_match_brute_force_per_member(case):
+    codes, roi, levels, (dr, dc), max_run = case
+    got = kernels.glrlm_counts(codes, roi, dr, dc, levels, max_run)
+    assert got.shape == (codes.shape[0], levels, max_run)
+    for member, c, r in zip(got, codes, roi):
+        assert np.array_equal(member, brute_glrlm(c, r, dr, dc, levels, max_run))
+    assert np.array_equal(
+        kernels.glrlm_counts(codes[None], roi[None], dr, dc, levels, max_run), got[None])

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from crbm_radiomics import radiomics
 from crbm_radiomics.data_model import Image2D, RoiMask
-from crbm_radiomics.errors import EmptyCooccurrenceError, ShapeMismatchError
+from crbm_radiomics.errors import ShapeMismatchError
 from crbm_radiomics.radiomics import (
+    CATALOG_NAMES,
     FEATURE_COUNT,
     FIRST_ORDER_NAMES,
     GLCM_FEATURE_NAMES,
     GLRLM_FEATURE_NAMES,
     FeatureVector,
-    QuantizedImage,
     RadiomicsConfig,
     extract_all,
     glcm_compute,
@@ -25,12 +25,27 @@ from crbm_radiomics.radiomics import (
     wavelet_reconstruct,
 )
 from crbm_radiomics.seeding import derive_rng
+
+from radiomics_reference import assert_catalog_row_matches_reference
 from texture_bruteforce import (brute_glcm, brute_glrlm, reference_glcm_features,
                                 reference_glrlm_features)
 
 
 def full_mask(shape):
     return RoiMask(bits=np.ones(shape, dtype=np.uint8))
+
+
+def extract_one(img, mask, cfg=RadiomicsConfig()):
+    """The catalog of one slice, as a one-member stack."""
+    values = extract_all(img.pixels[None], mask.bits[None], cfg)
+    assert values.shape == (1, FEATURE_COUNT)
+    return FeatureVector(names=CATALOG_NAMES, values=values[0])
+
+
+def quantize(values, bits, levels):
+    """The codes of one slice, as a one-member stack."""
+    return radiomics._quantize(np.asarray(values, dtype=np.float64)[None],
+                               np.asarray(bits)[None] > 0, levels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +67,18 @@ def test_feature_vector_rejects_duplicates_and_non_finite():
 
 def test_quantize_equal_width_hand_case():
     values = np.array([[0.0, 0.25, 0.5, 0.75, 1.0]])
-    codes = radiomics._quantize_array(values, np.ones((1, 5)), 4)
+    codes = quantize(values, np.ones((1, 5)), 4)
     assert codes.tolist() == [[1, 2, 3, 4, 4]]
 
 
 def test_quantize_constant_region_maps_to_one():
-    codes = radiomics._quantize_array(np.full((3, 3), 0.4), np.ones((3, 3)), 32)
+    codes = quantize(np.full((3, 3), 0.4), np.ones((3, 3)), 32)
     assert set(codes.ravel()) == {1}
 
 
 def test_quantize_marks_outside_pixels_zero():
     bits = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-    codes = radiomics._quantize_array(np.array([[0.1, 0.9], [0.5, 0.8]]), bits, 8)
+    codes = quantize(np.array([[0.1, 0.9], [0.5, 0.8]]), bits, 8)
     assert codes[0, 1] == 0
     assert (codes[bits > 0] >= 1).all()
 
@@ -71,19 +86,23 @@ def test_quantize_marks_outside_pixels_zero():
 def test_quantize_uses_roi_range_only():
     # the bright outside pixel must not stretch the bins
     bits = np.array([[1, 1, 0]], dtype=np.uint8)
-    codes = radiomics._quantize_array(np.array([[0.2, 0.4, 1.0]]), bits, 2)
+    codes = quantize(np.array([[0.2, 0.4, 1.0]]), bits, 2)
     assert codes.tolist() == [[1, 2, 0]]
 
 
 def test_quantize_validation_errors():
-    # fewer than 2 levels is refused by the config, a size mismatch by
-    # extract_all, an empty ROI by the quantizer itself
+    # fewer than 2 levels is refused by the config; a size mismatch and an
+    # empty ROI anywhere in the stack by extract_all
     with pytest.raises(ValueError):
         RadiomicsConfig(levels=1)
     with pytest.raises(ShapeMismatchError):
-        extract_all(Image2D(pixels=np.zeros((2, 2))), full_mask((3, 3)))
-    with pytest.raises(ValueError):
-        radiomics._quantize_array(np.zeros((2, 2)), np.zeros((2, 2), dtype=np.uint8), 32)
+        extract_one(Image2D(pixels=np.zeros((2, 2))), full_mask((3, 3)))
+    with pytest.raises(ShapeMismatchError):
+        extract_all(np.zeros((2, 2)), np.ones((2, 2)))
+    bits = np.ones((2, 3, 3), dtype=np.uint8)
+    bits[1] = 0
+    with pytest.raises(ValueError, match="empty mask"):
+        extract_all(np.zeros((2, 3, 3)), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +110,9 @@ def test_quantize_validation_errors():
 # ---------------------------------------------------------------------------
 
 def first_order(pixels):
-    return dict(zip(FIRST_ORDER_NAMES, radiomics._first_order_values(pixels)))
+    pixels = np.asarray(pixels, dtype=np.float64)
+    values = radiomics._first_order(pixels[None], np.ones((1, *pixels.shape), bool))
+    return dict(zip(FIRST_ORDER_NAMES, values[0]))
 
 
 def test_first_order_matches_scipy_on_random_data():
@@ -133,10 +154,62 @@ def test_first_order_entropy_hand_cases():
     assert cg["variance"] == 0.0
 
 
+def test_constant_roi_has_zero_spread_whatever_the_rounding_of_its_mean():
+    # three pixels of 0.1 sum to 0.30000000000000004, so their float mean is
+    # not 0.1; deviations from that mean gave a variance of 2e-34, a
+    # skewness of -1 and an excess kurtosis of -2 for a constant region
+    x = np.full((1, 3), 0.1)
+    assert x.mean() != 0.1
+    got = first_order(x)
+    assert got["mean"] == 0.1
+    for name in ("variance", "skewness", "kurtosis", "entropy", "mean_abs_dev"):
+        assert got[name] == 0.0, name
+
+
+@st.composite
+def histogram_stacks(draw):
+    """Members of one stack: the 257 bin edges of a random range with
+    their float neighbours inside it, random values, and a constant
+    member; pixels outside a member's ROI hold 99."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.floats(-2.0, 2.0))
+        hi = lo + draw(st.floats(1e-9, 4.0))
+        edges = np.linspace(lo, hi, 257)
+        near = np.concatenate([np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        members.append(np.concatenate([edges, near[(near >= lo) & (near <= hi)],
+                                       rng.uniform(lo, hi, size=50)]))
+    members.append(np.full(7, draw(st.floats(-2.0, 2.0))))
+    width = max(m.size for m in members)
+    x = np.full((len(members), width), 99.0)
+    inside = np.zeros(x.shape, dtype=bool)
+    for k, m in enumerate(members):
+        x[k, :m.size] = rng.permutation(m)
+        inside[k, :m.size] = True
+    return members, x, inside
+
+
+@settings(max_examples=60, deadline=None)
+@given(histogram_stacks())
+def test_stacked_histograms_match_np_histogram_on_bin_edges(case):
+    members, x, inside = case
+    lo = np.array([m.min() for m in members])
+    hi = np.array([m.max() for m in members])
+    got = radiomics._histograms(x, inside, lo, hi)
+    assert got.shape == (len(members), 256)
+    for counts, m, a, b in zip(got, members, lo, hi):
+        if b > a:
+            want, _ = np.histogram(m, bins=256, range=(a, b))
+            assert np.array_equal(counts, want)
+        else:
+            assert not counts.any()  # a constant plane has no histogram
+
+
 def test_first_order_ignores_pixels_outside_roi():
     bits = np.array([[1, 1, 0]], dtype=np.uint8)
     img = Image2D(pixels=np.array([[0.2, 0.4, 0.9]]))
-    fv = extract_all(img, RoiMask(bits=bits))
+    fv = extract_one(img, RoiMask(bits=bits))
     got = {name[len("original_firstorder_"):]: value
            for name, value in zip(fv.names, fv.values)
            if name.startswith("original_firstorder_")}
@@ -152,7 +225,7 @@ def test_first_order_ignores_pixels_outside_roi():
 def test_shape_rectangle_hand_values():
     bits = np.zeros((9, 15), dtype=np.uint8)
     bits[2:7, 3:14] = 1  # 5 rows x 11 cols solid rectangle
-    fv = shape_features(RoiMask(bits=bits))
+    fv = shape_features(bits)
     got = dict(zip(fv.names, fv.values))
     assert got["area"] == 55.0
     assert got["perimeter"] == 2 * (5 + 11)
@@ -168,7 +241,7 @@ def test_shape_rectangle_hand_values():
 def test_shape_square_compactness_is_pi_over_four():
     bits = np.zeros((6, 6), dtype=np.uint8)
     bits[1:5, 1:5] = 1
-    fv = shape_features(RoiMask(bits=bits))
+    fv = shape_features(bits)
     got = dict(zip(fv.names, fv.values))
     assert got["compactness"] == pytest.approx(np.pi / 4.0, abs=1e-12)
 
@@ -178,7 +251,7 @@ def test_shape_perimeter_counts_concave_boundary():
     bits = np.zeros((5, 5), dtype=np.uint8)
     bits[2, 1:4] = 1
     bits[1:4, 2] = 1
-    fv = shape_features(RoiMask(bits=bits))
+    fv = shape_features(bits)
     got = dict(zip(fv.names, fv.values))
     assert got["area"] == 5.0
     assert got["perimeter"] == 12.0
@@ -187,7 +260,7 @@ def test_shape_perimeter_counts_concave_boundary():
 def test_shape_single_pixel_is_degenerate_but_finite():
     bits = np.zeros((3, 3), dtype=np.uint8)
     bits[1, 1] = 1
-    fv = shape_features(RoiMask(bits=bits))
+    fv = shape_features(bits)
     got = dict(zip(fv.names, fv.values))
     assert got["area"] == 1.0
     assert got["perimeter"] == 4.0
@@ -203,8 +276,8 @@ def test_shape_translation_invariance():
     b = np.zeros((12, 12), dtype=np.uint8)
     a[1:5, 2:8] = blob
     b[6:10, 4:10] = blob
-    va = shape_features(RoiMask(bits=a)).values
-    vb = shape_features(RoiMask(bits=b)).values
+    va = shape_features(a).values
+    vb = shape_features(b).values
     np.testing.assert_allclose(va, vb, atol=1e-12)
 
 
@@ -213,16 +286,16 @@ def test_shape_translation_invariance():
 # ---------------------------------------------------------------------------
 
 def hand_quantized(codes, bits=None):
+    """(codes, roi bits, levels) of one hand-written slice."""
     codes = np.asarray(codes, dtype=np.int32)
     if bits is None:
         bits = (codes > 0).astype(np.uint8)
-    return QuantizedImage(codes=codes, levels=int(codes.max()),
-                          roi=RoiMask(bits=np.asarray(bits, dtype=np.uint8)))
+    return codes, np.asarray(bits, dtype=np.uint8), int(codes.max())
 
 
 def test_glcm_hand_computed_matrix():
-    q = hand_quantized([[1, 1, 2], [2, 2, 3]])
-    g = glcm_compute(q, (0, 1))
+    codes, bits, levels = hand_quantized([[1, 1, 2], [2, 2, 3]])
+    g = glcm_compute(codes, bits, (0, 1), levels)
     want = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 0]]) / 8.0
     np.testing.assert_allclose(g, want, atol=1e-15)
 
@@ -232,8 +305,8 @@ def glcm_descriptors(p):
 
 
 def test_glcm_feature_hand_values():
-    q = hand_quantized([[1, 1, 2], [2, 2, 3]])
-    got = glcm_descriptors(glcm_compute(q, (0, 1)))
+    codes, bits, levels = hand_quantized([[1, 1, 2], [2, 2, 3]])
+    got = glcm_descriptors(glcm_compute(codes, bits, (0, 1), levels))
     # from the known 8-pair matrix above
     assert got["contrast"] == pytest.approx(0.5, abs=1e-12)
     assert got["dissimilarity"] == pytest.approx(0.5, abs=1e-12)
@@ -247,9 +320,8 @@ def test_glcm_feature_hand_values():
 def test_glcm_matrix_is_symmetric_and_normalized():
     rng = derive_rng(3, "glcm")
     codes = rng.integers(1, 6, size=(9, 9)).astype(np.int32)
-    q = QuantizedImage(codes=codes, levels=5, roi=full_mask((9, 9)))
     for offset in radiomics.GLCM_OFFSETS:
-        g = glcm_compute(q, offset)
+        g = glcm_compute(codes, np.ones((9, 9)), offset, 5)
         np.testing.assert_allclose(g, g.T, atol=1e-15)
         assert g.sum() == pytest.approx(1.0, abs=1e-12)
         assert g.shape == (5, 5)
@@ -258,24 +330,28 @@ def test_glcm_matrix_is_symmetric_and_normalized():
 def test_glcm_requires_in_roi_pairs():
     bits = np.array([[1, 0], [0, 1]], dtype=np.uint8)
     codes = np.array([[1, 2], [2, 1]], dtype=np.int32)
-    q = QuantizedImage(codes=codes, levels=2, roi=RoiMask(bits=bits))
-    with pytest.raises(EmptyCooccurrenceError):
-        glcm_compute(q, (0, 1))  # diagonal neighbours only
-    g = glcm_compute(q, (1, 1))
+    # diagonal neighbours only: no in-ROI pair across columns
+    assert not glcm_compute(codes, bits, (0, 1), 2).any()
+    g = glcm_compute(codes, bits, (1, 1), 2)
     assert g[0, 0] == 1.0  # the single 1-1 diagonal pair
+    # in a stack, the member without a pair stays zero beside one with pairs
+    stack = glcm_compute(np.stack([codes, codes]), np.stack([bits, np.ones((2, 2))]),
+                         (0, 1), 2)
+    assert not stack[0].any()
+    assert stack[1].sum() == 1.0
 
 
 def test_glcm_rejects_zero_offset():
-    q = hand_quantized([[1, 2]])
+    codes, bits, levels = hand_quantized([[1, 2]])
     with pytest.raises(ValueError):
-        glcm_compute(q, (0, 0))
+        glcm_compute(codes, bits, (0, 0), levels)
 
 
 def test_glcm_correlation_of_column_stripes():
     codes = np.tile(np.arange(1, 9, dtype=np.int32), (8, 1))
-    q = QuantizedImage(codes=codes, levels=8, roi=full_mask((8, 8)))
-    across = glcm_descriptors(glcm_compute(q, (0, 1)))
-    along = glcm_descriptors(glcm_compute(q, (1, 0)))
+    roi = np.ones((8, 8))
+    across = glcm_descriptors(glcm_compute(codes, roi, (0, 1), 8))
+    along = glcm_descriptors(glcm_compute(codes, roi, (1, 0), 8))
     # along a column every pair repeats the same code: perfect correlation
     assert along["correlation"] == pytest.approx(1.0, abs=1e-12)
     assert along["contrast"] == 0.0
@@ -289,8 +365,8 @@ def test_glcm_correlation_of_column_stripes():
 # ---------------------------------------------------------------------------
 
 def test_glrlm_hand_computed_runs():
-    q = hand_quantized([[1, 1, 2, 2, 2, 1]])
-    r = glrlm_compute(q, (0, 1))
+    codes, bits, levels = hand_quantized([[1, 1, 2, 2, 2, 1]])
+    r = glrlm_compute(codes, bits, (0, 1), levels)
     want = np.zeros((2, 6))
     want[0, 1] = 1  # run of 1s, length 2
     want[1, 2] = 1  # run of 2s, length 3
@@ -299,7 +375,8 @@ def test_glrlm_hand_computed_runs():
 
 
 def test_glrlm_feature_hand_values():
-    runs = glrlm_compute(hand_quantized([[1, 1, 2, 2, 2, 1]]), (0, 1))
+    codes, bits, levels = hand_quantized([[1, 1, 2, 2, 2, 1]])
+    runs = glrlm_compute(codes, bits, (0, 1), levels)
     got = dict(zip(GLRLM_FEATURE_NAMES, radiomics._glrlm_descriptors(runs[None])[0]))
     assert got["sre"] == pytest.approx((1 + 1 / 4 + 1 / 9) / 3, abs=1e-12)
     assert got["lre"] == pytest.approx((1 + 4 + 9) / 3, abs=1e-12)
@@ -313,16 +390,15 @@ def test_glrlm_feature_hand_values():
 def test_glrlm_out_of_roi_pixel_breaks_run():
     codes = np.array([[1, 1, 1, 1]], dtype=np.int32)
     bits = np.array([[1, 1, 0, 1]], dtype=np.uint8)
-    q = QuantizedImage(codes=codes * (bits > 0), levels=1, roi=RoiMask(bits=bits))
-    r = glrlm_compute(q, (0, 1))
+    r = glrlm_compute(codes * (bits > 0), bits, (0, 1), 1)
     assert r[0, 1] == 1  # leading pair
     assert r[0, 0] == 1  # isolated trailing pixel
     assert r.sum() == 2
 
 
 def test_glrlm_diagonal_direction_hand_case():
-    q = hand_quantized([[1, 2], [2, 1]])
-    r = glrlm_compute(q, (1, 1))
+    codes, bits, levels = hand_quantized([[1, 2], [2, 1]])
+    r = glrlm_compute(codes, bits, (1, 1), levels)
     # main diagonal: run "1,1"? no: codes are 1 then 1 -> a length-2 run
     assert r[0, 1] == 1
     # off-diagonals are single pixels: two length-1 runs of gray 2
@@ -331,7 +407,7 @@ def test_glrlm_diagonal_direction_hand_case():
 
 def test_glrlm_rejects_unknown_direction():
     with pytest.raises(ValueError):
-        glrlm_compute(hand_quantized([[1, 2]]), (0, -1))
+        glrlm_compute(*hand_quantized([[1, 2]])[:2], (0, -1), 2)
 
 
 def test_glrlm_total_pixels_equals_roi_size():
@@ -339,10 +415,9 @@ def test_glrlm_total_pixels_equals_roi_size():
     codes = rng.integers(1, 5, size=(7, 7)).astype(np.int32)
     bits = (rng.random((7, 7)) < 0.8).astype(np.uint8)
     bits[0, 0] = 1
-    q = QuantizedImage(codes=codes * (bits > 0), levels=4, roi=RoiMask(bits=bits))
     lengths = np.arange(1, 8)
     for direction in radiomics.GLRLM_DIRECTIONS:
-        mat = glrlm_compute(q, direction)
+        mat = glrlm_compute(codes * (bits > 0), bits, direction, 4)
         assert (mat * lengths[None, :]).sum() == bits.sum()
 
 
@@ -468,7 +543,7 @@ def test_stacked_glrlm_descriptors_reject_a_member_without_runs():
 
 def test_wavelet_two_by_two_hand_case():
     img = Image2D(pixels=np.array([[0.1, 0.2], [0.3, 0.4]]))
-    bands = wavelet_decompose(img)
+    bands = wavelet_decompose(img.pixels)
     assert bands["LL"][0, 0] == pytest.approx(0.5, abs=1e-15)
     assert bands["LH"][0, 0] == pytest.approx(-0.1, abs=1e-15)
     assert bands["HL"][0, 0] == pytest.approx(-0.2, abs=1e-15)
@@ -478,14 +553,14 @@ def test_wavelet_two_by_two_hand_case():
 def test_wavelet_round_trip_even_dims():
     rng = derive_rng(5, "wv")
     x = rng.random((16, 12))
-    back = wavelet_reconstruct(wavelet_decompose(Image2D(pixels=x)))
+    back = wavelet_reconstruct(wavelet_decompose(x))
     np.testing.assert_allclose(back, x, atol=1e-10)
 
 
 def test_wavelet_round_trip_odd_dims_reproduces_padded_image():
     rng = derive_rng(6, "wvo")
     x = rng.random((7, 9))
-    back = wavelet_reconstruct(wavelet_decompose(Image2D(pixels=x)))
+    back = wavelet_reconstruct(wavelet_decompose(x))
     assert back.shape == (8, 10)
     np.testing.assert_allclose(back[:7, :9], x, atol=1e-10)
     np.testing.assert_allclose(back[7, :9], x[6, :], atol=1e-10)  # edge pad
@@ -494,13 +569,13 @@ def test_wavelet_round_trip_odd_dims_reproduces_padded_image():
 def test_wavelet_conserves_energy():
     rng = derive_rng(7, "wve")
     x = rng.random((10, 10))
-    bands = wavelet_decompose(Image2D(pixels=x))
+    bands = wavelet_decompose(x)
     total = sum(float(np.sum(b ** 2)) for b in bands.values())
     assert total == pytest.approx(float(np.sum(x ** 2)), abs=1e-9)
 
 
 def test_wavelet_constant_image_has_detail_zero():
-    bands = wavelet_decompose(Image2D(pixels=np.full((6, 6), 0.25)))
+    bands = wavelet_decompose(np.full((6, 6), 0.25))
     assert np.abs(bands["LH"]).max() == 0.0
     assert np.abs(bands["HL"]).max() == 0.0
     assert np.abs(bands["HH"]).max() == 0.0
@@ -512,8 +587,13 @@ def test_downsample_mask_any_set_rule():
                      [0, 0, 0, 0],
                      [0, 0, 1, 1],
                      [0, 0, 1, 1]], dtype=np.uint8)
-    small = radiomics.downsample_mask(RoiMask(bits=bits))
-    np.testing.assert_array_equal(small.bits, [[1, 0], [0, 1]])
+    small = radiomics.downsample_mask(bits)
+    np.testing.assert_array_equal(small, [[1, 0], [0, 1]])
+    # a stack downsamples member by member; odd sides are edge-replicated
+    odd = np.zeros((3, 3), dtype=np.uint8)
+    odd[2, 2] = 1
+    stacked = radiomics.downsample_mask(np.stack([bits[:3, :3], odd]))
+    np.testing.assert_array_equal(stacked, [[[1, 0], [0, 1]], [[0, 0], [0, 1]]])
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +610,7 @@ def random_image_and_mask(rng, size=18):
 def test_extract_all_has_374_unique_finite_features():
     rng = derive_rng(8, "cat")
     img, mask = random_image_and_mask(rng)
-    fv = extract_all(img, mask)
+    fv = extract_one(img, mask)
     assert len(fv) == FEATURE_COUNT == 374
     assert len(set(fv.names)) == 374
     assert np.isfinite(fv.values).all()
@@ -539,7 +619,7 @@ def test_extract_all_has_374_unique_finite_features():
 def test_extract_all_name_inventory():
     rng = derive_rng(9, "names")
     img, mask = random_image_and_mask(rng)
-    names = extract_all(img, mask).names
+    names = extract_one(img, mask).names
     count = lambda s: sum(1 for n in names if n.startswith(s))
     assert count("original_firstorder_") == 13
     assert count("shape_") == 9
@@ -557,22 +637,24 @@ def test_extract_all_texture_columns_are_the_per_matrix_features():
     # brute-force enumerated matrix of its plane and offset
     rng = derive_rng(12, "stack")
     img, mask = random_image_and_mask(rng, size=15)
-    fv = extract_all(img, mask)
+    fv = extract_one(img, mask)
     got = dict(zip(fv.names, fv.values))
-    subbands = wavelet_decompose(img)
+    subbands = wavelet_decompose(img.pixels)
     planes = [("original_", img.pixels, mask)] + [
-        (f"wavelet_{b}_", subbands[b], radiomics.downsample_mask(mask))
+        (f"wavelet_{b}_", subbands[b], radiomics.downsample_mask(mask.bits))
         for b in radiomics.WAVELET_BANDS]
     for prefix, values, roi in planes:
-        codes = radiomics._quantize_array(values, roi.bits, 32)
+        if isinstance(roi, RoiMask):
+            roi = roi.bits
+        codes = quantize(values, roi, 32)
         for offset in radiomics.GLCM_OFFSETS:
-            pairs = brute_glcm(codes, roi.bits, *offset, 32)
+            pairs = brute_glcm(codes, roi, *offset, 32)
             p = (pairs + pairs.T) / (2 * pairs.sum())
             tag = radiomics._offset_tag(offset)
             row = np.array([got[f"{prefix}glcm_{tag}_{n}"] for n in GLCM_FEATURE_NAMES])
             assert_glcm_row_matches_reference(row, p, (prefix, offset))
         for direction in radiomics.GLRLM_DIRECTIONS:
-            runs = brute_glrlm(codes, roi.bits, *direction, 32, max(codes.shape))
+            runs = brute_glrlm(codes, roi, *direction, 32, max(codes.shape))
             tag = radiomics._offset_tag(direction)
             row = np.array([got[f"{prefix}glrlm_{tag}_{n}"] for n in GLRLM_FEATURE_NAMES])
             np.testing.assert_allclose(row, reference_glrlm_features(runs), rtol=1e-9)
@@ -595,16 +677,16 @@ def test_extract_all_invariant_under_even_translation():
     bits_b = np.zeros((20, 20), dtype=np.uint8)
     bits_b[8:14, 6:12] = blob
 
-    fa = extract_all(Image2D(pixels=img_a), RoiMask(bits=bits_a))
-    fb = extract_all(Image2D(pixels=img_b), RoiMask(bits=bits_b))
+    fa = extract_one(Image2D(pixels=img_a), RoiMask(bits=bits_a))
+    fb = extract_one(Image2D(pixels=img_b), RoiMask(bits=bits_b))
     np.testing.assert_allclose(fa.values, fb.values, atol=1e-10)
 
 
 def test_extract_all_respects_levels_config():
     rng = derive_rng(11, "lv")
     img, mask = random_image_and_mask(rng, size=14)
-    a = extract_all(img, mask, RadiomicsConfig(levels=8))
-    b = extract_all(img, mask, RadiomicsConfig(levels=32))
+    a = extract_one(img, mask, RadiomicsConfig(levels=8))
+    b = extract_one(img, mask, RadiomicsConfig(levels=32))
     # contrast grows with the number of levels on continuous noise
     ga = dict(zip(a.names, a.values))
     gb = dict(zip(b.names, b.values))
@@ -615,8 +697,41 @@ def test_extract_all_single_pixel_roi_zero_fills_glcm():
     img = Image2D(pixels=np.random.default_rng(0).random((8, 8)))
     bits = np.zeros((8, 8), dtype=np.uint8)
     bits[4, 4] = 1
-    fv = extract_all(img, RoiMask(bits=bits))
+    fv = extract_one(img, RoiMask(bits=bits))
     got = dict(zip(fv.names, fv.values))
     assert len(fv) == 374
     assert got["original_glcm_0_1_contrast"] == 0.0
     assert got["original_glrlm_0_1_rp"] == 1.0  # one run of one pixel
+
+
+# ---------------------------------------------------------------------------
+# Stacked catalog against the per-slice reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def catalog_stacks(draw):
+    """A stack of same-shape slices (h != w allowed) with ragged ROIs:
+    single pixels, sparse to full random masks; continuous pixel values
+    or 8-bit ones with many ties."""
+    n = draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.random((n, h, w))
+    if draw(st.booleans()):
+        pixels = np.round(pixels * 255) / 255
+    bits = np.zeros((n, h, w), dtype=np.uint8)
+    for member in bits:
+        density = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+        member[...] = rng.random((h, w)) < density
+        member[rng.integers(h), rng.integers(w)] = 1
+    return pixels, bits, draw(st.sampled_from((2, 5, 8, 32)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog_stacks())
+def test_stacked_catalog_matches_the_per_slice_reference(case):
+    pixels, bits, levels = case
+    got = extract_all(pixels, bits, RadiomicsConfig(levels=levels))
+    assert got.shape == (pixels.shape[0], FEATURE_COUNT)
+    for row, p, b in zip(got, pixels, bits):
+        assert_catalog_row_matches_reference(row, p, b, levels)

@@ -6,7 +6,7 @@ import pytest
 from crbm_radiomics import synth
 from crbm_radiomics.config import SynthSpec
 from crbm_radiomics.data_model import load_manifest, load_sample
-from crbm_radiomics.radiomics import RadiomicsConfig, extract_all
+from crbm_radiomics.radiomics import CATALOG_NAMES, RadiomicsConfig, extract_all
 
 
 def test_make_sample_is_deterministic_and_clipped():
@@ -94,7 +94,7 @@ def test_classes_separate_in_glcm_contrast(tmp_path):
     contrasts = {0: [], 1: []}
     for record in dataset.records:
         img, mask = load_sample(record)
-        fv = extract_all(img, mask, RadiomicsConfig())
-        got = dict(zip(fv.names, fv.values))
+        values = extract_all(img.pixels[None], mask.bits[None], RadiomicsConfig())
+        got = dict(zip(CATALOG_NAMES, values[0]))
         contrasts[record.label].append(got["original_glcm_1_0_contrast"])
     assert min(contrasts[1]) > max(contrasts[0])
