@@ -7,7 +7,9 @@ patches of 16x16 (16 filters of 5x5, the README quick-start) and one
 CD chunk).  The hidden conditional P(h|v) of the CRBM, the
 valid correlation plus the in-place sigmoid with the hidden biases, is
 timed at the same two shapes; its time minus the ``corr_valid`` line is
-the sigmoid's.
+the sigmoid's.  Each of these rows is timed in float64, the dtype of
+feature extraction and the oracles, and in float32, the dtype of the CD
+training chain.
 
 The texture counters run on 32-level quantized planes with the
 ``radiomics-rf`` workload's elliptical ROI, at the two stack shapes the
@@ -113,7 +115,7 @@ node_y = (node_X[:, 0] + rng.normal(size=150) > 0).astype(np.float64)
 node_rows = rng.integers(0, 150, size=150)
 node_features = rng.permutation(20)[:5]
 
-CASES = (
+CRBM_CASES = (
     ("corr_valid  (1x256x256, 64x5x5)", kernels.corr_valid, (image, filters)),
     ("corr_valid  (16x16x16, 16x5x5)", kernels.corr_valid, (patches, patch_filters)),
     ("conv_full   (1x64x252x252, 5x5)", kernels.conv_full, (hidden, filters)),
@@ -122,6 +124,17 @@ CASES = (
     ("corr_grad   (16x16x16, 16 maps)", kernels.corr_grad, (patches, patch_hidden)),
     ("P(h|v)      (1x64x252x252)", crbm._hidden_probs, (slice_model, image)),
     ("P(h|v)      (16x16x12x12)", crbm._hidden_probs, (patch_model, patches)),
+)
+
+
+def as_dtype(args, dtype):
+    """The arrays of args cast to dtype; a model keeps float64 parameters."""
+    return tuple(a.astype(dtype) if isinstance(a, np.ndarray) else a for a in args)
+
+
+CASES = tuple(
+    (f"{label} {np.dtype(dtype).name}", fn, as_dtype(args, dtype))
+    for label, fn, args in CRBM_CASES for dtype in (np.float64, np.float32)
 ) + tuple(
     (f"glcm_counts ({name}, 0,1) {how}", fn, (codes, rois, 0, 1, 32))
     for name, (codes, rois) in STACKS
@@ -163,9 +176,9 @@ def time_call(fn, args):
 
 print(f"{REPS} reps after {WARMUP} warmup calls ({SLOW_REPS} reps after one "
       f"for calls over {SLOW_S} s), times in ms\n")
-header = f"{'kernel':<42}{'mean':>10}{'std':>8}"
+header = f"{'kernel':<50}{'mean':>10}{'std':>8}"
 print(header)
 print("-" * len(header))
 for label, fn, args in CASES:
     mean, std = time_call(fn, args)
-    print(f"{label:<42}{mean:>10.3f}{std:>8.3f}")
+    print(f"{label:<50}{mean:>10.3f}{std:>8.3f}")

@@ -30,6 +30,28 @@ Both conditionals go through one in-place sigmoid, 1 / (1 + exp(-bias -
 act)) in four ufunc passes, rather than ``scipy.special.expit``: at the
 paper's 64 maps of 252 x 252 it is about 3x faster, and it agrees with
 expit to within 1e-15 relative (below 1e-300, 1e-300 absolute).
+
+Compute dtype.  The chain computes in the dtype of the visible stack it
+is given: the conditionals cast the filters and biases to it, and the
+uniforms are drawn in it.  ``cd_update``, the training path, passes a
+float32 stack, which halves the hidden maps and makes the kernels, the
+draws and the sigmoid about twice as fast at paper scale; in float32 the
+sigmoid agrees with expit to within 4 float32 eps relative.  The
+parameters stay float64, and so do the sums they are updated from: each
+float32 ``corr_grad`` (one per chunk of images) is accumulated in
+float64, and the bias and cross-entropy sums are taken in float64.  The
+parameters are a few thousand numbers, so this costs nothing, and no
+rounding to float32 builds up across chunks or updates.  At paper shape
+the float32 filter gradient of CD-1 was within 2e-5 of the float64 one
+on the same samples, relative to its largest entry, on slices where the
+two CD phases it is the difference of were up to 24x larger than it; a
+test pins 5e-5.  float32 uniforms are a different random stream from
+float64 ones, so training is reproducible but not bit-equal to a float64
+chain.  Every other entry point passes float64 and stays float64 through
+the same functions: ``cd_gradient_estimate``, ``gibbs_chain``,
+``hidden_probabilities`` and ``extract_feature_map`` (so feature
+matrices are float64), and the energy and exact-enumeration oracles,
+whose tolerances are float64 ones.
 """
 
 import json
@@ -46,8 +68,9 @@ from .seeding import derive_rng
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 1 << 16
-# most uniforms drawn ahead for one chunk of a CD batch (8 MB of doubles);
-# a chunk holds as many whole images as fit, and at least one
+# most uniforms drawn ahead for one chunk of a CD batch (8 MB of float64,
+# 4 MB of float32); a chunk holds as many whole images as fit, and at
+# least one
 _CD_CHUNK_DRAWS = 1 << 20
 
 
@@ -230,11 +253,13 @@ def _hidden_activations(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(act: np.ndarray, bias) -> np.ndarray:
-    """act <- 1 / (1 + exp(-bias - act)) in place; bias broadcasts.
+    """act <- 1 / (1 + exp(-bias - act)) in place; bias broadcasts and is
+    of act's dtype.
 
     fl(-b - a) = -fl(a + b), so exp sees exactly the negated biased
-    activation.  Below about -709.8 exp overflows to inf and the result is
-    0, where the true value is at most a subnormal.
+    activation.  Below about -709.8 (float64) or -88.7 (float32) exp
+    overflows to inf and the result is 0, where the true value is at most
+    a subnormal.
     """
     np.subtract(-bias, act, out=act)
     with np.errstate(over="ignore"):
@@ -244,12 +269,17 @@ def _sigmoid(act: np.ndarray, bias) -> np.ndarray:
 
 
 def _hidden_probs(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
-    act = kernels.corr_valid(pixels, model.filters)
-    return _sigmoid(act, model.hidden_biases[:, None, None])
+    """P(h = 1 | v) of float32 or float64 images, in their dtype."""
+    dtype = pixels.dtype
+    act = kernels.corr_valid(pixels, model.filters.astype(dtype, copy=False))
+    return _sigmoid(act, model.hidden_biases[:, None, None].astype(dtype, copy=False))
 
 
 def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
-    return _sigmoid(kernels.conv_full(hmaps, model.filters), model.visible_bias)
+    """P(v = 1 | h) of float32 or float64 hidden maps, in their dtype."""
+    dtype = hmaps.dtype
+    act = kernels.conv_full(hmaps, model.filters.astype(dtype, copy=False))
+    return _sigmoid(act, dtype.type(model.visible_bias))
 
 
 def hidden_probabilities(model: CrbmModel, v: Image2D) -> HiddenState:
@@ -274,19 +304,20 @@ def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
     Every uniform is drawn before any kernel runs, image by image in the
     order a one-image chain consumes them ([hidden, visible] x k), so the
     batch gets the samples its images would get chained one after another
-    from the same generator.  A sample is 1.0 where uniform < probability;
-    it is written over its uniform.  Returns (v_k, h0_probs, hk_probs,
-    v1_probs), each with the leading batch axis.
+    from the same generator.  The uniforms, and everything else in the
+    chain, are of v0's dtype (float32 or float64).  A sample is 1.0 where
+    uniform < probability; it is written over its uniform.  Returns (v_k,
+    h0_probs, hk_probs, v1_probs), each with the leading batch axis.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n, side = model.input_size, model.hidden_side
-    u_h = np.empty((k, len(v0), model.num_filters, side, side))
-    u_v = np.empty((k, len(v0), n, n))
+    n, side, dtype = model.input_size, model.hidden_side, v0.dtype
+    u_h = np.empty((k, len(v0), model.num_filters, side, side), dtype=dtype)
+    u_v = np.empty((k, len(v0), n, n), dtype=dtype)
     for i in range(len(v0)):
         for step in range(k):
-            rng.random(out=u_h[step, i])
-            rng.random(out=u_v[step, i])
+            rng.random(out=u_h[step, i], dtype=dtype)
+            rng.random(out=u_v[step, i], dtype=dtype)
     h0_probs = probs = _hidden_probs(model, v0)
     for step in range(k):
         if step:
@@ -471,7 +502,8 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     summed reconstruction cross-entropy of the first round).  The batch
     runs in chunks of whole images that draw at most _CD_CHUNK_DRAWS
     uniforms each; chunks consume the generator in image order, so the
-    chunking never changes a sample.
+    chunking never changes a sample.  The chain runs in the stack's dtype;
+    the statistics are summed in float64.
     """
     per_image = k * (model.num_hidden + model.num_visible)
     step = max(1, _CD_CHUNK_DRAWS // per_image)
@@ -484,9 +516,9 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
         vk, p0, pk, v1_probs = _gibbs_batch(model, v0, k, rng)
         g_w += kernels.corr_grad(v0, p0)
         g_w -= kernels.corr_grad(vk, pk)
-        g_b += float(v0.sum() - vk.sum())
-        p0 -= pk
-        g_c += p0.sum(axis=(0, 2, 3))
+        g_b += float(v0.sum(dtype=np.float64) - vk.sum(dtype=np.float64))
+        g_c += p0.sum(axis=(0, 2, 3), dtype=np.float64)
+        g_c -= pk.sum(axis=(0, 2, 3), dtype=np.float64)
         ce += _recon_cross_entropy_sum(v0, v1_probs)
         del vk, p0, pk, v1_probs  # free this chunk's maps before the next chain
     return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c), ce
@@ -504,7 +536,11 @@ def cd_gradient_estimate(model: CrbmModel, images: list, k: int,
 
 
 def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
-    p = np.clip(v_probs, 1e-12, 1.0 - 1e-12)
+    """Summed cross-entropy of v0 under v_probs, in float64 whatever their
+    dtype: float32 rounds 1 - 1e-12 to 1, so a float32 clip would leave
+    log(1 - p) unguarded at a saturated p."""
+    v0 = np.asarray(v0, dtype=np.float64)
+    p = np.clip(np.asarray(v_probs, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     return float(-np.sum(v0 * np.log(p) + (1.0 - v0) * np.log(1.0 - p)))
 
 
@@ -516,7 +552,8 @@ def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
     between the data phase and the chain phase; Delta b averages the visible
     difference over pixels; Delta c_m averages the hidden probability
     difference over map positions.  Deltas are averaged over the batch and
-    applied once with the learning rate.
+    applied once with the learning rate.  The chain runs in float32; the
+    deltas are summed and applied in float64 (see the module docstring).
 
     Returns (updated model, diagnostics dict with the batch-mean
     reconstruction cross-entropy and mean |Delta W|).
@@ -525,7 +562,8 @@ def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
         raise TrainingError("empty batch")
     pixels = _stack_visible(model, batch)
     if cfg.binarize_visible:
-        pixels = (pixels >= 0.5).astype(np.float64)
+        pixels = pixels >= 0.5  # thresholded before the float32 cast rounds
+    pixels = pixels.astype(np.float32)
     grad, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
     dw_applied = scale * grad.filters

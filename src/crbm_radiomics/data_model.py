@@ -58,7 +58,7 @@ class RoiMask:
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 1:
             raise ShapeMismatchError(f"mask must be 2-D and non-empty, got shape {b.shape}")
-        if not np.isin(b, (0, 1)).all():
+        if not ((b == 0) | (b == 1)).all():
             raise ValueError("mask bits must be 0 or 1")
         object.__setattr__(self, "bits", b.astype(np.uint8))
 

@@ -62,7 +62,7 @@ def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
     # taps[..., r, s, i, j] = sum_m w[m, r, s] * hmaps[..., m, i, j]
     taps = w.reshape(m, k * k).T @ hmaps.reshape(*lead, m, hside * hside)
     taps = taps.reshape(*lead, k, k, hside, hside)
-    out = np.zeros((*lead, n, n))
+    out = np.zeros((*lead, n, n), dtype=taps.dtype)
     for r in range(k):
         for s in range(k):
             out[..., r:r + hside, s:s + hside] += taps[..., r, s, :, :]

@@ -10,12 +10,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit, logsumexp
 
-from crbm_radiomics import crbm
+from crbm_radiomics import crbm, kernels
 from crbm_radiomics.data_model import Image2D
 from crbm_radiomics.errors import EnumerationGuardError, ShapeMismatchError
 from crbm_radiomics.seeding import derive_rng
@@ -96,6 +96,50 @@ def test_sigmoid_matches_expit(case):
     err = np.abs(got - want)
     assert (err[normal] <= 1e-15 * want[normal]).all()
     assert (err[~normal] <= 1e-300).all()
+
+
+# float32: exp(-x) overflows below about -88.7, where expit(x) is at most
+# a float32 subnormal; extra weight on -110..-80 around that edge
+ACTIVATIONS32 = st.one_of(st.floats(-200.0, 200.0, width=32),
+                          st.floats(-110.0, -80.0, width=32))
+F32 = np.finfo(np.float32)
+
+
+@st.composite
+def float32_activations_and_bias(draw):
+    shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
+    act = draw(hnp.arrays(np.float32, shape, elements=ACTIVATIONS32))
+    if draw(st.booleans()):
+        bias = draw(hnp.arrays(np.float32, (shape[0], 1, 1),
+                               elements=st.floats(-5.0, 5.0, width=32)))
+    else:
+        bias = np.float32(draw(st.floats(-5.0, 5.0, width=32)))
+    return act, bias
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=float32_activations_and_bias())
+@example(case=(np.array([[[-88.0, -88.72, -88.8, -89.0, -100.0, -3.0e38]]],
+                        dtype=np.float32), np.float32(0.0)))
+def test_float32_sigmoid_matches_float64_expit(case):
+    act, bias = case
+    biased = act + bias  # rounded to float32, as the sigmoid negates it
+    want = expit(biased.astype(np.float64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = crbm._sigmoid(act.copy(), bias)
+    assert got.dtype == np.float32 and got.shape == act.shape
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+    # float32 tolerance: exp's own error plus two roundings stay within
+    # 4 float32 eps relative (about 2 were seen); below the smallest normal
+    # float32 the result is within one smallest normal
+    normal = want >= F32.tiny
+    err = np.abs(got - want)
+    assert (err[normal] <= 4 * F32.eps * want[normal]).all()
+    assert (err[~normal] <= F32.tiny).all()
+    # where float32 exp overflows the result is exactly 0
+    overflow = -biased.astype(np.float64) > np.log(F32.max)
+    assert (got[overflow] == 0.0).all()
 
 
 def test_visible_probabilities_match_manual_sum():
@@ -227,6 +271,44 @@ def test_exact_gradient_matches_finite_differences():
             d[mi] = eps
             fd = (ll(perturbed(dc=d)) - ll(perturbed(dc=-d))) / (2 * eps)
             assert abs(fd - grad.hidden_biases[mi]) / max(abs(fd), 1e-4) < 1e-4
+
+
+def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
+    # the training chain runs in float32; every other entry point must stay
+    # float64 through the same conditionals and kernels
+    seen = []
+
+    def spying(fn):
+        def spy(*args):
+            out = fn(*args)
+            seen.extend(a.dtype for a in (*args, out)
+                        if isinstance(a, (np.ndarray, np.generic)))
+            return out
+        return spy
+
+    for name in ("corr_valid", "conv_full", "corr_grad"):
+        monkeypatch.setattr(kernels, name, spying(getattr(kernels, name)))
+    monkeypatch.setattr(crbm, "_sigmoid", spying(crbm._sigmoid))
+    rng = derive_rng(19, "dtype")
+    model = random_tiny_model(rng, 3, 2, 2)
+    data = [random_binary_image(rng, 3) for _ in range(3)]
+    calls = {
+        "cd_gradient_estimate": lambda: crbm.cd_gradient_estimate(
+            model, data, 2, derive_rng(19, "cd")).filters,
+        "gibbs_chain": lambda: crbm.gibbs_chain(
+            model, data[0], 2, derive_rng(19, "gc")).hk_probs.maps,
+        "extract_feature_map": lambda: crbm.extract_feature_map(model, data[0]).maps,
+        "free_energy": lambda: np.float64(crbm.free_energy(model, data[0])),
+        "exact_log_likelihood_grad": lambda: crbm.exact_log_likelihood_grad(
+            model, data).filters,
+    }
+    for name, call in calls.items():
+        seen.clear()
+        assert call().dtype == np.float64, name
+        assert seen and set(seen) == {np.dtype(np.float64)}, name
+    seen.clear()
+    crbm.cd_update(model, data, crbm.CrbmTrainConfig(), derive_rng(19, "u"))
+    assert set(seen) == {np.dtype(np.float32)}
 
 
 def test_gibbs_chain_shapes_and_binary_samples():

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from scipy.signal import correlate2d
 from scipy.special import expit
 
-from crbm_radiomics import crbm, kernels
+from crbm_radiomics import crbm, kernels, synth
+from crbm_radiomics.config import SynthSpec
 from crbm_radiomics.data_model import Image2D
 from crbm_radiomics.errors import TrainingError
 from crbm_radiomics.seeding import derive_rng
@@ -22,25 +22,66 @@ def binary_images(rng, n, count):
             for _ in range(count)]
 
 
-def test_cd_update_matches_manual_replay():
-    # replaying the same rng stream reproduces the chain, so the update
-    # can be recomputed from first principles
+def replay_chain(model, v0, k, rng):
+    """The one-image chain step by step through the two conditionals,
+    drawing [hidden, visible] x k uniforms of v0's dtype from rng:
+    (v_k, h0, hk, v1_probs)."""
+    def draw(probs):
+        return (rng.random(probs.shape, dtype=probs.dtype) < probs).astype(probs.dtype)
+
+    h0 = probs = crbm._hidden_probs(model, v0)
+    for step in range(k):
+        if step:
+            probs = crbm._hidden_probs(model, v)
+        v_probs = crbm._visible_probs(model, draw(probs))
+        if step == 0:
+            v1_probs = v_probs
+        v = draw(v_probs)
+    return v, h0, crbm._hidden_probs(model, v), v1_probs
+
+
+def replay_batch(model, v0, k, rng):
+    """replay_chain image after image from one generator, each result
+    stacked over the images of v0 (B, N, N)."""
+    return tuple(np.stack(a) for a in zip(*(replay_chain(model, v, k, rng)
+                                              for v in v0)))
+
+
+def record_chunks(monkeypatch):
+    """Spy on _gibbs_batch: the list it fills gets a copy of (v0, v_k,
+    h0_probs, hk_probs, v1_probs) of each chunk of the CD batch."""
+    chunks = []
+    batched = crbm._gibbs_batch
+
+    def spy(model, v0, k, rng):
+        out = batched(model, v0, k, rng)
+        chunks.append(tuple(a.copy() for a in (v0, *out)))
+        return out
+
+    monkeypatch.setattr(crbm, "_gibbs_batch", spy)
+    return chunks
+
+
+def test_cd_update_matches_manual_replay(monkeypatch):
+    # replaying the same rng stream reproduces the float32 chain, so the
+    # update can be recomputed from first principles: the float32 kernel
+    # correlates the replayed samples of the batch (one chunk here), and
+    # the rest is summed in float64
     model = small_model()
     cfg = crbm.CrbmTrainConfig(learning_rate=0.1, cd_steps=2, batch_size=4)
     batch = binary_images(derive_rng(0, "b"), 3, 4)
+    chunks = record_chunks(monkeypatch)
     updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(1, "u"))
 
-    replay = derive_rng(1, "u")
+    v0 = np.stack([img.pixels for img in batch]).astype(np.float32)
+    vk, p0, pk, _ = replay_batch(model, v0, 2, derive_rng(1, "u"))
+    assert len(chunks) == 1 and chunks[0][1].dtype == np.float32
+    assert np.array_equal(chunks[0][0], v0)
+    assert np.array_equal(chunks[0][1], vk)
     n_h = model.hidden_side ** 2
-    d_w = np.zeros_like(model.filters)
-    d_b = 0.0
-    d_c = np.zeros(model.num_filters)
-    for img in batch:
-        chain = crbm.gibbs_chain(model, img, 2, replay)
-        vk, p0, pk = chain.v_k.pixels, chain.h0_probs.maps, chain.hk_probs.maps
-        d_w += kernels.corr_grad(img.pixels, p0) - kernels.corr_grad(vk, pk)
-        d_b += float(np.mean(img.pixels - vk))
-        d_c += (p0 - pk).sum(axis=(1, 2)) / n_h
+    d_w = kernels.corr_grad(v0, p0).astype(np.float64) - kernels.corr_grad(vk, pk)
+    d_b = float(np.mean(v0 - vk, axis=(1, 2), dtype=np.float64).sum())
+    d_c = (p0.astype(np.float64) - pk).sum(axis=(0, 2, 3)) / n_h
     scale = cfg.learning_rate / 4
     np.testing.assert_allclose(updated.filters, model.filters + scale * d_w,
                                atol=1e-12)
@@ -50,26 +91,6 @@ def test_cd_update_matches_manual_replay():
                                model.hidden_biases + scale * d_c, atol=1e-12)
     assert diag["mean_abs_dw"] == pytest.approx(
         np.abs(scale * d_w).mean(), abs=1e-12)
-
-
-def replay_chain(model, v0, k, rng):
-    """The one-image chain step by step through the two conditionals,
-    drawing [hidden, visible] x k from rng: (v_k, h0, hk, v1_probs)."""
-    h0 = probs = crbm.hidden_probabilities(model, Image2D(pixels=v0)).maps
-    for step in range(k):
-        if step:
-            probs = crbm.hidden_probabilities(model, Image2D(pixels=v)).maps
-        h = crbm.sample_bernoulli(probs, rng)
-        v_probs = crbm._visible_probs(model, h)
-        if step == 0:
-            v1_probs = v_probs
-        v = crbm.sample_bernoulli(v_probs, rng)
-    hk = crbm.hidden_probabilities(model, Image2D(pixels=v)).maps
-    return v, h0, hk, v1_probs
-
-
-def weight_correlations(v, p):
-    return np.stack([correlate2d(v, maps, mode="valid") for maps in p])
 
 
 def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
@@ -82,29 +103,26 @@ def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
     batch = [Image2D(pixels=p) for p in pixels]
     per_image = cfg.cd_steps * (model.num_hidden + model.num_visible)
     monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", 2 * per_image)
-    chunks = []
-    batched = crbm._gibbs_batch
-
-    def spy(model, v0, k, rng):
-        chunks.append(len(v0))
-        return batched(model, v0, k, rng)
-
-    monkeypatch.setattr(crbm, "_gibbs_batch", spy)
+    chunks = record_chunks(monkeypatch)
     updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(12, "u"))
-    assert chunks == [2, 2, 2, 1]
+    assert [len(chunk[0]) for chunk in chunks] == [2, 2, 2, 1]
 
-    replay = derive_rng(12, "u")
+    # binarized in float64, so nextafter(0.5, 0) is not rounded up to 0.5
+    v0 = (pixels >= 0.5).astype(np.float32)
+    assert v0[0, 0, :2].tolist() == [1.0, 0.0]
+    vk, h0, hk, v1_probs = replay_batch(model, v0, 2, derive_rng(12, "u"))
+    assert np.array_equal(np.concatenate([chunk[0] for chunk in chunks]), v0)
+    assert np.array_equal(np.concatenate([chunk[1] for chunk in chunks]), vk)
+    # the float32 kernel sums each chunk's images; chunks add up in float64
     d_w = np.zeros_like(model.filters)
-    d_b = 0.0
-    d_c = np.zeros(model.num_filters)
-    ce = []
-    for img in batch:
-        v0 = (img.pixels >= 0.5).astype(np.float64)
-        vk, h0, hk, v1_probs = replay_chain(model, v0, 2, replay)
-        d_w += weight_correlations(v0, h0) - weight_correlations(vk, hk)
-        d_b += np.mean(v0 - vk)
-        d_c += (h0 - hk).mean(axis=(1, 2))
-        ce.append(-np.mean(v0 * np.log(v1_probs) + (1 - v0) * np.log(1 - v1_probs)))
+    for lo in range(0, len(batch), 2):
+        part = slice(lo, lo + 2)
+        d_w += kernels.corr_grad(v0[part], h0[part])
+        d_w -= kernels.corr_grad(vk[part], hk[part])
+    d_b = float(np.mean(v0 - vk, axis=(1, 2), dtype=np.float64).sum())
+    d_c = (h0.astype(np.float64) - hk).mean(axis=(2, 3)).sum(axis=0)
+    v0, p = v0.astype(np.float64), v1_probs.astype(np.float64)
+    ce = -np.mean(v0 * np.log(p) + (1 - v0) * np.log(1 - p), axis=(1, 2))
     scale = cfg.learning_rate / len(batch)
     np.testing.assert_allclose(updated.filters, model.filters + scale * d_w,
                                atol=1e-12)
@@ -140,14 +158,14 @@ def test_gibbs_chain_follows_the_one_image_draw_order():
 
 
 def expit_hidden_probs(model, pixels):
-    act = kernels.corr_valid(pixels, model.filters)
-    act += model.hidden_biases[:, None, None]
+    act = kernels.corr_valid(pixels, model.filters.astype(pixels.dtype))
+    act += model.hidden_biases[:, None, None].astype(pixels.dtype)
     return expit(act, out=act)
 
 
 def expit_visible_probs(model, hmaps):
-    act = kernels.conv_full(hmaps, model.filters)
-    act += model.visible_bias
+    act = kernels.conv_full(hmaps, model.filters.astype(hmaps.dtype))
+    act += hmaps.dtype.type(model.visible_bias)
     return expit(act, out=act)
 
 
@@ -163,31 +181,76 @@ def test_cd_update_samples_equal_those_of_the_expit_conditionals(monkeypatch,
                                binarize_visible=binarize)
     rng = derive_rng(15, "grey")
     batch = [Image2D(pixels=rng.random((16, 16))) for _ in range(16)]
-    batched = crbm._gibbs_batch
 
     def run():
-        samples = []
-
-        def spy(model, v0, k, rng):
-            out = batched(model, v0, k, rng)
-            samples.append(out[0].copy())
-            return out
-
         with monkeypatch.context() as patch:
-            patch.setattr(crbm, "_gibbs_batch", spy)
+            chunks = record_chunks(patch)
             updated, _ = crbm.cd_update(model, batch, cfg, derive_rng(15, "u"))
-        return updated, np.concatenate(samples)
+        return updated, np.concatenate([chunk[1] for chunk in chunks])
 
     got, got_vk = run()
     monkeypatch.setattr(crbm, "_hidden_probs", expit_hidden_probs)
     monkeypatch.setattr(crbm, "_visible_probs", expit_visible_probs)
     want, want_vk = run()
-    assert got_vk.shape == (16, 16, 16)
+    assert got_vk.shape == (16, 16, 16) and got_vk.dtype == np.float32
     assert np.array_equal(got_vk, want_vk)
-    np.testing.assert_allclose(got.filters, want.filters, rtol=1e-12)
+    # same samples, so the visible bias, a sum of binary pixels, is equal;
+    # the filter and hidden-bias steps sum float32 probabilities that the
+    # two sigmoids round differently, so they agree to float32 precision:
+    # within 32 float32 eps of the largest step (about 6 were seen)
     assert got.visible_bias == pytest.approx(want.visible_bias, rel=1e-12)
-    np.testing.assert_allclose(got.hidden_biases, want.hidden_biases,
-                               rtol=1e-12)
+    for got_p, want_p, before in ((got.filters, want.filters, model.filters),
+                                  (got.hidden_biases, want.hidden_biases,
+                                   model.hidden_biases)):
+        step = np.abs(want_p - before).max()
+        np.testing.assert_allclose(got_p, want_p, rtol=0,
+                                   atol=32 * np.finfo(np.float32).eps * step)
+
+
+@pytest.mark.parametrize("visible_bias", [200.0, -200.0])
+def test_recon_cross_entropy_is_finite_at_saturated_float32_probabilities(
+        monkeypatch, visible_bias):
+    # float32 rounds 1 - 1e-12 to 1, so the clip must not be float32
+    model = crbm.CrbmModel(filters=small_model().filters,
+                           visible_bias=visible_bias,
+                           hidden_biases=np.zeros(2), input_size=3)
+    batch = binary_images(derive_rng(16, "sat"), 3, 4)
+    chunks = record_chunks(monkeypatch)
+    _, diag = crbm.cd_update(model, batch, crbm.CrbmTrainConfig(batch_size=4),
+                             derive_rng(16, "u"))
+    (chunk,) = chunks
+    v1_probs = chunk[4]
+    saturated = 1.0 if visible_bias > 0 else 0.0
+    assert v1_probs.dtype == np.float32
+    assert (v1_probs == saturated).all()
+    # each pixel the saturated probability gets wrong costs about
+    # -log(1e-12): the probability left to it by the float64 clip
+    wrong = np.mean([img.pixels != saturated for img in batch])
+    assert 0.0 < wrong < 1.0
+    clipped = np.clip(saturated, 1e-12, 1.0 - 1e-12)
+    miss = 1.0 - clipped if saturated else clipped
+    assert np.isfinite(diag["recon_cross_entropy"])
+    assert diag["recon_cross_entropy"] == pytest.approx(-np.log(miss) * wrong,
+                                                        rel=1e-9)
+
+
+def test_float32_cd_filter_gradient_matches_float64_at_paper_shape(monkeypatch):
+    # the paper's CRBM: 64 filters of 5x5 on a 256x256 slice, CD-1
+    model = crbm.init_model(64, 5, 256, seed=17)
+    spec = SynthSpec(image_size=256, noise_level=0.5, seed=17)
+    v0 = synth.make_sample(spec, 1, 0).pixels[None].astype(np.float32)
+    chunks = record_chunks(monkeypatch)
+    grad, _ = crbm._cd_sums(model, v0, 1, derive_rng(17, "cd"))
+    (chunk,) = chunks
+    v, vk, p0, pk = (a.astype(np.float64) for a in chunk[:4])
+    data_phase = kernels.corr_grad(v, p0)
+    want = data_phase - kernels.corr_grad(vk, pk)
+    # the gradient is a small difference of two large phases ...
+    assert np.abs(data_phase).max() > 5 * np.abs(want).max()
+    # ... and still within 5e-5 of float64 relative to its largest entry;
+    # the error grows with that ratio: 9.5e-6 was seen here (ratio 12),
+    # up to 1.9e-5 on other slices (ratio 24)
+    assert np.abs(grad.filters - want).max() <= 5e-5 * np.abs(want).max()
 
 
 def test_cd_update_rejects_empty_batch():

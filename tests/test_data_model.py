@@ -26,6 +26,15 @@ def test_mask_requires_binary_bits():
         RoiMask(bits=np.array([[0, 2]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("bad", [2, 0.5])
+def test_mask_rejects_a_value_other_than_0_or_1(bad):
+    bits = np.ones((3, 4))
+    bits[1, 2] = bad
+    with pytest.raises(ValueError, match="mask bits must be 0 or 1"):
+        RoiMask(bits=bits)
+    assert RoiMask(bits=np.ones((3, 4))).bits.dtype == np.uint8
+
+
 @pytest.mark.parametrize("maxval,dtype", [(255, np.uint8), (65535, np.uint16)])
 def test_pgm_round_trip(tmp_path, maxval, dtype):
     rng = np.random.default_rng(1)
