@@ -27,19 +27,30 @@ columns, each family one stacked call), one random-forest node (150
 bootstrap rows, 5 of 20 features), and the 374-feature catalog of 200
 slices of 32x32, in stacks of 8 as ``features.radiomics_features`` runs
 it and slice by slice through the per-slice reference in
-``tests/radiomics_reference.py``.  Run from the repository root:
+``tests/radiomics_reference.py``.
+
+BLAS runs on one thread, as in ``perfbench/run.py``: the script sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before numpy
+loads, overriding the environment, and prints the count it used.  Run
+from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import itertools
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+BLAS_THREADS = 1
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for var in BLAS_THREAD_VARS:
+    os.environ[var] = str(BLAS_THREADS)
 
-from crbm_radiomics import classifiers, crbm, kernels, radiomics, synth
+import numpy as np  # noqa: E402
+
+from crbm_radiomics import classifiers, crbm, kernels, radiomics, synth  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import radiomics_reference  # noqa: E402
@@ -175,7 +186,8 @@ def time_call(fn, args):
 
 
 print(f"{REPS} reps after {WARMUP} warmup calls ({SLOW_REPS} reps after one "
-      f"for calls over {SLOW_S} s), times in ms\n")
+      f"for calls over {SLOW_S} s), times in ms")
+print(f"BLAS threads: {BLAS_THREADS} ({', '.join(BLAS_THREAD_VARS)})\n")
 header = f"{'kernel':<50}{'mean':>10}{'std':>8}"
 print(header)
 print("-" * len(header))

@@ -57,7 +57,8 @@ def cmd_extract(args) -> int:
     fm = features.build_features(dataset, config, model)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "patient_id", *fm.names, "label"])
+        writer.writerow(["sample_id", "patient_id",
+                         *features.column_names(config, model), "label"])
         for i in range(fm.n_rows):
             writer.writerow([fm.row_ids[i], fm.patient_ids[i],
                              *(_float_cell(v) for v in fm.values[i]),

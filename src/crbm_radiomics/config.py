@@ -43,6 +43,10 @@ class CrbmSection:
             raise ConfigError("num_filters and kernel_size must be >= 1")
         if self.kernel_size > self.input_size:
             raise ConfigError("kernel_size must not exceed input_size")
+        try:  # CrbmTrainConfig's own checks, at load rather than at train time
+            self.train_config(seed=0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def train_config(self, seed: int) -> CrbmTrainConfig:
         return CrbmTrainConfig(learning_rate=self.learning_rate,

@@ -178,11 +178,6 @@ class CrbmGradient:
     visible_bias: float
     hidden_biases: np.ndarray
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.filters.ravel(),
-                               [self.visible_bias],
-                               self.hidden_biases])
-
 
 class GibbsResult(NamedTuple):
     v_k: Image2D

@@ -310,15 +310,14 @@ def cross_validate(config: PipelineConfig, dataset: Dataset,
     for fold in range(plan.k):
         train_rows = np.nonzero(row_folds != fold)[0]
         test_rows = np.nonzero(row_folds == fold)[0]
-        Xtr = fm.take(train_rows)
-        Xte = fm.take(test_rows)
+        Xtr, ytr = fm.values[train_rows], fm.labels[train_rows]
         try:
-            reducer = pls.fit_reducer(Xtr, Xtr.labels, config.pls_components,
+            reducer = pls.fit_reducer(Xtr, ytr, config.pls_components,
                                       config.pls_mode)
             Ztr = pls.apply_reducer(reducer, Xtr)
-            Zte = pls.apply_reducer(reducer, Xte)
+            Zte = pls.apply_reducer(reducer, fm.values[test_rows])
             scores, default_threshold = _fit_and_score(
-                config.classifier, Ztr, Xtr.labels.astype(np.float64), Zte,
+                config.classifier, Ztr, ytr.astype(np.float64), Zte,
                 seed=derive_seed(config.seed, "clf", fold))
         except (ValueError, TrainingError) as exc:
             raise TrainingError(f"fold {fold}: {exc}") from exc

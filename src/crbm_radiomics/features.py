@@ -28,14 +28,14 @@ _STACK_PIXELS = 2 ** 13
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Named columns over identified rows, ready for reduction/classification.
+    """Feature columns over identified rows, ready for reduction and
+    classification.  A column is known by its position; column_names
+    gives the names the extract CSV header writes.
 
     parents maps each row to the manifest sample it came from; outside
-    patch mode it equals row_ids.  The builders below check that the names
-    are unique; construction checks only their count.
+    patch mode it equals row_ids.
     """
 
-    names: tuple
     values: np.ndarray
     row_ids: tuple
     labels: np.ndarray
@@ -44,9 +44,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        n, p = values.shape
-        if len(self.names) != p:
-            raise ValueError("column count and names length mismatch")
+        n, _ = values.shape
         if not (len(self.row_ids) == len(self.patient_ids)
                 == len(self.parents) == self.labels.shape[0] == n):
             raise ValueError("row metadata length mismatch")
@@ -59,7 +57,6 @@ class FeatureMatrix:
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
         object.__setattr__(self, "patient_ids", tuple(self.patient_ids))
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -71,17 +68,6 @@ class FeatureMatrix:
     @property
     def n_columns(self) -> int:
         return self.values.shape[1]
-
-    def take(self, rows) -> "FeatureMatrix":
-        """Row-subset view with identical columns."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return FeatureMatrix(
-            names=self.names,
-            values=self.values[rows],
-            row_ids=tuple(self.row_ids[i] for i in rows),
-            labels=self.labels[rows],
-            patient_ids=tuple(self.patient_ids[i] for i in rows),
-            parents=tuple(self.parents[i] for i in rows))
 
 
 def _standardized_crop(record, input_size: int) -> Image2D:
@@ -112,23 +98,16 @@ def crbm_training_images(dataset: Dataset, config: PipelineConfig) -> list:
     return [_standardized_crop(record, size) for record in dataset.records]
 
 
-def _map_names(side: int) -> tuple:
-    return tuple(f"crbm_{r}_{c}" for r in range(side) for c in range(side))
-
-
 def _encode(model, img: Image2D, weights: np.ndarray) -> np.ndarray:
     stack = crbm_mod.extract_feature_map(model, img)
     return crbm_mod.reduce_1x1(stack, weights).ravel()
 
 
-def _assemble(names: tuple, rows) -> FeatureMatrix:
+def _assemble(rows) -> FeatureMatrix:
     """The FeatureMatrix of (record, row_id, values) rows: labels, patients
-    and parents come from each row's manifest record.  Column names are
-    checked for uniqueness here, once per build, not on every take()."""
-    if len(set(names)) != len(names):
-        raise ValueError("column names must be unique")
+    and parents come from each row's manifest record."""
     records, ids, values = zip(*rows)
-    return FeatureMatrix(names=names, values=np.stack(values), row_ids=ids,
+    return FeatureMatrix(values=np.stack(values), row_ids=ids,
                          labels=np.array([r.label for r in records]),
                          patient_ids=tuple(r.patient_id for r in records),
                          parents=tuple(r.sample_id for r in records))
@@ -159,7 +138,7 @@ def radiomics_features(dataset: Dataset,
         records, pixels, bits = zip(*run)
         values = radiomics_mod.extract_all(np.stack(pixels), np.stack(bits), cfg)
         rows += [(r, r.sample_id, v) for r, v in zip(records, values)]
-    return _assemble(radiomics_mod.CATALOG_NAMES, rows)
+    return _assemble(rows)
 
 
 def crbm_image_features(dataset: Dataset, model,
@@ -167,7 +146,7 @@ def crbm_image_features(dataset: Dataset, model,
     rows = ((r, r.sample_id,
              _encode(model, _standardized_crop(r, model.input_size), weights))
             for r in dataset.records)
-    return _assemble(_map_names(model.hidden_side), rows)
+    return _assemble(rows)
 
 
 def crbm_patch_features(dataset: Dataset, model, weights: np.ndarray,
@@ -176,7 +155,7 @@ def crbm_patch_features(dataset: Dataset, model, weights: np.ndarray,
     rows = ((r, f"{r.sample_id}#p{i}", _encode(model, patch, weights))
             for r in dataset.records
             for i, patch in enumerate(_roi_patches(r, model.input_size, stride)))
-    return _assemble(_map_names(model.hidden_side), rows)
+    return _assemble(rows)
 
 
 def build_features(dataset: Dataset, config: PipelineConfig,
@@ -194,3 +173,12 @@ def build_features(dataset: Dataset, config: PipelineConfig,
         return crbm_image_features(dataset, model, weights)
     return crbm_patch_features(dataset, model, weights,
                                effective_patch_stride(config))
+
+
+def column_names(config: PipelineConfig, model) -> tuple:
+    """The names of build_features' columns, in order: the radiomics
+    catalog names, or crbm_<row>_<col> over the model's hidden map."""
+    if config.feature_source == "radiomics":
+        return radiomics_mod.CATALOG_NAMES
+    side = model.hidden_side
+    return tuple(f"crbm_{r}_{c}" for r in range(side) for c in range(side))

@@ -11,12 +11,10 @@ VIP (variable importance in projection) instead of latent scores.
 """
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .errors import TrainingError
-from .features import FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -27,10 +25,8 @@ class PlsModel:
     score_sq_norms: np.ndarray  # (A,) t_a' t_a, kept for VIP
     column_means: np.ndarray   # (p,)
     column_sds: np.ndarray     # (p,) all > 0
-    feature_names: tuple       # retained columns, order matches the arrays
-    dropped_names: tuple       # zero-variance columns removed before fitting
-    source_names: tuple        # every column of the fitted matrix, in order
-    source_columns: np.ndarray  # (p,) position of each retained column there
+    columns: np.ndarray        # (p,) positions of the retained input columns
+    n_inputs: int              # columns of the fitted matrix, constant ones too
 
     def __post_init__(self):
         p, a = self.weights.shape
@@ -38,14 +34,10 @@ class PlsModel:
             raise ValueError("inconsistent component shapes")
         if self.column_means.shape != (p,) or self.column_sds.shape != (p,):
             raise ValueError("inconsistent column-statistic shapes")
-        if len(self.feature_names) != p or self.source_columns.shape != (p,):
-            raise ValueError("feature_names or source_columns length mismatch")
+        if self.columns.shape != (p,):
+            raise ValueError("columns length mismatch")
         if (self.column_sds <= 0).any():
             raise ValueError("column_sds must be positive")
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[1]
 
     @property
     def rotation(self) -> np.ndarray:
@@ -53,34 +45,26 @@ class PlsModel:
         return self.weights @ np.linalg.inv(self.loadings.T @ self.weights)
 
 
-def _column_order(X: FeatureMatrix, model: PlsModel) -> np.ndarray:
-    """Positions of the model's columns in X; a matrix with the columns
-    the model was fit on, in that order, skips the lookup by name."""
-    if X.names == model.source_names:
-        return model.source_columns
-    pos = {name: i for i, name in enumerate(X.names)}
-    missing = [n for n in model.feature_names if n not in pos]
-    if missing:
-        raise ValueError(f"input is missing trained columns {missing[:5]}")
-    return np.array([pos[n] for n in model.feature_names])
-
-
-def _standardize(model: PlsModel, X: FeatureMatrix) -> np.ndarray:
-    vals = X.values[:, _column_order(X, model)]
+def _standardize(model: PlsModel, X: np.ndarray) -> np.ndarray:
+    """The retained columns of X, z-scored with the training statistics."""
+    if X.ndim != 2 or X.shape[1] != model.n_inputs:
+        raise ValueError(f"input has {X.shape[-1]} columns, the model was "
+                         f"fit on {model.n_inputs}")
+    vals = X[:, model.columns]
     if not np.isfinite(vals).all():
         raise ValueError("non-finite feature values")
     return (vals - model.column_means) / model.column_sds
 
 
-def fit_pls(X: FeatureMatrix, y: np.ndarray, n_components: int) -> PlsModel:
-    """NIPALS PLS1 on z-scored columns and centered labels.
+def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
+    """NIPALS PLS1 on z-scored columns and centered labels; X is (n, p).
 
-    Zero-variance columns are dropped (recorded in dropped_names).  Each
-    weight vector is sign-fixed by making its largest-magnitude entry
-    positive, so refits are bit-reproducible.
+    Zero-variance columns are dropped (columns keeps the others'
+    positions).  Each weight vector is sign-fixed by making its
+    largest-magnitude entry positive, so refits are bit-reproducible.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
-    vals = X.values
+    vals = np.asarray(X, dtype=np.float64)
     n = vals.shape[0]
     if y.shape[0] != n:
         raise ValueError("label count does not match rows")
@@ -92,8 +76,6 @@ def fit_pls(X: FeatureMatrix, y: np.ndarray, n_components: int) -> PlsModel:
     keep = sds > 0
     if not keep.any():
         raise ValueError("all feature columns are constant")
-    names = tuple(compress(X.names, keep.tolist()))
-    dropped = tuple(compress(X.names, (~keep).tolist()))
     means = vals.mean(axis=0)[keep]
     sds = sds[keep]
     p = sds.size
@@ -128,12 +110,12 @@ def fit_pls(X: FeatureMatrix, y: np.ndarray, n_components: int) -> PlsModel:
         W[:, a], P[:, a], q[a], tt[a] = w, p_a, q_a, t_sq
     return PlsModel(weights=W, loadings=P, y_loadings=q, score_sq_norms=tt,
                     column_means=means, column_sds=sds,
-                    feature_names=names, dropped_names=dropped,
-                    source_names=X.names, source_columns=np.flatnonzero(keep))
+                    columns=np.flatnonzero(keep), n_inputs=vals.shape[1])
 
 
-def transform(model: PlsModel, X: FeatureMatrix) -> np.ndarray:
-    """(n, A) latent scores; training data reproduces its NIPALS scores."""
+def transform(model: PlsModel, X: np.ndarray) -> np.ndarray:
+    """(n, A) latent scores of an (n, n_inputs) matrix; training data
+    reproduces its NIPALS scores."""
     return _standardize(model, X) @ model.rotation
 
 
@@ -151,14 +133,14 @@ class Reducer:
 
     mode: str  # "latent" | "vip-subset"
     pls: PlsModel
-    selected: tuple  # vip-subset mode: retained column names, VIP-descending
+    selected: tuple  # vip-subset mode: positions among pls.columns, VIP-descending
 
     def __post_init__(self):
         if self.mode not in ("latent", "vip-subset"):
             raise ValueError(f"unknown reducer mode {self.mode!r}")
 
 
-def fit_reducer(X: FeatureMatrix, y: np.ndarray, n_components: int,
+def fit_reducer(X: np.ndarray, y: np.ndarray, n_components: int,
                 mode: str = "latent") -> Reducer:
     model = fit_pls(X, y, n_components)
     if mode == "latent":
@@ -166,13 +148,10 @@ def fit_reducer(X: FeatureMatrix, y: np.ndarray, n_components: int,
     scores = vip_scores(model)
     # stable: VIP descending, then column order
     order = np.lexsort((np.arange(scores.size), -scores))[:n_components]
-    selected = tuple(model.feature_names[i] for i in order)
-    return Reducer(mode=mode, pls=model, selected=selected)
+    return Reducer(mode=mode, pls=model, selected=tuple(order.tolist()))
 
 
-def apply_reducer(reducer: Reducer, X: FeatureMatrix) -> np.ndarray:
+def apply_reducer(reducer: Reducer, X: np.ndarray) -> np.ndarray:
     if reducer.mode == "latent":
         return transform(reducer.pls, X)
-    std = _standardize(reducer.pls, X)
-    pos = {n: i for i, n in enumerate(reducer.pls.feature_names)}
-    return std[:, [pos[n] for n in reducer.selected]]
+    return _standardize(reducer.pls, X)[:, list(reducer.selected)]

@@ -14,9 +14,9 @@ uses the same four directions.
 
 The catalog runs over a stack of same-shape slices: pixel values and ROI
 masks of shape (n, h, w), one ROI per slice, each of its own size and
-shape.  Quantization, the Haar subbands, the first-order statistics and
-the texture counters cost a fixed number of numpy calls per stack, not
-per slice; only the shape descriptors are computed slice by slice.
+shape.  Quantization, the Haar subbands, the first-order statistics, the
+shape descriptors and the texture counters cost a fixed number of numpy
+calls per stack, not per slice.
 """
 
 from dataclasses import dataclass
@@ -63,26 +63,6 @@ class RadiomicsConfig:
     def __post_init__(self):
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    names: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if len(self.names) != values.size:
-            raise ValueError("names and values length mismatch")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("feature names must be unique")
-        if not np.isfinite(values).all():
-            raise ValueError("feature values must be finite")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.names)
 
 
 # ---------------------------------------------------------------------------
@@ -183,37 +163,48 @@ def _first_order(values: np.ndarray, inside: np.ndarray) -> np.ndarray:
 # Shape
 # ---------------------------------------------------------------------------
 
-def shape_features(bits: np.ndarray) -> FeatureVector:
-    """9 binary-shape descriptors of one 2-D ROI mask (nonzero = set).
+def _shape_descriptors(inside: np.ndarray) -> np.ndarray:
+    """The 9 SHAPE_NAMES of each ROI mask of a stack (n, h, w), each with
+    at least one set pixel -> (n, 9).
 
     Perimeter counts boundary edges between a set pixel and an unset (or
     outside) pixel; the axis lengths come from the eigenvalues of the
-    second-moment matrix of the set-pixel coordinates (length = 4 sqrt(lambda)).
+    second-moment matrix of the set-pixel coordinates (length = 4 sqrt(lambda)),
+    taken in closed form from masked centred sums.
     """
-    bits = np.asarray(bits) > 0
-    rows, cols = np.nonzero(bits)
-    if rows.size == 0:
-        raise ValueError("empty mask")
-    area = float(rows.size)
-    padded = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=np.int8)
-    padded[1:-1, 1:-1] = bits
-    perimeter = float(np.abs(np.diff(padded, axis=0)).sum()
-                      + np.abs(np.diff(padded, axis=1)).sum())
-    compactness = 4.0 * np.pi * area / perimeter ** 2
-    bbox_h = float(rows.max() - rows.min() + 1)
-    bbox_w = float(cols.max() - cols.min() + 1)
-    extent = area / (bbox_h * bbox_w)
-    rc = np.stack([rows, cols]).astype(np.float64)
-    cov = np.cov(rc, ddof=0) if rows.size > 1 else np.zeros((2, 2))
-    eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
-    eigvals = np.clip(eigvals, 0.0, None)
-    major = 4.0 * np.sqrt(eigvals[0])
-    minor = 4.0 * np.sqrt(eigvals[1])
-    eccentricity = np.sqrt(1.0 - eigvals[1] / eigvals[0]) if eigvals[0] > 0 else 0.0
-    return FeatureVector(names=SHAPE_NAMES, values=np.array([
-        area, perimeter, compactness, bbox_w, bbox_h, extent,
-        major, minor, eccentricity,
-    ]))
+    n, h, w = inside.shape
+    area = np.count_nonzero(inside, axis=(1, 2)).astype(np.float64)
+    padded = np.pad(inside, ((0, 0), (1, 1), (1, 1)))
+    perimeter = (np.count_nonzero(padded[:, 1:] != padded[:, :-1], axis=(1, 2))
+                 + np.count_nonzero(padded[:, :, 1:] != padded[:, :, :-1],
+                                    axis=(1, 2))).astype(np.float64)
+
+    def span(occupied):
+        """Positions from the first to the last occupied one, inclusive,
+        in each row of (n, k)."""
+        end = occupied.shape[1] - occupied[:, ::-1].argmax(axis=1)
+        return (end - occupied.argmax(axis=1)).astype(np.float64)
+
+    bbox_h, bbox_w = span(inside.any(axis=2)), span(inside.any(axis=1))
+
+    def centred(coords):
+        """Each set pixel's coordinate minus its mask's mean one; 0 unset."""
+        mean = np.where(inside, coords, 0.0).sum(axis=(1, 2)) / area
+        return np.where(inside, coords - mean[:, None, None], 0.0)
+
+    dr = centred(np.arange(h, dtype=np.float64)[:, None])
+    dc = centred(np.arange(w, dtype=np.float64))
+    var_r, var_c, cov = ((u * v).sum(axis=(1, 2)) / area
+                         for u, v in ((dr, dr), (dc, dc), (dr, dc)))
+    mid = (var_r + var_c) / 2
+    radius = np.hypot((var_r - var_c) / 2, cov)
+    eig_max, eig_min = mid + radius, np.maximum(mid - radius, 0.0)
+    ratio = np.divide(eig_min, eig_max, out=np.ones(n), where=eig_max > 0)
+    return np.stack([
+        area, perimeter, 4.0 * np.pi * area / perimeter ** 2, bbox_w, bbox_h,
+        area / (bbox_h * bbox_w), 4.0 * np.sqrt(eig_max), 4.0 * np.sqrt(eig_min),
+        np.sqrt(1.0 - ratio),
+    ], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +457,7 @@ def extract_all(pixels: np.ndarray, bits: np.ndarray,
     sub_inside = np.repeat(downsample_mask(inside), len(WAVELET_BANDS), axis=0)
     sub = _plane_features(bands.reshape(-1, *bands.shape[2:]), sub_inside,
                           cfg.levels).reshape(n, -1)
-    shape = np.stack([shape_features(b).values for b in inside])
+    shape = _shape_descriptors(inside)
     first = len(FIRST_ORDER_NAMES)
     return np.concatenate([original[:, :first], shape, original[:, first:], sub],
                           axis=1)

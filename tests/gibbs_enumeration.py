@@ -76,10 +76,16 @@ def expected_cd_gradient(model, data, k, tables=None):
     return pos - dist @ stats
 
 
+def flatten(grad):
+    """A CrbmGradient as one vector: d/dW, then d/db, then d/dc."""
+    return np.concatenate([grad.filters.ravel(), [grad.visible_bias],
+                           grad.hidden_biases])
+
+
 def expected_cd_cosines(model, data, ks):
     """Cosine of the expected CD-k estimate against the exact gradient."""
     tables = chain_tables(model)
-    exact = crbm.exact_log_likelihood_grad(model, data).flatten()
+    exact = flatten(crbm.exact_log_likelihood_grad(model, data))
     exact_norm = np.linalg.norm(exact)
     out = []
     for k in ks:

@@ -4,9 +4,9 @@ This is the 374-feature catalog as it ran one slice at a time: the slice
 and each of its four Haar subbands are quantized and summarized on their
 own, and the texture counters are called once per plane and offset.  The
 package computes the same catalog over stacks of slices; tests compare
-the two.  Only the GLCM/GLRLM descriptor formulas and the shape
-descriptors are shared with the package, and each of those is checked
-against the textbook references in ``texture_bruteforce.py`` on its own.
+the two.  Only the GLCM/GLRLM descriptor formulas are shared with the
+package, and each of those is checked against the textbook references in
+``texture_bruteforce.py`` on its own.
 ``assert_catalog_row_matches_reference`` states how close the two must be.
 """
 
@@ -77,6 +77,37 @@ def first_order_values(x):
     ])
 
 
+def shape_features(bits):
+    """The 9 SHAPE_NAMES of one 2-D ROI mask (nonzero = set).
+
+    Perimeter counts boundary edges between a set pixel and an unset (or
+    outside) pixel; the axis lengths come from the eigenvalues of the
+    second-moment matrix of the set-pixel coordinates (length = 4 sqrt(lambda)).
+    """
+    bits = np.asarray(bits) > 0
+    rows, cols = np.nonzero(bits)
+    if rows.size == 0:
+        raise ValueError("empty mask")
+    area = float(rows.size)
+    padded = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=np.int8)
+    padded[1:-1, 1:-1] = bits
+    perimeter = float(np.abs(np.diff(padded, axis=0)).sum()
+                      + np.abs(np.diff(padded, axis=1)).sum())
+    compactness = 4.0 * np.pi * area / perimeter ** 2
+    bbox_h = float(rows.max() - rows.min() + 1)
+    bbox_w = float(cols.max() - cols.min() + 1)
+    extent = area / (bbox_h * bbox_w)
+    rc = np.stack([rows, cols]).astype(np.float64)
+    cov = np.cov(rc, ddof=0) if rows.size > 1 else np.zeros((2, 2))
+    eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
+    eigvals = np.clip(eigvals, 0.0, None)
+    major = 4.0 * np.sqrt(eigvals[0])
+    minor = 4.0 * np.sqrt(eigvals[1])
+    eccentricity = np.sqrt(1.0 - eigvals[1] / eigvals[0]) if eigvals[0] > 0 else 0.0
+    return np.array([area, perimeter, compactness, bbox_w, bbox_h, extent,
+                     major, minor, eccentricity])
+
+
 def haar(x):
     """The four subbands of one slice, odd sides edge-replicated first."""
     h, w = x.shape
@@ -126,7 +157,7 @@ def extract_one(pixels, bits, levels=32):
     sub_bits = downsample(bits)
     planes = [(pixels, bits)] + [(subbands[b], sub_bits) for b in WAVELET_BANDS]
     glcm, glrlm = texture_features(planes, levels)
-    shape = radiomics.shape_features(bits).values
+    shape = shape_features(bits)
     values = [first_order_values(pixels[inside]), shape, glcm[0], glrlm[0]]
     for k, band in enumerate(WAVELET_BANDS, start=1):
         values += [first_order_values(subbands[band][sub_bits > 0]), glcm[k], glrlm[k]]
@@ -159,11 +190,30 @@ def first_order_floor(x):
     return floor
 
 
+def assert_shape_matches_reference(got, bits):
+    """The 9 stacked shape descriptors of one mask against shape_features.
+
+    Area, perimeter, compactness, bounding box and extent are bit-exact.
+    The axes and the eccentricity agree to 1e-12 relative, with absolute
+    floors of 1e-7 times the major axis for the axes and 1e-7 for the
+    eccentricity: both are square roots, of the smaller eigenvalue and of
+    1 minus the eigenvalue ratio, and where rounding leaves either near 0
+    (a straight line, a square) the root turns an error of 1e-14 in it,
+    a few dozen ulps of the larger eigenvalue, into 1e-7.
+    """
+    want = shape_features(bits)
+    assert np.array_equal(got[:6], want[:6]), (got, want)
+    floor = 1e-7 * np.array([want[6], want[6], 1.0])
+    err = np.abs(got[6:] - want[6:])
+    assert (err <= 1e-12 * np.abs(want[6:]) + floor).all(), (got, want)
+
+
 def assert_catalog_row_matches_reference(row, pixels, bits, levels):
     """One stacked catalog row against the per-slice reference.
 
-    Shape and GLCM columns and the order statistics are bit-exact.  The
-    GLRLM descriptors agree to 1e-12 relative: they are ratios of sums of
+    GLCM columns and the order statistics are bit-exact; the shape columns
+    are as close as assert_shape_matches_reference states.  The GLRLM
+    descriptors agree to 1e-12 relative: they are ratios of sums of
     positive terms over the same run counts, but the reference zero-pads
     the subbands' matrices to the slice's max_run, and a longer row sums
     in another order.  The other first-order values agree to 1e-12
@@ -181,6 +231,9 @@ def assert_catalog_row_matches_reference(row, pixels, bits, levels):
         (texture_start + k * PLANE, subbands[band][sub_inside])
         for k, band in enumerate(WAVELET_BANDS)]
     exact = np.ones(radiomics.FEATURE_COUNT, dtype=bool)
+    shape = np.arange(first, first + len(radiomics.SHAPE_NAMES))
+    assert_shape_matches_reference(row[shape], bits)
+    exact[shape] = False
     glrlm = np.array(["_glrlm_" in name for name in radiomics.CATALOG_NAMES])
     np.testing.assert_allclose(row[glrlm], want[glrlm], rtol=1e-12, atol=0)
     exact[glrlm] = False

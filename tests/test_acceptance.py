@@ -25,7 +25,7 @@ from crbm_radiomics.radiomics import (glcm_compute, glrlm_compute,
                                       wavelet_decompose, wavelet_reconstruct)
 from crbm_radiomics.seeding import derive_rng
 
-from gibbs_enumeration import expected_cd_cosines
+from gibbs_enumeration import expected_cd_cosines, flatten
 from texture_bruteforce import brute_glcm, brute_glrlm
 
 
@@ -162,7 +162,7 @@ def test_criterion_03_exact_gradient_matches_finite_differences():
         rng = derive_rng(3, "fd-model", trial)
         model = _tiny_model(rng, n, k, m)
         data = [_binary_image(rng, n) for _ in range(3)]
-        grad = crbm.exact_log_likelihood_grad(model, data).flatten()
+        grad = flatten(crbm.exact_log_likelihood_grad(model, data))
 
         def ll(df=0.0, db=0.0, dc=0.0):
             shifted = CrbmModel(filters=model.filters + df,

@@ -149,6 +149,17 @@ def test_exit_code_2_for_config_errors(workspace, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_exit_code_2_names_the_file_of_a_bad_crbm_training_field(workspace, tmp_path,
+                                                                 capsys):
+    bad = tmp_path / "c.json"
+    bad.write_text('{"crbm": {"learning_rate": -1}}')
+    code = cli.main(["run", "--config", str(bad),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "config error: c.json.crbm: learning_rate" in capsys.readouterr().err
+
+
 def test_exit_code_1_for_missing_manifest(workspace, tmp_path, capsys):
     code = cli.main(["run", "--config", str(workspace["radiomics_cfg"]),
                      "--manifest", str(tmp_path / "absent.csv"),

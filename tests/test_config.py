@@ -84,6 +84,17 @@ def test_invalid_values_are_config_errors(tmp_path):
             load_pipeline_config(path)
 
 
+@pytest.mark.parametrize("source", ["crbm-image", "radiomics"])
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", -1), ("weight_init_sigma", 0), ("batch_size", 0),
+    ("cd_steps", 0), ("epochs", -1)])
+def test_crbm_training_fields_are_checked_at_load(tmp_path, source, field, value):
+    path = write_json(tmp_path / "c.json",
+                      {"feature_source": source, "crbm": {field: value}})
+    with pytest.raises(ConfigError, match=rf"^c\.json\.crbm: .*{field}"):
+        load_pipeline_config(path)
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_pipeline_config(tmp_path / "absent.json")

@@ -10,7 +10,7 @@ from crbm_radiomics.config import SynthSpec
 from crbm_radiomics.data_model import Image2D
 from crbm_radiomics.errors import TrainingError
 from crbm_radiomics.seeding import derive_rng
-from gibbs_enumeration import expected_cd_gradient
+from gibbs_enumeration import expected_cd_gradient, flatten
 
 
 def small_model(seed=0):
@@ -140,8 +140,8 @@ def test_cd_gradient_estimate_of_a_list_is_the_sum_of_one_image_estimates():
     whole = crbm.cd_gradient_estimate(model, data, 3, derive_rng(13, "s"))
     stream = derive_rng(13, "s")
     parts = [crbm.cd_gradient_estimate(model, [img], 3, stream) for img in data]
-    np.testing.assert_allclose(whole.flatten(),
-                               np.sum([g.flatten() for g in parts], axis=0),
+    np.testing.assert_allclose(flatten(whole),
+                               np.sum([flatten(g) for g in parts], axis=0),
                                atol=1e-12)
 
 
@@ -334,7 +334,7 @@ def test_sampled_cd_estimate_converges_to_enumerated_expectation():
     draws = np.empty((reps, exact.size))
     for i in range(reps):
         est = crbm.cd_gradient_estimate(model, data, 2, derive_rng(6, "rep", i))
-        draws[i] = est.flatten()
+        draws[i] = flatten(est)
     mean = draws.mean(axis=0)
     sem = draws.std(axis=0, ddof=1) / np.sqrt(reps)
     np.testing.assert_array_less(np.abs(mean - exact), 6.0 * sem + 1e-3)

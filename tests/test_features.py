@@ -12,6 +12,7 @@ from crbm_radiomics.errors import ConfigError
 from crbm_radiomics.features import (
     FeatureMatrix,
     build_features,
+    column_names,
     crbm_image_features,
     crbm_patch_features,
     crbm_training_images,
@@ -38,7 +39,7 @@ def small_model():
 # ---------------------------------------------------------------------------
 
 def valid_kwargs():
-    return dict(names=("a", "b"), values=np.zeros((2, 2)),
+    return dict(values=np.zeros((2, 2)),
                 row_ids=("r0", "r1"), labels=np.array([0, 1]),
                 patient_ids=("p0", "p1"), parents=("r0", "r1"))
 
@@ -46,7 +47,7 @@ def valid_kwargs():
 def test_feature_matrix_validation():
     FeatureMatrix(**valid_kwargs())  # baseline passes
     for corrupt in (
-            dict(names=("a",)),
+            dict(values=np.zeros(2)),
             dict(row_ids=("r0", "r0")),
             dict(row_ids=("r0",)),
             dict(labels=np.array([0, 2])),
@@ -54,21 +55,6 @@ def test_feature_matrix_validation():
         kwargs = {**valid_kwargs(), **corrupt}
         with pytest.raises(ValueError):
             FeatureMatrix(**kwargs)
-
-
-def test_take_selects_rows_and_keeps_columns():
-    fm = FeatureMatrix(names=("a", "b"),
-                       values=np.arange(8.0).reshape(4, 2),
-                       row_ids=("r0", "r1", "r2", "r3"),
-                       labels=np.array([0, 1, 0, 1]),
-                       patient_ids=("p0", "p0", "p1", "p1"),
-                       parents=("r0", "r1", "r2", "r3"))
-    sub = fm.take([2, 0])
-    assert sub.names == fm.names
-    assert sub.row_ids == ("r2", "r0")
-    assert sub.labels.tolist() == [0, 0]
-    np.testing.assert_array_equal(sub.values, [[4.0, 5.0], [0.0, 1.0]])
-    assert sub.n_rows == 2 and sub.n_columns == 2
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +135,9 @@ def test_crbm_image_features_shape_and_names(tiny_corpus):
     side = model.hidden_side
     assert fm.n_rows == len(dataset)
     assert fm.n_columns == side * side
-    assert fm.names[0] == "crbm_0_0"
-    assert fm.names[-1] == f"crbm_{side - 1}_{side - 1}"
+    names = column_names(small_config(), model)
+    assert names[0] == "crbm_0_0"
+    assert names[-1] == f"crbm_{side - 1}_{side - 1}"
     assert fm.parents == fm.row_ids
 
 
@@ -204,12 +191,14 @@ def test_build_features_dispatch(tiny_corpus):
         build_features(dataset, small_config(), None)
 
 
-def test_build_features_rejects_duplicate_column_names(tiny_corpus, monkeypatch):
-    # names are checked once per build, not on every FeatureMatrix
+@pytest.mark.parametrize("source", ["radiomics", "crbm-image", "crbm-patch"])
+def test_column_names_are_unique_and_name_every_built_column(tiny_corpus, source):
     dataset, _ = tiny_corpus
-    monkeypatch.setattr(features, "_map_names", lambda side: ("crbm",) * side * side)
-    with pytest.raises(ValueError, match="column names must be unique"):
-        build_features(dataset, small_config(), small_model())
+    config = small_config(feature_source=source)
+    model = small_model()
+    names = column_names(config, model)
+    assert len(set(names)) == len(names)
+    assert len(names) == build_features(dataset, config, model).n_columns
 
 
 def test_build_features_uses_configured_reduction(tiny_corpus):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbm_radiomics.errors import TrainingError
-from crbm_radiomics.features import FeatureMatrix
 from crbm_radiomics.pls import (
     Reducer,
     apply_reducer,
@@ -18,16 +17,8 @@ from crbm_radiomics.pls import (
 from crbm_radiomics.seeding import derive_rng
 
 
-def matrix_from(values, names=None):
-    values = np.asarray(values, dtype=np.float64)
-    n, p = values.shape
-    names = tuple(names) if names else tuple(f"f{i}" for i in range(p))
-    labels = np.tile([0, 1], n)[:n]
-    return FeatureMatrix(names=names, values=values,
-                         row_ids=tuple(f"r{i}" for i in range(n)),
-                         labels=labels,
-                         patient_ids=tuple(f"p{i}" for i in range(n)),
-                         parents=tuple(f"r{i}" for i in range(n)))
+def matrix_from(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 def random_problem(seed, n=40, p=8):
@@ -42,7 +33,7 @@ def random_problem(seed, n=40, p=8):
 def test_first_weight_is_proportional_to_cross_covariance():
     X, y = random_problem(1)
     model = fit_pls(X, y, 3)
-    Xz = (X.values - X.values.mean(axis=0)) / X.values.std(axis=0)
+    Xz = (X - X.mean(axis=0)) / X.std(axis=0)
     cov = Xz.T @ (y - y.mean())
     want = cov / np.linalg.norm(cov)
     if want[np.argmax(np.abs(want))] < 0:
@@ -53,7 +44,7 @@ def test_first_weight_is_proportional_to_cross_covariance():
 def test_first_component_beats_random_directions_at_covariance():
     X, y = random_problem(2, n=60, p=10)
     model = fit_pls(X, y, 1)
-    Xz = (X.values - X.values.mean(axis=0)) / X.values.std(axis=0)
+    Xz = (X - X.mean(axis=0)) / X.std(axis=0)
     yc = y - y.mean()
     best = abs(float((Xz @ model.weights[:, 0]) @ yc))
     rng = derive_rng(2, "dirs")
@@ -66,8 +57,7 @@ def test_first_component_beats_random_directions_at_covariance():
 def test_duplicate_columns_share_weight():
     rng = derive_rng(3, "dup")
     base = rng.normal(size=(30, 3))
-    X = matrix_from(np.column_stack([base, base[:, 0]]),
-                    names=("a", "b", "c", "a_copy"))
+    X = matrix_from(np.column_stack([base, base[:, 0]]))
     y = (base[:, 0] > 0).astype(float)
     model = fit_pls(X, y, 2)
     np.testing.assert_allclose(model.weights[0, :], model.weights[3, :],
@@ -86,8 +76,8 @@ def test_training_scores_are_pairwise_orthogonal():
 
 def nipals_scores(model, Xz):
     """Replay the fit's deflation with its weights and loadings: (n, A)."""
-    T = np.empty((Xz.shape[0], model.n_components))
-    for a in range(model.n_components):
+    T = np.empty((Xz.shape[0], model.weights.shape[1]))
+    for a in range(model.weights.shape[1]):
         T[:, a] = Xz @ model.weights[:, a]
         Xz = Xz - np.outer(T[:, a], model.loadings[:, a])
     return T
@@ -104,14 +94,12 @@ def test_nipals_scores_are_orthogonal_and_transform_reproduces_them(
     vals = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
     y = np.tile([0.0, 1.0], n)[:n]
     rng.shuffle(y)
-    plain = matrix_from(vals)
     # the fit sees one extra constant column, which it drops
     at = data.draw(st.integers(0, p), label="constant column position")
-    names = plain.names[:at] + ("const",) + plain.names[at:]
-    with_const = matrix_from(np.insert(vals, at, float(const), axis=1), names)
+    with_const = matrix_from(np.insert(vals, at, float(const), axis=1))
     model = fit_pls(with_const, y, min(a, p))
-    assert model.dropped_names == ("const",)
-    assert model.feature_names == plain.names
+    assert model.columns.tolist() == [i for i in range(p + 1) if i != at]
+    assert model.n_inputs == p + 1
 
     T = nipals_scores(model, (vals - model.column_means) / model.column_sds)
     norms = np.linalg.norm(T, axis=0)
@@ -123,27 +111,19 @@ def test_nipals_scores_are_orthogonal_and_transform_reproduces_them(
     tol = 1e-8 * norms.max()
     got = transform(model, with_const)
     np.testing.assert_allclose(got, T, rtol=0, atol=tol)
-    np.testing.assert_allclose(transform(model, plain), got, rtol=0,
-                               atol=1e-12 * norms.max())
-    perm = data.draw(st.permutations(range(p + 1)), label="column order")
-    shuffled = matrix_from(with_const.values[:, perm],
-                           tuple(with_const.names[i] for i in perm))
-    np.testing.assert_allclose(transform(model, shuffled), got, rtol=0,
-                               atol=1e-12 * norms.max())
 
 
 def test_full_rank_fit_reconstructs_standardized_matrix():
     X, y = random_problem(5, n=30, p=6)
     model = fit_pls(X, y, 6)
     scores = transform(model, X)
-    Xz = (X.values - model.column_means) / model.column_sds
+    Xz = (X - model.column_means) / model.column_sds
     np.testing.assert_allclose(scores @ model.loadings.T, Xz, atol=1e-8)
 
 
 def test_transform_is_invariant_to_column_scaling():
     X, y = random_problem(6)
-    scaled = matrix_from(X.values * np.array([1, 100, 0.01, 5, 1, 1, 1, 1.0]),
-                         names=X.names)
+    scaled = matrix_from(X * np.array([1, 100, 0.01, 5, 1, 1, 1, 1.0]))
     a = transform(fit_pls(X, y, 3), X)
     b = transform(fit_pls(scaled, y, 3), scaled)
     np.testing.assert_allclose(a, b, atol=1e-8)
@@ -152,30 +132,32 @@ def test_transform_is_invariant_to_column_scaling():
 def test_transform_maps_column_means_to_origin():
     X, y = random_problem(7)
     model = fit_pls(X, y, 2)
-    mean_row = matrix_from(X.values.mean(axis=0, keepdims=True), names=X.names)
+    mean_row = matrix_from(X.mean(axis=0, keepdims=True))
     np.testing.assert_allclose(transform(model, mean_row), 0.0, atol=1e-10)
 
 
-def test_transform_reorders_columns_by_name():
+def test_transform_and_apply_reducer_reject_another_width():
     X, y = random_problem(8, p=4)
-    model = fit_pls(X, y, 2)
-    perm = [2, 0, 3, 1]
-    shuffled = matrix_from(X.values[:, perm],
-                           names=tuple(X.names[i] for i in perm))
-    np.testing.assert_allclose(transform(model, shuffled), transform(model, X),
-                               atol=1e-12)
+    for mode in ("latent", "vip-subset"):
+        red = fit_reducer(X, y, 2, mode=mode)
+        for other in (X[:, :3], np.column_stack([X, X[:, 0]])):
+            width = other.shape[1]
+            with pytest.raises(ValueError, match=rf"\b{width}\b.*\b4\b"):
+                transform(red.pls, other)
+            with pytest.raises(ValueError, match=rf"\b{width}\b.*\b4\b"):
+                apply_reducer(red, other)
 
 
 def test_zero_variance_columns_are_dropped_and_recorded():
     rng = derive_rng(9, "zv")
     vals = rng.normal(size=(20, 4))
     vals[:, 2] = 1.25
-    X = matrix_from(vals, names=("a", "b", "const", "d"))
+    X = matrix_from(vals)
     y = (rng.random(20) < 0.5).astype(float)
     y[:2] = [0, 1]
     model = fit_pls(X, y, 2)
-    assert model.dropped_names == ("const",)
-    assert model.feature_names == ("a", "b", "d")
+    assert model.columns.tolist() == [0, 1, 3]
+    assert model.n_inputs == 4
     assert model.weights.shape == (3, 2)
     # transform still accepts the full matrix
     assert transform(model, X).shape == (20, 2)
@@ -236,15 +218,17 @@ def test_reducer_latent_mode_matches_transform():
 def test_reducer_vip_subset_returns_standardized_columns():
     rng = derive_rng(15, "sub")
     vals = rng.normal(size=(40, 5))
-    y = (vals[:, 1] > 0).astype(float)
+    vals[:, 0] = 3.0  # dropped, so kept positions are input positions - 1
+    y = (vals[:, 2] > 0).astype(float)
     red = fit_reducer(matrix_from(vals), y, 2, mode="vip-subset")
     assert len(red.selected) == 2
-    assert "f1" in red.selected  # the driving column must survive
+    assert 1 in red.selected  # the driving column, input 2, must survive
     out = apply_reducer(red, matrix_from(vals))
     assert out.shape == (40, 2)
-    pos = red.pls.feature_names.index(red.selected[0])
-    want = (vals[:, pos] - red.pls.column_means[pos]) / red.pls.column_sds[pos]
-    np.testing.assert_allclose(out[:, 0], want, atol=1e-12)
+    for k, pos in enumerate(red.selected):
+        col = red.pls.columns[pos]
+        want = (vals[:, col] - red.pls.column_means[pos]) / red.pls.column_sds[pos]
+        np.testing.assert_allclose(out[:, k], want, atol=1e-12)
 
 
 def test_reducer_rejects_unknown_mode():

@@ -1,5 +1,8 @@
-"""Every public module-level function and class of the package is used by
-the package itself; the only exceptions are the oracles listed below."""
+"""Every public module-level function and class of the package, and every
+public method and property of its classes, is used by the package itself;
+the only exceptions are the oracles listed below.  A method or property
+counts as used when the package reads an attribute of its name outside
+its own definition."""
 
 import ast
 from pathlib import Path
@@ -25,16 +28,28 @@ def public_definitions(tree):
             and not node.name.startswith("_")]
 
 
+def public_members(tree):
+    """(qualified name, node, is a member) of every public definition of
+    the module and every public method and property of its public classes."""
+    for node in public_definitions(tree):
+        yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("_")):
+                    yield f"{node.name}.{member.name}", member, True
+
+
 def references(tree):
-    """(name, line) of every name the module loads, every attribute it
-    reads and every name it imports."""
+    """(name, line, is an attribute) of every name the module loads,
+    every attribute it reads and every name it imports."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
 
 
 def test_every_public_definition_has_a_caller_in_the_package():
@@ -43,14 +58,16 @@ def test_every_public_definition_has_a_caller_in_the_package():
     refs = {module: list(references(tree)) for module, tree in trees.items()}
     uncalled, defined = [], set()
     for module, tree in trees.items():
-        for node in public_definitions(tree):
-            defined.add((module, node.name))
-            if node.name in ORACLES.get(module, ()):
+        for qualified, node, member in public_members(tree):
+            defined.add((module, qualified))
+            if qualified in ORACLES.get(module, ()):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and (other != module or line not in own)
-                       for other, found in refs.items() for name, line in found):
-                uncalled.append(f"{module}.{node.name}")
+            if not any(name == node.name and (attribute or not member)
+                       and (other != module or line not in own)
+                       for other, found in refs.items()
+                       for name, line, attribute in found):
+                uncalled.append(f"{module}.{qualified}")
     assert not uncalled, f"public definitions with no caller in the package: {uncalled}"
     # the allowlist names only definitions that exist
     assert {(m, n) for m, names in ORACLES.items() for n in names} <= defined

@@ -15,18 +15,18 @@ from crbm_radiomics.radiomics import (
     FIRST_ORDER_NAMES,
     GLCM_FEATURE_NAMES,
     GLRLM_FEATURE_NAMES,
-    FeatureVector,
+    SHAPE_NAMES,
     RadiomicsConfig,
     extract_all,
     glcm_compute,
     glrlm_compute,
-    shape_features,
     wavelet_decompose,
     wavelet_reconstruct,
 )
 from crbm_radiomics.seeding import derive_rng
 
-from radiomics_reference import assert_catalog_row_matches_reference
+from radiomics_reference import (assert_catalog_row_matches_reference,
+                                 assert_shape_matches_reference)
 from texture_bruteforce import (brute_glcm, brute_glrlm, reference_glcm_features,
                                 reference_glrlm_features)
 
@@ -36,29 +36,16 @@ def full_mask(shape):
 
 
 def extract_one(img, mask, cfg=RadiomicsConfig()):
-    """The catalog of one slice, as a one-member stack."""
+    """The catalog of one slice, as a one-member stack: {name: value}."""
     values = extract_all(img.pixels[None], mask.bits[None], cfg)
     assert values.shape == (1, FEATURE_COUNT)
-    return FeatureVector(names=CATALOG_NAMES, values=values[0])
+    return dict(zip(CATALOG_NAMES, values[0]))
 
 
 def quantize(values, bits, levels):
     """The codes of one slice, as a one-member stack."""
     return radiomics._quantize(np.asarray(values, dtype=np.float64)[None],
                                np.asarray(bits)[None] > 0, levels)[0]
-
-
-# ---------------------------------------------------------------------------
-# Feature vector container
-# ---------------------------------------------------------------------------
-
-def test_feature_vector_rejects_duplicates_and_non_finite():
-    with pytest.raises(ValueError):
-        FeatureVector(names=("a", "a"), values=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        FeatureVector(names=("a", "b"), values=np.array([1.0, np.inf]))
-    fv = FeatureVector(names=("a", "b"), values=np.array([1.0, 2.0]))
-    assert len(fv) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +198,7 @@ def test_first_order_ignores_pixels_outside_roi():
     img = Image2D(pixels=np.array([[0.2, 0.4, 0.9]]))
     fv = extract_one(img, RoiMask(bits=bits))
     got = {name[len("original_firstorder_"):]: value
-           for name, value in zip(fv.names, fv.values)
+           for name, value in fv.items()
            if name.startswith("original_firstorder_")}
     assert got["mean"] == pytest.approx(0.3, abs=1e-12)
     assert got["maximum"] == pytest.approx(0.4)
@@ -222,11 +209,15 @@ def test_first_order_ignores_pixels_outside_roi():
 # Shape
 # ---------------------------------------------------------------------------
 
+def shape_of(bits):
+    """The shape descriptors of one mask, as a one-member stack: {name: value}."""
+    return dict(zip(SHAPE_NAMES, radiomics._shape_descriptors(bits[None] > 0)[0]))
+
+
 def test_shape_rectangle_hand_values():
     bits = np.zeros((9, 15), dtype=np.uint8)
     bits[2:7, 3:14] = 1  # 5 rows x 11 cols solid rectangle
-    fv = shape_features(bits)
-    got = dict(zip(fv.names, fv.values))
+    got = shape_of(bits)
     assert got["area"] == 55.0
     assert got["perimeter"] == 2 * (5 + 11)
     assert got["bbox_width"] == 11.0
@@ -241,8 +232,7 @@ def test_shape_rectangle_hand_values():
 def test_shape_square_compactness_is_pi_over_four():
     bits = np.zeros((6, 6), dtype=np.uint8)
     bits[1:5, 1:5] = 1
-    fv = shape_features(bits)
-    got = dict(zip(fv.names, fv.values))
+    got = shape_of(bits)
     assert got["compactness"] == pytest.approx(np.pi / 4.0, abs=1e-12)
 
 
@@ -251,8 +241,7 @@ def test_shape_perimeter_counts_concave_boundary():
     bits = np.zeros((5, 5), dtype=np.uint8)
     bits[2, 1:4] = 1
     bits[1:4, 2] = 1
-    fv = shape_features(bits)
-    got = dict(zip(fv.names, fv.values))
+    got = shape_of(bits)
     assert got["area"] == 5.0
     assert got["perimeter"] == 12.0
 
@@ -260,8 +249,7 @@ def test_shape_perimeter_counts_concave_boundary():
 def test_shape_single_pixel_is_degenerate_but_finite():
     bits = np.zeros((3, 3), dtype=np.uint8)
     bits[1, 1] = 1
-    fv = shape_features(bits)
-    got = dict(zip(fv.names, fv.values))
+    got = shape_of(bits)
     assert got["area"] == 1.0
     assert got["perimeter"] == 4.0
     assert got["major_axis"] == 0.0
@@ -276,9 +264,45 @@ def test_shape_translation_invariance():
     b = np.zeros((12, 12), dtype=np.uint8)
     a[1:5, 2:8] = blob
     b[6:10, 4:10] = blob
-    va = shape_features(a).values
-    vb = shape_features(b).values
+    va, vb = radiomics._shape_descriptors(np.stack([a, b]) > 0)
     np.testing.assert_allclose(va, vb, atol=1e-12)
+
+
+@st.composite
+def shape_stacks(draw):
+    """A stack of same-shape masks (h != w allowed), each a random blob, a
+    single pixel, a row or column segment, or a diagonal or anti-diagonal
+    line: the degenerate second-moment cases next to generic ones."""
+    n = draw(st.integers(1, 5))
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    masks = np.zeros((n, h, w), dtype=bool)
+    for m in masks:
+        r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        kind = draw(st.sampled_from(["random", "pixel", "row", "column",
+                                     "diagonal", "anti-diagonal"]))
+        if kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            m[:] = rng.random((h, w)) < rng.random()
+        elif kind == "row":
+            m[r, c:draw(st.integers(c + 1, w))] = True
+        elif kind == "column":
+            m[r:draw(st.integers(r + 1, h)), c] = True
+        elif kind != "pixel":
+            k = np.arange(draw(st.integers(1, min(h - r, w - c))))
+            m[r + k, c + k] = True
+            if kind == "anti-diagonal":
+                m[:] = m[:, ::-1]
+        m[r, c if kind != "anti-diagonal" else w - 1 - c] = True
+    return masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_stacks())
+def test_stacked_shape_descriptors_match_the_per_slice_reference(masks):
+    got = radiomics._shape_descriptors(masks)
+    assert got.shape == (len(masks), len(SHAPE_NAMES))
+    for row, bits in zip(got, masks):
+        assert_shape_matches_reference(row, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +635,14 @@ def test_extract_all_has_374_unique_finite_features():
     rng = derive_rng(8, "cat")
     img, mask = random_image_and_mask(rng)
     fv = extract_one(img, mask)
-    assert len(fv) == FEATURE_COUNT == 374
-    assert len(set(fv.names)) == 374
-    assert np.isfinite(fv.values).all()
+    assert len(fv) == len(CATALOG_NAMES) == FEATURE_COUNT == 374
+    assert np.isfinite(list(fv.values())).all()
 
 
 def test_extract_all_name_inventory():
     rng = derive_rng(9, "names")
     img, mask = random_image_and_mask(rng)
-    names = extract_one(img, mask).names
+    names = list(extract_one(img, mask))
     count = lambda s: sum(1 for n in names if n.startswith(s))
     assert count("original_firstorder_") == 13
     assert count("shape_") == 9
@@ -637,8 +660,7 @@ def test_extract_all_texture_columns_are_the_per_matrix_features():
     # brute-force enumerated matrix of its plane and offset
     rng = derive_rng(12, "stack")
     img, mask = random_image_and_mask(rng, size=15)
-    fv = extract_one(img, mask)
-    got = dict(zip(fv.names, fv.values))
+    got = extract_one(img, mask)
     subbands = wavelet_decompose(img.pixels)
     planes = [("original_", img.pixels, mask)] + [
         (f"wavelet_{b}_", subbands[b], radiomics.downsample_mask(mask.bits))
@@ -679,7 +701,7 @@ def test_extract_all_invariant_under_even_translation():
 
     fa = extract_one(Image2D(pixels=img_a), RoiMask(bits=bits_a))
     fb = extract_one(Image2D(pixels=img_b), RoiMask(bits=bits_b))
-    np.testing.assert_allclose(fa.values, fb.values, atol=1e-10)
+    np.testing.assert_allclose(list(fa.values()), list(fb.values()), atol=1e-10)
 
 
 def test_extract_all_respects_levels_config():
@@ -688,18 +710,15 @@ def test_extract_all_respects_levels_config():
     a = extract_one(img, mask, RadiomicsConfig(levels=8))
     b = extract_one(img, mask, RadiomicsConfig(levels=32))
     # contrast grows with the number of levels on continuous noise
-    ga = dict(zip(a.names, a.values))
-    gb = dict(zip(b.names, b.values))
-    assert gb["original_glcm_0_1_contrast"] > ga["original_glcm_0_1_contrast"]
+    assert b["original_glcm_0_1_contrast"] > a["original_glcm_0_1_contrast"]
 
 
 def test_extract_all_single_pixel_roi_zero_fills_glcm():
     img = Image2D(pixels=np.random.default_rng(0).random((8, 8)))
     bits = np.zeros((8, 8), dtype=np.uint8)
     bits[4, 4] = 1
-    fv = extract_one(img, RoiMask(bits=bits))
-    got = dict(zip(fv.names, fv.values))
-    assert len(fv) == 374
+    got = extract_one(img, RoiMask(bits=bits))
+    assert len(got) == 374
     assert got["original_glcm_0_1_contrast"] == 0.0
     assert got["original_glrlm_0_1_rp"] == 1.0  # one run of one pixel
 
