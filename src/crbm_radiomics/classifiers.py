@@ -170,10 +170,7 @@ class RfModel:
 
     trees: tuple
     n_trees: int
-    max_depth: int
-    features_per_split: int
     n_features: int
-    rng_seed: int
 
     def __post_init__(self):
         if len(self.trees) != self.n_trees:
@@ -260,8 +257,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
         nodes = []
         _grow(X, y, rows, 0, max_depth, m, rng, nodes)
         trees.append(tuple(nodes))
-    return RfModel(trees=tuple(trees), n_trees=n_trees, max_depth=max_depth,
-                   features_per_split=m, n_features=p, rng_seed=seed)
+    return RfModel(trees=tuple(trees), n_trees=n_trees, n_features=p)
 
 
 def _tree_predict(nodes: tuple, x: np.ndarray) -> float:

@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, crbm, evaluation, features, synth
 from .config import (config_echo, load_pipeline_config, load_synth_spec)
 from .data_model import load_manifest
@@ -50,19 +52,35 @@ def cmd_train_crbm(args) -> int:
     return 0
 
 
+def _load_model(path, config):
+    """The --model file, refused unless its sizes are the config's."""
+    model = crbm.load_model(path)
+    wrong = [f"{name} {getattr(model, name)} (config {getattr(config.crbm, name)})"
+             for name in ("num_filters", "kernel_size", "input_size")
+             if getattr(model, name) != getattr(config.crbm, name)]
+    if wrong:
+        raise ConfigError(f"{path}: model does not match the config's crbm "
+                          f"section: {', '.join(wrong)}")
+    return model
+
+
 def cmd_extract(args) -> int:
     config = load_pipeline_config(args.config)
     dataset = load_manifest(args.manifest)
-    model = crbm.load_model(args.model) if args.model else None
+    model = _load_model(args.model, config) if args.model else None
     fm = features.build_features(dataset, config, model)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "patient_id",
                          *features.column_names(config, model), "label"])
-        for i in range(fm.n_rows):
-            writer.writerow([fm.row_ids[i], fm.patient_ids[i],
-                             *(_float_cell(v) for v in fm.values[i]),
-                             int(fm.labels[i])])
+        patches = config.feature_source == "crbm-patch"
+        first = np.searchsorted(fm.records, fm.records)  # row's record's first row
+        for row, (i, values) in enumerate(zip(fm.records, fm.values)):
+            record = dataset.records[i]
+            row_id = (f"{record.sample_id}#p{row - first[row]}" if patches
+                      else record.sample_id)
+            writer.writerow([row_id, record.patient_id,
+                             *(_float_cell(v) for v in values), record.label])
     print(f"wrote {fm.n_rows} x {fm.n_columns} feature matrix -> {args.out}")
     return 0
 
@@ -70,7 +88,7 @@ def cmd_extract(args) -> int:
 def cmd_run(args) -> int:
     config = load_pipeline_config(args.config)
     dataset = load_manifest(args.manifest)
-    model = crbm.load_model(args.model) if args.model else None
+    model = _load_model(args.model, config) if args.model else None
     report = evaluation.cross_validate(config, dataset, model)
     doc = {
         "package_version": __version__,

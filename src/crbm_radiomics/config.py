@@ -43,6 +43,8 @@ class CrbmSection:
             raise ConfigError("num_filters and kernel_size must be >= 1")
         if self.kernel_size > self.input_size:
             raise ConfigError("kernel_size must not exceed input_size")
+        if self.weight_init_sigma <= 0:
+            raise ConfigError("weight_init_sigma must be positive")
         try:  # CrbmTrainConfig's own checks, at load rather than at train time
             self.train_config(seed=0)
         except ValueError as exc:
@@ -54,7 +56,6 @@ class CrbmSection:
                                epochs=self.epochs,
                                batch_size=self.batch_size,
                                rng_seed=seed,
-                               weight_init_sigma=self.weight_init_sigma,
                                binarize_visible=self.binarize_visible)
 
 

@@ -48,10 +48,9 @@ two CD phases it is the difference of were up to 24x larger than it; a
 test pins 5e-5.  float32 uniforms are a different random stream from
 float64 ones, so training is reproducible but not bit-equal to a float64
 chain.  Every other entry point passes float64 and stays float64 through
-the same functions: ``cd_gradient_estimate``, ``gibbs_chain``,
-``hidden_probabilities`` and ``extract_feature_map`` (so feature
-matrices are float64), and the energy and exact-enumeration oracles,
-whose tolerances are float64 ones.
+the same functions: ``cd_gradient_estimate``, ``gibbs_chain`` and
+``extract_feature_map`` (so feature matrices are float64), and the
+energy and exact-enumeration oracles, whose tolerances are float64 ones.
 """
 
 import json
@@ -63,7 +62,8 @@ from scipy.special import logsumexp
 
 from . import kernels
 from .data_model import Image2D
-from .errors import EnumerationGuardError, ShapeMismatchError, TrainingError
+from .errors import (EnumerationGuardError, ModelFormatError,
+                     ShapeMismatchError, TrainingError)
 from .seeding import derive_rng
 
 ENUMERATION_LIMIT = 20
@@ -72,6 +72,9 @@ _CHUNK = 1 << 16
 # 4 MB of float32); a chunk holds as many whole images as fit, and at
 # least one
 _CD_CHUNK_DRAWS = 1 << 20
+# the keys of a model file besides "format" and "version"; sizes first
+_MODEL_KEYS = ("num_filters", "kernel_size", "input_size", "visible_bias",
+               "hidden_biases", "filters")
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +135,11 @@ class CrbmTrainConfig:
     epochs: int = 30
     batch_size: int = 16
     rng_seed: int = 0
-    weight_init_sigma: float = 0.01
     binarize_visible: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.weight_init_sigma <= 0:
-            raise ValueError("learning_rate and weight_init_sigma must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.cd_steps < 1 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("cd_steps/batch_size must be >= 1 and epochs >= 0")
 
@@ -215,18 +217,44 @@ def save_model(model: CrbmModel, path) -> None:
         fh.write("\n")
 
 
+def _model_array(path, doc: dict, key: str, shape: tuple) -> np.ndarray:
+    try:
+        arr = np.array(doc[key], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged lists, strings, objects
+        arr = None
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        raise ModelFormatError(
+            f"{path}: {key} must be finite numbers of shape {shape}")
+    return arr
+
+
 def load_model(path) -> CrbmModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "crbm-model":
-        raise ValueError(f"{path}: not a CRBM model file")
-    k = int(doc["kernel_size"])
-    filters = np.array([np.array(f, dtype=np.float64).reshape(k, k)
-                        for f in doc["filters"]])
-    return CrbmModel(filters=filters,
-                     visible_bias=float(doc["visible_bias"]),
-                     hidden_biases=np.asarray(doc["hidden_biases"], dtype=np.float64),
-                     input_size=int(doc["input_size"]))
+    """The model a save_model file holds; any other content raises
+    ModelFormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "crbm-model":
+        raise ModelFormatError(f"{path}: not a CRBM model file")
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise ModelFormatError(f"{path}: missing {', '.join(missing)}")
+    sizes = [doc[key] for key in _MODEL_KEYS[:3]]
+    if not all(type(v) is int for v in sizes):
+        raise ModelFormatError(f"{path}: {', '.join(_MODEL_KEYS[:3])} "
+                               "must be integers")
+    m, k, n = sizes
+    filters = _model_array(path, doc, "filters", (m, k * k))
+    try:
+        return CrbmModel(
+            filters=filters.reshape(m, k, k),
+            visible_bias=_model_array(path, doc, "visible_bias", ()),
+            hidden_biases=_model_array(path, doc, "hidden_biases", (m,)),
+            input_size=n)
+    except ShapeMismatchError as exc:  # a kernel too large for its input
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +303,6 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
     dtype = hmaps.dtype
     act = kernels.conv_full(hmaps, model.filters.astype(dtype, copy=False))
     return _sigmoid(act, dtype.type(model.visible_bias))
-
-
-def hidden_probabilities(model: CrbmModel, v: Image2D) -> HiddenState:
-    """P(h^m_ij = 1 | v): valid cross-correlation with each filter, plus c_m,
-    through the sigmoid.  Output maps are (M, H, H)."""
-    _check_visible(model, v.pixels)
-    return HiddenState(maps=_hidden_probs(model, v.pixels), kind="probabilities")
 
 
 def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -551,7 +572,8 @@ def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
     deltas are summed and applied in float64 (see the module docstring).
 
     Returns (updated model, diagnostics dict with the batch-mean
-    reconstruction cross-entropy and mean |Delta W|).
+    reconstruction cross-entropy and mean |Delta W|); raises TrainingError
+    if an updated parameter is not finite.
     """
     if not batch:
         raise TrainingError("empty batch")
@@ -564,10 +586,14 @@ def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
     dw_applied = scale * grad.filters
     d_b = grad.visible_bias / model.num_visible
     d_c = grad.hidden_biases / model.hidden_side ** 2
-    updated = CrbmModel(filters=model.filters + dw_applied,
-                        visible_bias=model.visible_bias + scale * d_b,
-                        hidden_biases=model.hidden_biases + scale * d_c,
-                        input_size=model.input_size)
+    filters = model.filters + dw_applied
+    visible_bias = model.visible_bias + scale * d_b
+    hidden_biases = model.hidden_biases + scale * d_c
+    if not (np.isfinite(filters).all() and np.isfinite(hidden_biases).all()
+            and np.isfinite(visible_bias)):
+        raise TrainingError("non-finite parameters")
+    updated = CrbmModel(filters=filters, visible_bias=visible_bias,
+                        hidden_biases=hidden_biases, input_size=model.input_size)
     diagnostics = {
         "recon_cross_entropy": ce / pixels.size,
         "mean_abs_dw": float(np.abs(dw_applied).mean()),
@@ -591,12 +617,11 @@ def train(model: CrbmModel, data: list, cfg: CrbmTrainConfig):
         for batch_idx, start in enumerate(range(0, len(data), cfg.batch_size)):
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             rng = derive_rng(cfg.rng_seed, "cd", epoch, batch_idx)
-            model, diag = cd_update(model, batch, cfg, rng)
-            if not (np.isfinite(model.filters).all()
-                    and np.isfinite(model.hidden_biases).all()
-                    and np.isfinite(model.visible_bias)):
+            try:
+                model, diag = cd_update(model, batch, cfg, rng)
+            except TrainingError as exc:
                 raise TrainingError(
-                    f"non-finite parameters at epoch {epoch}, batch {batch_idx}")
+                    f"{exc} at epoch {epoch}, batch {batch_idx}") from exc
             ce_parts.append(diag["recon_cross_entropy"])
             dw_parts.append(diag["mean_abs_dw"])
             weights.append(len(batch))
@@ -610,8 +635,11 @@ def train(model: CrbmModel, data: list, cfg: CrbmTrainConfig):
 # ---------------------------------------------------------------------------
 
 def extract_feature_map(model: CrbmModel, img: Image2D) -> HiddenState:
-    """Deterministic features: the hidden probability maps of the image."""
-    return hidden_probabilities(model, img)
+    """Deterministic features: the hidden probability maps of the image,
+    P(h^m_ij = 1 | v), the valid cross-correlation with each filter plus
+    c_m through the sigmoid.  Output maps are (M, H, H)."""
+    _check_visible(model, img.pixels)
+    return HiddenState(maps=_hidden_probs(model, img.pixels), kind="probabilities")
 
 
 def reduce_1x1(maps: HiddenState, weights: np.ndarray) -> np.ndarray:

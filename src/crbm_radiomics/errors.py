@@ -17,6 +17,10 @@ class ShapeMismatchError(PipelineError):
     """Array dimensions incompatible with the requested operation."""
 
 
+class ModelFormatError(PipelineError):
+    """CRBM model file unreadable or not a saved model."""
+
+
 class ConfigError(PipelineError):
     """Invalid configuration file or option value."""
 

@@ -300,51 +300,43 @@ def cross_validate(config: PipelineConfig, dataset: Dataset,
         model, _ = train_crbm_for(config, dataset)
     fm = features.build_features(dataset, config, model)
     plan = make_folds(dataset, config.cv.k, config.cv.mode, config.seed)
-    fold_of_slice = {r.sample_id: plan.assignments[i]
-                     for i, r in enumerate(dataset.records)}
-    row_folds = np.array([fold_of_slice[p] for p in fm.parents])
+    folds = np.array(plan.assignments)
+    labels = np.array([r.label for r in dataset.records])
+    row_folds = folds[fm.records]
 
-    slice_scores = {}
+    scores = np.full(len(dataset), np.nan)  # one per record
     per_fold = []
     default_threshold = 0.5
     for fold in range(plan.k):
-        train_rows = np.nonzero(row_folds != fold)[0]
-        test_rows = np.nonzero(row_folds == fold)[0]
-        Xtr, ytr = fm.values[train_rows], fm.labels[train_rows]
+        test = row_folds == fold
+        Xtr, ytr = fm.values[~test], labels[fm.records[~test]]
         try:
             reducer = pls.fit_reducer(Xtr, ytr, config.pls_components,
                                       config.pls_mode)
             Ztr = pls.apply_reducer(reducer, Xtr)
-            Zte = pls.apply_reducer(reducer, fm.values[test_rows])
-            scores, default_threshold = _fit_and_score(
+            Zte = pls.apply_reducer(reducer, fm.values[test])
+            row_scores, default_threshold = _fit_and_score(
                 config.classifier, Ztr, ytr.astype(np.float64), Zte,
                 seed=derive_seed(config.seed, "clf", fold))
         except (ValueError, TrainingError) as exc:
             raise TrainingError(f"fold {fold}: {exc}") from exc
-        by_parent = {}
-        for i, row in enumerate(test_rows):
-            by_parent.setdefault(fm.parents[row], []).append(scores[i])
-        for parent, vals in by_parent.items():
-            slice_scores[parent] = float(np.mean(vals))
+        # a record's rows are adjacent, so its scores are one run of row_scores
+        records, starts = np.unique(fm.records[test], return_index=True)
+        for record, part in zip(records, np.split(row_scores, starts[1:])):
+            scores[record] = np.mean(part)
 
-        f_ids = [r.sample_id for i, r in enumerate(dataset.records)
-                 if plan.assignments[i] == fold]
-        f_scores = np.array([slice_scores[s] for s in f_ids])
-        f_labels = np.array([r.label for i, r in enumerate(dataset.records)
-                             if plan.assignments[i] == fold])
+        in_fold = folds == fold
+        f_scores, f_labels = scores[in_fold], labels[in_fold]
         cm = confusion_metrics(f_scores, f_labels, default_threshold)
         fold_auc = (auc_trapezoid(roc_curve(f_scores, f_labels))
                     if 0 < f_labels.sum() < f_labels.size else None)
         per_fold.append({"fold": fold, "n": int(f_labels.size),
                          "auc": fold_auc, **cm.to_dict()})
 
-    pooled_scores = np.array([slice_scores[r.sample_id]
-                              for r in dataset.records])
-    pooled_labels = np.array([r.label for r in dataset.records])
-    curve = roc_curve(pooled_scores, pooled_labels)
-    cm = confusion_metrics(pooled_scores, pooled_labels, default_threshold)
+    curve = roc_curve(scores, labels)
+    cm = confusion_metrics(scores, labels, default_threshold)
     yt = youden_threshold(curve)
-    ym = confusion_metrics(pooled_scores, pooled_labels, yt)
+    ym = confusion_metrics(scores, labels, yt)
 
     provenance = {
         "feature_source": config.feature_source,

@@ -19,8 +19,6 @@ shape descriptors and the texture counters cost a fixed number of numpy
 calls per stack, not per slice.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -50,19 +48,6 @@ FEATURE_COUNT = (len(FIRST_ORDER_NAMES) + len(SHAPE_NAMES)
 
 def _offset_tag(offset) -> str:
     return "_".join(str(x).replace("-", "m") for x in offset)
-
-
-# ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RadiomicsConfig:
-    levels: int = 32
-
-    def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +418,19 @@ def _plane_features(values: np.ndarray, inside: np.ndarray,
 
 
 def extract_all(pixels: np.ndarray, bits: np.ndarray,
-                cfg: RadiomicsConfig = RadiomicsConfig()) -> np.ndarray:
+                levels: int = 32) -> np.ndarray:
     """The full 374-feature catalog of each slice of a stack -> (n, 374),
     columns in CATALOG_NAMES order.
 
     pixels and bits are (n, h, w): the slices and their ROI masks, each
-    mask with at least one set pixel.  Original plane: first-order (13) +
+    mask with at least one set pixel; intensities are quantized to levels
+    (>= 2) gray levels.  Original plane: first-order (13) +
     shape (9) + GLCM (32) + GLRLM (28); each Haar subband: first-order
     (13) + GLCM (32) + GLRLM (28).  The four subbands of every slice go
     through the plane features as one stack of 4n planes.
     """
+    if levels < 2:
+        raise ValueError(f"levels must be >= 2, got {levels}")
     pixels = np.asarray(pixels, dtype=np.float64)
     bits = np.asarray(bits)
     if pixels.ndim != 3 or pixels.shape != bits.shape:
@@ -451,12 +439,12 @@ def extract_all(pixels: np.ndarray, bits: np.ndarray,
     if not inside.any(axis=(1, 2)).all():
         raise ValueError("empty mask")
     n = pixels.shape[0]
-    original = _plane_features(pixels, inside, cfg.levels)
+    original = _plane_features(pixels, inside, levels)
     subbands = wavelet_decompose(pixels)
     bands = np.stack([subbands[b] for b in WAVELET_BANDS], axis=1)
     sub_inside = np.repeat(downsample_mask(inside), len(WAVELET_BANDS), axis=0)
     sub = _plane_features(bands.reshape(-1, *bands.shape[2:]), sub_inside,
-                          cfg.levels).reshape(n, -1)
+                          levels).reshape(n, -1)
     shape = _shape_descriptors(inside)
     first = len(FIRST_ORDER_NAMES)
     return np.concatenate([original[:, :first], shape, original[:, first:], sub],

@@ -292,10 +292,24 @@ def test_rf_depth_zero_predicts_the_bootstrap_base_rate():
     assert proba[0] == pytest.approx(0.5, abs=0.05)
 
 
-def test_rf_default_feature_subset_is_ceil_sqrt():
+def spy_on_subset_size(monkeypatch):
+    """The per-split feature subset sizes rf_fit grows its trees with."""
+    sizes = []
+    real = classifiers._grow
+
+    def spy(X, y, rows, depth, max_depth, m_features, rng, out):
+        sizes.append(m_features)
+        return real(X, y, rows, depth, max_depth, m_features, rng, out)
+
+    monkeypatch.setattr(classifiers, "_grow", spy)
+    return sizes
+
+
+def test_rf_default_feature_subset_is_ceil_sqrt(monkeypatch):
+    sizes = spy_on_subset_size(monkeypatch)
     X, y = separable_problem(12, n=30, p=10)
-    model = rf_fit(X, y, n_trees=2, max_depth=2, seed=0)
-    assert model.features_per_split == 4  # ceil(sqrt(10))
+    rf_fit(X, y, n_trees=2, max_depth=2, seed=0)
+    assert sizes and set(sizes) == {4}  # ceil(sqrt(10))
 
 
 def test_rf_rejects_width_mismatch_and_zero_trees():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from crbm_radiomics import cli
+from crbm_radiomics import cli, crbm
 from crbm_radiomics.data_model import (MANIFEST_HEADER, RoiMask, load_manifest,
                                        save_mask)
 
@@ -137,6 +137,33 @@ def test_run_with_pretrained_model_matches_internal_training(workspace):
                      "--manifest", str(workspace["manifest"]),
                      "--out", str(external), "--model", str(model)]) == 0
     assert internal.read_bytes() == external.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "extract"])
+def test_exit_code_2_names_the_model_fields_the_config_differs_in(
+        workspace, tmp_path, capsys, command):
+    model = tmp_path / "other.json"
+    crbm.save_model(crbm.init_model(5, 5, 20, seed=1), model)  # config: 4, 5, 16
+    out = tmp_path / "out.csv"
+    code = cli.main([command, "--config", str(workspace["crbm_cfg"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(out), "--model", str(model)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(model) in err
+    assert "num_filters 5 (config 4)" in err and "input_size 20 (config 16)" in err
+    assert "kernel_size" not in err
+    assert not out.exists()
+
+
+def test_exit_code_1_names_a_malformed_model_file(workspace, tmp_path, capsys):
+    model = tmp_path / "broken.json"
+    model.write_text('{"format": "crbm-model"}')
+    code = cli.main(["run", "--config", str(workspace["crbm_cfg"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "r.json"), "--model", str(model)])
+    assert code == 1
+    assert f"error: {model}: missing" in capsys.readouterr().err
 
 
 def test_exit_code_2_for_config_errors(workspace, tmp_path, capsys):

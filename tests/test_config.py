@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crbm_radiomics.classifiers import rf_fit
+from crbm_radiomics import classifiers
 from crbm_radiomics.config import (
     ClassifierSection,
     CrbmSection,
@@ -179,13 +179,20 @@ def test_effective_patch_stride():
         PipelineConfig(crbm=CrbmSection(input_size=32), patch_stride=8)) == 8
 
 
-def test_effective_rf_features_ceil_sqrt():
+def test_effective_rf_features_ceil_sqrt(monkeypatch):
+    sizes = []
+    real = classifiers._grow
+    monkeypatch.setattr(classifiers, "_grow",
+                        lambda *args: sizes.append(args[5]) or real(*args))
+
     def used(section, n_features):
         X = derive_rng(n_features, "width").normal(size=(6, n_features))
         y = np.array([0.0, 1.0] * 3)
-        return rf_fit(X, y, n_trees=1, max_depth=0,
-                      features_per_split=section.rf_features_per_split
-                      ).features_per_split
+        sizes.clear()
+        classifiers.rf_fit(X, y, n_trees=1, max_depth=0,
+                           features_per_split=section.rf_features_per_split)
+        (size,) = sizes  # a depth-0 tree is one leaf
+        return size
 
     section = ClassifierSection(kind="rf")
     assert used(section, 1) == 1
@@ -207,7 +214,6 @@ def test_crbm_section_train_config_threads_all_fields():
     assert tc.epochs == 7
     assert tc.batch_size == 5
     assert tc.rng_seed == 99
-    assert tc.weight_init_sigma == 0.2
     assert tc.binarize_visible is True
 
 

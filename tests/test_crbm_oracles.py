@@ -6,6 +6,7 @@ energy, the partition function, and the exact likelihood gradient.
 """
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ from scipy.special import expit, logsumexp
 
 from crbm_radiomics import crbm, kernels
 from crbm_radiomics.data_model import Image2D
-from crbm_radiomics.errors import EnumerationGuardError, ShapeMismatchError
+from crbm_radiomics.errors import (EnumerationGuardError, ModelFormatError,
+                                   ShapeMismatchError)
 from crbm_radiomics.seeding import derive_rng
 
 
@@ -56,7 +58,7 @@ def test_hidden_probabilities_match_manual_sigmoid():
     rng = derive_rng(1, "hp")
     model = random_tiny_model(rng, 4, 2, 2)
     v = random_binary_image(rng, 4)
-    got = crbm.hidden_probabilities(model, v).maps
+    got = crbm.extract_feature_map(model, v).maps
     for m in range(2):
         for i in range(3):
             for j in range(3):
@@ -355,8 +357,43 @@ def test_save_load_round_trip_preserves_parameters(tmp_path):
 
 def test_load_model_rejects_other_files(tmp_path):
     (tmp_path / "x.json").write_text('{"format": "classifier"}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError, match="x.json: not a CRBM model"):
         crbm.load_model(tmp_path / "x.json")
+
+
+def malformed_models():
+    """(file bytes, what the error names) of files save_model never writes."""
+    good = {"format": "crbm-model", "version": 1, "num_filters": 2,
+            "kernel_size": 2, "input_size": 4, "visible_bias": 0.0,
+            "hidden_biases": [0.0, 0.0], "filters": [[0.0] * 4, [0.0] * 4]}
+
+    def doc(**over):
+        return json.dumps({**good, **over}).encode()
+
+    return [
+        (b'{"format": "crbm-model"}', "missing num_filters"),
+        (b"[1, 2]", "not a CRBM model"),
+        (b"{", "invalid JSON"),
+        (b'{"format": "crbm-model\xff"}', "invalid JSON"),
+        (doc(filters=[[0.0] * 4]), "filters must be finite numbers of shape (2, 4)"),
+        (doc(filters=[[0.0] * 4, [0.0] * 3]), "filters"),
+        (doc(kernel_size=2.0), "must be integers"),
+        (doc(kernel_size=5), "filters"),
+        (doc(kernel_size=5, filters=[[0.0] * 25] * 2), "kernel 5 too large"),
+        (doc(hidden_biases=[0.0]), "hidden_biases"),
+        (doc(visible_bias=None), "visible_bias"),
+        (doc(visible_bias=float("nan")), "visible_bias"),
+        (doc(filters="abc"), "filters"),
+    ]
+
+
+@pytest.mark.parametrize("raw, named", malformed_models())
+def test_load_model_names_the_file_of_a_malformed_model(tmp_path, raw, named):
+    path = tmp_path / "bad-model.json"
+    path.write_bytes(raw)
+    with pytest.raises(ModelFormatError) as info:
+        crbm.load_model(path)
+    assert str(path) in str(info.value) and named in str(info.value)
 
 
 def test_save_model_is_byte_deterministic(tmp_path):

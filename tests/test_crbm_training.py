@@ -259,6 +259,15 @@ def test_cd_update_rejects_empty_batch():
         crbm.cd_update(small_model(), [], cfg, derive_rng(0))
 
 
+def test_train_names_the_epoch_and_batch_where_parameters_diverge():
+    data = binary_images(derive_rng(3, "div"), 3, 4)
+    cfg = crbm.CrbmTrainConfig(learning_rate=1e308, epochs=3, batch_size=2)
+    # batch 0 takes the filters to ~1e307, whose float32 chain gives nan
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"^non-finite parameters at epoch 0, batch 1$"):
+        crbm.train(small_model(), data, cfg)
+
+
 def test_train_rejects_empty_data():
     with pytest.raises(TrainingError):
         crbm.train(small_model(), [], crbm.CrbmTrainConfig())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crbm_radiomics import classifiers, evaluation, features
 from crbm_radiomics.config import (
     ClassifierSection,
     CrbmSection,
@@ -307,6 +308,44 @@ def test_cross_validate_crbm_patch_aggregates_to_slices(tiny_corpus):
     assert report.provenance["patch_aggregation"] == "mean of patch scores per slice"
     assert report.roc.fpr.size <= len(dataset) + 1
     assert 0.0 <= report.auc <= 1.0
+
+
+def test_crbm_patch_slice_score_is_the_mean_of_its_patch_scores(tiny_corpus,
+                                                                monkeypatch):
+    dataset, _ = tiny_corpus
+    config = radiomics_config(
+        feature_source="crbm-patch", patch_stride=4, pls_components=4,
+        crbm=CrbmSection(num_filters=4, kernel_size=3, input_size=8,
+                         learning_rate=0.05, epochs=1, batch_size=8))
+    spied = {"patch_scores": [], "roc_scores": []}
+
+    def spy(module, name, record):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            record(args, out)
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(features, "build_features", lambda args, fm: spied.update(fm=fm))
+    spy(classifiers, "lr_predict_proba",
+        lambda args, out: spied["patch_scores"].append(out))
+    spy(evaluation, "roc_curve",
+        lambda args, out: spied["roc_scores"].append(args[0]))
+    cross_validate(config, dataset)
+
+    records = spied["fm"].records
+    assert np.bincount(records).min() >= 8  # patches per slice
+    folds = np.array(make_folds(dataset, 3, "slice-level", 11).assignments)
+    want = np.empty(len(dataset))
+    for fold, patch_scores in enumerate(spied["patch_scores"]):
+        test_records = records[folds[records] == fold]
+        for record in np.unique(test_records):
+            want[record] = np.mean(patch_scores[test_records == record])
+    pooled = spied["roc_scores"][-1]  # the pooled sweep, in manifest order
+    assert np.array_equal(pooled, want)  # bit-equal
 
 
 def test_cross_validate_crbm_image_source(tiny_corpus):

@@ -13,12 +13,9 @@ from crbm_radiomics.features import (
     FeatureMatrix,
     build_features,
     column_names,
-    crbm_image_features,
-    crbm_patch_features,
     crbm_training_images,
-    radiomics_features,
 )
-from crbm_radiomics.radiomics import FEATURE_COUNT, RadiomicsConfig
+from crbm_radiomics.radiomics import FEATURE_COUNT
 from radiomics_reference import assert_catalog_row_matches_reference
 
 
@@ -34,24 +31,28 @@ def small_model():
     return crbm.init_model(3, 5, 16, seed=3)
 
 
+RADIOMICS = small_config(feature_source="radiomics")
+
+
 # ---------------------------------------------------------------------------
 # Container validation
 # ---------------------------------------------------------------------------
 
 def valid_kwargs():
-    return dict(values=np.zeros((2, 2)),
-                row_ids=("r0", "r1"), labels=np.array([0, 1]),
-                patient_ids=("p0", "p1"), parents=("r0", "r1"))
+    return dict(values=np.zeros((3, 2)), records=np.array([0, 1, 1]))
 
 
 def test_feature_matrix_validation():
-    FeatureMatrix(**valid_kwargs())  # baseline passes
+    fm = FeatureMatrix(**valid_kwargs())  # baseline passes
+    assert (fm.n_rows, fm.n_columns) == (3, 2)
+    assert fm.records.dtype == np.int64
     for corrupt in (
-            dict(values=np.zeros(2)),
-            dict(row_ids=("r0", "r0")),
-            dict(row_ids=("r0",)),
-            dict(labels=np.array([0, 2])),
-            dict(values=np.array([[0.0, 1.0], [np.nan, 0.0]]))):
+            dict(values=np.zeros(3)),
+            dict(records=np.array([0, 1])),
+            dict(records=np.array([[0, 1, 1]])),
+            dict(records=np.array([-1, 0, 1])),
+            dict(records=np.array([0, 2, 1])),
+            dict(values=np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]]))):
         kwargs = {**valid_kwargs(), **corrupt}
         with pytest.raises(ValueError):
             FeatureMatrix(**kwargs)
@@ -63,13 +64,10 @@ def test_feature_matrix_validation():
 
 def test_radiomics_features_one_row_per_slice(tiny_corpus):
     dataset, _ = tiny_corpus
-    fm = radiomics_features(dataset, RadiomicsConfig())
+    fm = build_features(dataset, RADIOMICS)
     assert fm.n_rows == len(dataset)
     assert fm.n_columns == FEATURE_COUNT
-    assert fm.row_ids == tuple(r.sample_id for r in dataset.records)
-    assert fm.parents == fm.row_ids
-    assert fm.labels.tolist() == [r.label for r in dataset.records]
-    assert fm.patient_ids == tuple(r.patient_id for r in dataset.records)
+    assert fm.records.tolist() == list(range(len(dataset)))
 
 
 def spy_on_extract_all(monkeypatch):
@@ -77,9 +75,9 @@ def spy_on_extract_all(monkeypatch):
     sizes = []
     real = radiomics.extract_all
 
-    def spy(pixels, bits, cfg):
+    def spy(pixels, bits, levels):
         sizes.append(pixels.shape[0])
-        return real(pixels, bits, cfg)
+        return real(pixels, bits, levels)
 
     monkeypatch.setattr(radiomics, "extract_all", spy)
     return sizes
@@ -88,13 +86,13 @@ def spy_on_extract_all(monkeypatch):
 def test_radiomics_rows_do_not_depend_on_the_stack_budget(tiny_corpus, monkeypatch):
     dataset, _ = tiny_corpus
     sizes = spy_on_extract_all(monkeypatch)
-    default = radiomics_features(dataset, RadiomicsConfig()).values
+    default = build_features(dataset, RADIOMICS).values
     # 24 slices of 32x32: 8 per stack at the default budget of 2**13 pixels
     assert sizes == [8, 8, 8]
     for budget, stacks in ((1, [1] * len(dataset)), (10 ** 9, [len(dataset)])):
         sizes.clear()
         monkeypatch.setattr(features, "_STACK_PIXELS", budget)
-        values = radiomics_features(dataset, RadiomicsConfig()).values
+        values = build_features(dataset, RADIOMICS).values
         assert sizes == stacks
         assert np.array_equal(values, default)  # bit-identical
 
@@ -119,9 +117,9 @@ def write_mixed_shape_corpus(root):
 def test_radiomics_rows_of_mixed_shapes_follow_the_manifest(tmp_path, monkeypatch):
     dataset = write_mixed_shape_corpus(tmp_path)
     sizes = spy_on_extract_all(monkeypatch)
-    fm = radiomics_features(dataset, RadiomicsConfig())
+    fm = build_features(dataset, RADIOMICS)
     assert sizes == [2, 1, 1, 3, 1, 1, 1]  # one stack per run of equal shapes
-    assert fm.row_ids == tuple(r.sample_id for r in dataset.records)
+    assert fm.records.tolist() == list(range(len(dataset)))
     for row, record in zip(fm.values, dataset.records):
         img, mask = load_sample(record)
         assert_catalog_row_matches_reference(row, img.pixels, mask.bits, 32)
@@ -130,57 +128,61 @@ def test_radiomics_rows_of_mixed_shapes_follow_the_manifest(tmp_path, monkeypatc
 def test_crbm_image_features_shape_and_names(tiny_corpus):
     dataset, _ = tiny_corpus
     model = small_model()
-    weights = crbm.reduction_weights("uniform", 3)
-    fm = crbm_image_features(dataset, model, weights)
+    fm = build_features(dataset, small_config(), model)
     side = model.hidden_side
     assert fm.n_rows == len(dataset)
     assert fm.n_columns == side * side
+    assert fm.records.tolist() == list(range(len(dataset)))
     names = column_names(small_config(), model)
     assert names[0] == "crbm_0_0"
     assert names[-1] == f"crbm_{side - 1}_{side - 1}"
-    assert fm.parents == fm.row_ids
 
 
 def test_crbm_patch_features_track_parent_slices(tiny_corpus):
     dataset, _ = tiny_corpus
-    model = small_model()
-    weights = crbm.reduction_weights("uniform", 3)
-    fm = crbm_patch_features(dataset, model, weights, stride=8)
-    assert fm.n_rows >= len(dataset)
-    assert all("#p" in rid for rid in fm.row_ids)
-    sample_ids = {r.sample_id for r in dataset.records}
-    assert set(fm.parents) == sample_ids  # every slice contributes a patch
-    for rid, parent in zip(fm.row_ids, fm.parents):
-        assert rid.startswith(parent + "#p")
-    label_of = {r.sample_id: r.label for r in dataset.records}
-    for parent, label in zip(fm.parents, fm.labels):
-        assert label == label_of[parent]
+    fm = build_features(
+        dataset, small_config(feature_source="crbm-patch", patch_stride=8),
+        small_model())
+    assert fm.n_rows > len(dataset)
+    # every slice contributes its patches, adjacent and in manifest order
+    counts = np.bincount(fm.records)
+    assert counts.size == len(dataset) and counts.min() >= 1
+    assert (np.diff(fm.records) >= 0).all()
 
 
 def test_patch_rows_differ_when_stride_shrinks(tiny_corpus):
     dataset, _ = tiny_corpus
     model = small_model()
-    weights = crbm.reduction_weights("uniform", 3)
-    coarse = crbm_patch_features(dataset, model, weights, stride=16)
-    fine = crbm_patch_features(dataset, model, weights, stride=4)
+    coarse, fine = (build_features(
+        dataset, small_config(feature_source="crbm-patch", patch_stride=stride),
+        model) for stride in (16, 4))
     assert fine.n_rows > coarse.n_rows
 
 
-def test_crbm_training_images_match_extraction_geometry(tiny_corpus):
+def test_crbm_encodes_exactly_the_images_it_trains_on(tiny_corpus, monkeypatch):
     dataset, _ = tiny_corpus
-    whole = crbm_training_images(dataset, small_config())
-    assert len(whole) == len(dataset)
-    assert all(img.pixels.shape == (16, 16) for img in whole)
+    seen = []
+    real = crbm.extract_feature_map
 
-    patched = crbm_training_images(
-        dataset, small_config(feature_source="crbm-patch", patch_stride=8))
-    assert len(patched) >= len(dataset)
-    assert all(img.pixels.shape == (16, 16) for img in patched)
+    def spy(model, img):
+        seen.append(img.pixels)
+        return real(model, img)
+
+    monkeypatch.setattr(crbm, "extract_feature_map", spy)
+    for config in (small_config(),
+                   small_config(feature_source="crbm-patch", patch_stride=8)):
+        seen.clear()
+        trained = crbm_training_images(dataset, config)
+        fm = build_features(dataset, config, small_model())
+        assert len(seen) == len(trained) == fm.n_rows
+        for encoded, image in zip(seen, trained):
+            assert image.pixels.shape == (16, 16)
+            assert np.array_equal(encoded, image.pixels)
 
 
 def test_build_features_dispatch(tiny_corpus):
     dataset, _ = tiny_corpus
-    fm = build_features(dataset, small_config(feature_source="radiomics"))
+    fm = build_features(dataset, RADIOMICS)
     assert fm.n_columns == FEATURE_COUNT
 
     model = small_model()

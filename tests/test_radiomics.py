@@ -16,7 +16,6 @@ from crbm_radiomics.radiomics import (
     GLCM_FEATURE_NAMES,
     GLRLM_FEATURE_NAMES,
     SHAPE_NAMES,
-    RadiomicsConfig,
     extract_all,
     glcm_compute,
     glrlm_compute,
@@ -35,9 +34,9 @@ def full_mask(shape):
     return RoiMask(bits=np.ones(shape, dtype=np.uint8))
 
 
-def extract_one(img, mask, cfg=RadiomicsConfig()):
+def extract_one(img, mask, levels=32):
     """The catalog of one slice, as a one-member stack: {name: value}."""
-    values = extract_all(img.pixels[None], mask.bits[None], cfg)
+    values = extract_all(img.pixels[None], mask.bits[None], levels)
     assert values.shape == (1, FEATURE_COUNT)
     return dict(zip(CATALOG_NAMES, values[0]))
 
@@ -78,10 +77,10 @@ def test_quantize_uses_roi_range_only():
 
 
 def test_quantize_validation_errors():
-    # fewer than 2 levels is refused by the config; a size mismatch and an
-    # empty ROI anywhere in the stack by extract_all
-    with pytest.raises(ValueError):
-        RadiomicsConfig(levels=1)
+    # fewer than 2 levels, a size mismatch and an empty ROI anywhere in
+    # the stack are refused by extract_all
+    with pytest.raises(ValueError, match="levels"):
+        extract_one(Image2D(pixels=np.zeros((3, 3))), full_mask((3, 3)), levels=1)
     with pytest.raises(ShapeMismatchError):
         extract_one(Image2D(pixels=np.zeros((2, 2))), full_mask((3, 3)))
     with pytest.raises(ShapeMismatchError):
@@ -707,8 +706,8 @@ def test_extract_all_invariant_under_even_translation():
 def test_extract_all_respects_levels_config():
     rng = derive_rng(11, "lv")
     img, mask = random_image_and_mask(rng, size=14)
-    a = extract_one(img, mask, RadiomicsConfig(levels=8))
-    b = extract_one(img, mask, RadiomicsConfig(levels=32))
+    a = extract_one(img, mask, levels=8)
+    b = extract_one(img, mask, levels=32)
     # contrast grows with the number of levels on continuous noise
     assert b["original_glcm_0_1_contrast"] > a["original_glcm_0_1_contrast"]
 
@@ -750,7 +749,7 @@ def catalog_stacks(draw):
 @given(catalog_stacks())
 def test_stacked_catalog_matches_the_per_slice_reference(case):
     pixels, bits, levels = case
-    got = extract_all(pixels, bits, RadiomicsConfig(levels=levels))
+    got = extract_all(pixels, bits, levels)
     assert got.shape == (pixels.shape[0], FEATURE_COUNT)
     for row, p, b in zip(got, pixels, bits):
         assert_catalog_row_matches_reference(row, p, b, levels)
