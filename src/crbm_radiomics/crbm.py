@@ -26,6 +26,11 @@ log-likelihood and its gradient are available for desk-scale models
 (visible units <= 20) via full enumeration; they are the test oracles and
 never the training path.
 
+Images are plain float64 arrays, (N, N) or stacks (..., N, N); hidden
+maps are (..., M, H, H).  Each entry point checks the stack it is given
+once: its shape, and pixels finite and within [0, 1] (binary, for the
+energy oracles).
+
 Both conditionals go through one in-place sigmoid, 1 / (1 + exp(-bias -
 act)) in four ufunc passes, rather than ``scipy.special.expit``: at the
 paper's 64 maps of 252 x 252 it is about 3x faster, and it agrees with
@@ -61,7 +66,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import kernels
-from .data_model import Image2D
 from .errors import (EnumerationGuardError, ModelFormatError,
                      ShapeMismatchError, TrainingError)
 from .seeding import derive_rng
@@ -72,6 +76,8 @@ _CHUNK = 1 << 16
 # 4 MB of float32); a chunk holds as many whole images as fit, and at
 # least one
 _CD_CHUNK_DRAWS = 1 << 20
+# a parameter beyond it is inf in the float32 CD chain
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 # the keys of a model file besides "format" and "version"; sizes first
 _MODEL_KEYS = ("num_filters", "kernel_size", "input_size", "visible_bias",
                "hidden_biases", "filters")
@@ -144,28 +150,6 @@ class CrbmTrainConfig:
             raise ValueError("cd_steps/batch_size must be >= 1 and epochs >= 0")
 
 
-@dataclass(frozen=True)
-class HiddenState:
-    """M hidden maps of side H; kind declares probabilities vs binary samples."""
-
-    maps: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        m = np.asarray(self.maps, dtype=np.float64)
-        if m.ndim != 3:
-            raise ShapeMismatchError(f"hidden maps must be (M, H, H), got {m.shape}")
-        if self.kind == "probabilities":
-            if m.min() < 0.0 or m.max() > 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
-        elif self.kind == "samples":
-            if not np.isin(m, (0.0, 1.0)).all():
-                raise ValueError("samples must be binary")
-        else:
-            raise ValueError(f"kind must be 'probabilities' or 'samples', got {self.kind!r}")
-        object.__setattr__(self, "maps", m)
-
-
 @dataclass
 class TrainHistory:
     recon_cross_entropy: list
@@ -182,9 +166,9 @@ class CrbmGradient:
 
 
 class GibbsResult(NamedTuple):
-    v_k: Image2D
-    h0_probs: HiddenState
-    hk_probs: HiddenState
+    v_k: np.ndarray
+    h0_probs: np.ndarray
+    hk_probs: np.ndarray
     v1_probs: np.ndarray
 
 
@@ -261,11 +245,18 @@ def load_model(path) -> CrbmModel:
 # Inference
 # ---------------------------------------------------------------------------
 
-def _check_visible(model: CrbmModel, pixels: np.ndarray) -> None:
-    if pixels.shape != (model.input_size, model.input_size):
+def _visible_stack(model: CrbmModel, images, ndim: int | None = 3) -> np.ndarray:
+    """images as float64 pixels, checked once: ndim axes (any number if
+    None) ending in N x N, finite and within [0, 1]."""
+    pixels = np.asarray(images, dtype=np.float64)
+    n = model.input_size
+    if pixels.shape[-2:] != (n, n) or ndim not in (None, pixels.ndim):
         raise ShapeMismatchError(
-            f"visible layer must be {model.input_size}x{model.input_size}, "
-            f"got {pixels.shape}")
+            f"visible layer must be {n}x{n}, got shape {pixels.shape}")
+    # min and max are nan if any pixel is, and every comparison with nan fails
+    if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
+        raise ValueError("image pixels must be finite and within [0, 1]")
+    return pixels
 
 
 def _hidden_activations(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
@@ -347,7 +338,7 @@ def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
     return v, h0_probs, _hidden_probs(model, v), v1_probs
 
 
-def gibbs_chain(model: CrbmModel, v0: Image2D, k: int,
+def gibbs_chain(model: CrbmModel, v0: np.ndarray, k: int,
                 rng: np.random.Generator) -> GibbsResult:
     """k full rounds of alternating Gibbs sampling started at v0.
 
@@ -356,12 +347,8 @@ def gibbs_chain(model: CrbmModel, v0: Image2D, k: int,
     step k are the CD statistics; v1_probs (reconstruction probabilities
     after the first round) feeds the training diagnostics.
     """
-    _check_visible(model, v0.pixels)
-    v, h0, hk, v1_probs = (a[0] for a in _gibbs_batch(model, v0.pixels[None], k, rng))
-    return GibbsResult(v_k=Image2D(pixels=v),
-                       h0_probs=HiddenState(maps=h0, kind="probabilities"),
-                       hk_probs=HiddenState(maps=hk, kind="probabilities"),
-                       v1_probs=v1_probs)
+    v0 = _visible_stack(model, v0, ndim=2)
+    return GibbsResult(*(a[0] for a in _gibbs_batch(model, v0[None], k, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +362,24 @@ def _require_binary(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def energy(model: CrbmModel, v: Image2D, h: HiddenState) -> float:
-    """Joint energy of a binary configuration; lower energy, higher probability."""
-    pixels = _require_binary(v.pixels, "visible units")
-    hmaps = _require_binary(h.maps, "hidden units")
-    _check_visible(model, pixels)
+def energy(model: CrbmModel, v: np.ndarray, h: np.ndarray) -> float:
+    """Joint energy of a binary configuration, v (N, N) and h (M, H, H);
+    lower energy, higher probability."""
+    pixels = _visible_stack(model, _require_binary(v, "visible units"), ndim=2)
+    hmaps = _require_binary(h, "hidden units")
     act = kernels.corr_valid(pixels, model.filters)
+    if hmaps.shape != act.shape:
+        raise ShapeMismatchError(f"hidden maps must be {act.shape}, got {hmaps.shape}")
     coupling = float(np.sum(act * hmaps))
     return (-coupling
             - model.visible_bias * float(pixels.sum())
             - float(model.hidden_biases @ hmaps.sum(axis=(1, 2))))
 
 
-def free_energy(model: CrbmModel, v: Image2D) -> float:
-    """F(v) with hidden units summed out; P(v) = exp(-F(v)) / Z."""
-    pixels = _require_binary(v.pixels, "visible units")
-    _check_visible(model, pixels)
+def free_energy(model: CrbmModel, v: np.ndarray) -> float:
+    """F(v) of one binary image (N, N) with hidden units summed out;
+    P(v) = exp(-F(v)) / Z."""
+    pixels = _visible_stack(model, _require_binary(v, "visible units"), ndim=2)
     act = _hidden_activations(model, pixels)
     return float(-model.visible_bias * pixels.sum() - np.logaddexp(0.0, act).sum())
 
@@ -438,8 +427,9 @@ def log_partition(model: CrbmModel) -> float:
     return float(logsumexp(-_enumerated_free_energies(model)))
 
 
-def exact_log_likelihood(model: CrbmModel, data: list) -> float:
-    """Sum of log P(v) over the data, with Z from full enumeration.
+def exact_log_likelihood(model: CrbmModel, data) -> float:
+    """Sum of log P(v) over the binary images of data (n, N, N), with Z
+    from full enumeration.
 
     Desk-scale oracle only; guarded to <= 20 visible units.
     """
@@ -447,16 +437,9 @@ def exact_log_likelihood(model: CrbmModel, data: list) -> float:
     return sum(-free_energy(model, v) - log_z for v in data)
 
 
-def _sufficient_stats(model: CrbmModel, pixels: np.ndarray) -> CrbmGradient:
-    """-dF/dtheta at one visible configuration."""
-    probs = _hidden_probs(model, pixels)
-    return CrbmGradient(filters=kernels.corr_grad(pixels, probs),
-                        visible_bias=float(pixels.sum()),
-                        hidden_biases=probs.sum(axis=(1, 2)))
-
-
-def exact_log_likelihood_grad(model: CrbmModel, data: list) -> CrbmGradient:
-    """Gradient of exact_log_likelihood: data statistics minus model expectation.
+def exact_log_likelihood_grad(model: CrbmModel, data) -> CrbmGradient:
+    """Gradient of exact_log_likelihood over binary images (n, N, N): data
+    statistics minus model expectation.
 
     The model expectation is computed by enumerating every visible
     configuration; same guard as the likelihood itself.
@@ -483,32 +466,19 @@ def exact_log_likelihood_grad(model: CrbmModel, data: list) -> CrbmGradient:
         e_b += float(p @ configs.sum(axis=1))
         e_c += np.einsum("b,bmij->m", p, probs)
 
-    g_w = np.zeros_like(model.filters)
-    g_b = 0.0
-    g_c = np.zeros(model.num_filters)
-    for v in data:
-        stats = _sufficient_stats(model, _require_binary(v.pixels, "visible units"))
-        g_w += stats.filters
-        g_b += stats.visible_bias
-        g_c += stats.hidden_biases
-    n_data = len(data)
-    return CrbmGradient(filters=g_w - n_data * e_w,
-                        visible_bias=g_b - n_data * e_b,
-                        hidden_biases=g_c - n_data * e_c)
+    # the data statistics, -dF/dtheta summed over the images
+    pixels = _visible_stack(model, _require_binary(data, "visible units"))
+    probs = _hidden_probs(model, pixels)
+    n_data = len(pixels)
+    return CrbmGradient(
+        filters=kernels.corr_grad(pixels, probs) - n_data * e_w,
+        visible_bias=float(pixels.sum()) - n_data * e_b,
+        hidden_biases=probs.sum(axis=(0, 2, 3)) - n_data * e_c)
 
 
 # ---------------------------------------------------------------------------
 # Contrastive divergence
 # ---------------------------------------------------------------------------
-
-def _stack_visible(model: CrbmModel, images: list) -> np.ndarray:
-    """Pixels of equal-sized images as one (B, N, N) array."""
-    pixels = np.empty((len(images), model.input_size, model.input_size))
-    for i, img in enumerate(images):
-        _check_visible(model, img.pixels)
-        pixels[i] = img.pixels
-    return pixels
-
 
 def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
              rng: np.random.Generator):
@@ -540,15 +510,16 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c), ce
 
 
-def cd_gradient_estimate(model: CrbmModel, images: list, k: int,
+def cd_gradient_estimate(model: CrbmModel, images: np.ndarray, k: int,
                          rng: np.random.Generator) -> CrbmGradient:
-    """CD-k estimate of the log-likelihood gradient, summed over images.
+    """CD-k estimate of the log-likelihood gradient, summed over the images
+    of a stack (n, N, N).
 
     Positive and negative phases both use hidden probabilities; the negative
     phase statistics come from the sampled v_k.  Sum convention matches
     exact_log_likelihood_grad so the two are directly comparable.
     """
-    return _cd_sums(model, _stack_visible(model, images), k, rng)[0]
+    return _cd_sums(model, _visible_stack(model, images), k, rng)[0]
 
 
 def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
@@ -560,9 +531,9 @@ def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
     return float(-np.sum(v0 * np.log(p) + (1.0 - v0) * np.log(1.0 - p)))
 
 
-def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
+def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmTrainConfig,
               rng: np.random.Generator):
-    """One CD-k parameter update from a batch of images.
+    """One CD-k parameter update from a batch of images (B, N, N).
 
     Per image: Delta W_m is the difference of K x K gradient correlations
     between the data phase and the chain phase; Delta b averages the visible
@@ -573,25 +544,28 @@ def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
 
     Returns (updated model, diagnostics dict with the batch-mean
     reconstruction cross-entropy and mean |Delta W|); raises TrainingError
-    if an updated parameter is not finite.
+    if an updated parameter lies beyond float32's finite range, where the
+    next batch's float32 chain would make it inf.
     """
-    if not batch:
+    if len(batch) == 0:
         raise TrainingError("empty batch")
-    pixels = _stack_visible(model, batch)
+    pixels = _visible_stack(model, batch)
     if cfg.binarize_visible:
         pixels = pixels >= 0.5  # thresholded before the float32 cast rounds
     pixels = pixels.astype(np.float32)
     grad, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
-    dw_applied = scale * grad.filters
     d_b = grad.visible_bias / model.num_visible
     d_c = grad.hidden_biases / model.hidden_side ** 2
-    filters = model.filters + dw_applied
-    visible_bias = model.visible_bias + scale * d_b
-    hidden_biases = model.hidden_biases + scale * d_c
-    if not (np.isfinite(filters).all() and np.isfinite(hidden_biases).all()
-            and np.isfinite(visible_bias)):
-        raise TrainingError("non-finite parameters")
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        dw_applied = scale * grad.filters
+        filters = model.filters + dw_applied
+        visible_bias = model.visible_bias + scale * d_b
+        hidden_biases = model.hidden_biases + scale * d_c
+    # a max is nan if any entry is, and every comparison with nan fails
+    if not all(np.abs(p).max() <= _FLOAT32_MAX
+               for p in (filters, hidden_biases, visible_bias)):
+        raise TrainingError("parameters beyond float32 range")
     updated = CrbmModel(filters=filters, visible_bias=visible_bias,
                         hidden_biases=hidden_biases, input_size=model.input_size)
     diagnostics = {
@@ -601,20 +575,25 @@ def cd_update(model: CrbmModel, batch: list, cfg: CrbmTrainConfig,
     return updated, diagnostics
 
 
-def train(model: CrbmModel, data: list, cfg: CrbmTrainConfig):
-    """Epochs of shuffled-batch CD updates; returns (model, TrainHistory).
+def train(model: CrbmModel, data: np.ndarray, cfg: CrbmTrainConfig):
+    """Epochs of shuffled-batch CD updates over a stack of images (n, N, N);
+    returns (model, TrainHistory).
 
     Shuffling and every Gibbs draw derive deterministically from
     cfg.rng_seed, so identical inputs give bit-identical final weights.
-    Aborts with TrainingError if any parameter goes non-finite.
+    Aborts with TrainingError, naming the epoch and batch, if a parameter
+    leaves float32's finite range.
     """
-    if not data:
+    if len(data) == 0:
         raise TrainingError("training data is empty")
+    data = _visible_stack(model, data)
     history = TrainHistory(recon_cross_entropy=[], mean_abs_dw=[])
     for epoch in range(cfg.epochs):
         order = derive_rng(cfg.rng_seed, "shuffle", epoch).permutation(len(data))
         ce_parts, dw_parts, weights = [], [], []
         for batch_idx, start in enumerate(range(0, len(data), cfg.batch_size)):
+            # views into the stack: cd_update stacks them itself, so the
+            # batch's float64 copy is freed once cast to float32
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             rng = derive_rng(cfg.rng_seed, "cd", epoch, batch_idx)
             try:
@@ -634,21 +613,25 @@ def train(model: CrbmModel, data: list, cfg: CrbmTrainConfig):
 # Feature extraction
 # ---------------------------------------------------------------------------
 
-def extract_feature_map(model: CrbmModel, img: Image2D) -> HiddenState:
-    """Deterministic features: the hidden probability maps of the image,
+def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
+    """Deterministic features: the hidden probability maps of each image,
     P(h^m_ij = 1 | v), the valid cross-correlation with each filter plus
-    c_m through the sigmoid.  Output maps are (M, H, H)."""
-    _check_visible(model, img.pixels)
-    return HiddenState(maps=_hidden_probs(model, img.pixels), kind="probabilities")
+    c_m through the sigmoid.  Images (..., N, N) give maps (..., M, H, H),
+    float64; each image's maps are the bits it gets alone."""
+    return _hidden_probs(model, _visible_stack(model, images, ndim=None))
 
 
-def reduce_1x1(maps: HiddenState, weights: np.ndarray) -> np.ndarray:
-    """Pointwise weighted combination of the M maps into one H x H map."""
+def reduce_1x1(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Pointwise weighted combination of the M maps of each image,
+    (..., M, H, H) -> (..., H, H).  einsum adds the maps one after another,
+    in a stack as for one image alone; tensordot, through BLAS, adds them
+    in another order, which moves the last bits."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (maps.maps.shape[0],):
+    if weights.shape != maps.shape[-3:-2]:
         raise ShapeMismatchError(
-            f"need {maps.maps.shape[0]} weights, got shape {weights.shape}")
-    return np.einsum("m,mij->ij", weights, maps.maps)
+            f"need one weight per map of maps {maps.shape}, "
+            f"got shape {weights.shape}")
+    return np.einsum("m,...mij->...ij", weights, maps)
 
 
 def reduction_weights(mode: str, num_filters: int, seed: int = 0) -> np.ndarray:

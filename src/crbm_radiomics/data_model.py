@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ManifestError, RasterFormatError, ShapeMismatchError
 
@@ -38,14 +39,6 @@ class Image2D:
         if not np.isfinite(p).all() or p.min() < 0.0 or p.max() > 1.0:
             raise ValueError("image pixels must be finite and within [0, 1]")
         object.__setattr__(self, "pixels", p)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 @dataclass(frozen=True)
@@ -259,8 +252,9 @@ def normalize_image(raw: np.ndarray, bit_depth: int) -> Image2D:
     return Image2D(pixels=raw.astype(np.float64) / limit)
 
 
-def crop_to_roi(img: Image2D, mask: RoiMask) -> Image2D:
-    """Crop to the mask's bounding box, zeroing pixels outside the mask."""
+def crop_to_roi(img: Image2D, mask: RoiMask) -> np.ndarray:
+    """The image's pixels over the mask's bounding box, zeroed outside the
+    mask."""
     if img.pixels.shape != mask.bits.shape:
         raise ShapeMismatchError(f"image {img.pixels.shape} vs mask {mask.bits.shape}")
     rows, cols = np.nonzero(mask.bits)
@@ -268,22 +262,20 @@ def crop_to_roi(img: Image2D, mask: RoiMask) -> Image2D:
         raise ValueError("empty mask")
     r0, r1 = rows.min(), rows.max()
     c0, c1 = cols.min(), cols.max()
-    box = img.pixels[r0:r1 + 1, c0:c1 + 1] * mask.bits[r0:r1 + 1, c0:c1 + 1]
-    return Image2D(pixels=box)
+    return img.pixels[r0:r1 + 1, c0:c1 + 1] * mask.bits[r0:r1 + 1, c0:c1 + 1]
 
 
-def extract_patches(img: Image2D, patch: int, stride: int) -> list:
-    """All patch x patch windows whose origin is a multiple of stride, row-major."""
-    if patch > min(img.width, img.height):
+def extract_patches(pixels: np.ndarray, patch: int, stride: int) -> np.ndarray:
+    """All patch x patch windows whose origin is a multiple of stride, as
+    one (P, patch, patch) array in row-major order of their origins."""
+    height, width = pixels.shape
+    if patch > min(width, height):
         raise ShapeMismatchError(
-            f"patch {patch} exceeds image {img.height}x{img.width}")
+            f"patch {patch} exceeds image {height}x{width}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    out = []
-    for r in range(0, img.height - patch + 1, stride):
-        for c in range(0, img.width - patch + 1, stride):
-            out.append(Image2D(pixels=img.pixels[r:r + patch, c:c + patch].copy()))
-    return out
+    windows = sliding_window_view(pixels, (patch, patch))[::stride, ::stride]
+    return np.array(windows, order="C").reshape(-1, patch, patch)
 
 
 def _area_average_matrix(src: int, dst: int) -> np.ndarray:
@@ -300,12 +292,12 @@ def _area_average_matrix(src: int, dst: int) -> np.ndarray:
     return mat
 
 
-def resize_or_pad(img: Image2D, target: int) -> Image2D:
-    """Standardize to target x target: zero-pad centered, downsampling first
-    (box filter, aspect preserved) if either dimension exceeds the target."""
+def resize_or_pad(pixels: np.ndarray, target: int) -> np.ndarray:
+    """Standardize an image to target x target: zero-pad centered,
+    downsampling first (box filter, aspect preserved) if either dimension
+    exceeds the target."""
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
-    pixels = img.pixels
     h, w = pixels.shape
     if h > target or w > target:
         scale = target / max(h, w)
@@ -318,4 +310,4 @@ def resize_or_pad(img: Image2D, target: int) -> Image2D:
     top = (target - h) // 2
     left = (target - w) // 2
     out[top:top + h, left:left + w] = pixels
-    return Image2D(pixels=out)
+    return out

@@ -9,11 +9,14 @@ crbm-patch: one row per ROI patch, same per-patch encoding.
 
 A row is known by the index in dataset.records of the sample it came
 from; the rows of one sample are adjacent and follow the manifest order.
-The CRBM trains on exactly the images it later encodes: both draw them
-from one generator, _crbm_inputs.
+The CRBM trains on exactly the images it later encodes: both draw them,
+as one (P, N, N) array per sample, from one generator, _crbm_inputs.
+Training takes them as one (n, N, N) stack; extraction encodes them in
+chunks of images, each chunk through the CRBM as one stack.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +31,11 @@ from .errors import ConfigError
 # catalog's temporaries, and so the peak memory, grow with the stack; at 8
 # slices its per-call numpy overhead is already spread over the stack.
 _STACK_PIXELS = 2 ** 13
+# Hidden-map values per CRBM extraction chunk (2 MB of float64); a chunk
+# holds as many whole images as fit, and at least one.  The maps of one
+# chunk are alive at a time, so the peak memory grows with it: at 2^20 the
+# quick-start peak RSS was 81 MB, at 2^16 and 2^18 66 and 65 MB.
+_EXTRACT_MAP_VALUES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -62,41 +70,52 @@ class FeatureMatrix:
 
 
 def _crbm_inputs(dataset: Dataset, config: PipelineConfig):
-    """(record index, image) of every image the CRBM sees, in manifest
-    order: its ROI patches at the configured stride (crbm-patch), or else
-    the ROI crop standardized to the input size.  A crop smaller than a
-    patch in either dimension is standardized to one patch-sized image
-    instead."""
+    """(record index, (P, N, N) stack) of the images the CRBM sees of each
+    sample, in manifest order: its ROI patches at the configured stride
+    (crbm-patch), or else the ROI crop standardized to the input size
+    (P = 1).  A crop smaller than a patch in either dimension is
+    standardized to one patch-sized image instead."""
     size = config.crbm.input_size
     stride = effective_patch_stride(config)
     for i, record in enumerate(dataset.records):
-        box = crop_to_roi(*load_sample(record))
-        if (config.feature_source != "crbm-patch"
-                or box.height < size or box.width < size):
-            yield i, resize_or_pad(box, size)
+        box = crop_to_roi(*load_sample(record))  # unnamed: not held across yield
+        if config.feature_source == "crbm-patch" and min(box.shape) >= size:
+            yield i, extract_patches(box, size, stride)
         else:
-            for patch in extract_patches(box, size, stride):
-                yield i, patch
+            yield i, resize_or_pad(box, size)[None]
 
 
-def crbm_training_images(dataset: Dataset, config: PipelineConfig) -> list:
-    """The unlabeled images the CRBM trains on: the ones it later encodes."""
-    return [img for _, img in _crbm_inputs(dataset, config)]
+def crbm_training_images(dataset: Dataset, config: PipelineConfig) -> np.ndarray:
+    """The unlabeled images the CRBM trains on, the ones it later encodes,
+    as one (n, N, N) stack, filled as they are read, so they are never held
+    twice (as a list and its concatenation).  Outside patch mode n is one
+    per sample, and the stack is allocated once, at its size."""
+    size = config.crbm.input_size
+    count = -1 if config.feature_source == "crbm-patch" else len(dataset)
+    images = (img for _, stack in _crbm_inputs(dataset, config) for img in stack)
+    return np.fromiter(images, dtype=np.dtype((np.float64, (size, size))),
+                       count=count)
 
 
 def _crbm_features(dataset: Dataset, config: PipelineConfig,
                    model) -> FeatureMatrix:
     """One row per CRBM input: its hidden maps, 1x1-reduced and flattened.
-    The maps are a temporary of one row, so one image's are alive at a
-    time."""
+    The inputs go through the CRBM in chunks of images, so one chunk's
+    maps are alive at a time."""
     weights = crbm_mod.reduction_weights(config.reduction_weights,
                                          model.num_filters, config.seed)
+    step = max(1, _EXTRACT_MAP_VALUES // model.num_hidden)
+    inputs = ((i, img) for i, stack in _crbm_inputs(dataset, config)
+              for img in stack)
     records, rows = [], []
-    for i, img in _crbm_inputs(dataset, config):
-        records.append(i)
-        rows.append(crbm_mod.reduce_1x1(crbm_mod.extract_feature_map(model, img),
-                                        weights).ravel())
-    return FeatureMatrix(values=np.stack(rows), records=np.array(records))
+    while chunk := list(islice(inputs, step)):
+        indices, images = zip(*chunk)
+        records.extend(indices)
+        # unnamed, the maps are freed before the next chunk's are computed
+        rows.append(crbm_mod.reduce_1x1(
+            crbm_mod.extract_feature_map(model, np.stack(images)),
+            weights).reshape(len(images), -1))
+    return FeatureMatrix(values=np.concatenate(rows), records=np.array(records))
 
 
 def _same_shape_runs(records):

@@ -3,7 +3,7 @@ import pytest
 
 from crbm_radiomics import synth
 from crbm_radiomics.config import SynthSpec
-from crbm_radiomics.data_model import Image2D, load_manifest
+from crbm_radiomics.data_model import load_manifest
 
 
 @pytest.fixture(scope="session")
@@ -17,12 +17,12 @@ def tiny_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def stripe_images():
-    """200 binary 8x8 stripe images with varying phase, the CD training bed."""
+    """200 binary 8x8 stripe images with varying phase, the CD training
+    bed, as one (200, 8, 8) stack."""
     rng = np.random.default_rng(20260823)
     images = []
     for _ in range(200):
         phase = int(rng.integers(0, 4))
         rows = ((np.arange(8) + phase) // 2) % 2 == 0
-        images.append(Image2D(pixels=np.repeat(rows[:, None], 8, axis=1)
-                              .astype(np.float64)))
-    return images
+        images.append(np.repeat(rows[:, None], 8, axis=1).astype(np.float64))
+    return np.stack(images)

@@ -68,7 +68,7 @@ def expected_cd_gradient(model, data, k, tables=None):
     pos = np.zeros(stats.shape[1])
     dist = np.zeros(n_states)
     for img in data:
-        idx = state_index(img.pixels)
+        idx = state_index(img)
         pos += stats[idx]
         dist[idx] += 1.0
     for _ in range(k):

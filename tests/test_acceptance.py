@@ -20,7 +20,7 @@ from crbm_radiomics.classifiers import (lr_loss_and_grad, rf_fit,
 from crbm_radiomics.config import (CrbmSection, CvSection, PipelineConfig,
                                    SynthSpec)
 from crbm_radiomics.crbm import CrbmModel, CrbmTrainConfig
-from crbm_radiomics.data_model import Dataset, Image2D, load_manifest
+from crbm_radiomics.data_model import Dataset, load_manifest
 from crbm_radiomics.radiomics import (glcm_compute, glrlm_compute,
                                       wavelet_decompose, wavelet_reconstruct)
 from crbm_radiomics.seeding import derive_rng
@@ -41,7 +41,7 @@ def _tiny_model(rng, n, k, m, scale=0.8):
 
 
 def _binary_image(rng, n):
-    return Image2D(pixels=(rng.random((n, n)) < 0.5).astype(np.float64))
+    return (rng.random((n, n)) < 0.5).astype(np.float64)
 
 
 def _bit_configs(n_bits):
@@ -58,13 +58,13 @@ def test_criterion_01_feature_map_shapes_and_speed():
     rng = np.random.default_rng(0)
     big_model = crbm.init_model(64, 5, 256, seed=0)
     small_model = crbm.init_model(64, 5, 32, seed=0)
-    big = Image2D(pixels=rng.random((256, 256)))
-    small = Image2D(pixels=rng.random((32, 32)))
+    big = rng.random((256, 256))
+    small = rng.random((32, 32))
 
     crbm.extract_feature_map(big_model, big)  # warm any JIT cache first
     start = time.perf_counter()
-    big_maps = crbm.extract_feature_map(big_model, big).maps
-    small_maps = crbm.extract_feature_map(small_model, small).maps
+    big_maps = crbm.extract_feature_map(big_model, big)
+    small_maps = crbm.extract_feature_map(small_model, small)
     elapsed = time.perf_counter() - start
 
     assert big_maps.shape == (64, 252, 252)
@@ -125,7 +125,7 @@ def test_criterion_02_free_energy_matches_energy_enumeration():
             picks = np.arange(vis.shape[0]) if vis.shape[0] <= 64 \
                 else rng.choice(vis.shape[0], size=64, replace=False)
             for idx in picks:
-                image = Image2D(pixels=vis[idx].reshape(n, n))
+                image = vis[idx].reshape(n, n)
                 free = crbm.free_energy(model, image)
                 np.testing.assert_allclose(np.exp(-free),
                                            np.exp(log_unnorm[idx]),
@@ -161,7 +161,7 @@ def test_criterion_03_exact_gradient_matches_finite_differences():
         n, k, m = FD_COMBOS[trial % len(FD_COMBOS)]
         rng = derive_rng(3, "fd-model", trial)
         model = _tiny_model(rng, n, k, m)
-        data = [_binary_image(rng, n) for _ in range(3)]
+        data = np.stack([_binary_image(rng, n) for _ in range(3)])
         grad = flatten(crbm.exact_log_likelihood_grad(model, data))
 
         def ll(df=0.0, db=0.0, dc=0.0):
@@ -207,7 +207,7 @@ def test_criterion_04_cd_direction_improves_with_k():
                           visible_bias=float(rng.normal(0, 0.3)),
                           hidden_biases=rng.normal(0, 0.3, size=m),
                           input_size=3)
-        data = [_binary_image(rng, 3) for _ in range(4)]
+        data = np.stack([_binary_image(rng, 3) for _ in range(4)])
         sums += expected_cd_cosines(model, data, ks)
     elapsed = time.perf_counter() - start
     means = sums / 100
@@ -322,10 +322,10 @@ def test_criterion_07_texture_matrices_match_brute_force():
     rng = np.random.default_rng(77)
     worst_rec, worst_energy = 0.0, 0.0
     for h, w in ((6, 6), (7, 5), (8, 9), (1, 4), (11, 11)):
-        image = Image2D(pixels=rng.random((h, w)))
-        bands = wavelet_decompose(image.pixels)
+        image = rng.random((h, w))
+        bands = wavelet_decompose(image)
         back = wavelet_reconstruct(bands)
-        gap = np.abs(back[:h, :w] - image.pixels).max()
+        gap = np.abs(back[:h, :w] - image).max()
         assert gap < 1e-10
         padded_energy = (back ** 2).sum()  # reconstruction is exact above
         band_energy = sum((b ** 2).sum() for b in bands.values())

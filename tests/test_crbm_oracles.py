@@ -17,7 +17,6 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit, logsumexp
 
 from crbm_radiomics import crbm, kernels
-from crbm_radiomics.data_model import Image2D
 from crbm_radiomics.errors import (EnumerationGuardError, ModelFormatError,
                                    ShapeMismatchError)
 from crbm_radiomics.seeding import derive_rng
@@ -31,7 +30,7 @@ def random_tiny_model(rng, n, k, m, scale=0.8):
 
 
 def random_binary_image(rng, n):
-    return Image2D(pixels=(rng.random((n, n)) < 0.5).astype(np.float64))
+    return (rng.random((n, n)) < 0.5).astype(np.float64)
 
 
 def all_bit_configs(n_bits):
@@ -58,11 +57,11 @@ def test_hidden_probabilities_match_manual_sigmoid():
     rng = derive_rng(1, "hp")
     model = random_tiny_model(rng, 4, 2, 2)
     v = random_binary_image(rng, 4)
-    got = crbm.extract_feature_map(model, v).maps
+    got = crbm.extract_feature_map(model, v)
     for m in range(2):
         for i in range(3):
             for j in range(3):
-                act = np.sum(v.pixels[i:i + 2, j:j + 2] * model.filters[m])
+                act = np.sum(v[i:i + 2, j:j + 2] * model.filters[m])
                 want = expit(act + model.hidden_biases[m])
                 assert got[m, i, j] == pytest.approx(want, abs=1e-12)
 
@@ -165,29 +164,27 @@ def test_energy_matches_handwritten_sum():
     rng = derive_rng(3, "en")
     model = random_tiny_model(rng, 3, 2, 1)
     v = random_binary_image(rng, 3)
-    h = crbm.HiddenState(maps=(rng.random((1, 2, 2)) < 0.5).astype(float),
-                         kind="samples")
+    h = (rng.random((1, 2, 2)) < 0.5).astype(float)
     want = 0.0
     for i in range(2):
         for j in range(2):
-            act = np.sum(v.pixels[i:i + 2, j:j + 2] * model.filters[0])
-            want -= act * h.maps[0, i, j]
-    want -= model.visible_bias * v.pixels.sum()
-    want -= model.hidden_biases[0] * h.maps[0].sum()
+            act = np.sum(v[i:i + 2, j:j + 2] * model.filters[0])
+            want -= act * h[0, i, j]
+    want -= model.visible_bias * v.sum()
+    want -= model.hidden_biases[0] * h[0].sum()
     assert crbm.energy(model, v, h) == pytest.approx(want, abs=1e-12)
 
 
 def test_free_energy_equals_hidden_enumeration_handwritten():
     # exp(-F(v)) must equal sum_h exp(-E(v,h)) over every hidden state;
-    # small enough to loop over literal HiddenState objects
+    # small enough to loop over literal hidden states
     rng = derive_rng(4, "fe")
     model = random_tiny_model(rng, 3, 2, 2)
     v = random_binary_image(rng, 3)
     side = model.hidden_side
     total = []
     for bits in itertools.product((0.0, 1.0), repeat=2 * side * side):
-        h = crbm.HiddenState(maps=np.array(bits).reshape(2, side, side),
-                             kind="samples")
+        h = np.array(bits).reshape(2, side, side)
         total.append(-crbm.energy(model, v, h))
     assert -crbm.free_energy(model, v) == pytest.approx(
         logsumexp(total), abs=1e-9)
@@ -206,10 +203,10 @@ def test_free_energy_equals_hidden_enumeration_vectorized():
             for i in range(side):
                 for j in range(side):
                     act[mi, i, j] = np.sum(
-                        v.pixels[i:i + k, j:j + k] * model.filters[mi]
+                        v[i:i + k, j:j + k] * model.filters[mi]
                     ) + model.hidden_biases[mi]
         bits = all_bit_configs(m * side * side)
-        neg_energy = bits @ act.ravel() + model.visible_bias * v.pixels.sum()
+        neg_energy = bits @ act.ravel() + model.visible_bias * v.sum()
         assert -crbm.free_energy(model, v) == pytest.approx(
             logsumexp(neg_energy), abs=1e-9)
 
@@ -232,7 +229,7 @@ def test_enumeration_guard_refuses_large_models():
 def test_exact_log_likelihood_is_a_log_probability():
     rng = derive_rng(6, "ll")
     model = random_tiny_model(rng, 3, 2, 1)
-    data = [random_binary_image(rng, 3)]
+    data = random_binary_image(rng, 3)[None]
     ll = crbm.exact_log_likelihood(model, data)
     assert ll < 0.0
     # sanity: likelihood of the full state space sums to 1, so any single
@@ -245,7 +242,7 @@ def test_exact_gradient_matches_finite_differences():
     for trial in range(6):
         n, k, m = TINY_COMBOS[trial % len(TINY_COMBOS)]
         model = random_tiny_model(rng, n, k, m)
-        data = [random_binary_image(rng, n) for _ in range(3)]
+        data = np.stack([random_binary_image(rng, n) for _ in range(3)])
         grad = crbm.exact_log_likelihood_grad(model, data)
 
         def ll(mod):
@@ -293,13 +290,13 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
     monkeypatch.setattr(crbm, "_sigmoid", spying(crbm._sigmoid))
     rng = derive_rng(19, "dtype")
     model = random_tiny_model(rng, 3, 2, 2)
-    data = [random_binary_image(rng, 3) for _ in range(3)]
+    data = np.stack([random_binary_image(rng, 3) for _ in range(3)])
     calls = {
         "cd_gradient_estimate": lambda: crbm.cd_gradient_estimate(
             model, data, 2, derive_rng(19, "cd")).filters,
         "gibbs_chain": lambda: crbm.gibbs_chain(
-            model, data[0], 2, derive_rng(19, "gc")).hk_probs.maps,
-        "extract_feature_map": lambda: crbm.extract_feature_map(model, data[0]).maps,
+            model, data[0], 2, derive_rng(19, "gc")).hk_probs,
+        "extract_feature_map": lambda: crbm.extract_feature_map(model, data[0]),
         "free_energy": lambda: np.float64(crbm.free_energy(model, data[0])),
         "exact_log_likelihood_grad": lambda: crbm.exact_log_likelihood_grad(
             model, data).filters,
@@ -318,10 +315,10 @@ def test_gibbs_chain_shapes_and_binary_samples():
     model = random_tiny_model(rng, 4, 2, 2)
     v0 = random_binary_image(rng, 4)
     res = crbm.gibbs_chain(model, v0, 3, derive_rng(8, "chain"))
-    assert set(np.unique(res.v_k.pixels)) <= {0.0, 1.0}
-    assert res.h0_probs.kind == "probabilities"
-    assert res.hk_probs.kind == "probabilities"
-    assert res.h0_probs.maps.shape == (2, 3, 3)
+    assert set(np.unique(res.v_k)) <= {0.0, 1.0}
+    for probs in (res.h0_probs, res.hk_probs):
+        assert probs.shape == (2, 3, 3)
+        assert probs.min() >= 0.0 and probs.max() <= 1.0
     assert res.v1_probs.shape == (4, 4)
     assert res.v1_probs.min() >= 0.0 and res.v1_probs.max() <= 1.0
 
@@ -332,8 +329,8 @@ def test_gibbs_chain_is_reproducible_for_equal_streams():
     v0 = random_binary_image(rng, 4)
     a = crbm.gibbs_chain(model, v0, 5, derive_rng(42, "x"))
     b = crbm.gibbs_chain(model, v0, 5, derive_rng(42, "x"))
-    assert np.array_equal(a.v_k.pixels, b.v_k.pixels)
-    assert np.array_equal(a.hk_probs.maps, b.hk_probs.maps)
+    assert np.array_equal(a.v_k, b.v_k)
+    assert np.array_equal(a.hk_probs, b.hk_probs)
 
 
 def test_sample_bernoulli_hits_exact_probabilities_in_the_limit():
@@ -405,19 +402,18 @@ def test_save_model_is_byte_deterministic(tmp_path):
 
 def test_feature_map_shapes_match_valid_correlation():
     model = crbm.init_model(6, 5, 32, seed=0)
-    img = Image2D(pixels=np.zeros((32, 32)))
-    maps = crbm.extract_feature_map(model, img)
-    assert maps.maps.shape == (6, 28, 28)
+    maps = crbm.extract_feature_map(model, np.zeros((32, 32)))
+    assert maps.shape == (6, 28, 28)
     with pytest.raises(ShapeMismatchError):
-        crbm.extract_feature_map(model, Image2D(pixels=np.zeros((16, 16))))
+        crbm.extract_feature_map(model, np.zeros((16, 16)))
 
 
 def test_reduce_1x1_uniform_is_plain_mean():
     rng = derive_rng(11, "rw")
-    maps = crbm.HiddenState(maps=rng.random((4, 3, 3)), kind="probabilities")
+    maps = rng.random((4, 3, 3))
     weights = crbm.reduction_weights("uniform", 4)
     np.testing.assert_allclose(crbm.reduce_1x1(maps, weights),
-                               maps.maps.mean(axis=0), atol=1e-12)
+                               maps.mean(axis=0), atol=1e-12)
 
 
 def test_reduction_weights_random_projection_is_unit_norm_and_seeded():

@@ -7,8 +7,7 @@ from scipy.special import expit
 
 from crbm_radiomics import crbm, kernels, synth
 from crbm_radiomics.config import SynthSpec
-from crbm_radiomics.data_model import Image2D
-from crbm_radiomics.errors import TrainingError
+from crbm_radiomics.errors import ShapeMismatchError, TrainingError
 from crbm_radiomics.seeding import derive_rng
 from gibbs_enumeration import expected_cd_gradient, flatten
 
@@ -18,8 +17,8 @@ def small_model(seed=0):
 
 
 def binary_images(rng, n, count):
-    return [Image2D(pixels=(rng.random((n, n)) < 0.5).astype(np.float64))
-            for _ in range(count)]
+    return np.stack([(rng.random((n, n)) < 0.5).astype(np.float64)
+                     for _ in range(count)])
 
 
 def replay_chain(model, v0, k, rng):
@@ -73,7 +72,7 @@ def test_cd_update_matches_manual_replay(monkeypatch):
     chunks = record_chunks(monkeypatch)
     updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(1, "u"))
 
-    v0 = np.stack([img.pixels for img in batch]).astype(np.float32)
+    v0 = batch.astype(np.float32)
     vk, p0, pk, _ = replay_batch(model, v0, 2, derive_rng(1, "u"))
     assert len(chunks) == 1 and chunks[0][1].dtype == np.float32
     assert np.array_equal(chunks[0][0], v0)
@@ -100,7 +99,7 @@ def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
     rng = derive_rng(11, "grey")
     pixels = rng.random((7, 6, 6))
     pixels[0, 0, :2] = (0.5, np.nextafter(0.5, 0.0))  # the threshold is inclusive
-    batch = [Image2D(pixels=p) for p in pixels]
+    batch = pixels
     per_image = cfg.cd_steps * (model.num_hidden + model.num_visible)
     monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", 2 * per_image)
     chunks = record_chunks(monkeypatch)
@@ -133,13 +132,13 @@ def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
     assert diag["recon_cross_entropy"] == pytest.approx(np.mean(ce), abs=1e-12)
 
 
-def test_cd_gradient_estimate_of_a_list_is_the_sum_of_one_image_estimates():
+def test_cd_gradient_estimate_of_a_stack_is_the_sum_of_one_image_estimates():
     rng = derive_rng(13, "est")
     model = crbm.init_model(2, 3, 5, weight_init_sigma=0.5, seed=6)
     data = binary_images(rng, 5, 6)
     whole = crbm.cd_gradient_estimate(model, data, 3, derive_rng(13, "s"))
     stream = derive_rng(13, "s")
-    parts = [crbm.cd_gradient_estimate(model, [img], 3, stream) for img in data]
+    parts = [crbm.cd_gradient_estimate(model, img[None], 3, stream) for img in data]
     np.testing.assert_allclose(flatten(whole),
                                np.sum([flatten(g) for g in parts], axis=0),
                                atol=1e-12)
@@ -150,10 +149,10 @@ def test_gibbs_chain_follows_the_one_image_draw_order():
     model = crbm.init_model(3, 2, 5, weight_init_sigma=0.8, seed=7)
     v0 = binary_images(rng, 5, 1)[0]
     got = crbm.gibbs_chain(model, v0, 3, derive_rng(14, "draws"))
-    vk, h0, hk, v1_probs = replay_chain(model, v0.pixels, 3, derive_rng(14, "draws"))
-    assert np.array_equal(got.v_k.pixels, vk)
-    np.testing.assert_allclose(got.h0_probs.maps, h0, atol=1e-12)
-    np.testing.assert_allclose(got.hk_probs.maps, hk, atol=1e-12)
+    vk, h0, hk, v1_probs = replay_chain(model, v0, 3, derive_rng(14, "draws"))
+    assert np.array_equal(got.v_k, vk)
+    np.testing.assert_allclose(got.h0_probs, h0, atol=1e-12)
+    np.testing.assert_allclose(got.hk_probs, hk, atol=1e-12)
     np.testing.assert_allclose(got.v1_probs, v1_probs, atol=1e-12)
 
 
@@ -180,7 +179,7 @@ def test_cd_update_samples_equal_those_of_the_expit_conditionals(monkeypatch,
     cfg = crbm.CrbmTrainConfig(learning_rate=0.05, cd_steps=2, batch_size=16,
                                binarize_visible=binarize)
     rng = derive_rng(15, "grey")
-    batch = [Image2D(pixels=rng.random((16, 16))) for _ in range(16)]
+    batch = np.stack([rng.random((16, 16)) for _ in range(16)])
 
     def run():
         with monkeypatch.context() as patch:
@@ -225,7 +224,7 @@ def test_recon_cross_entropy_is_finite_at_saturated_float32_probabilities(
     assert (v1_probs == saturated).all()
     # each pixel the saturated probability gets wrong costs about
     # -log(1e-12): the probability left to it by the float64 clip
-    wrong = np.mean([img.pixels != saturated for img in batch])
+    wrong = np.mean(batch != saturated)
     assert 0.0 < wrong < 1.0
     clipped = np.clip(saturated, 1e-12, 1.0 - 1e-12)
     miss = 1.0 - clipped if saturated else clipped
@@ -253,24 +252,68 @@ def test_float32_cd_filter_gradient_matches_float64_at_paper_shape(monkeypatch):
     assert np.abs(grad.filters - want).max() <= 5e-5 * np.abs(want).max()
 
 
+def malformed_stacks():
+    """(stack, error) of stacks of 3x3 images that an entry point refuses."""
+    good = np.full((4, 3, 3), 0.5)
+    out = []
+    for where, value in (((1, 0, 0), np.nan), ((0, 2, 1), 1.5),
+                         ((3, 1, 1), -0.25), ((2, 2, 2), np.inf)):
+        bad = good.copy()
+        bad[where] = value
+        out.append((bad, ValueError))
+    out.append((np.full((4, 4, 4), 0.5), ShapeMismatchError))  # wrong side
+    out.append((np.full((4, 3, 4), 0.5), ShapeMismatchError))
+    return out
+
+
+ENTRY_POINTS = {
+    "train": lambda model, stack: crbm.train(
+        model, stack, crbm.CrbmTrainConfig(epochs=1, batch_size=2)),
+    "cd_update": lambda model, stack: crbm.cd_update(
+        model, stack, crbm.CrbmTrainConfig(), derive_rng(0)),
+    "cd_gradient_estimate": lambda model, stack: crbm.cd_gradient_estimate(
+        model, stack, 1, derive_rng(0)),
+    "extract_feature_map": lambda model, stack: crbm.extract_feature_map(
+        model, stack),
+}
+
+
+@pytest.mark.parametrize("stack, error", malformed_stacks())
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_malformed_image_stacks(entry, stack, error):
+    call = ENTRY_POINTS[entry]
+    call(small_model(), np.full((4, 3, 3), 0.5))  # a well-formed stack passes
+    with pytest.raises(error):
+        call(small_model(), stack)
+
+
+@pytest.mark.parametrize("entry", ["train", "cd_update", "cd_gradient_estimate"])
+def test_training_entry_points_take_a_stack_not_one_image(entry):
+    with pytest.raises(ShapeMismatchError):
+        ENTRY_POINTS[entry](small_model(), np.full((3, 3), 0.5))
+
+
 def test_cd_update_rejects_empty_batch():
     cfg = crbm.CrbmTrainConfig()
     with pytest.raises(TrainingError):
-        crbm.cd_update(small_model(), [], cfg, derive_rng(0))
+        crbm.cd_update(small_model(), np.empty((0, 3, 3)), cfg, derive_rng(0))
 
 
 def test_train_names_the_epoch_and_batch_where_parameters_diverge():
     data = binary_images(derive_rng(3, "div"), 3, 4)
     cfg = crbm.CrbmTrainConfig(learning_rate=1e308, epochs=3, batch_size=2)
-    # batch 0 takes the filters to ~1e307, whose float32 chain gives nan
-    with np.errstate(all="ignore"), pytest.raises(
-            TrainingError, match=r"^non-finite parameters at epoch 0, batch 1$"):
+    # batch 0 takes the filters to ~1e307: finite in float64, but inf in
+    # the next batch's float32 chain, so batch 0 is refused, with no numpy
+    # warning (the suite turns warnings into errors)
+    with pytest.raises(
+            TrainingError,
+            match=r"^parameters beyond float32 range at epoch 0, batch 0$"):
         crbm.train(small_model(), data, cfg)
 
 
 def test_train_rejects_empty_data():
     with pytest.raises(TrainingError):
-        crbm.train(small_model(), [], crbm.CrbmTrainConfig())
+        crbm.train(small_model(), np.empty((0, 3, 3)), crbm.CrbmTrainConfig())
 
 
 def test_train_zero_epochs_returns_model_unchanged():
@@ -316,9 +359,9 @@ def test_training_reduces_reconstruction_error_on_stripes(stripe_images):
 def test_training_improves_exact_likelihood_on_tiny_data():
     # on an enumerable model the true objective itself should go up
     rng = derive_rng(5, "lik")
-    data = [Image2D(pixels=np.array([[1., 1., 1.],
-                                     [0., 0., 0.],
-                                     [1., 1., 1.]]))] * 6
+    data = np.stack([np.array([[1., 1., 1.],
+                               [0., 0., 0.],
+                               [1., 1., 1.]])] * 6)
     model = crbm.init_model(1, 2, 3, weight_init_sigma=0.1, seed=2)
     before = crbm.exact_log_likelihood(model, data)
     cfg = crbm.CrbmTrainConfig(learning_rate=0.2, cd_steps=1, epochs=40,

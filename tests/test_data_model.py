@@ -172,9 +172,9 @@ def test_crop_to_roi_zeroes_outside_mask():
     bits[1:4, 2:4] = 1
     bits[2, 3] = 0
     out = crop_to_roi(Image2D(pixels=px), RoiMask(bits=bits))
-    assert out.pixels.shape == (3, 2)
-    assert out.pixels[1, 1] == 0.0  # the hole
-    assert out.pixels[0, 0] == px[1, 2]
+    assert out.shape == (3, 2)
+    assert out[1, 1] == 0.0  # the hole
+    assert out[0, 0] == px[1, 2]
 
 
 def test_crop_to_roi_rejects_empty_mask():
@@ -185,40 +185,57 @@ def test_crop_to_roi_rejects_empty_mask():
 
 def test_extract_patches_row_major_and_counts():
     px = np.arange(64, dtype=float).reshape(8, 8) / 63.0
-    img = Image2D(pixels=px)
-    patches = extract_patches(img, 4, 4)
-    assert len(patches) == 4
-    np.testing.assert_array_equal(patches[0].pixels, px[:4, :4])
-    np.testing.assert_array_equal(patches[1].pixels, px[:4, 4:])
-    np.testing.assert_array_equal(patches[2].pixels, px[4:, :4])
-    overlapping = extract_patches(img, 4, 2)
+    patches = extract_patches(px, 4, 4)
+    assert patches.shape == (4, 4, 4)
+    np.testing.assert_array_equal(patches[0], px[:4, :4])
+    np.testing.assert_array_equal(patches[1], px[:4, 4:])
+    np.testing.assert_array_equal(patches[2], px[4:, :4])
+    overlapping = extract_patches(px, 4, 2)
     assert len(overlapping) == 9
     with pytest.raises(ShapeMismatchError):
-        extract_patches(img, 9, 1)
+        extract_patches(px, 9, 1)
+    with pytest.raises(ValueError):
+        extract_patches(px, 4, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(height=st.integers(1, 12), width=st.integers(1, 12),
+       patch=st.integers(1, 12), stride=st.integers(1, 14))
+def test_extract_patches_equals_the_window_loop(height, width, patch, stride):
+    px = np.arange(height * width, dtype=float).reshape(height, width)
+    if patch > min(height, width):
+        with pytest.raises(ShapeMismatchError):
+            extract_patches(px, patch, stride)
+        return
+    want = [px[r:r + patch, c:c + patch]
+            for r in range(0, height - patch + 1, stride)
+            for c in range(0, width - patch + 1, stride)]
+    got = extract_patches(px, patch, stride)
+    assert got.shape == (len(want), patch, patch)
+    assert np.array_equal(got, want)
+    # a copy, never a view of the image
+    assert got.flags.writeable and not np.shares_memory(got, px)
 
 
 def test_resize_or_pad_pads_small_images_centered():
-    img = Image2D(pixels=np.ones((2, 2)))
-    out = resize_or_pad(img, 4)
-    assert out.pixels.shape == (4, 4)
-    assert out.pixels.sum() == pytest.approx(4.0)
-    assert out.pixels[1:3, 1:3].sum() == pytest.approx(4.0)
+    out = resize_or_pad(np.ones((2, 2)), 4)
+    assert out.shape == (4, 4)
+    assert out.sum() == pytest.approx(4.0)
+    assert out[1:3, 1:3].sum() == pytest.approx(4.0)
 
 
 def test_resize_or_pad_downsample_preserves_mean_of_constant():
-    img = Image2D(pixels=np.full((10, 10), 0.6))
-    out = resize_or_pad(img, 4)
-    assert out.pixels.shape == (4, 4)
-    np.testing.assert_allclose(out.pixels, 0.6, atol=1e-12)
+    out = resize_or_pad(np.full((10, 10), 0.6), 4)
+    assert out.shape == (4, 4)
+    np.testing.assert_allclose(out, 0.6, atol=1e-12)
 
 
 def test_resize_or_pad_keeps_aspect_ratio():
-    img = Image2D(pixels=np.ones((20, 10)))
-    out = resize_or_pad(img, 8)
+    out = resize_or_pad(np.ones((20, 10)), 8)
     # 20x10 scales by 8/20 to 8x4, padded to 8x8: columns 2..5 filled
-    assert out.pixels.shape == (8, 8)
-    np.testing.assert_allclose(out.pixels[:, 2:6], 1.0, atol=1e-12)
-    np.testing.assert_allclose(out.pixels[:, :2], 0.0, atol=1e-12)
+    assert out.shape == (8, 8)
+    np.testing.assert_allclose(out[:, 2:6], 1.0, atol=1e-12)
+    np.testing.assert_allclose(out[:, :2], 0.0, atol=1e-12)
 
 
 def _write_manifest(tmp_path, rows, header="sample_id,patient_id,image,mask,"

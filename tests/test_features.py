@@ -164,20 +164,58 @@ def test_crbm_encodes_exactly_the_images_it_trains_on(tiny_corpus, monkeypatch):
     seen = []
     real = crbm.extract_feature_map
 
-    def spy(model, img):
-        seen.append(img.pixels)
-        return real(model, img)
+    def spy(model, images):
+        seen.append(images.copy())
+        return real(model, images)
 
     monkeypatch.setattr(crbm, "extract_feature_map", spy)
+    # five images a chunk, so chunks hold several samples and split some
+    monkeypatch.setattr(features, "_EXTRACT_MAP_VALUES", 5 * 3 * 12 * 12)
     for config in (small_config(),
                    small_config(feature_source="crbm-patch", patch_stride=8)):
         seen.clear()
         trained = crbm_training_images(dataset, config)
         fm = build_features(dataset, config, small_model())
-        assert len(seen) == len(trained) == fm.n_rows
-        for encoded, image in zip(seen, trained):
-            assert image.pixels.shape == (16, 16)
-            assert np.array_equal(encoded, image.pixels)
+        encoded = np.concatenate(seen)
+        assert trained.shape == (fm.n_rows, 16, 16)
+        assert [len(chunk) for chunk in seen[:-1]] == [5] * (len(seen) - 1)
+        assert np.array_equal(encoded, trained)
+
+
+@pytest.mark.parametrize("source, stride", [("crbm-image", 0),
+                                            ("crbm-patch", 4)])
+def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
+                                                 source, stride):
+    # an image encoded in a stack gets the bits it gets alone: the batched
+    # corr_valid, the sigmoid and the einsum reduction all keep each
+    # image's arithmetic as it is for one image
+    dataset, _ = tiny_corpus
+    # the quick-start's 16 maps: enough terms per pixel that a reduction
+    # through BLAS (tensordot) sums them in another order in a stack
+    config = small_config(feature_source=source, patch_stride=stride,
+                          reduction_weights="random-projection",
+                          crbm=CrbmSection(num_filters=16, kernel_size=5,
+                                           input_size=16))
+    model = crbm.init_model(16, 5, 16, weight_init_sigma=0.3, seed=3)
+    per_image = model.num_hidden
+    assert features._EXTRACT_MAP_VALUES >= 24 * per_image  # one chunk
+    whole = build_features(dataset, config, model)
+    if source == "crbm-patch":
+        assert np.bincount(whole.records).min() >= 8
+    for images in (1, 5):  # one image a chunk; chunks that split samples
+        monkeypatch.setattr(features, "_EXTRACT_MAP_VALUES", images * per_image)
+        chunked = build_features(dataset, config, model)
+        assert np.array_equal(chunked.records, whole.records)
+        assert chunked.values.tobytes() == whole.values.tobytes()
+    # and each row is its image's maps, computed alone, summed map after
+    # map in float64; np.tensordot sums them in another order
+    weights = crbm.reduction_weights(config.reduction_weights, 16, config.seed)
+    for row, image in zip(whole.values, crbm_training_images(dataset, config)):
+        maps = crbm.extract_feature_map(model, image)
+        want = np.zeros(maps.shape[1:])
+        for w, one in zip(weights, maps):
+            want += w * one
+        assert row.tobytes() == want.tobytes()
 
 
 def test_build_features_dispatch(tiny_corpus):
