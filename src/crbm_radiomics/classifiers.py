@@ -169,12 +169,7 @@ class RfModel:
     feature = -1 and carry the class-1 fraction."""
 
     trees: tuple
-    n_trees: int
     n_features: int
-
-    def __post_init__(self):
-        if len(self.trees) != self.n_trees:
-            raise ValueError("tree count mismatch")
 
 
 def rf_bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -257,7 +252,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
         nodes = []
         _grow(X, y, rows, 0, max_depth, m, rng, nodes)
         trees.append(tuple(nodes))
-    return RfModel(trees=tuple(trees), n_trees=n_trees, n_features=p)
+    return RfModel(trees=tuple(trees), n_features=p)
 
 
 def _tree_predict(nodes: tuple, x: np.ndarray) -> float:
@@ -287,4 +282,4 @@ def rf_predict_proba(model: RfModel, X: np.ndarray) -> np.ndarray:
     out = np.zeros(X.shape[0])
     for i in range(X.shape[0]):
         out[i] = sum(_tree_predict(tree, X[i]) for tree in model.trees)
-    return out / model.n_trees
+    return out / len(model.trees)

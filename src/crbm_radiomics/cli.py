@@ -93,16 +93,16 @@ def cmd_run(args) -> int:
     doc = {
         "package_version": __version__,
         "config": config_echo(config),
-        "report": report.to_dict(),
+        "report": report,
     }
     _write_json(args.out, doc)
     roc_path = Path(args.out).with_suffix(".roc.csv")
     with open(roc_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "tpr"])
-        for x, y in report.roc.points:
+        for x, y in zip(report["roc"]["fpr"], report["roc"]["tpr"]):
             writer.writerow([_float_cell(x), _float_cell(y)])
-    print(f"AUC {report.auc:.4f} ({config.feature_source} + "
+    print(f"AUC {report['auc']:.4f} ({config.feature_source} + "
           f"{config.classifier.kind}) -> {args.out}")
     return 0
 

@@ -1,16 +1,18 @@
 """Pipeline and synthetic-corpus configuration.
 
 One JSON file drives a whole experiment.  Every default that mirrors the
-reference setup is marked below; everything else is an artifact default
-chosen for desk-scale runs and echoed into reports, so a report plus this
-module is enough to re-run the experiment exactly.
+reference setup is marked where it is declared: below, or, for the "crbm"
+section, on crbm.CrbmConfig, the one type that declares and checks the
+CRBM's settings.  Everything else is an artifact default chosen for
+desk-scale runs.  The config is echoed into reports, so a report plus
+these defaults is enough to re-run the experiment exactly.
 """
 
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .crbm import CrbmTrainConfig
+from .crbm import CrbmConfig
 from .errors import ConfigError
 
 FEATURE_SOURCES = ("radiomics", "crbm-image", "crbm-patch")
@@ -18,45 +20,6 @@ CLASSIFIER_KINDS = ("lr", "svm", "rf")
 CV_MODES = ("slice-level", "patient-grouped")
 REDUCTION_MODES = ("uniform", "random-projection")
 PLS_MODES = ("latent", "vip-subset")
-
-
-@dataclass(frozen=True)
-class CrbmSection:
-    """CRBM architecture plus training schedule.
-
-    num_filters=64, kernel_size=5, learning_rate=1e-4 and input_size=256
-    reproduce the reference setup; epochs/batch_size are artifact defaults.
-    """
-
-    num_filters: int = 64
-    kernel_size: int = 5
-    input_size: int = 256
-    learning_rate: float = 1e-4
-    cd_steps: int = 1
-    epochs: int = 30
-    batch_size: int = 16
-    weight_init_sigma: float = 0.01
-    binarize_visible: bool = False
-
-    def __post_init__(self):
-        if self.num_filters < 1 or self.kernel_size < 1:
-            raise ConfigError("num_filters and kernel_size must be >= 1")
-        if self.kernel_size > self.input_size:
-            raise ConfigError("kernel_size must not exceed input_size")
-        if self.weight_init_sigma <= 0:
-            raise ConfigError("weight_init_sigma must be positive")
-        try:  # CrbmTrainConfig's own checks, at load rather than at train time
-            self.train_config(seed=0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def train_config(self, seed: int) -> CrbmTrainConfig:
-        return CrbmTrainConfig(learning_rate=self.learning_rate,
-                               cd_steps=self.cd_steps,
-                               epochs=self.epochs,
-                               batch_size=self.batch_size,
-                               rng_seed=seed,
-                               binarize_visible=self.binarize_visible)
 
 
 @dataclass(frozen=True)
@@ -74,6 +37,15 @@ class ClassifierSection:
         if self.kind not in CLASSIFIER_KINDS:
             raise ConfigError(f"classifier kind must be one of {CLASSIFIER_KINDS}, "
                               f"got {self.kind!r}")
+        if self.lr_l2 < 0:
+            raise ConfigError("lr_l2 must be >= 0")
+        if self.svm_c <= 0:
+            raise ConfigError("svm_c must be > 0")
+        if self.rf_trees < 1:
+            raise ConfigError("rf_trees must be >= 1")
+        for name in ("lr_steps", "svm_epochs", "rf_depth", "rf_features_per_split"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,7 +63,7 @@ class CvSection:
 @dataclass(frozen=True)
 class PipelineConfig:
     feature_source: str = "radiomics"
-    crbm: CrbmSection = field(default_factory=CrbmSection)
+    crbm: CrbmConfig = field(default_factory=CrbmConfig)
     pls_components: int = 20
     pls_mode: str = "latent"
     classifier: ClassifierSection = field(default_factory=ClassifierSection)
@@ -149,7 +121,7 @@ class SynthSpec:
             raise ConfigError("slices_per_patient must be >= 1")
 
 
-_SECTIONS = {"crbm": CrbmSection, "classifier": ClassifierSection, "cv": CvSection}
+_SECTIONS = {"crbm": CrbmConfig, "classifier": ClassifierSection, "cv": CvSection}
 
 
 def _has_type(value, annotation) -> bool:

@@ -66,7 +66,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import kernels
-from .errors import (EnumerationGuardError, ModelFormatError,
+from .errors import (ConfigError, EnumerationGuardError, ModelFormatError,
                      ShapeMismatchError, TrainingError)
 from .seeding import derive_rng
 
@@ -135,19 +135,36 @@ class CrbmModel:
 
 
 @dataclass(frozen=True)
-class CrbmTrainConfig:
+class CrbmConfig:
+    """CRBM architecture plus training schedule.
+
+    num_filters=64, kernel_size=5, learning_rate=1e-4 and input_size=256
+    reproduce the reference setup; epochs/batch_size are artifact defaults.
+    train and cd_update read only the schedule fields: a model's arrays
+    fix its architecture.
+    """
+
+    num_filters: int = 64
+    kernel_size: int = 5
+    input_size: int = 256
     learning_rate: float = 1e-4
     cd_steps: int = 1
     epochs: int = 30
     batch_size: int = 16
-    rng_seed: int = 0
+    weight_init_sigma: float = 0.01
     binarize_visible: bool = False
 
     def __post_init__(self):
+        if self.num_filters < 1 or self.kernel_size < 1:
+            raise ConfigError("num_filters and kernel_size must be >= 1")
+        if self.kernel_size > self.input_size:
+            raise ConfigError("kernel_size must not exceed input_size")
+        if self.weight_init_sigma <= 0:
+            raise ConfigError("weight_init_sigma must be positive")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if self.cd_steps < 1 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("cd_steps/batch_size must be >= 1 and epochs >= 0")
+            raise ConfigError("cd_steps/batch_size must be >= 1 and epochs >= 0")
 
 
 @dataclass
@@ -531,7 +548,7 @@ def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
     return float(-np.sum(v0 * np.log(p) + (1.0 - v0) * np.log(1.0 - p)))
 
 
-def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmTrainConfig,
+def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
               rng: np.random.Generator):
     """One CD-k parameter update from a batch of images (B, N, N).
 
@@ -575,27 +592,27 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmTrainConfig,
     return updated, diagnostics
 
 
-def train(model: CrbmModel, data: np.ndarray, cfg: CrbmTrainConfig):
+def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
     """Epochs of shuffled-batch CD updates over a stack of images (n, N, N);
     returns (model, TrainHistory).
 
-    Shuffling and every Gibbs draw derive deterministically from
-    cfg.rng_seed, so identical inputs give bit-identical final weights.
-    Aborts with TrainingError, naming the epoch and batch, if a parameter
-    leaves float32's finite range.
+    Shuffling and every Gibbs draw derive deterministically from seed, so
+    identical inputs give bit-identical final weights.  Aborts with
+    TrainingError, naming the epoch and batch, if a parameter leaves
+    float32's finite range.
     """
     if len(data) == 0:
         raise TrainingError("training data is empty")
     data = _visible_stack(model, data)
     history = TrainHistory(recon_cross_entropy=[], mean_abs_dw=[])
     for epoch in range(cfg.epochs):
-        order = derive_rng(cfg.rng_seed, "shuffle", epoch).permutation(len(data))
+        order = derive_rng(seed, "shuffle", epoch).permutation(len(data))
         ce_parts, dw_parts, weights = [], [], []
         for batch_idx, start in enumerate(range(0, len(data), cfg.batch_size)):
             # views into the stack: cd_update stacks them itself, so the
             # batch's float64 copy is freed once cast to float32
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
-            rng = derive_rng(cfg.rng_seed, "cd", epoch, batch_idx)
+            rng = derive_rng(seed, "cd", epoch, batch_idx)
             try:
                 model, diag = cd_update(model, batch, cfg, rng)
             except TrainingError as exc:

@@ -5,9 +5,14 @@ are concatenated and swept once.  Per-fold metrics are kept alongside.
 The trapezoidal AUC is cross-checked in tests against the rank-statistic
 (Mann-Whitney) formulation, which must agree to near machine precision,
 ties included.
+
+Results are the plain values the report is written as: make_folds gives
+one fold index per record, confusion_metrics a dict, and cross_validate
+the whole report dict, keys in the order `run` writes them.  Only the
+ROC curve keeps a type, whose checks hold for every curve built.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +50,6 @@ class RocCurve:
             raise ValueError("curve coordinates must be non-decreasing")
         object.__setattr__(self, "fpr", fpr)
         object.__setattr__(self, "tpr", tpr)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.stack([self.fpr, self.tpr], axis=1)
 
 
 def _check_scores(scores, labels, need_both: bool = True) -> tuple:
@@ -95,30 +96,13 @@ def auc_mann_whitney(scores, labels) -> float:
     return (wins + 0.5 * ties) / (pos.size * neg.size)
 
 
-@dataclass(frozen=True)
-class ConfusionMetrics:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    threshold: float
-    zero_division: tuple = ()
+def confusion_metrics(scores, labels, threshold: float) -> dict:
+    """Counts and rates for 'positive iff score >= threshold', as the
+    report writes them: tp, fp, tn, fn, accuracy, sensitivity,
+    specificity, threshold, zero_division.
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-                "accuracy": self.accuracy, "sensitivity": self.sensitivity,
-                "specificity": self.specificity, "threshold": self.threshold,
-                "zero_division": list(self.zero_division)}
-
-
-def confusion_metrics(scores, labels, threshold: float) -> ConfusionMetrics:
-    """Counts and rates for 'positive iff score >= threshold'.
-
-    A rate whose denominator is zero is reported as 0 and named in
-    zero_division rather than raising.
+    A rate whose denominator is zero is reported as 0 and named in the
+    zero_division list rather than raising.
     """
     scores, labels = _check_scores(scores, labels, need_both=False)
     pred = scores >= threshold
@@ -136,11 +120,10 @@ def confusion_metrics(scores, labels, threshold: float) -> ConfusionMetrics:
         spec = tn / (tn + fp)
     else:
         spec, flags = 0.0, flags + ["specificity"]
-    return ConfusionMetrics(tp=tp, fp=fp, tn=tn, fn=fn,
-                            accuracy=(tp + tn) / labels.size,
-                            sensitivity=sens, specificity=spec,
-                            threshold=float(threshold),
-                            zero_division=tuple(flags))
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn,
+            "accuracy": (tp + tn) / labels.size,
+            "sensitivity": sens, "specificity": spec,
+            "threshold": float(threshold), "zero_division": flags}
 
 
 def youden_threshold(curve: RocCurve) -> float:
@@ -156,25 +139,14 @@ def youden_threshold(curve: RocCurve) -> float:
 # Fold construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignments: tuple  # fold index per dataset record, in record order
-    mode: str
-    seed: int
-
-    def __post_init__(self):
-        if sorted(set(self.assignments)) != list(range(self.k)):
-            raise ValueError("assignments must use every fold in [0, k)")
-
-    def fold_sizes(self) -> tuple:
-        return tuple(self.assignments.count(f) for f in range(self.k))
-
-
 def make_folds(dataset: Dataset, k: int, mode: str = "slice-level",
-               seed: int = 0) -> FoldPlan:
-    """Label-stratified row assignment, or greedy balanced whole-patient
-    assignment that never splits one patient across folds."""
+               seed: int = 0) -> np.ndarray:
+    """The fold in [0, k) of each dataset record, in record order, as an
+    int array: label-stratified row assignment, or greedy balanced
+    whole-patient assignment that never splits one patient across folds.
+    Every fold is non-empty: the n >= k records fill the k slice-level
+    folds in turn, and the greedy pass puts the first k of the >= k
+    patients into the k empty folds."""
     n = len(dataset)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -208,46 +180,12 @@ def make_folds(dataset: Dataset, k: int, mode: str = "slice-level",
             loads[fold] += len(groups[p])
     else:
         raise ValueError(f"unknown fold mode {mode!r}")
-    return FoldPlan(k=k, assignments=tuple(assignments), mode=mode, seed=seed)
+    return np.array(assignments)
 
 
 # ---------------------------------------------------------------------------
 # Cross-validated pipeline evaluation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EvalReport:
-    auc: float
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    threshold_used: float
-    confusion: tuple  # (tp, fp, tn, fn)
-    per_fold: tuple   # one dict per fold
-    youden: dict      # same metrics at the Youden-optimal threshold
-    roc: RocCurve
-    provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        thresholds = [None if not np.isfinite(t) else float(t)
-                      for t in self.roc.thresholds]
-        return {
-            "auc": self.auc,
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "threshold_used": self.threshold_used,
-            "confusion": {"tp": self.confusion[0], "fp": self.confusion[1],
-                          "tn": self.confusion[2], "fn": self.confusion[3]},
-            "per_fold": list(self.per_fold),
-            "per_fold_summary": _fold_summary(self.per_fold),
-            "youden": self.youden,
-            "roc": {"fpr": self.roc.fpr.tolist(),
-                    "tpr": self.roc.tpr.tolist(),
-                    "thresholds": thresholds},
-            "provenance": self.provenance,
-        }
-
 
 def _fold_summary(per_fold) -> dict:
     aucs = [f["auc"] for f in per_fold if f["auc"] is not None]
@@ -283,13 +221,15 @@ def train_crbm_for(config: PipelineConfig, dataset: Dataset):
                            config.crbm.input_size,
                            config.crbm.weight_init_sigma,
                            seed=derive_seed(config.seed, "crbm-init"))
-    return crbm.train(init, images, config.crbm.train_config(
-        seed=derive_seed(config.seed, "crbm-train")))
+    return crbm.train(init, images, config.crbm,
+                      seed=derive_seed(config.seed, "crbm-train"))
 
 
 def cross_validate(config: PipelineConfig, dataset: Dataset,
-                   model=None) -> EvalReport:
-    """Fold-contained PLS + classifier over a once-built feature matrix.
+                   model=None) -> dict:
+    """Fold-contained PLS + classifier over a once-built feature matrix;
+    returns the report dict that `run` writes, with its keys in the
+    written order.
 
     The CRBM (when used) is trained on all images without labels before
     the folds are formed; that protocol is recorded in provenance.  Patch
@@ -299,15 +239,14 @@ def cross_validate(config: PipelineConfig, dataset: Dataset,
     if config.feature_source != "radiomics" and model is None:
         model, _ = train_crbm_for(config, dataset)
     fm = features.build_features(dataset, config, model)
-    plan = make_folds(dataset, config.cv.k, config.cv.mode, config.seed)
-    folds = np.array(plan.assignments)
+    folds = make_folds(dataset, config.cv.k, config.cv.mode, config.seed)
     labels = np.array([r.label for r in dataset.records])
     row_folds = folds[fm.records]
 
     scores = np.full(len(dataset), np.nan)  # one per record
     per_fold = []
     default_threshold = 0.5
-    for fold in range(plan.k):
+    for fold in range(config.cv.k):
         test = row_folds == fold
         Xtr, ytr = fm.values[~test], labels[fm.records[~test]]
         try:
@@ -331,7 +270,7 @@ def cross_validate(config: PipelineConfig, dataset: Dataset,
         fold_auc = (auc_trapezoid(roc_curve(f_scores, f_labels))
                     if 0 < f_labels.sum() < f_labels.size else None)
         per_fold.append({"fold": fold, "n": int(f_labels.size),
-                         "auc": fold_auc, **cm.to_dict()})
+                         "auc": fold_auc, **cm})
 
     curve = roc_curve(scores, labels)
     cm = confusion_metrics(scores, labels, default_threshold)
@@ -342,8 +281,8 @@ def cross_validate(config: PipelineConfig, dataset: Dataset,
         "feature_source": config.feature_source,
         "classifier": config.classifier.kind,
         "seed": config.seed,
-        "cv_mode": plan.mode,
-        "fold_sizes": list(plan.fold_sizes()),
+        "cv_mode": config.cv.mode,
+        "fold_sizes": np.bincount(folds, minlength=config.cv.k).tolist(),
         "n_slices": len(dataset),
         "n_feature_rows": fm.n_rows,
         "n_feature_columns": fm.n_columns,
@@ -356,11 +295,19 @@ def cross_validate(config: PipelineConfig, dataset: Dataset,
                               else "none (one row per slice)"),
         "kernel_backend": kernels.active_backend(),
     }
-    return EvalReport(auc=auc_trapezoid(curve),
-                      accuracy=cm.accuracy, sensitivity=cm.sensitivity,
-                      specificity=cm.specificity,
-                      threshold_used=default_threshold,
-                      confusion=(cm.tp, cm.fp, cm.tn, cm.fn),
-                      per_fold=tuple(per_fold),
-                      youden={"threshold": yt, **ym.to_dict()},
-                      roc=curve, provenance=provenance)
+    return {
+        "auc": auc_trapezoid(curve),
+        "accuracy": cm["accuracy"],
+        "sensitivity": cm["sensitivity"],
+        "specificity": cm["specificity"],
+        "threshold_used": default_threshold,
+        "confusion": {key: cm[key] for key in ("tp", "fp", "tn", "fn")},
+        "per_fold": per_fold,
+        "per_fold_summary": _fold_summary(per_fold),
+        "youden": {"threshold": yt, **ym},
+        "roc": {"fpr": curve.fpr.tolist(),
+                "tpr": curve.tpr.tolist(),
+                "thresholds": [float(t) if np.isfinite(t) else None
+                               for t in curve.thresholds]},
+        "provenance": provenance,
+    }

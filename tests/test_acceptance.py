@@ -17,9 +17,8 @@ from crbm_radiomics import cli, crbm, evaluation, synth
 from crbm_radiomics.classifiers import (lr_loss_and_grad, rf_fit,
                                         rf_predict_proba, svm_decision,
                                         svm_fit)
-from crbm_radiomics.config import (CrbmSection, CvSection, PipelineConfig,
-                                   SynthSpec)
-from crbm_radiomics.crbm import CrbmModel, CrbmTrainConfig
+from crbm_radiomics.config import CvSection, PipelineConfig, SynthSpec
+from crbm_radiomics.crbm import CrbmConfig, CrbmModel
 from crbm_radiomics.data_model import Dataset, load_manifest
 from crbm_radiomics.radiomics import (glcm_compute, glrlm_compute,
                                       wavelet_decompose, wavelet_reconstruct)
@@ -227,10 +226,9 @@ def test_criterion_04_cd_direction_improves_with_k():
 
 def test_criterion_05_training_reduces_reconstruction_error(stripe_images):
     model = crbm.init_model(4, 3, 8, seed=2)
-    cfg = CrbmTrainConfig(learning_rate=0.01, cd_steps=1, epochs=30,
-                          batch_size=16, rng_seed=0)
+    cfg = CrbmConfig(learning_rate=0.01, cd_steps=1, epochs=30, batch_size=16)
     start = time.perf_counter()
-    _, history = crbm.train(model, stripe_images, cfg)
+    _, history = crbm.train(model, stripe_images, cfg, seed=0)
     elapsed = time.perf_counter() - start
 
     ce = history.recon_cross_entropy
@@ -400,22 +398,22 @@ def test_criterion_09_end_to_end_surrogate(tmp_path):
 
     patch_config = PipelineConfig(
         feature_source="crbm-patch",
-        crbm=CrbmSection(num_filters=16, kernel_size=5, input_size=16,
-                         learning_rate=0.05, epochs=5, batch_size=16),
+        crbm=CrbmConfig(num_filters=16, kernel_size=5, input_size=16,
+                        learning_rate=0.05, epochs=5, batch_size=16),
         patch_stride=8, pls_components=20, cv=CvSection(k=4), seed=2026)
-    patch_auc = evaluation.cross_validate(patch_config, dataset).auc
+    patch_auc = evaluation.cross_validate(patch_config, dataset)["auc"]
 
     radiomics_config = PipelineConfig(feature_source="radiomics",
                                       pls_components=20,
                                       cv=CvSection(k=4), seed=2026)
-    radiomics_auc = evaluation.cross_validate(radiomics_config, dataset).auc
+    radiomics_auc = evaluation.cross_validate(radiomics_config, dataset)["auc"]
 
     perm = derive_rng(2026, "permute").permutation(len(dataset))
     labels = [dataset.records[i].label for i in perm]
     shuffled = Dataset(records=tuple(
         dataclasses.replace(r, label=labels[i])
         for i, r in enumerate(dataset.records)))
-    null_auc = evaluation.cross_validate(radiomics_config, shuffled).auc
+    null_auc = evaluation.cross_validate(radiomics_config, shuffled)["auc"]
     elapsed = time.perf_counter() - start
 
     assert patch_auc >= 0.9

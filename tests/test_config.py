@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from crbm_radiomics import classifiers
 from crbm_radiomics.config import (
     ClassifierSection,
-    CrbmSection,
     CvSection,
     PipelineConfig,
     SynthSpec,
@@ -19,6 +18,7 @@ from crbm_radiomics.config import (
     load_pipeline_config,
     load_synth_spec,
 )
+from crbm_radiomics.crbm import CrbmConfig
 from crbm_radiomics.errors import ConfigError, PipelineError
 from crbm_radiomics.seeding import derive_rng
 
@@ -93,6 +93,18 @@ def test_crbm_training_fields_are_checked_at_load(tmp_path, source, field, value
                       {"feature_source": source, "crbm": {field: value}})
     with pytest.raises(ConfigError, match=rf"^c\.json\.crbm: .*{field}"):
         load_pipeline_config(path)
+
+
+@pytest.mark.parametrize("field, bad, edge", [
+    ("lr_l2", -1e-9, 0.0), ("svm_c", 0.0, 1e-9), ("svm_c", -1, 1),
+    ("rf_trees", 0, 1), ("lr_steps", -1, 0), ("svm_epochs", -1, 0),
+    ("rf_depth", -1, 0), ("rf_features_per_split", -1, 0)])
+def test_classifier_fields_are_checked_at_load(tmp_path, field, bad, edge):
+    path = write_json(tmp_path / "c.json", {"classifier": {field: bad}})
+    with pytest.raises(ConfigError, match=rf"^c\.json\.classifier: {field}"):
+        load_pipeline_config(path)
+    path = write_json(tmp_path / "c.json", {"classifier": {field: edge}})
+    assert getattr(load_pipeline_config(path).classifier, field) == edge
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -173,10 +185,10 @@ def test_config_echo_is_json_ready(tmp_path):
 
 
 def test_effective_patch_stride():
-    config = PipelineConfig(crbm=CrbmSection(input_size=32))
+    config = PipelineConfig(crbm=CrbmConfig(input_size=32))
     assert effective_patch_stride(config) == 32  # 0 means non-overlapping
     assert effective_patch_stride(
-        PipelineConfig(crbm=CrbmSection(input_size=32), patch_stride=8)) == 8
+        PipelineConfig(crbm=CrbmConfig(input_size=32), patch_stride=8)) == 8
 
 
 def test_effective_rf_features_ceil_sqrt(monkeypatch):
@@ -202,19 +214,6 @@ def test_effective_rf_features_ceil_sqrt(monkeypatch):
     fixed = ClassifierSection(kind="rf", rf_features_per_split=7)
     assert used(fixed, 374) == 7
     assert used(fixed, 5) == 5  # capped at n_features
-
-
-def test_crbm_section_train_config_threads_all_fields():
-    section = CrbmSection(num_filters=4, input_size=16, learning_rate=0.02,
-                          cd_steps=3, epochs=7, batch_size=5,
-                          weight_init_sigma=0.2, binarize_visible=True)
-    tc = section.train_config(seed=99)
-    assert tc.learning_rate == 0.02
-    assert tc.cd_steps == 3
-    assert tc.epochs == 7
-    assert tc.batch_size == 5
-    assert tc.rng_seed == 99
-    assert tc.binarize_visible is True
 
 
 def test_cv_section_defaults():

@@ -306,7 +306,7 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
         assert call().dtype == np.float64, name
         assert seen and set(seen) == {np.dtype(np.float64)}, name
     seen.clear()
-    crbm.cd_update(model, data, crbm.CrbmTrainConfig(), derive_rng(19, "u"))
+    crbm.cd_update(model, data, crbm.CrbmConfig(), derive_rng(19, "u"))
     assert set(seen) == {np.dtype(np.float32)}
 
 

@@ -67,7 +67,7 @@ def test_cd_update_matches_manual_replay(monkeypatch):
     # correlates the replayed samples of the batch (one chunk here), and
     # the rest is summed in float64
     model = small_model()
-    cfg = crbm.CrbmTrainConfig(learning_rate=0.1, cd_steps=2, batch_size=4)
+    cfg = crbm.CrbmConfig(learning_rate=0.1, cd_steps=2, batch_size=4)
     batch = binary_images(derive_rng(0, "b"), 3, 4)
     chunks = record_chunks(monkeypatch)
     updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(1, "u"))
@@ -94,8 +94,8 @@ def test_cd_update_matches_manual_replay(monkeypatch):
 
 def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
     model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=4)
-    cfg = crbm.CrbmTrainConfig(learning_rate=0.1, cd_steps=2, batch_size=7,
-                               binarize_visible=True)
+    cfg = crbm.CrbmConfig(learning_rate=0.1, cd_steps=2, batch_size=7,
+                          binarize_visible=True)
     rng = derive_rng(11, "grey")
     pixels = rng.random((7, 6, 6))
     pixels[0, 0, :2] = (0.5, np.nextafter(0.5, 0.0))  # the threshold is inclusive
@@ -176,8 +176,8 @@ def test_cd_update_samples_equal_those_of_the_expit_conditionals(monkeypatch,
     model = crbm.CrbmModel(filters=model.filters, visible_bias=-0.2,
                            hidden_biases=np.linspace(-1.0, 1.0, 16),
                            input_size=16)
-    cfg = crbm.CrbmTrainConfig(learning_rate=0.05, cd_steps=2, batch_size=16,
-                               binarize_visible=binarize)
+    cfg = crbm.CrbmConfig(learning_rate=0.05, cd_steps=2, batch_size=16,
+                          binarize_visible=binarize)
     rng = derive_rng(15, "grey")
     batch = np.stack([rng.random((16, 16)) for _ in range(16)])
 
@@ -215,7 +215,7 @@ def test_recon_cross_entropy_is_finite_at_saturated_float32_probabilities(
                            hidden_biases=np.zeros(2), input_size=3)
     batch = binary_images(derive_rng(16, "sat"), 3, 4)
     chunks = record_chunks(monkeypatch)
-    _, diag = crbm.cd_update(model, batch, crbm.CrbmTrainConfig(batch_size=4),
+    _, diag = crbm.cd_update(model, batch, crbm.CrbmConfig(batch_size=4),
                              derive_rng(16, "u"))
     (chunk,) = chunks
     v1_probs = chunk[4]
@@ -268,9 +268,9 @@ def malformed_stacks():
 
 ENTRY_POINTS = {
     "train": lambda model, stack: crbm.train(
-        model, stack, crbm.CrbmTrainConfig(epochs=1, batch_size=2)),
+        model, stack, crbm.CrbmConfig(epochs=1, batch_size=2)),
     "cd_update": lambda model, stack: crbm.cd_update(
-        model, stack, crbm.CrbmTrainConfig(), derive_rng(0)),
+        model, stack, crbm.CrbmConfig(), derive_rng(0)),
     "cd_gradient_estimate": lambda model, stack: crbm.cd_gradient_estimate(
         model, stack, 1, derive_rng(0)),
     "extract_feature_map": lambda model, stack: crbm.extract_feature_map(
@@ -294,14 +294,14 @@ def test_training_entry_points_take_a_stack_not_one_image(entry):
 
 
 def test_cd_update_rejects_empty_batch():
-    cfg = crbm.CrbmTrainConfig()
+    cfg = crbm.CrbmConfig()
     with pytest.raises(TrainingError):
         crbm.cd_update(small_model(), np.empty((0, 3, 3)), cfg, derive_rng(0))
 
 
 def test_train_names_the_epoch_and_batch_where_parameters_diverge():
     data = binary_images(derive_rng(3, "div"), 3, 4)
-    cfg = crbm.CrbmTrainConfig(learning_rate=1e308, epochs=3, batch_size=2)
+    cfg = crbm.CrbmConfig(learning_rate=1e308, epochs=3, batch_size=2)
     # batch 0 takes the filters to ~1e307: finite in float64, but inf in
     # the next batch's float32 chain, so batch 0 is refused, with no numpy
     # warning (the suite turns warnings into errors)
@@ -313,36 +313,33 @@ def test_train_names_the_epoch_and_batch_where_parameters_diverge():
 
 def test_train_rejects_empty_data():
     with pytest.raises(TrainingError):
-        crbm.train(small_model(), np.empty((0, 3, 3)), crbm.CrbmTrainConfig())
+        crbm.train(small_model(), np.empty((0, 3, 3)), crbm.CrbmConfig())
 
 
 def test_train_zero_epochs_returns_model_unchanged():
     model = small_model()
     data = binary_images(derive_rng(2, "z"), 3, 8)
-    out, history = crbm.train(model, data, crbm.CrbmTrainConfig(epochs=0))
+    out, history = crbm.train(model, data, crbm.CrbmConfig(epochs=0))
     assert np.array_equal(out.filters, model.filters)
     assert history.recon_cross_entropy == []
 
 
 def test_train_is_deterministic_per_seed():
     data = binary_images(derive_rng(3, "d"), 3, 12)
-    cfg = crbm.CrbmTrainConfig(learning_rate=0.05, epochs=3, batch_size=4,
-                               rng_seed=7)
-    a, hist_a = crbm.train(small_model(), data, cfg)
-    b, hist_b = crbm.train(small_model(), data, cfg)
+    cfg = crbm.CrbmConfig(learning_rate=0.05, epochs=3, batch_size=4)
+    a, hist_a = crbm.train(small_model(), data, cfg, seed=7)
+    b, hist_b = crbm.train(small_model(), data, cfg, seed=7)
     assert np.array_equal(a.filters, b.filters)
     assert hist_a.recon_cross_entropy == hist_b.recon_cross_entropy
 
-    other = crbm.train(small_model(), data,
-                       crbm.CrbmTrainConfig(learning_rate=0.05, epochs=3,
-                                            batch_size=4, rng_seed=8))[0]
+    other = crbm.train(small_model(), data, cfg, seed=8)[0]
     assert not np.array_equal(a.filters, other.filters)
 
 
 def test_train_history_has_one_entry_per_epoch():
     data = binary_images(derive_rng(4, "h"), 3, 10)
     _, history = crbm.train(small_model(), data,
-                            crbm.CrbmTrainConfig(learning_rate=0.01, epochs=5))
+                            crbm.CrbmConfig(learning_rate=0.01, epochs=5))
     assert len(history.recon_cross_entropy) == 5
     assert len(history.mean_abs_dw) == 5
     assert all(np.isfinite(history.recon_cross_entropy))
@@ -350,9 +347,9 @@ def test_train_history_has_one_entry_per_epoch():
 
 def test_training_reduces_reconstruction_error_on_stripes(stripe_images):
     model = crbm.init_model(4, 3, 8, weight_init_sigma=0.01, seed=1)
-    cfg = crbm.CrbmTrainConfig(learning_rate=0.05, cd_steps=1, epochs=10,
-                               batch_size=16, rng_seed=1)
-    _, history = crbm.train(model, stripe_images, cfg)
+    cfg = crbm.CrbmConfig(learning_rate=0.05, cd_steps=1, epochs=10,
+                          batch_size=16)
+    _, history = crbm.train(model, stripe_images, cfg, seed=1)
     assert history.recon_cross_entropy[-1] < 0.5 * history.recon_cross_entropy[0]
 
 
@@ -364,9 +361,9 @@ def test_training_improves_exact_likelihood_on_tiny_data():
                                [1., 1., 1.]])] * 6)
     model = crbm.init_model(1, 2, 3, weight_init_sigma=0.1, seed=2)
     before = crbm.exact_log_likelihood(model, data)
-    cfg = crbm.CrbmTrainConfig(learning_rate=0.2, cd_steps=1, epochs=40,
-                               batch_size=6, rng_seed=3)
-    trained, _ = crbm.train(model, data, cfg)
+    cfg = crbm.CrbmConfig(learning_rate=0.2, cd_steps=1, epochs=40,
+                          batch_size=6)
+    trained, _ = crbm.train(model, data, cfg, seed=3)
     after = crbm.exact_log_likelihood(trained, data)
     assert after > before
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from crbm_radiomics import classifiers, evaluation, features
 from crbm_radiomics.config import (
     ClassifierSection,
-    CrbmSection,
     CvSection,
     PipelineConfig,
 )
+from crbm_radiomics.crbm import CrbmConfig
 from crbm_radiomics.data_model import Dataset, SampleRecord
 from crbm_radiomics.errors import TrainingError
 from crbm_radiomics.evaluation import (
@@ -57,8 +57,9 @@ def test_roc_hand_example():
 
 def test_roc_collapses_tied_scores_to_one_step():
     curve = roc_curve([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-    assert curve.points.shape == (2, 2)
-    np.testing.assert_allclose(curve.points, [[0, 0], [1, 1]])
+    points = np.stack([curve.fpr, curve.tpr], axis=1)
+    assert points.shape == (2, 2)
+    np.testing.assert_allclose(points, [[0, 0], [1, 1]])
     assert auc_trapezoid(curve) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -130,24 +131,24 @@ def test_roc_curve_container_validation():
 
 def test_confusion_hand_case():
     cm = confusion_metrics([0.9, 0.4, 0.6, 0.2], [1, 1, 0, 0], 0.5)
-    assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 1, 1, 1)
-    assert cm.accuracy == 0.5
-    assert cm.sensitivity == 0.5
-    assert cm.specificity == 0.5
-    assert cm.zero_division == ()
+    assert (cm["tp"], cm["fp"], cm["tn"], cm["fn"]) == (1, 1, 1, 1)
+    assert cm["accuracy"] == 0.5
+    assert cm["sensitivity"] == 0.5
+    assert cm["specificity"] == 0.5
+    assert cm["zero_division"] == []
 
 
 def test_confusion_threshold_is_inclusive():
     cm = confusion_metrics([0.5, 0.4], [1, 0], 0.5)
-    assert cm.tp == 1 and cm.tn == 1
+    assert cm["tp"] == 1 and cm["tn"] == 1
 
 
 def test_confusion_zero_division_flags():
     cm = confusion_metrics([0.9, 0.8], [1, 1], 0.5)
-    assert cm.zero_division == ("specificity",)
-    assert cm.specificity == 0.0
+    assert cm["zero_division"] == ["specificity"]
+    assert cm["specificity"] == 0.0
     cm = confusion_metrics([0.1, 0.2], [0, 0], 0.5)
-    assert cm.zero_division == ("sensitivity",)
+    assert cm["zero_division"] == ["sensitivity"]
 
 
 def test_youden_picks_the_separating_threshold():
@@ -173,13 +174,13 @@ def test_slice_folds_are_balanced_and_stratified():
     rng = derive_rng(3, "folds")
     labels = rng.integers(0, 2, size=103)
     ds = dummy_dataset(labels)
-    plan = make_folds(ds, 4, "slice-level", seed=5)
-    sizes = plan.fold_sizes()
+    folds = make_folds(ds, 4, "slice-level", seed=5)
+    sizes = np.bincount(folds, minlength=4)
     assert sum(sizes) == 103
     assert max(sizes) - min(sizes) <= 1
     for label in (0, 1):
         per_fold = [sum(1 for i, r in enumerate(ds.records)
-                        if r.label == label and plan.assignments[i] == f)
+                        if r.label == label and folds[i] == f)
                     for f in range(4)]
         assert max(per_fold) - min(per_fold) <= 1
 
@@ -189,14 +190,14 @@ def test_slice_folds_depend_on_seed_deterministically():
     a = make_folds(ds, 4, "slice-level", seed=1)
     b = make_folds(ds, 4, "slice-level", seed=1)
     c = make_folds(ds, 4, "slice-level", seed=2)
-    assert a.assignments == b.assignments
-    assert a.assignments != c.assignments
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_exact_split_sizes_for_divisible_counts():
     ds = dummy_dataset([0, 1] * 50)
-    plan = make_folds(ds, 4, "slice-level", seed=0)
-    assert plan.fold_sizes() == (25, 25, 25, 25)
+    folds = make_folds(ds, 4, "slice-level", seed=0)
+    assert np.bincount(folds, minlength=4).tolist() == [25, 25, 25, 25]
 
 
 def test_patient_folds_never_split_a_patient():
@@ -204,12 +205,12 @@ def test_patient_folds_never_split_a_patient():
     labels = rng.integers(0, 2, size=60)
     patients = [f"P{i // 3}" for i in range(60)]  # 20 patients of 3 slices
     ds = dummy_dataset(labels, patients)
-    plan = make_folds(ds, 4, "patient-grouped", seed=7)
+    folds = make_folds(ds, 4, "patient-grouped", seed=7)
     fold_of = {}
     for i, r in enumerate(ds.records):
-        fold_of.setdefault(r.patient_id, set()).add(plan.assignments[i])
+        fold_of.setdefault(r.patient_id, set()).add(folds[i])
     assert all(len(s) == 1 for s in fold_of.values())
-    sizes = plan.fold_sizes()
+    sizes = np.bincount(folds, minlength=4)
     assert sum(sizes) == 60
     assert max(sizes) - min(sizes) <= 3  # bounded by the largest group
 
@@ -223,15 +224,18 @@ def test_patient_folds_never_split_a_patient_of_any_size(sizes, k, seed):
     patients = [f"P{p}" for p, size in enumerate(sizes) for _ in range(size)]
     labels = derive_rng(seed, "pg-labels").integers(0, 2, size=len(patients))
     ds = dummy_dataset(labels, patients)
-    plan = make_folds(ds, k, "patient-grouped", seed=seed)
+    folds = make_folds(ds, k, "patient-grouped", seed=seed)
     fold_of = {}
     for i, r in enumerate(ds.records):
-        fold_of.setdefault(r.patient_id, set()).add(plan.assignments[i])
+        fold_of.setdefault(r.patient_id, set()).add(folds[i])
     assert all(len(s) == 1 for s in fold_of.values())
-    assert sum(plan.fold_sizes()) == len(patients)
+    fold_sizes = np.bincount(folds, minlength=k)
+    assert fold_sizes.size == k  # every fold index lies in [0, k)
+    assert fold_sizes.min() >= 1  # and every fold holds a patient
+    assert sum(fold_sizes) == len(patients)
     # greedy least-loaded, biggest patients first: no fold exceeds another
     # by more than the largest patient
-    assert max(plan.fold_sizes()) - min(plan.fold_sizes()) <= max(sizes)
+    assert max(fold_sizes) - min(fold_sizes) <= max(sizes)
 
 
 def test_patient_folds_handle_uneven_group_sizes():
@@ -240,8 +244,8 @@ def test_patient_folds_handle_uneven_group_sizes():
     patients = (["A"] * 7 + ["B"] * 6 + ["C"] * 5 + ["D"] * 3
                 + ["E"] * 2 + ["F"] * 1)
     ds = dummy_dataset(labels, patients)
-    plan = make_folds(ds, 3, "patient-grouped", seed=0)
-    sizes = plan.fold_sizes()
+    folds = make_folds(ds, 3, "patient-grouped", seed=0)
+    sizes = np.bincount(folds, minlength=3)
     assert sum(sizes) == 24
     # greedy least-loaded with sizes sorted descending: 7 | 6+1 | 5+3 -> then 2
     assert max(sizes) - min(sizes) <= 2
@@ -273,29 +277,50 @@ def radiomics_config(**over):
 
 
 def small_crbm_section():
-    return CrbmSection(num_filters=4, kernel_size=5, input_size=16,
-                       learning_rate=0.05, cd_steps=1, epochs=1, batch_size=8)
+    return CrbmConfig(num_filters=4, kernel_size=5, input_size=16,
+                      learning_rate=0.05, cd_steps=1, epochs=1, batch_size=8)
 
 
 def test_cross_validate_radiomics_lr(tiny_corpus):
     dataset, _ = tiny_corpus
     report = cross_validate(radiomics_config(), dataset)
-    assert 0.0 <= report.auc <= 1.0
-    assert len(report.per_fold) == 3
-    assert sum(f["n"] for f in report.per_fold) == len(dataset)
-    assert report.provenance["feature_source"] == "radiomics"
-    assert report.provenance["crbm_protocol"] == "unused"
-    assert sum(report.confusion) == len(dataset)
-    doc = report.to_dict()
-    assert doc["roc"]["thresholds"][0] is None  # inf serialized as null
-    assert doc["per_fold_summary"]["auc_mean"] is not None
+    assert 0.0 <= report["auc"] <= 1.0
+    assert len(report["per_fold"]) == 3
+    assert sum(f["n"] for f in report["per_fold"]) == len(dataset)
+    assert report["provenance"]["feature_source"] == "radiomics"
+    assert report["provenance"]["crbm_protocol"] == "unused"
+    assert sum(report["confusion"].values()) == len(dataset)
+    assert report["roc"]["thresholds"][0] is None  # inf serialized as null
+    assert report["per_fold_summary"]["auc_mean"] is not None
 
 
 def test_cross_validate_is_deterministic(tiny_corpus):
     dataset, _ = tiny_corpus
     a = cross_validate(radiomics_config(), dataset)
     b = cross_validate(radiomics_config(), dataset)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
+
+
+def test_cross_validate_report_keys_are_in_the_written_order(tiny_corpus):
+    dataset, _ = tiny_corpus
+    report = cross_validate(radiomics_config(), dataset)
+    counts = ["tp", "fp", "tn", "fn"]
+    rates = ["accuracy", "sensitivity", "specificity"]
+    assert list(report) == ["auc", *rates, "threshold_used",
+                            "confusion", "per_fold", "per_fold_summary",
+                            "youden", "roc", "provenance"]
+    assert list(report["confusion"]) == counts
+    for fold in report["per_fold"]:
+        assert list(fold) == ["fold", "n", "auc", *counts, *rates,
+                              "threshold", "zero_division"]
+    assert list(report["per_fold_summary"]) == ["auc_mean", "auc_sd"]
+    assert list(report["youden"]) == ["threshold", *counts, *rates,
+                                      "zero_division"]
+    assert list(report["roc"]) == ["fpr", "tpr", "thresholds"]
+    assert list(report["provenance"]) == [
+        "feature_source", "classifier", "seed", "cv_mode", "fold_sizes",
+        "n_slices", "n_feature_rows", "n_feature_columns", "class_counts",
+        "crbm_protocol", "patch_aggregation", "kernel_backend"]
 
 
 def test_cross_validate_crbm_patch_aggregates_to_slices(tiny_corpus):
@@ -304,10 +329,10 @@ def test_cross_validate_crbm_patch_aggregates_to_slices(tiny_corpus):
                               crbm=small_crbm_section(), patch_stride=8,
                               pls_components=4)
     report = cross_validate(config, dataset)
-    assert report.provenance["n_feature_rows"] > len(dataset)
-    assert report.provenance["patch_aggregation"] == "mean of patch scores per slice"
-    assert report.roc.fpr.size <= len(dataset) + 1
-    assert 0.0 <= report.auc <= 1.0
+    assert report["provenance"]["n_feature_rows"] > len(dataset)
+    assert report["provenance"]["patch_aggregation"] == "mean of patch scores per slice"
+    assert len(report["roc"]["fpr"]) <= len(dataset) + 1
+    assert 0.0 <= report["auc"] <= 1.0
 
 
 def test_crbm_patch_slice_score_is_the_mean_of_its_patch_scores(tiny_corpus,
@@ -315,8 +340,8 @@ def test_crbm_patch_slice_score_is_the_mean_of_its_patch_scores(tiny_corpus,
     dataset, _ = tiny_corpus
     config = radiomics_config(
         feature_source="crbm-patch", patch_stride=4, pls_components=4,
-        crbm=CrbmSection(num_filters=4, kernel_size=3, input_size=8,
-                         learning_rate=0.05, epochs=1, batch_size=8))
+        crbm=CrbmConfig(num_filters=4, kernel_size=3, input_size=8,
+                        learning_rate=0.05, epochs=1, batch_size=8))
     spied = {"patch_scores": [], "roc_scores": []}
 
     def spy(module, name, record):
@@ -338,7 +363,7 @@ def test_crbm_patch_slice_score_is_the_mean_of_its_patch_scores(tiny_corpus,
 
     records = spied["fm"].records
     assert np.bincount(records).min() >= 8  # patches per slice
-    folds = np.array(make_folds(dataset, 3, "slice-level", 11).assignments)
+    folds = make_folds(dataset, 3, "slice-level", 11)
     want = np.empty(len(dataset))
     for fold, patch_scores in enumerate(spied["patch_scores"]):
         test_records = records[folds[records] == fold]
@@ -354,8 +379,8 @@ def test_cross_validate_crbm_image_source(tiny_corpus):
                               crbm=small_crbm_section(), pls_components=4,
                               classifier=ClassifierSection(kind="svm"))
     report = cross_validate(config, dataset)
-    assert report.provenance["n_feature_rows"] == len(dataset)
-    assert report.threshold_used == 0.0  # svm decisions cut at zero margin
+    assert report["provenance"]["n_feature_rows"] == len(dataset)
+    assert report["threshold_used"] == 0.0  # svm decisions cut at zero margin
 
 
 def test_cross_validate_annotates_fold_failures(tiny_corpus):
@@ -369,5 +394,5 @@ def test_cross_validate_patient_grouped_mode(tiny_corpus):
     dataset, _ = tiny_corpus
     config = radiomics_config(cv=CvSection(k=3, mode="patient-grouped"))
     report = cross_validate(config, dataset)
-    assert report.provenance["cv_mode"] == "patient-grouped"
-    assert 0.0 <= report.auc <= 1.0
+    assert report["provenance"]["cv_mode"] == "patient-grouped"
+    assert 0.0 <= report["auc"] <= 1.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from crbm_radiomics import crbm, features, radiomics
-from crbm_radiomics.config import CrbmSection, PipelineConfig
+from crbm_radiomics.config import PipelineConfig
+from crbm_radiomics.crbm import CrbmConfig
 from crbm_radiomics.data_model import (MANIFEST_HEADER, Image2D, RoiMask,
                                        load_manifest, load_sample, save_image,
                                        save_mask)
@@ -21,7 +22,7 @@ from radiomics_reference import assert_catalog_row_matches_reference
 
 def small_config(**over):
     base = dict(feature_source="crbm-image",
-                crbm=CrbmSection(num_filters=3, kernel_size=5, input_size=16),
+                crbm=CrbmConfig(num_filters=3, kernel_size=5, input_size=16),
                 seed=3)
     base.update(over)
     return PipelineConfig(**base)
@@ -194,8 +195,8 @@ def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
     # through BLAS (tensordot) sums them in another order in a stack
     config = small_config(feature_source=source, patch_stride=stride,
                           reduction_weights="random-projection",
-                          crbm=CrbmSection(num_filters=16, kernel_size=5,
-                                           input_size=16))
+                          crbm=CrbmConfig(num_filters=16, kernel_size=5,
+                                          input_size=16))
     model = crbm.init_model(16, 5, 16, weight_init_sigma=0.3, seed=3)
     per_image = model.num_hidden
     assert features._EXTRACT_MAP_VALUES >= 24 * per_image  # one chunk
