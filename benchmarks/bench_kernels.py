@@ -23,10 +23,11 @@ differently.
 Three stages of the ``radiomics-rf`` workload are timed whole: the
 texture descriptors of one 32x32 slice (20 GLCMs at 32 levels and the 20
 GLRLMs of the slice and its four 16x16 subbands, zero-padded to 32 run
-columns, each family one stacked call), one random-forest node (150
-bootstrap rows, 5 of 20 features), and the 374-feature catalog of 200
-slices of 32x32, in stacks of 8 as ``features.radiomics_features`` runs
-it and slice by slice through the per-slice reference in
+columns, each family one stacked call), one fold's random forest
+(``rf_fit`` on 150 rows of 20 PLS-like scores, 100 trees of depth 10,
+5 features per split), and the 374-feature catalog of 200 slices of
+32x32, in stacks of 8 as ``features.radiomics_features`` runs it and
+slice by slice through the per-slice reference in
 ``tests/radiomics_reference.py``.
 
 BLAS runs on one thread, as in ``perfbench/run.py``: the script sets
@@ -120,11 +121,10 @@ def catalog_per_slice(pixels, bits):
     return [radiomics_reference.extract_one(p, b) for p, b in zip(pixels, bits)]
 
 
-# one forest node: bootstrap rows of PLS-like scores, 5 of 20 features
-node_X = rng.normal(size=(150, 20))
-node_y = (node_X[:, 0] + rng.normal(size=150) > 0).astype(np.float64)
-node_rows = rng.integers(0, 150, size=150)
-node_features = rng.permutation(20)[:5]
+# one fold's training rows for the forest: 20 PLS-like scores, whose
+# spread falls with the component index, and a label the first one drives
+forest_X = rng.normal(size=(150, 20)) / np.arange(1, 21)
+forest_y = (forest_X[:, 0] + rng.normal(size=150) > 0).astype(np.float64)
 
 CRBM_CASES = (
     ("corr_valid  (1x256x256, 64x5x5)", kernels.corr_valid, (image, filters)),
@@ -160,8 +160,8 @@ CASES = tuple(
 ) + (
     ("glcm descriptors (20 x 32x32)", radiomics._glcm_descriptors, (glcm_stack,)),
     ("glrlm descriptors (20 x 32x32)", radiomics._glrlm_descriptors, (glrlm_stack,)),
-    ("rf node split (150 rows, 5 of 20)", classifiers._best_split,
-     (node_X, node_y, node_rows, node_features)),
+    ("rf forest (150x20, 100 trees, depth 10)", classifiers.rf_fit,
+     (forest_X, forest_y, 100, 10)),
     ("catalog 200x32x32, stacks of 8", catalog_stacked,
      (catalog_pixels, catalog_bits)),
     ("catalog 200x32x32, per slice", catalog_per_slice,

@@ -10,7 +10,6 @@ from crbm_radiomics.classifiers import (
     LrModel,
     RfModel,
     SvmModel,
-    _best_split,
     lr_fit,
     lr_loss_and_grad,
     lr_predict_proba,
@@ -95,6 +94,14 @@ def test_lr_rejects_bad_labels_and_shapes():
         LrModel(weights=np.array([np.nan]), bias=0.0, l2=0.0)
 
 
+def test_lr_predict_refuses_non_finite_features():
+    X, y = separable_problem(17, n=20, p=3)
+    model = lr_fit(X, y, steps=50)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            lr_predict_proba(model, np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # Linear SVM
 # ---------------------------------------------------------------------------
@@ -153,27 +160,55 @@ def test_svm_requires_plus_minus_one_labels():
         svm_fit(X, np.array([0.0, 1.0, 0.0, 1.0]))
 
 
+def test_svm_decision_refuses_non_finite_features():
+    X, y01 = separable_problem(18, n=20, p=3)
+    model, _ = svm_fit(X, 2 * y01 - 1, epochs=5, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            svm_decision(model, np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # Random forest
 # ---------------------------------------------------------------------------
+
+def block_best_splits(X, y, nodes):
+    """classifiers._best_splits on one padded block of (rows, feature_ids)
+    nodes that share X and y; (feature, threshold) or None per node."""
+    X_pad = np.vstack([X, np.full(X.shape[1], np.inf)])
+    y_pad = np.append(y, 0.0)
+    sizes = np.array([rows.size for rows, _ in nodes])
+    block = np.full((len(nodes), sizes.max()), X.shape[0])
+    for b, (rows, _) in enumerate(nodes):
+        block[b, :rows.size] = rows
+    features = np.sort([feature_ids for _, feature_ids in nodes], axis=1)
+    f, threshold, found = classifiers._best_splits(X_pad, y_pad, block, sizes,
+                                                   features)
+    return [(int(f[b]), float(threshold[b])) if found[b] else None
+            for b in range(len(nodes))]
+
 
 def test_best_split_hand_case_and_tie_breaks():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     rows = np.arange(4)
-    # both features split perfectly at 2.5: the tie goes to feature 0
-    f, threshold = _best_split(X, y, rows, np.array([0, 1]))
+    # both features split perfectly at 2.5: the tie goes to feature 0;
+    # restricted to feature 1, the same threshold on its values
+    (f, threshold), = block_best_splits(X, y, [(rows, np.array([0, 1]))])
     assert f == 0
     assert threshold == pytest.approx(2.5)
-    # restricted to feature 1, same threshold on its values
-    f, threshold = _best_split(X, y, rows, np.array([1]))
+    (f, threshold), = block_best_splits(X, y, [(rows, np.array([1]))])
     assert f == 1 and threshold == pytest.approx(2.5)
+    # a 2-row node padded to the 4-row node's width cuts between its rows
+    assert block_best_splits(X, y, [(rows, np.array([1, 0])),
+                                    (np.array([3, 0]), np.array([0, 1]))]) \
+        == [(0, 2.5), (0, 2.5)]
 
 
 def test_best_split_returns_none_for_constant_features():
     X = np.ones((4, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    assert _best_split(X, y, np.arange(4), np.array([0, 1])) is None
+    assert block_best_splits(X, y, [(np.arange(4), np.array([0, 1]))]) == [None]
 
 
 def loop_best_split(X, y, rows, feature_ids):
@@ -209,49 +244,140 @@ def loop_best_split(X, y, rows, feature_ids):
 
 @st.composite
 def split_cases(draw):
-    # few distinct values per column give ties and constant columns
+    # few distinct values per column give ties and constant columns; the
+    # nodes of one block share X, y and the subset size, not their rows
     n_samples, p = draw(st.integers(2, 40)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     distinct = rng.integers(1, 6, size=p)
     X = rng.integers(0, distinct, size=(n_samples, p)) * rng.normal(size=p)
     y = (rng.random(n_samples) < draw(st.sampled_from((0.1, 0.5, 0.9)))).astype(float)
-    rows = rng.integers(0, n_samples, size=draw(st.integers(2, 2 * n_samples)))
-    features = rng.permutation(p)[:draw(st.integers(1, p))]
-    return X, y, rows, features
+    m = draw(st.integers(1, p))
+    nodes = [(rng.integers(0, n_samples, size=draw(st.integers(2, 2 * n_samples))),
+              rng.permutation(p)[:m])
+             for _ in range(draw(st.integers(1, 6)))]
+    return X, y, nodes
 
 
 @settings(max_examples=300, deadline=None)
 @given(split_cases())
 def test_best_split_equals_the_per_feature_loop(case):
-    X, y, rows, features = case
-    assert _best_split(X, y, rows, features) == loop_best_split(X, y, rows, features)
+    X, y, nodes = case
+    expected = [loop_best_split(X, y, rows, features) for rows, features in nodes]
+    assert [block_best_splits(X, y, [node])[0] for node in nodes] == expected
+    assert block_best_splits(X, y, nodes) == expected
 
 
-def nan_aware_equal(trees_a, trees_b):
-    # internal nodes carry prob = nan, which never equals itself
-    if len(trees_a) != len(trees_b):
-        return False
-    for a, b in zip(trees_a, trees_b):
-        if len(a) != len(b):
-            return False
-        for (fa, ta, pa), (fb, tb, pb) in zip(a, b):
-            if fa != fb or ta != tb:
-                return False
-            if not (pa == pb or (np.isnan(pa) and np.isnan(pb))):
-                return False
-    return True
+def reference_forest(X, y, n_trees=100, max_depth=10, features_per_split=0,
+                     seed=0):
+    """rf_fit's trees grown one at a time by recursion, each node split
+    by loop_best_split: the forest as it was before lockstep growth.
+    Forests are compared by repr: node tuples hold Python ints and
+    floats, and an internal node's nan never equals itself."""
+    p = X.shape[1]
+    m = features_per_split if features_per_split > 0 else \
+        max(1, int(np.ceil(np.sqrt(p))))
+    m = min(m, p)
+
+    def grow(rows, depth, rng, out):
+        pos = float(y[rows].sum())
+        if depth >= max_depth or rows.size < 2 or pos == 0 or pos == rows.size:
+            out.append((-1, 0.0, pos / rows.size))
+            return
+        split = loop_best_split(X, y, rows, rng.permutation(p)[:m])
+        if split is None:
+            out.append((-1, 0.0, pos / rows.size))
+            return
+        f, threshold = split
+        out.append((f, threshold, float("nan")))
+        goes_left = X[rows, f] <= threshold
+        grow(rows[goes_left], depth + 1, rng, out)
+        grow(rows[~goes_left], depth + 1, rng, out)
+
+    trees = []
+    for i in range(n_trees):
+        rng = derive_rng(seed, "rf-tree", i)
+        nodes = []
+        grow(rng.integers(0, X.shape[0], size=X.shape[0]), 0, rng, nodes)
+        trees.append(tuple(nodes))
+    return tuple(trees)
 
 
-def test_rf_forest_is_node_for_node_the_per_feature_loop_forest(monkeypatch):
+def test_rf_forest_is_node_for_node_the_per_feature_loop_forest():
     rng = derive_rng(14, "forest")
     X = np.round(rng.normal(size=(120, 12)), 1)  # rounding makes ties
     X[:, 3] = 1.0
     y = (X[:, 0] + X[:, 5] + 0.5 * rng.normal(size=120) > 0).astype(float)
     fast = rf_fit(X, y, n_trees=15, max_depth=8, seed=5)
-    monkeypatch.setattr(classifiers, "_best_split", loop_best_split)
-    slow = rf_fit(X, y, n_trees=15, max_depth=8, seed=5)
     assert sum(len(t) for t in fast.trees) > 15 * 3
-    assert nan_aware_equal(fast.trees, slow.trees)
+    assert repr(fast.trees) == repr(reference_forest(X, y, n_trees=15,
+                                                     max_depth=8, seed=5))
+
+
+@st.composite
+def forest_cases(draw):
+    n, p = draw(st.integers(2, 80)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 1-5 distinct values per column give ties and constant columns
+    distinct = rng.integers(1, 6, size=p) if draw(st.booleans()) else n
+    X = rng.integers(0, distinct, size=(n, p)) * rng.normal(size=p)
+    # one positive (or negative) makes one-class bootstraps, hence pure roots
+    y = np.zeros(n)
+    y[rng.permutation(n)[:draw(st.integers(1, n - 1))]] = 1.0
+    return X, y, {"n_trees": draw(st.integers(1, 30)),
+                  "max_depth": draw(st.integers(0, 12)),
+                  "features_per_split": draw(st.integers(0, p + 3)),
+                  "seed": draw(st.integers(0, 2**16))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(forest_cases())
+def test_lockstep_forest_is_the_recursive_forest(case):
+    X, y, kwargs = case
+    assert repr(rf_fit(X, y, **kwargs).trees) == repr(reference_forest(X, y, **kwargs))
+
+
+def test_lockstep_forest_of_very_different_tree_sizes(monkeypatch):
+    # three positives among 40 noise rows: a bootstrap that misses them is
+    # one leaf, the others take up to six cuts to isolate them
+    rng = derive_rng(15, "sizes")
+    X = rng.normal(size=(40, 4))
+    y = np.zeros(40)
+    y[:3] = 1.0
+    expected = repr(reference_forest(X, y, n_trees=30, max_depth=12, seed=2))
+    lengths = [len(t) for t in rf_fit(X, y, n_trees=30, max_depth=12, seed=2).trees]
+    assert min(lengths) == 1 and max(lengths) == 13
+    # one node per block, the default block, and one block per step
+    for block in (1, classifiers._SPLIT_BLOCK, 2**40):
+        monkeypatch.setattr(classifiers, "_SPLIT_BLOCK", block)
+        assert repr(rf_fit(X, y, n_trees=30, max_depth=12, seed=2).trees) == expected
+
+
+def spy_on_split_blocks(monkeypatch):
+    """The (rows, sizes, features) blocks rf_fit scores its nodes in."""
+    blocks = []
+    real = classifiers._best_splits
+
+    def spy(X, y, rows, sizes, features):
+        blocks.append((rows, sizes, features))
+        return real(X, y, rows, sizes, features)
+
+    monkeypatch.setattr(classifiers, "_best_splits", spy)
+    return blocks
+
+
+def test_rf_split_blocks_are_bounded_and_widest_first(monkeypatch):
+    blocks = spy_on_split_blocks(monkeypatch)
+    X, y = separable_problem(16, n=150, p=20)
+    y[::3] = 1.0 - y[::3]  # label noise grows deep trees
+    rf_fit(X, y, n_trees=100, max_depth=10, seed=0)
+    assert len(blocks) > 20
+    for rows, sizes, features in blocks:
+        assert features.shape[1] == 5  # ceil(sqrt(20))
+        assert sizes.size == 1 or rows.size * 5 <= classifiers._SPLIT_BLOCK
+        assert rows.shape[1] == sizes[0] and (np.diff(sizes) <= 0).all()
+    # the first step scores the 100 roots, all of 150 bootstrap rows
+    roots = np.concatenate([sizes for _, sizes, _ in blocks])[:100]
+    assert (roots == 150).all()
 
 
 def test_rf_fits_a_noiseless_threshold_rule():
@@ -292,24 +418,12 @@ def test_rf_depth_zero_predicts_the_bootstrap_base_rate():
     assert proba[0] == pytest.approx(0.5, abs=0.05)
 
 
-def spy_on_subset_size(monkeypatch):
-    """The per-split feature subset sizes rf_fit grows its trees with."""
-    sizes = []
-    real = classifiers._grow
-
-    def spy(X, y, rows, depth, max_depth, m_features, rng, out):
-        sizes.append(m_features)
-        return real(X, y, rows, depth, max_depth, m_features, rng, out)
-
-    monkeypatch.setattr(classifiers, "_grow", spy)
-    return sizes
-
-
 def test_rf_default_feature_subset_is_ceil_sqrt(monkeypatch):
-    sizes = spy_on_subset_size(monkeypatch)
+    blocks = spy_on_split_blocks(monkeypatch)
     X, y = separable_problem(12, n=30, p=10)
     rf_fit(X, y, n_trees=2, max_depth=2, seed=0)
-    assert sizes and set(sizes) == {4}  # ceil(sqrt(10))
+    assert blocks
+    assert {features.shape[1] for _, _, features in blocks} == {4}  # ceil(sqrt(10))
 
 
 def test_rf_rejects_width_mismatch_and_zero_trees():
@@ -319,3 +433,12 @@ def test_rf_rejects_width_mismatch_and_zero_trees():
         rf_predict_proba(model, np.zeros((2, 9)))
     with pytest.raises(ValueError):
         rf_fit(X, y, n_trees=0)
+
+
+def test_rf_predict_refuses_non_finite_features():
+    # NaN <= t is False, so a NaN row would walk right at every node
+    X, y = separable_problem(19, n=40, p=3)
+    model = rf_fit(X, y, n_trees=5, max_depth=3, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            rf_predict_proba(model, np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))

@@ -193,17 +193,17 @@ def test_effective_patch_stride():
 
 def test_effective_rf_features_ceil_sqrt(monkeypatch):
     sizes = []
-    real = classifiers._grow
-    monkeypatch.setattr(classifiers, "_grow",
-                        lambda *args: sizes.append(args[5]) or real(*args))
+    real = classifiers._best_splits
+    monkeypatch.setattr(classifiers, "_best_splits",
+                        lambda *args: sizes.append(args[4].shape[1]) or real(*args))
 
     def used(section, n_features):
-        X = derive_rng(n_features, "width").normal(size=(6, n_features))
-        y = np.array([0.0, 1.0] * 3)
+        X = derive_rng(n_features, "width").normal(size=(20, n_features))
+        y = np.array([0.0, 1.0] * 10)
         sizes.clear()
-        classifiers.rf_fit(X, y, n_trees=1, max_depth=0,
+        classifiers.rf_fit(X, y, n_trees=1, max_depth=1,
                            features_per_split=section.rf_features_per_split)
-        (size,) = sizes  # a depth-0 tree is one leaf
+        (size,) = sizes  # a depth-1 tree searches only its root
         return size
 
     section = ClassifierSection(kind="rf")
