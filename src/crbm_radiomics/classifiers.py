@@ -10,8 +10,8 @@ bit-reproducible.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from . import kernels
 from .seeding import derive_rng
 
 
@@ -67,7 +67,7 @@ def lr_loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
     # stable log(1+exp(z)) - y z
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) \
         + 0.5 * l2 * float(weights @ weights)
-    resid = expit(z) - y
+    resid = kernels.sigmoid(z, 0.0) - y  # overwrites z
     grad_w = X.T @ resid / X.shape[0] + l2 * weights
     grad_b = float(resid.mean())
     return loss, grad_w, grad_b
@@ -98,7 +98,7 @@ def lr_fit(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
 
 def lr_predict_proba(model: LrModel, X: np.ndarray) -> np.ndarray:
     X = _check_width(model.weights.shape[0], X)
-    return expit(X @ model.weights + model.bias)
+    return kernels.sigmoid(X @ model.weights, model.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +199,13 @@ def _best_splits(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
     features[b] holds the node's candidate columns in ascending order.
     Each (node, feature) row of the (nodes, m, rows) block is sorted, and
     every cut between two distinct values of the node's own rows is
-    scored.  Ties break toward the lowest feature, then the lowest
-    threshold (argmin keeps the first minimum).  The sort need not be
-    stable: a cut's positives are all rows with values up to the cut,
-    whatever the order among equal values.  Returns the arrays
-    (feature, threshold, found); found is False where every candidate
-    feature is constant on the node's rows.
+    scored; the threshold is their midpoint, or the lower value where the
+    midpoint is not below the upper one.  Ties break toward the lowest
+    feature, then the lowest threshold (argmin keeps the first minimum).
+    The sort need not be stable: a cut's positives are all rows with
+    values up to the cut, whatever the order among equal values.  Returns
+    the arrays (feature, threshold, found); found is False where every
+    candidate feature is constant on the node's rows.
     """
     nodes, width = rows.shape
     cols = X.take(rows[:, None, :] * X.shape[1] + features[:, :, None])
@@ -237,7 +238,12 @@ def _best_splits(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
     best = np.argmin(scores, axis=1)
     k, cut = np.divmod(best, width - 1)
     b = np.arange(nodes)
-    threshold = (cols[b, k, cut] + cols[b, k, cut + 1]) / 2
+    lo, hi = cols[b, k, cut], cols[b, k, cut + 1]
+    # halves first, so that no sum overflows; the midpoint of two adjacent
+    # floats can round up to hi, and then the cut is at lo, so that each
+    # side keeps its rows
+    threshold = lo / 2 + hi / 2
+    threshold = np.where(threshold < hi, threshold, lo)
     return features[b, k], threshold, scores[b, best] < np.inf
 
 

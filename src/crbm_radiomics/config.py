@@ -9,6 +9,7 @@ these defaults is enough to re-run the experiment exactly.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -166,12 +167,23 @@ def load_synth_spec(path) -> SynthSpec:
     return _build(SynthSpec, _read_json(path), Path(path).name)
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def _read_json(path) -> dict:
+    """The JSON document at path; Python's json would also read NaN,
+    Infinity and -Infinity, and a number like 1e999 as inf."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"),
+                          parse_float=_finite_float,
+                          parse_constant=_finite_float)
     except ValueError as exc:  # bad JSON, bad UTF-8, an int of > 4300 digits
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -31,17 +31,14 @@ maps are (..., M, H, H).  Each entry point checks the stack it is given
 once: its shape, and pixels finite and within [0, 1] (binary, for the
 energy oracles).
 
-Both conditionals go through one in-place sigmoid, 1 / (1 + exp(-bias -
-act)) in four ufunc passes, rather than ``scipy.special.expit``: at the
-paper's 64 maps of 252 x 252 it is about 3x faster, and it agrees with
-expit to within 1e-15 relative (below 1e-300, 1e-300 absolute).
+Both conditionals go through the package's one sigmoid,
+``kernels.sigmoid``, in place.
 
 Compute dtype.  The chain computes in the dtype of the visible stack it
 is given: the conditionals cast the filters and biases to it, and the
 uniforms are drawn in it.  ``cd_update``, the training path, passes a
 float32 stack, which halves the hidden maps and makes the kernels, the
-draws and the sigmoid about twice as fast at paper scale; in float32 the
-sigmoid agrees with expit to within 4 float32 eps relative.  The
+draws and the sigmoid about twice as fast at paper scale.  The
 parameters stay float64, and so do the sums they are updated from: each
 float32 ``corr_grad`` (one per chunk of images) is accumulated in
 float64, and the bias and cross-entropy sums are taken in float64.  The
@@ -63,7 +60,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import kernels
 from .errors import (ConfigError, EnumerationGuardError, ModelFormatError,
@@ -283,34 +279,18 @@ def _hidden_activations(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
     return act
 
 
-def _sigmoid(act: np.ndarray, bias) -> np.ndarray:
-    """act <- 1 / (1 + exp(-bias - act)) in place; bias broadcasts and is
-    of act's dtype.
-
-    fl(-b - a) = -fl(a + b), so exp sees exactly the negated biased
-    activation.  Below about -709.8 (float64) or -88.7 (float32) exp
-    overflows to inf and the result is 0, where the true value is at most
-    a subnormal.
-    """
-    np.subtract(-bias, act, out=act)
-    with np.errstate(over="ignore"):
-        np.exp(act, out=act)
-    act += 1.0
-    return np.reciprocal(act, out=act)
-
-
 def _hidden_probs(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
     """P(h = 1 | v) of float32 or float64 images, in their dtype."""
     dtype = pixels.dtype
     act = kernels.corr_valid(pixels, model.filters.astype(dtype, copy=False))
-    return _sigmoid(act, model.hidden_biases[:, None, None].astype(dtype, copy=False))
+    return kernels.sigmoid(act, model.hidden_biases[:, None, None].astype(dtype, copy=False))
 
 
 def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
     """P(v = 1 | h) of float32 or float64 hidden maps, in their dtype."""
     dtype = hmaps.dtype
     act = kernels.conv_full(hmaps, model.filters.astype(dtype, copy=False))
-    return _sigmoid(act, dtype.type(model.visible_bias))
+    return kernels.sigmoid(act, dtype.type(model.visible_bias))
 
 
 def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -431,6 +411,13 @@ def _enumerated_free_energies(model: CrbmModel) -> np.ndarray:
     return out
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) of a 1-D array, shifted by its max so that no exp
+    overflows."""
+    top = x.max()
+    return float(top + np.log(np.exp(x - top).sum()))
+
+
 def _guard_enumeration(model: CrbmModel) -> None:
     if model.num_visible > ENUMERATION_LIMIT:
         raise EnumerationGuardError(
@@ -441,7 +428,7 @@ def _guard_enumeration(model: CrbmModel) -> None:
 def log_partition(model: CrbmModel) -> float:
     """log Z by full enumeration of visible configurations (guarded)."""
     _guard_enumeration(model)
-    return float(logsumexp(-_enumerated_free_energies(model)))
+    return _logsumexp(-_enumerated_free_energies(model))
 
 
 def exact_log_likelihood(model: CrbmModel, data) -> float:
@@ -463,7 +450,7 @@ def exact_log_likelihood_grad(model: CrbmModel, data) -> CrbmGradient:
     """
     _guard_enumeration(model)
     free = _enumerated_free_energies(model)
-    log_z = float(logsumexp(-free))
+    log_z = _logsumexp(-free)
     n, side = model.input_size, model.hidden_side
     n_v = model.num_visible
     bits = np.arange(n_v)

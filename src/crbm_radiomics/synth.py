@@ -29,15 +29,29 @@ def _stripe_field(size: int, period: int, orientation: str) -> np.ndarray:
 
 
 def _blob_field(size: int, density: float, rng: np.random.Generator) -> np.ndarray:
-    """Bright discs of radius 2-3 dropped at ~density * size^2 / 12 sites."""
+    """Bright discs of radius 2-3 dropped at ~density * size^2 / 12 sites.
+
+    The radius 2 + U[0, 1) rounds to at most 3.0, so each disc lies in the
+    7 x 7 window around its centre.  The centres and radii are drawn blob
+    after blob; then every window is tested and painted in one pass,
+    clipped at the border.
+    """
     img = np.full((size, size), _DARK)
     n_blobs = max(1, int(round(density * size * size / 12.0)))
-    r, c = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    for _ in range(n_blobs):
-        cy, cx = rng.integers(0, size, size=2)
+    centres = np.empty((n_blobs, 2), dtype=np.int64)
+    squared_radii = np.empty(n_blobs)
+    for i in range(n_blobs):
+        centres[i] = rng.integers(0, size, size=2)
         radius = 2.0 + rng.random()
-        img[(r - cy) ** 2 + (c - cx) ** 2 <= radius ** 2] = _BRIGHT
+        squared_radii[i] = radius ** 2
+    offsets = np.arange(-3, 4)
+    rows, cols = np.broadcast_arrays(centres[:, :1, None] + offsets[:, None],
+                                     centres[:, 1:, None] + offsets)
+    inside = ((offsets[:, None] ** 2 + offsets ** 2 <= squared_radii[:, None, None])
+              & (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size))
+    img[rows[inside], cols[inside]] = _BRIGHT
     return img
+
 
 def _ellipse_mask(size: int) -> RoiMask:
     """Centered ellipse covering most of the frame, axes 0.42/0.36 of size."""

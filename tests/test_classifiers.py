@@ -238,8 +238,14 @@ def loop_best_split(X, y, rows, feature_ids):
         if scores[idx] < best_score:
             cut = distinct[idx]
             best_score = scores[idx]
-            best = (int(f), float((col_sorted[cut] + col_sorted[cut + 1]) / 2))
+            best = (int(f), split_threshold(col_sorted[cut], col_sorted[cut + 1]))
     return best
+
+
+def split_threshold(lo, hi):
+    """The midpoint of lo < hi, or lo where it rounds up to hi."""
+    mid = lo / 2 + hi / 2
+    return float(mid if mid < hi else lo)
 
 
 @st.composite
@@ -378,6 +384,25 @@ def test_rf_split_blocks_are_bounded_and_widest_first(monkeypatch):
     # the first step scores the 100 roots, all of 150 bootstrap rows
     roots = np.concatenate([sizes for _, sizes, _ in blocks])[:100]
     assert (roots == 150).all()
+
+
+def test_rf_cuts_adjacent_floats_at_the_lower_value():
+    # (a + b) / 2 rounds up to b: a cut there sent both rows left and the
+    # empty right leaf divided by zero
+    a, b = 1.0000000000000002, 1.0000000000000004
+    assert (a + b) / 2 == b
+    model = rf_fit([[a], [b]], [0, 1], n_trees=5, max_depth=2)
+    splits = [node for tree in model.trees for node in tree if node[0] >= 0]
+    assert splits and all(threshold == a for _, threshold, _ in splits)
+    low, high = rf_predict_proba(model, [[a], [b]])
+    assert low < high
+
+
+@pytest.mark.parametrize("lo, hi", [(1e308, 1.5e308), (-1.5e308, -1e308)])
+def test_rf_splits_values_whose_sum_overflows(lo, hi):
+    model = rf_fit([[lo], [hi]], [0, 1], n_trees=5, max_depth=2)
+    splits = [node for tree in model.trees for node in tree if node[0] >= 0]
+    assert splits and all(lo <= threshold < hi for _, threshold, _ in splits)
 
 
 def test_rf_fits_a_noiseless_threshold_rule():

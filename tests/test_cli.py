@@ -1,10 +1,14 @@
 """End-to-end command-line flows, exercised in-process via main(argv)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crbm_radiomics
 from crbm_radiomics import cli, crbm
 from crbm_radiomics.data_model import (MANIFEST_HEADER, RoiMask, load_manifest,
                                        save_mask)
@@ -176,6 +180,24 @@ def test_exit_code_2_for_config_errors(workspace, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_exit_code_2_for_non_finite_json_numbers(workspace, tmp_path, capsys):
+    # Infinity noise would otherwise write images of pure binary noise, and
+    # a NaN C fail only in the first fold
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_per_class": 2, "noise_level": Infinity}')
+    assert cli.main(["synth", "--config", str(spec),
+                     "--out", str(tmp_path / "corpus")]) == 2
+    assert "spec.json: invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+    bad = tmp_path / "c.json"
+    bad.write_text('{"classifier": {"kind": "svm", "svm_c": NaN}}')
+    code = cli.main(["run", "--config", str(bad),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "c.json: invalid JSON" in capsys.readouterr().err
+
+
 def test_exit_code_2_names_the_file_of_a_bad_crbm_training_field(workspace, tmp_path,
                                                                  capsys):
     bad = tmp_path / "c.json"
@@ -214,6 +236,28 @@ def test_exit_code_1_names_the_sample_and_file_of_an_empty_mask(workspace, tmp_p
     assert code == 1
     err = capsys.readouterr().err
     assert str(empty) in err and records[3].sample_id in err
+
+
+COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from crbm_radiomics import cli
+if cli.main(["synth", "--config", sys.argv[2], "--out", sys.argv[3]]) != 0:
+    sys.exit(1)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # the runtime is numpy-only; scipy is the tests' independent oracle
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_per_class": 1, "image_size": 8}))
+    src = Path(crbm_radiomics.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(src),
+                           str(spec), str(tmp_path / "corpus")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "corpus" / "manifest.csv").is_file()
 
 
 def test_usage_errors_exit_2():

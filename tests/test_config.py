@@ -126,6 +126,28 @@ def test_undecodable_config_names_the_file(tmp_path):
             load_pipeline_config(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"classifier": {"svm_c": NaN}}', '{"classifier": {"lr_l2": NaN}}',
+    '{"crbm": {"learning_rate": Infinity}}', '{"seed": -Infinity}',
+    '{"classifier": {"svm_c": 1e999}}'])
+def test_non_finite_numbers_are_refused_naming_the_file(tmp_path, text):
+    # Python's json reads NaN and Infinity, and 1e999 as inf
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"odd\.json: invalid JSON"):
+        load_pipeline_config(path)
+
+
+@pytest.mark.parametrize("text", ['{"noise_level": Infinity}',
+                                  '{"blob_density": NaN}',
+                                  '{"noise_level": -1e400}'])
+def test_non_finite_synth_numbers_are_refused_naming_the_file(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"spec\.json: invalid JSON"):
+        load_synth_spec(path)
+
+
 def test_wrong_type_is_reported_as_config_error(tmp_path):
     # the message names the file, the dotted field, the expected type and
     # the type found

@@ -90,7 +90,7 @@ def test_sigmoid_matches_expit(case):
     want = expit(act + bias)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = crbm._sigmoid(act.copy(), bias)
+        got = kernels.sigmoid(act.copy(), bias)
     assert got.shape == act.shape
     assert ((got >= 0.0) & (got <= 1.0)).all()
     normal = want >= 1e-300
@@ -128,7 +128,7 @@ def test_float32_sigmoid_matches_float64_expit(case):
     want = expit(biased.astype(np.float64))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = crbm._sigmoid(act.copy(), bias)
+        got = kernels.sigmoid(act.copy(), bias)
     assert got.dtype == np.float32 and got.shape == act.shape
     assert ((got >= 0.0) & (got <= 1.0)).all()
     # float32 tolerance: exp's own error plus two roundings stay within
@@ -285,9 +285,8 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
             return out
         return spy
 
-    for name in ("corr_valid", "conv_full", "corr_grad"):
+    for name in ("corr_valid", "conv_full", "corr_grad", "sigmoid"):
         monkeypatch.setattr(kernels, name, spying(getattr(kernels, name)))
-    monkeypatch.setattr(crbm, "_sigmoid", spying(crbm._sigmoid))
     rng = derive_rng(19, "dtype")
     model = random_tiny_model(rng, 3, 2, 2)
     data = np.stack([random_binary_image(rng, 3) for _ in range(3)])

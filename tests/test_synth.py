@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbm_radiomics import synth
 from crbm_radiomics.config import SynthSpec
@@ -47,6 +49,73 @@ def test_blob_class_is_mostly_dark_background():
     img = synth.make_sample(spec, 0, 0)
     assert set(np.unique(img.pixels)) == {0.2, 0.8}
     assert (img.pixels == 0.2).mean() > 0.5
+
+
+def full_frame_blob_field(size, density, rng):
+    """The blob painter as it was: a full-frame disc test per blob."""
+    img = np.full((size, size), synth._DARK)
+    n_blobs = max(1, int(round(density * size * size / 12.0)))
+    r, c = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    for _ in range(n_blobs):
+        cy, cx = rng.integers(0, size, size=2)
+        radius = 2.0 + rng.random()
+        img[(r - cy) ** 2 + (c - cx) ** 2 <= radius ** 2] = synth._BRIGHT
+    return img
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(8, 64),
+       density=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_windowed_blob_painter_equals_the_full_frame_one(size, density, seed):
+    got = synth._blob_field(size, density, np.random.default_rng(seed))
+    want = full_frame_blob_field(size, density, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+class PinnedBlobs:
+    """Stands in for the generator: yields the given (row, col, u) blobs,
+    u being the draw that sets the radius 2 + u."""
+
+    def __init__(self, blobs):
+        self.blobs = list(blobs)
+        self.u = None
+
+    def integers(self, low, high, size):
+        row, col, self.u = self.blobs.pop(0)
+        assert low <= min(row, col) and max(row, col) < high and size == 2
+        return np.array([row, col])
+
+    def random(self):
+        return self.u
+
+
+# the largest draw below 1 rounds the radius up to exactly 3.0
+LARGEST_U = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("blobs", [
+    [(0, 0, 0.0), (0, 255, LARGEST_U), (255, 0, 0.5), (255, 255, 0.999)],
+    [(0, 128, LARGEST_U), (128, 0, LARGEST_U), (255, 128, LARGEST_U),
+     (128, 255, LARGEST_U), (128, 128, LARGEST_U)],
+    [(1, 2, 0.25), (2, 253, 0.8), (254, 1, LARGEST_U), (253, 254, 0.0),
+     (3, 3, 0.9), (252, 252, LARGEST_U)],
+])
+def test_blobs_on_edges_and_corners_paint_as_full_frame(blobs):
+    assert 2.0 + LARGEST_U == 3.0
+    # density chosen so that round(density * 256^2 / 12) is the blob count
+    density = len(blobs) * 12.0 / 256**2
+    got = synth._blob_field(256, density, PinnedBlobs(blobs))
+    want = full_frame_blob_field(256, density, PinnedBlobs(blobs))
+    assert np.array_equal(got, want)
+    assert (got == synth._BRIGHT).any()
+
+
+@pytest.mark.parametrize("density", [0.01, 0.1])
+def test_windowed_blob_painter_equals_the_full_frame_one_at_256(density):
+    got = synth._blob_field(256, density, np.random.default_rng(256))
+    want = full_frame_blob_field(256, density, np.random.default_rng(256))
+    assert np.array_equal(got, want)
 
 
 def test_ellipse_mask_geometry():
