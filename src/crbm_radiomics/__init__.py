@@ -13,6 +13,6 @@ verifiable at desk scale.
 __version__ = "0.1.0"
 
 from .data_model import Dataset, Image2D, RoiMask, SampleRecord  # noqa: F401
-from .errors import (ConfigError, EnumerationGuardError,  # noqa: F401
-                     ManifestError, PipelineError, RasterFormatError,
-                     ShapeMismatchError, TrainingError)
+from .errors import (ConfigError, ManifestError,  # noqa: F401
+                     PipelineError, RasterFormatError, ShapeMismatchError,
+                     TrainingError)

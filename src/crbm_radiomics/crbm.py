@@ -21,15 +21,11 @@ Training follows CD-k: a k-round Gibbs chain started at the data image,
 with hidden probabilities (not samples) in both gradient phases.  A
 minibatch runs as one batched chain, drawing its uniforms in the order of
 one-image chains run image after image, so batching never changes a
-sample.  Exact
-log-likelihood and its gradient are available for desk-scale models
-(visible units <= 20) via full enumeration; they are the test oracles and
-never the training path.
+sample.
 
 Images are plain float64 arrays, (N, N) or stacks (..., N, N); hidden
 maps are (..., M, H, H).  Each entry point checks the stack it is given
-once: its shape, and pixels finite and within [0, 1] (binary, for the
-energy oracles).
+once: its shape, and pixels finite and within [0, 1].
 
 Both conditionals go through the package's one sigmoid,
 ``kernels.sigmoid``, in place.
@@ -51,8 +47,8 @@ test pins 5e-5.  float32 uniforms are a different random stream from
 float64 ones, so training is reproducible but not bit-equal to a float64
 chain.  Every other entry point passes float64 and stays float64 through
 the same functions: ``cd_gradient_estimate``, ``gibbs_chain`` and
-``extract_feature_map`` (so feature matrices are float64), and the
-energy and exact-enumeration oracles, whose tolerances are float64 ones.
+``extract_feature_map``, so feature matrices are float64, and the
+tests hold these entry points to float64 tolerances.
 """
 
 import json
@@ -62,12 +58,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import (ConfigError, EnumerationGuardError, ModelFormatError,
-                     ShapeMismatchError, TrainingError)
+from .errors import (ConfigError, ModelFormatError, ShapeMismatchError,
+                     TrainingError)
 from .seeding import derive_rng
 
-ENUMERATION_LIMIT = 20
-_CHUNK = 1 << 16
 # most uniforms drawn ahead for one chunk of a CD batch (8 MB of float64,
 # 4 MB of float32); a chunk holds as many whole images as fit, and at
 # least one
@@ -99,6 +93,9 @@ class CrbmModel:
             raise ShapeMismatchError(f"filters must be (M, K, K), got {w.shape}")
         if c.shape != (w.shape[0],):
             raise ShapeMismatchError("one hidden bias per filter required")
+        if w.shape[0] < 1 or w.shape[1] < 1:
+            raise ShapeMismatchError(
+                f"need one or more filters of at least 1x1, got {w.shape}")
         if self.input_size - w.shape[1] + 1 < 1:
             raise ShapeMismatchError(
                 f"kernel {w.shape[1]} too large for input {self.input_size}")
@@ -250,7 +247,7 @@ def load_model(path) -> CrbmModel:
             visible_bias=_model_array(path, doc, "visible_bias", ()),
             hidden_biases=_model_array(path, doc, "hidden_biases", (m,)),
             input_size=n)
-    except ShapeMismatchError as exc:  # a kernel too large for its input
+    except ShapeMismatchError as exc:  # a 0x0 kernel, or one too large for its input
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
@@ -272,13 +269,6 @@ def _visible_stack(model: CrbmModel, images, ndim: int | None = 3) -> np.ndarray
     return pixels
 
 
-def _hidden_activations(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
-    """Hidden pre-activations of (..., N, N) images -> (..., M, H, H)."""
-    act = kernels.corr_valid(pixels, model.filters)
-    act += model.hidden_biases[:, None, None]
-    return act
-
-
 def _hidden_probs(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
     """P(h = 1 | v) of float32 or float64 images, in their dtype."""
     dtype = pixels.dtype
@@ -291,14 +281,6 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
     dtype = hmaps.dtype
     act = kernels.conv_full(hmaps, model.filters.astype(dtype, copy=False))
     return kernels.sigmoid(act, dtype.type(model.visible_bias))
-
-
-def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Elementwise Bernoulli draw; deterministic given the generator state."""
-    probs = np.asarray(probs)
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        raise ValueError("Bernoulli probabilities must lie in [0, 1]")
-    return (rng.random(probs.shape) < probs).astype(np.float64)
 
 
 def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
@@ -349,138 +331,6 @@ def gibbs_chain(model: CrbmModel, v0: np.ndarray, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Energy and exact-enumeration oracles
-# ---------------------------------------------------------------------------
-
-def _require_binary(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if not np.isin(arr, (0.0, 1.0)).all():
-        raise ValueError(f"{what} must be binary")
-    return arr
-
-
-def energy(model: CrbmModel, v: np.ndarray, h: np.ndarray) -> float:
-    """Joint energy of a binary configuration, v (N, N) and h (M, H, H);
-    lower energy, higher probability."""
-    pixels = _visible_stack(model, _require_binary(v, "visible units"), ndim=2)
-    hmaps = _require_binary(h, "hidden units")
-    act = kernels.corr_valid(pixels, model.filters)
-    if hmaps.shape != act.shape:
-        raise ShapeMismatchError(f"hidden maps must be {act.shape}, got {hmaps.shape}")
-    coupling = float(np.sum(act * hmaps))
-    return (-coupling
-            - model.visible_bias * float(pixels.sum())
-            - float(model.hidden_biases @ hmaps.sum(axis=(1, 2))))
-
-
-def free_energy(model: CrbmModel, v: np.ndarray) -> float:
-    """F(v) of one binary image (N, N) with hidden units summed out;
-    P(v) = exp(-F(v)) / Z."""
-    pixels = _visible_stack(model, _require_binary(v, "visible units"), ndim=2)
-    act = _hidden_activations(model, pixels)
-    return float(-model.visible_bias * pixels.sum() - np.logaddexp(0.0, act).sum())
-
-
-def _dense_weight_matrix(model: CrbmModel) -> np.ndarray:
-    """Unrolled tied weights, (n_visible, n_hidden); columns ordered (m, i, j)."""
-    n, k, side = model.input_size, model.kernel_size, model.hidden_side
-    dense = np.zeros((n * n, model.num_filters * side * side))
-    for m in range(model.num_filters):
-        for i in range(side):
-            for j in range(side):
-                col = (m * side + i) * side + j
-                for r in range(k):
-                    for s in range(k):
-                        dense[(i + r) * n + (j + s), col] = model.filters[m, r, s]
-    return dense
-
-
-def _enumerated_free_energies(model: CrbmModel) -> np.ndarray:
-    """F(v) for every visible configuration, in binary counting order."""
-    n_v = model.num_visible
-    dense = _dense_weight_matrix(model)
-    c_rep = np.repeat(model.hidden_biases, model.hidden_side ** 2)
-    out = np.empty(1 << n_v)
-    bits = np.arange(n_v)
-    for start in range(0, 1 << n_v, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n_v)
-        configs = ((np.arange(start, stop)[:, None] >> bits[None, :]) & 1).astype(np.float64)
-        act = configs @ dense + c_rep
-        out[start:stop] = (-model.visible_bias * configs.sum(axis=1)
-                           - np.logaddexp(0.0, act).sum(axis=1))
-    return out
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) of a 1-D array, shifted by its max so that no exp
-    overflows."""
-    top = x.max()
-    return float(top + np.log(np.exp(x - top).sum()))
-
-
-def _guard_enumeration(model: CrbmModel) -> None:
-    if model.num_visible > ENUMERATION_LIMIT:
-        raise EnumerationGuardError(
-            f"{model.num_visible} visible units exceed the enumeration "
-            f"limit of {ENUMERATION_LIMIT}")
-
-
-def log_partition(model: CrbmModel) -> float:
-    """log Z by full enumeration of visible configurations (guarded)."""
-    _guard_enumeration(model)
-    return _logsumexp(-_enumerated_free_energies(model))
-
-
-def exact_log_likelihood(model: CrbmModel, data) -> float:
-    """Sum of log P(v) over the binary images of data (n, N, N), with Z
-    from full enumeration.
-
-    Desk-scale oracle only; guarded to <= 20 visible units.
-    """
-    log_z = log_partition(model)
-    return sum(-free_energy(model, v) - log_z for v in data)
-
-
-def exact_log_likelihood_grad(model: CrbmModel, data) -> CrbmGradient:
-    """Gradient of exact_log_likelihood over binary images (n, N, N): data
-    statistics minus model expectation.
-
-    The model expectation is computed by enumerating every visible
-    configuration; same guard as the likelihood itself.
-    """
-    _guard_enumeration(model)
-    free = _enumerated_free_energies(model)
-    log_z = _logsumexp(-free)
-    n, side = model.input_size, model.hidden_side
-    n_v = model.num_visible
-    bits = np.arange(n_v)
-
-    e_w = np.zeros_like(model.filters)
-    e_b = 0.0
-    e_c = np.zeros(model.num_filters)
-    for start in range(0, 1 << n_v, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n_v)
-        configs = ((np.arange(start, stop)[:, None] >> bits[None, :]) & 1).astype(np.float64)
-        p = np.exp(-free[start:stop] - log_z)
-        imgs = configs.reshape(-1, n, n)
-        probs = _hidden_probs(model, imgs)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            imgs, (side, side), axis=(1, 2))          # (B, K, K, H, H)
-        e_w += np.einsum("b,bmij,brsij->mrs", p, probs, windows, optimize=True)
-        e_b += float(p @ configs.sum(axis=1))
-        e_c += np.einsum("b,bmij->m", p, probs)
-
-    # the data statistics, -dF/dtheta summed over the images
-    pixels = _visible_stack(model, _require_binary(data, "visible units"))
-    probs = _hidden_probs(model, pixels)
-    n_data = len(pixels)
-    return CrbmGradient(
-        filters=kernels.corr_grad(pixels, probs) - n_data * e_w,
-        visible_bias=float(pixels.sum()) - n_data * e_b,
-        hidden_biases=probs.sum(axis=(0, 2, 3)) - n_data * e_c)
-
-
-# ---------------------------------------------------------------------------
 # Contrastive divergence
 # ---------------------------------------------------------------------------
 
@@ -520,8 +370,8 @@ def cd_gradient_estimate(model: CrbmModel, images: np.ndarray, k: int,
     of a stack (n, N, N).
 
     Positive and negative phases both use hidden probabilities; the negative
-    phase statistics come from the sampled v_k.  Sum convention matches
-    exact_log_likelihood_grad so the two are directly comparable.
+    phase statistics come from the sampled v_k.  Summed, not averaged, as
+    the gradient of the log-likelihood of the whole stack is.
     """
     return _cd_sums(model, _visible_stack(model, images), k, rng)[0]
 

@@ -27,7 +27,3 @@ class ConfigError(PipelineError):
 
 class TrainingError(PipelineError):
     """Training aborted, e.g. non-finite parameters or empty data."""
-
-
-class EnumerationGuardError(PipelineError):
-    """Exact-enumeration oracle called on a model too large to enumerate."""

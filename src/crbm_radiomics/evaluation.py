@@ -86,16 +86,6 @@ def auc_trapezoid(curve: RocCurve) -> float:
     return float(np.trapezoid(curve.tpr, curve.fpr))
 
 
-def auc_mann_whitney(scores, labels) -> float:
-    """(#pos-over-neg pairs + half the tied pairs) / (n_pos * n_neg)."""
-    scores, labels = _check_scores(scores, labels)
-    pos = scores[labels == 1][:, None]
-    neg = scores[labels == 0][None, :]
-    wins = np.count_nonzero(pos > neg)
-    ties = np.count_nonzero(pos == neg)
-    return (wins + 0.5 * ties) / (pos.size * neg.size)
-
-
 def confusion_metrics(scores, labels, threshold: float) -> dict:
     """Counts and rates for 'positive iff score >= threshold', as the
     report writes them: tp, fp, tn, fn, accuracy, sensitivity,

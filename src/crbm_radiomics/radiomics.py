@@ -353,18 +353,6 @@ def wavelet_decompose(pixels: np.ndarray) -> dict:
     }
 
 
-def wavelet_reconstruct(subbands: dict) -> np.ndarray:
-    """Inverse of wavelet_decompose; returns the (padded) image array."""
-    ll, lh, hl, hh = (subbands[k] for k in WAVELET_BANDS)
-    h, w = ll.shape
-    out = np.empty((2 * h, 2 * w))
-    out[0::2, 0::2] = (ll + lh + hl + hh) / 2.0
-    out[0::2, 1::2] = (ll - lh + hl - hh) / 2.0
-    out[1::2, 0::2] = (ll + lh - hl - hh) / 2.0
-    out[1::2, 1::2] = (ll - lh - hl + hh) / 2.0
-    return out
-
-
 def downsample_mask(bits: np.ndarray) -> np.ndarray:
     """2x2 any-set downsampling of each mask of a stack (..., h, w),
     matching the wavelet subband geometry."""

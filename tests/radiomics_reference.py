@@ -8,6 +8,8 @@ the two.  Only the GLCM/GLRLM descriptor formulas are shared with the
 package, and each of those is checked against the textbook references in
 ``texture_bruteforce.py`` on its own.
 ``assert_catalog_row_matches_reference`` states how close the two must be.
+``wavelet_reconstruct``, the inverse Haar transform, checks the package's
+``wavelet_decompose``.
 """
 
 import numpy as np
@@ -116,6 +118,19 @@ def haar(x):
     c, d = x[1::2, 0::2], x[1::2, 1::2]
     return {"LL": (a + b + c + d) / 2.0, "LH": (a - b + c - d) / 2.0,
             "HL": (a + b - c - d) / 2.0, "HH": (a - b - c + d) / 2.0}
+
+
+def wavelet_reconstruct(subbands):
+    """Inverse of the package's wavelet_decompose on one slice: the
+    (even-padded) image its four subbands came from."""
+    ll, lh, hl, hh = (subbands[k] for k in WAVELET_BANDS)
+    h, w = ll.shape
+    out = np.empty((2 * h, 2 * w))
+    out[0::2, 0::2] = (ll + lh + hl + hh) / 2.0
+    out[0::2, 1::2] = (ll - lh + hl - hh) / 2.0
+    out[1::2, 0::2] = (ll + lh - hl - hh) / 2.0
+    out[1::2, 1::2] = (ll - lh - hl + hh) / 2.0
+    return out
 
 
 def downsample(bits):

@@ -18,35 +18,23 @@ from crbm_radiomics.classifiers import (lr_loss_and_grad, rf_fit,
                                         rf_predict_proba, svm_decision,
                                         svm_fit)
 from crbm_radiomics.config import CvSection, PipelineConfig, SynthSpec
-from crbm_radiomics.crbm import CrbmConfig, CrbmModel
+from crbm_radiomics.crbm import CrbmConfig
 from crbm_radiomics.data_model import Dataset, load_manifest
 from crbm_radiomics.radiomics import (glcm_compute, glrlm_compute,
-                                      wavelet_decompose, wavelet_reconstruct)
+                                      wavelet_decompose)
 from crbm_radiomics.seeding import derive_rng
 
-from gibbs_enumeration import expected_cd_cosines, flatten
+from auc_reference import auc_mann_whitney
+from crbm_enumeration import (all_bit_configs, energy, exact_log_likelihood,
+                              exact_log_likelihood_grad, expected_cd_cosines,
+                              free_energy, random_binary_images,
+                              random_tiny_model, shifted)
+from radiomics_reference import wavelet_reconstruct
 from texture_bruteforce import brute_glcm, brute_glrlm
 
 
 def _ok(num, label, detail):
     print(f"criterion {num:02d} {label}: PASS ({detail})")
-
-
-def _tiny_model(rng, n, k, m, scale=0.8):
-    return CrbmModel(filters=rng.normal(0, scale, size=(m, k, k)),
-                     visible_bias=float(rng.normal(0, 0.3)),
-                     hidden_biases=rng.normal(0, 0.3, size=m),
-                     input_size=n)
-
-
-def _binary_image(rng, n):
-    return (rng.random((n, n)) < 0.5).astype(np.float64)
-
-
-def _bit_configs(n_bits):
-    ints = np.arange(1 << n_bits, dtype=np.uint32)
-    return ((ints[:, None] >> np.arange(n_bits, dtype=np.uint32)) & 1) \
-        .astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -76,32 +64,12 @@ def test_criterion_01_feature_map_shapes_and_speed():
 # 2. Free energy and normalization against literal energy enumeration
 # ---------------------------------------------------------------------------
 
-def _dense_weights(model):
-    """Hidden-unit x visible-pixel weight matrix, built by filter placement."""
-    n, k, side = model.input_size, model.kernel_size, model.hidden_side
-    out = np.zeros((model.num_filters * side * side, n * n))
-    row = 0
-    for m in range(model.num_filters):
-        for r in range(side):
-            for c in range(side):
-                for i in range(k):
-                    for j in range(k):
-                        out[row, (r + i) * n + (c + j)] = model.filters[m, i, j]
-                row += 1
-    return out
-
-
 def _log_sum_exp_neg_energy(model, vis, hid):
-    """log sum_h exp(-E(v, h)) for every visible row, by brute enumeration."""
-    weights = _dense_weights(model)
-    biases = np.repeat(model.hidden_biases, model.hidden_side ** 2)
-    out = np.empty(vis.shape[0])
-    for lo in range(0, vis.shape[0], 4096):
-        chunk = vis[lo:lo + 4096]
-        acts = chunk @ weights.T + biases
-        neg_e = acts @ hid.T + model.visible_bias * chunk.sum(axis=1)[:, None]
-        out[lo:lo + 4096] = logsumexp(neg_e, axis=1)
-    return out
+    """log sum_h exp(-E(v, h)) for every visible image of vis, by brute
+    enumeration of the hidden maps hid."""
+    return np.concatenate([
+        logsumexp(-energy(model, vis[lo:lo + 4096, None], hid), axis=1)
+        for lo in range(0, len(vis), 4096)])
 
 
 # all combos keep the visible grid <= 4x4 and 1-2 filters <= 2x2
@@ -114,27 +82,26 @@ def test_criterion_02_free_energy_matches_energy_enumeration():
     worst_fe, worst_norm = 0.0, 0.0
     for combo_idx, (n, k, m) in enumerate(EXACT_COMBOS):
         side = n - k + 1
-        vis = _bit_configs(n * n)
-        hid = _bit_configs(m * side * side)
+        vis = all_bit_configs(n * n).reshape(-1, n, n)
+        hid = all_bit_configs(m * side * side).reshape(-1, m, side, side)
         for draw in range(7):
             rng = derive_rng(2, "exact-model", combo_idx, draw)
-            model = _tiny_model(rng, n, k, m, scale=0.5)
+            model = random_tiny_model(rng, n, k, m, scale=0.5)
             log_unnorm = _log_sum_exp_neg_energy(model, vis, hid)
 
-            picks = np.arange(vis.shape[0]) if vis.shape[0] <= 64 \
-                else rng.choice(vis.shape[0], size=64, replace=False)
+            picks = np.arange(len(vis)) if len(vis) <= 64 \
+                else rng.choice(len(vis), size=64, replace=False)
             for idx in picks:
-                image = vis[idx].reshape(n, n)
-                free = crbm.free_energy(model, image)
+                free = free_energy(model, vis[idx])
                 np.testing.assert_allclose(np.exp(-free),
                                            np.exp(log_unnorm[idx]),
                                            rtol=1e-9)
                 worst_fe = max(worst_fe,
                                abs(np.expm1(-free - log_unnorm[idx])))
 
-            # sum_v P(v) with Z taken from the enumeration, F from the
-            # package; state order inside the sum is irrelevant
-            free_all = crbm._enumerated_free_energies(model)
+            # sum_v P(v) with Z taken from the energy enumeration and F
+            # from its softplus form
+            free_all = free_energy(model, vis)
             total = np.exp(-free_all - logsumexp(log_unnorm)).sum()
             assert abs(total - 1.0) < 1e-9
             worst_norm = max(worst_norm, abs(total - 1.0))
@@ -159,27 +126,13 @@ def test_criterion_03_exact_gradient_matches_finite_differences():
     for trial in range(20):
         n, k, m = FD_COMBOS[trial % len(FD_COMBOS)]
         rng = derive_rng(3, "fd-model", trial)
-        model = _tiny_model(rng, n, k, m)
-        data = np.stack([_binary_image(rng, n) for _ in range(3)])
-        grad = flatten(crbm.exact_log_likelihood_grad(model, data))
-
-        def ll(df=0.0, db=0.0, dc=0.0):
-            shifted = CrbmModel(filters=model.filters + df,
-                                visible_bias=model.visible_bias + db,
-                                hidden_biases=model.hidden_biases + dc,
-                                input_size=n)
-            return crbm.exact_log_likelihood(shifted, data)
-
-        fd = []
-        for flat in range(m * k * k):
-            step = np.zeros_like(model.filters)
-            step.ravel()[flat] = eps
-            fd.append((ll(df=step) - ll(df=-step)) / (2 * eps))
-        fd.append((ll(db=eps) - ll(db=-eps)) / (2 * eps))
-        for mi in range(m):
-            step = np.zeros(m)
-            step[mi] = eps
-            fd.append((ll(dc=step) - ll(dc=-step)) / (2 * eps))
+        model = random_tiny_model(rng, n, k, m)
+        data = random_binary_images(rng, n, 3)
+        grad = exact_log_likelihood_grad(model, data)
+        # parameters in the gradient's order: filters, visible, hidden bias
+        fd = [(exact_log_likelihood(shifted(model, step), data)
+               - exact_log_likelihood(shifted(model, -step), data)) / (2 * eps)
+              for step in eps * np.eye(grad.size)]
 
         for got, want in zip(grad, fd):
             rel = abs(want - got) / max(abs(want), 1e-4)
@@ -202,11 +155,8 @@ def test_criterion_04_cd_direction_improves_with_k():
         rng = derive_rng(11, "c4-model", mi)
         k = int(rng.integers(1, 3))
         m = 1 if k == 1 else int(rng.integers(1, 3))
-        model = CrbmModel(filters=rng.normal(0, 0.8, size=(m, k, k)),
-                          visible_bias=float(rng.normal(0, 0.3)),
-                          hidden_biases=rng.normal(0, 0.3, size=m),
-                          input_size=3)
-        data = np.stack([_binary_image(rng, 3) for _ in range(4)])
+        model = random_tiny_model(rng, 3, k, m)
+        data = random_binary_images(rng, 3, 4)
         sums += expected_cd_cosines(model, data, ks)
     elapsed = time.perf_counter() - start
     means = sums / 100
@@ -254,7 +204,7 @@ def test_criterion_06_auc_identity_under_ties():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         trap = evaluation.auc_trapezoid(evaluation.roc_curve(scores, labels))
-        rank = evaluation.auc_mann_whitney(scores, labels)
+        rank = auc_mann_whitney(scores, labels)
         worst = max(worst, abs(trap - rank))
         assert abs(trap - rank) < 1e-9
     _ok(6, "AUC identity", f"1000 tied instances, worst gap {worst:.1e}")
@@ -371,7 +321,7 @@ def test_criterion_08_classifiers_are_sound():
     y = (X[:, 2] > 0.5).astype(np.float64)
     forest = rf_fit(X[:300], y[:300], n_trees=50, seed=8)
     held_out = rf_predict_proba(forest, X[300:])
-    forest_auc = evaluation.auc_mann_whitney(held_out, y[300:])
+    forest_auc = auc_mann_whitney(held_out, y[300:])
     assert forest_auc >= 0.95
 
     # margin classifier on two well-separated Gaussian clouds

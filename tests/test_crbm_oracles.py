@@ -17,26 +17,14 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit, logsumexp
 
 from crbm_radiomics import crbm, kernels
-from crbm_radiomics.errors import (EnumerationGuardError, ModelFormatError,
-                                   ShapeMismatchError)
+from crbm_radiomics.errors import ModelFormatError, ShapeMismatchError
 from crbm_radiomics.seeding import derive_rng
 
-
-def random_tiny_model(rng, n, k, m, scale=0.8):
-    return crbm.CrbmModel(filters=rng.normal(0, scale, size=(m, k, k)),
-                          visible_bias=float(rng.normal(0, 0.3)),
-                          hidden_biases=rng.normal(0, 0.3, size=m),
-                          input_size=n)
-
-
-def random_binary_image(rng, n):
-    return (rng.random((n, n)) < 0.5).astype(np.float64)
-
-
-def all_bit_configs(n_bits):
-    ints = np.arange(1 << n_bits, dtype=np.uint32)
-    return ((ints[:, None] >> np.arange(n_bits, dtype=np.uint32)) & 1) \
-        .astype(np.float64)
+from crbm_enumeration import (all_bit_configs, dense_hidden_biases,
+                              dense_weights, energy,
+                              exact_log_likelihood, exact_log_likelihood_grad,
+                              free_energy, log_partition, random_binary_images,
+                              random_tiny_model, shifted, visible_states)
 
 
 # combos keep n_visible <= 16 and n_hidden <= 18 so enumeration is exact
@@ -56,7 +44,7 @@ def test_model_shape_properties():
 def test_hidden_probabilities_match_manual_sigmoid():
     rng = derive_rng(1, "hp")
     model = random_tiny_model(rng, 4, 2, 2)
-    v = random_binary_image(rng, 4)
+    v = random_binary_images(rng, 4)
     got = crbm.extract_feature_map(model, v)
     for m in range(2):
         for i in range(3):
@@ -160,10 +148,45 @@ def test_visible_probabilities_match_manual_sum():
             assert got[u, w] == pytest.approx(expit(act), abs=1e-12)
 
 
+@st.composite
+def tiny_models_and_units(draw):
+    """A CRBM of side <= 5, kernel <= side and at most 3 maps with random
+    parameters, a grey image and binary hidden maps of its shapes."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 3))
+    side = n - k + 1
+    params = st.floats(-4.0, 4.0)
+    model = crbm.CrbmModel(
+        filters=draw(hnp.arrays(np.float64, (m, k, k), elements=params)),
+        visible_bias=draw(params),
+        hidden_biases=draw(hnp.arrays(np.float64, m, elements=params)),
+        input_size=n)
+    v = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
+    h = draw(hnp.arrays(np.float64, (m, side, side),
+                        elements=st.sampled_from((0.0, 1.0))))
+    return model, v, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tiny_models_and_units())
+def test_production_conditionals_match_the_dense_oracle(case):
+    # the enumeration oracles share no code with the package, so this is
+    # what ties its two conditionals to the dense W they are built on
+    model, v, h = case
+    weights = dense_weights(model)
+    want_h = expit(v.ravel() @ weights + dense_hidden_biases(model))
+    want_v = expit(weights @ h.ravel() + model.visible_bias)
+    np.testing.assert_allclose(crbm.extract_feature_map(model, v).ravel(),
+                               want_h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(crbm._visible_probs(model, h).ravel(),
+                               want_v, rtol=0, atol=1e-12)
+
+
 def test_energy_matches_handwritten_sum():
     rng = derive_rng(3, "en")
     model = random_tiny_model(rng, 3, 2, 1)
-    v = random_binary_image(rng, 3)
+    v = random_binary_images(rng, 3)
     h = (rng.random((1, 2, 2)) < 0.5).astype(float)
     want = 0.0
     for i in range(2):
@@ -172,7 +195,7 @@ def test_energy_matches_handwritten_sum():
             want -= act * h[0, i, j]
     want -= model.visible_bias * v.sum()
     want -= model.hidden_biases[0] * h[0].sum()
-    assert crbm.energy(model, v, h) == pytest.approx(want, abs=1e-12)
+    assert energy(model, v, h) == pytest.approx(want, abs=1e-12)
 
 
 def test_free_energy_equals_hidden_enumeration_handwritten():
@@ -180,13 +203,13 @@ def test_free_energy_equals_hidden_enumeration_handwritten():
     # small enough to loop over literal hidden states
     rng = derive_rng(4, "fe")
     model = random_tiny_model(rng, 3, 2, 2)
-    v = random_binary_image(rng, 3)
+    v = random_binary_images(rng, 3)
     side = model.hidden_side
     total = []
     for bits in itertools.product((0.0, 1.0), repeat=2 * side * side):
         h = np.array(bits).reshape(2, side, side)
-        total.append(-crbm.energy(model, v, h))
-    assert -crbm.free_energy(model, v) == pytest.approx(
+        total.append(-energy(model, v, h))
+    assert -free_energy(model, v) == pytest.approx(
         logsumexp(total), abs=1e-9)
 
 
@@ -196,7 +219,7 @@ def test_free_energy_equals_hidden_enumeration_vectorized():
     rng = derive_rng(4, "fev")
     for n, k, m in TINY_COMBOS:
         model = random_tiny_model(rng, n, k, m)
-        v = random_binary_image(rng, n)
+        v = random_binary_images(rng, n)
         side = model.hidden_side
         act = np.empty((m, side, side))
         for mi in range(m):
@@ -207,7 +230,7 @@ def test_free_energy_equals_hidden_enumeration_vectorized():
                     ) + model.hidden_biases[mi]
         bits = all_bit_configs(m * side * side)
         neg_energy = bits @ act.ravel() + model.visible_bias * v.sum()
-        assert -crbm.free_energy(model, v) == pytest.approx(
+        assert -free_energy(model, v) == pytest.approx(
             logsumexp(neg_energy), abs=1e-9)
 
 
@@ -215,22 +238,16 @@ def test_model_probabilities_sum_to_one():
     rng = derive_rng(5, "z")
     for n, k, m in TINY_COMBOS:
         model = random_tiny_model(rng, n, k, m)
-        free = crbm._enumerated_free_energies(model)
-        log_total = logsumexp(-free) - crbm.log_partition(model)
+        free = free_energy(model, visible_states(model))
+        log_total = logsumexp(-free) - log_partition(model)
         assert np.exp(log_total) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_enumeration_guard_refuses_large_models():
-    model = crbm.init_model(1, 3, 5, seed=0)  # 25 visible units
-    with pytest.raises(EnumerationGuardError):
-        crbm.log_partition(model)
 
 
 def test_exact_log_likelihood_is_a_log_probability():
     rng = derive_rng(6, "ll")
     model = random_tiny_model(rng, 3, 2, 1)
-    data = random_binary_image(rng, 3)[None]
-    ll = crbm.exact_log_likelihood(model, data)
+    data = random_binary_images(rng, 3)[None]
+    ll = exact_log_likelihood(model, data)
     assert ll < 0.0
     # sanity: likelihood of the full state space sums to 1, so any single
     # configuration has probability < 1
@@ -242,34 +259,12 @@ def test_exact_gradient_matches_finite_differences():
     for trial in range(6):
         n, k, m = TINY_COMBOS[trial % len(TINY_COMBOS)]
         model = random_tiny_model(rng, n, k, m)
-        data = np.stack([random_binary_image(rng, n) for _ in range(3)])
-        grad = crbm.exact_log_likelihood_grad(model, data)
-
-        def ll(mod):
-            return crbm.exact_log_likelihood(mod, data)
-
-        def perturbed(df=0.0, db=0.0, dc=None):
-            return crbm.CrbmModel(
-                filters=model.filters + df,
-                visible_bias=model.visible_bias + db,
-                hidden_biases=model.hidden_biases + (0.0 if dc is None else dc),
-                input_size=n)
-
-        for mi in range(m):
-            for r in range(k):
-                for c in range(k):
-                    d = np.zeros_like(model.filters)
-                    d[mi, r, c] = eps
-                    fd = (ll(perturbed(df=d)) - ll(perturbed(df=-d))) / (2 * eps)
-                    rel = abs(fd - grad.filters[mi, r, c]) / max(abs(fd), 1e-4)
-                    assert rel < 1e-4
-        fd = (ll(perturbed(db=eps)) - ll(perturbed(db=-eps))) / (2 * eps)
-        assert abs(fd - grad.visible_bias) / max(abs(fd), 1e-4) < 1e-4
-        for mi in range(m):
-            d = np.zeros(m)
-            d[mi] = eps
-            fd = (ll(perturbed(dc=d)) - ll(perturbed(dc=-d))) / (2 * eps)
-            assert abs(fd - grad.hidden_biases[mi]) / max(abs(fd), 1e-4) < 1e-4
+        data = random_binary_images(rng, n, 3)
+        grad = exact_log_likelihood_grad(model, data)
+        for got, step in zip(grad, eps * np.eye(grad.size)):
+            fd = (exact_log_likelihood(shifted(model, step), data)
+                  - exact_log_likelihood(shifted(model, -step), data)) / (2 * eps)
+            assert abs(fd - got) / max(abs(fd), 1e-4) < 1e-4
 
 
 def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
@@ -289,16 +284,13 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
         monkeypatch.setattr(kernels, name, spying(getattr(kernels, name)))
     rng = derive_rng(19, "dtype")
     model = random_tiny_model(rng, 3, 2, 2)
-    data = np.stack([random_binary_image(rng, 3) for _ in range(3)])
+    data = random_binary_images(rng, 3, 3)
     calls = {
         "cd_gradient_estimate": lambda: crbm.cd_gradient_estimate(
             model, data, 2, derive_rng(19, "cd")).filters,
         "gibbs_chain": lambda: crbm.gibbs_chain(
             model, data[0], 2, derive_rng(19, "gc")).hk_probs,
         "extract_feature_map": lambda: crbm.extract_feature_map(model, data[0]),
-        "free_energy": lambda: np.float64(crbm.free_energy(model, data[0])),
-        "exact_log_likelihood_grad": lambda: crbm.exact_log_likelihood_grad(
-            model, data).filters,
     }
     for name, call in calls.items():
         seen.clear()
@@ -312,7 +304,7 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
 def test_gibbs_chain_shapes_and_binary_samples():
     rng = derive_rng(8, "gc")
     model = random_tiny_model(rng, 4, 2, 2)
-    v0 = random_binary_image(rng, 4)
+    v0 = random_binary_images(rng, 4)
     res = crbm.gibbs_chain(model, v0, 3, derive_rng(8, "chain"))
     assert set(np.unique(res.v_k)) <= {0.0, 1.0}
     for probs in (res.h0_probs, res.hk_probs):
@@ -325,19 +317,11 @@ def test_gibbs_chain_shapes_and_binary_samples():
 def test_gibbs_chain_is_reproducible_for_equal_streams():
     rng = derive_rng(9, "gr")
     model = random_tiny_model(rng, 4, 2, 1)
-    v0 = random_binary_image(rng, 4)
+    v0 = random_binary_images(rng, 4)
     a = crbm.gibbs_chain(model, v0, 5, derive_rng(42, "x"))
     b = crbm.gibbs_chain(model, v0, 5, derive_rng(42, "x"))
     assert np.array_equal(a.v_k, b.v_k)
     assert np.array_equal(a.hk_probs, b.hk_probs)
-
-
-def test_sample_bernoulli_hits_exact_probabilities_in_the_limit():
-    probs = np.array([[0.1, 0.5], [0.9, 0.0]])
-    rng = derive_rng(10, "sb")
-    draws = np.mean([crbm.sample_bernoulli(probs, rng) for _ in range(4000)],
-                    axis=0)
-    np.testing.assert_allclose(draws, probs, atol=0.03)
 
 
 def test_save_load_round_trip_preserves_parameters(tmp_path):
@@ -376,6 +360,10 @@ def malformed_models():
         (doc(kernel_size=2.0), "must be integers"),
         (doc(kernel_size=5), "filters"),
         (doc(kernel_size=5, filters=[[0.0] * 25] * 2), "kernel 5 too large"),
+        (doc(num_filters=1, kernel_size=0, hidden_biases=[0.0], filters=[[]]),
+         "filters of at least 1x1"),
+        (doc(num_filters=1, kernel_size=0, input_size=0, hidden_biases=[0.0],
+             filters=[[]]), "filters of at least 1x1"),
         (doc(hidden_biases=[0.0]), "hidden_biases"),
         (doc(visible_bias=None), "visible_bias"),
         (doc(visible_bias=float("nan")), "visible_bias"),

@@ -9,16 +9,12 @@ from crbm_radiomics import crbm, kernels, synth
 from crbm_radiomics.config import SynthSpec
 from crbm_radiomics.errors import ShapeMismatchError, TrainingError
 from crbm_radiomics.seeding import derive_rng
-from gibbs_enumeration import expected_cd_gradient, flatten
+from crbm_enumeration import (exact_log_likelihood, expected_cd_gradient,
+                              flatten, random_binary_images, random_tiny_model)
 
 
 def small_model(seed=0):
     return crbm.init_model(2, 2, 3, weight_init_sigma=0.5, seed=seed)
-
-
-def binary_images(rng, n, count):
-    return np.stack([(rng.random((n, n)) < 0.5).astype(np.float64)
-                     for _ in range(count)])
 
 
 def replay_chain(model, v0, k, rng):
@@ -68,7 +64,7 @@ def test_cd_update_matches_manual_replay(monkeypatch):
     # the rest is summed in float64
     model = small_model()
     cfg = crbm.CrbmConfig(learning_rate=0.1, cd_steps=2, batch_size=4)
-    batch = binary_images(derive_rng(0, "b"), 3, 4)
+    batch = random_binary_images(derive_rng(0, "b"), 3, 4)
     chunks = record_chunks(monkeypatch)
     updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(1, "u"))
 
@@ -135,7 +131,7 @@ def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
 def test_cd_gradient_estimate_of_a_stack_is_the_sum_of_one_image_estimates():
     rng = derive_rng(13, "est")
     model = crbm.init_model(2, 3, 5, weight_init_sigma=0.5, seed=6)
-    data = binary_images(rng, 5, 6)
+    data = random_binary_images(rng, 5, 6)
     whole = crbm.cd_gradient_estimate(model, data, 3, derive_rng(13, "s"))
     stream = derive_rng(13, "s")
     parts = [crbm.cd_gradient_estimate(model, img[None], 3, stream) for img in data]
@@ -147,7 +143,7 @@ def test_cd_gradient_estimate_of_a_stack_is_the_sum_of_one_image_estimates():
 def test_gibbs_chain_follows_the_one_image_draw_order():
     rng = derive_rng(14, "chain")
     model = crbm.init_model(3, 2, 5, weight_init_sigma=0.8, seed=7)
-    v0 = binary_images(rng, 5, 1)[0]
+    v0 = random_binary_images(rng, 5)
     got = crbm.gibbs_chain(model, v0, 3, derive_rng(14, "draws"))
     vk, h0, hk, v1_probs = replay_chain(model, v0, 3, derive_rng(14, "draws"))
     assert np.array_equal(got.v_k, vk)
@@ -213,7 +209,7 @@ def test_recon_cross_entropy_is_finite_at_saturated_float32_probabilities(
     model = crbm.CrbmModel(filters=small_model().filters,
                            visible_bias=visible_bias,
                            hidden_biases=np.zeros(2), input_size=3)
-    batch = binary_images(derive_rng(16, "sat"), 3, 4)
+    batch = random_binary_images(derive_rng(16, "sat"), 3, 4)
     chunks = record_chunks(monkeypatch)
     _, diag = crbm.cd_update(model, batch, crbm.CrbmConfig(batch_size=4),
                              derive_rng(16, "u"))
@@ -300,7 +296,7 @@ def test_cd_update_rejects_empty_batch():
 
 
 def test_train_names_the_epoch_and_batch_where_parameters_diverge():
-    data = binary_images(derive_rng(3, "div"), 3, 4)
+    data = random_binary_images(derive_rng(3, "div"), 3, 4)
     cfg = crbm.CrbmConfig(learning_rate=1e308, epochs=3, batch_size=2)
     # batch 0 takes the filters to ~1e307: finite in float64, but inf in
     # the next batch's float32 chain, so batch 0 is refused, with no numpy
@@ -318,14 +314,14 @@ def test_train_rejects_empty_data():
 
 def test_train_zero_epochs_returns_model_unchanged():
     model = small_model()
-    data = binary_images(derive_rng(2, "z"), 3, 8)
+    data = random_binary_images(derive_rng(2, "z"), 3, 8)
     out, history = crbm.train(model, data, crbm.CrbmConfig(epochs=0))
     assert np.array_equal(out.filters, model.filters)
     assert history.recon_cross_entropy == []
 
 
 def test_train_is_deterministic_per_seed():
-    data = binary_images(derive_rng(3, "d"), 3, 12)
+    data = random_binary_images(derive_rng(3, "d"), 3, 12)
     cfg = crbm.CrbmConfig(learning_rate=0.05, epochs=3, batch_size=4)
     a, hist_a = crbm.train(small_model(), data, cfg, seed=7)
     b, hist_b = crbm.train(small_model(), data, cfg, seed=7)
@@ -337,7 +333,7 @@ def test_train_is_deterministic_per_seed():
 
 
 def test_train_history_has_one_entry_per_epoch():
-    data = binary_images(derive_rng(4, "h"), 3, 10)
+    data = random_binary_images(derive_rng(4, "h"), 3, 10)
     _, history = crbm.train(small_model(), data,
                             crbm.CrbmConfig(learning_rate=0.01, epochs=5))
     assert len(history.recon_cross_entropy) == 5
@@ -360,11 +356,11 @@ def test_training_improves_exact_likelihood_on_tiny_data():
                                [0., 0., 0.],
                                [1., 1., 1.]])] * 6)
     model = crbm.init_model(1, 2, 3, weight_init_sigma=0.1, seed=2)
-    before = crbm.exact_log_likelihood(model, data)
+    before = exact_log_likelihood(model, data)
     cfg = crbm.CrbmConfig(learning_rate=0.2, cd_steps=1, epochs=40,
                           batch_size=6)
     trained, _ = crbm.train(model, data, cfg, seed=3)
-    after = crbm.exact_log_likelihood(trained, data)
+    after = exact_log_likelihood(trained, data)
     assert after > before
 
 
@@ -372,11 +368,8 @@ def test_sampled_cd_estimate_converges_to_enumerated_expectation():
     # bridge between the Monte Carlo estimator and the closed-form
     # expectation used by the gradient-quality checks
     rng = derive_rng(6, "bridge")
-    model = crbm.CrbmModel(filters=rng.normal(0, 0.8, size=(1, 2, 2)),
-                           visible_bias=float(rng.normal(0, 0.3)),
-                           hidden_biases=rng.normal(0, 0.3, size=1),
-                           input_size=3)
-    data = binary_images(rng, 3, 4)
+    model = random_tiny_model(rng, 3, 2, 1)
+    data = random_binary_images(rng, 3, 4)
     exact = expected_cd_gradient(model, data, k=2)
 
     reps = 3000

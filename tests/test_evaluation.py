@@ -18,7 +18,6 @@ from crbm_radiomics.data_model import Dataset, SampleRecord
 from crbm_radiomics.errors import TrainingError
 from crbm_radiomics.evaluation import (
     RocCurve,
-    auc_mann_whitney,
     auc_trapezoid,
     confusion_metrics,
     cross_validate,
@@ -27,6 +26,8 @@ from crbm_radiomics.evaluation import (
     youden_threshold,
 )
 from crbm_radiomics.seeding import derive_rng
+
+from auc_reference import auc_mann_whitney
 
 
 def dummy_dataset(labels, patients=None):

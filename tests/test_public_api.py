@@ -1,8 +1,9 @@
 """Every public module-level function and class of the package, and every
 public method and property of its classes, is used by the package itself;
-the only exceptions are the oracles listed below.  A method or property
-counts as used when the package reads an attribute of its name outside
-its own definition."""
+the only exceptions are the entry points listed below.  A method or
+property counts as used when the package reads an attribute of its name
+outside its own definition.  The exact-enumeration oracles in
+tests/crbm_enumeration.py read nothing of the package but its model type."""
 
 import ast
 from pathlib import Path
@@ -11,15 +12,9 @@ import crbm_radiomics
 
 PACKAGE = Path(crbm_radiomics.__file__).parent
 
-# Exact references that carry the paper's testable claims.  The tests call
-# them; the pipeline does not, and need not.
-ORACLES = {
-    "crbm": {"energy", "free_energy", "log_partition", "exact_log_likelihood",
-             "exact_log_likelihood_grad", "gibbs_chain", "cd_gradient_estimate",
-             "sample_bernoulli"},
-    "evaluation": {"auc_mann_whitney"},
-    "radiomics": {"wavelet_reconstruct"},
-}
+# The production chain as the tests reach it, to hold it against the
+# enumeration oracles; the pipeline runs the chain through cd_update.
+ORACLES = {"crbm": {"gibbs_chain", "cd_gradient_estimate"}}
 
 
 def public_definitions(tree):
@@ -71,3 +66,23 @@ def test_every_public_definition_has_a_caller_in_the_package():
     assert not uncalled, f"public definitions with no caller in the package: {uncalled}"
     # the allowlist names only definitions that exist
     assert {(m, n) for m, names in ORACLES.items() for n in names} <= defined
+
+
+def test_the_enumeration_oracles_share_no_code_with_the_package():
+    # an oracle that called the kernels or conditionals it judges would
+    # agree with them whatever they compute
+    tree = ast.parse((Path(__file__).parent / "crbm_enumeration.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names
+                         if alias.name.startswith("crbm_radiomics")}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "crbm_radiomics"):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert imported <= {"crbm_radiomics.crbm.CrbmModel",
+                        "crbm_radiomics.crbm.CrbmGradient"}, imported
+    private = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not node.attr.startswith("__")]
+    assert not private, f"private attributes read: {private}"

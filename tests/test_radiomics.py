@@ -20,12 +20,12 @@ from crbm_radiomics.radiomics import (
     glcm_compute,
     glrlm_compute,
     wavelet_decompose,
-    wavelet_reconstruct,
 )
 from crbm_radiomics.seeding import derive_rng
 
 from radiomics_reference import (assert_catalog_row_matches_reference,
-                                 assert_shape_matches_reference)
+                                 assert_shape_matches_reference,
+                                 wavelet_reconstruct)
 from texture_bruteforce import (brute_glcm, brute_glrlm, reference_glcm_features,
                                 reference_glrlm_features)
 
