@@ -25,7 +25,8 @@ texture descriptors of one 32x32 slice (20 GLCMs at 32 levels and the 20
 GLRLMs of the slice and its four 16x16 subbands, zero-padded to 32 run
 columns, each family one stacked call), one fold's random forest
 (``rf_fit`` on 150 rows of 20 PLS-like scores, 100 trees of depth 10,
-5 features per split), and the 374-feature catalog of 200 slices of
+5 features per split) and its scores of the fold's 50 held-out rows
+(``rf_predict_proba``), and the 374-feature catalog of 200 slices of
 32x32, in stacks of 8 as ``features.radiomics_features`` runs it and
 slice by slice through the per-slice reference in
 ``tests/radiomics_reference.py``.
@@ -125,6 +126,8 @@ def catalog_per_slice(pixels, bits):
 # spread falls with the component index, and a label the first one drives
 forest_X = rng.normal(size=(150, 20)) / np.arange(1, 21)
 forest_y = (forest_X[:, 0] + rng.normal(size=150) > 0).astype(np.float64)
+forest = classifiers.rf_fit(forest_X, forest_y, 100, 10)
+held_out_X = rng.normal(size=(50, 20)) / np.arange(1, 21)
 
 CRBM_CASES = (
     ("corr_valid  (1x256x256, 64x5x5)", kernels.corr_valid, (image, filters)),
@@ -162,6 +165,8 @@ CASES = tuple(
     ("glrlm descriptors (20 x 32x32)", radiomics._glrlm_descriptors, (glrlm_stack,)),
     ("rf forest (150x20, 100 trees, depth 10)", classifiers.rf_fit,
      (forest_X, forest_y, 100, 10)),
+    ("rf predict (50x20, 100 trees, depth 10)", classifiers.rf_predict_proba,
+     (forest, held_out_X)),
     ("catalog 200x32x32, stacks of 8", catalog_stacked,
      (catalog_pixels, catalog_bits)),
     ("catalog 200x32x32, per slice", catalog_per_slice,

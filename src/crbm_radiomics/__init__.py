@@ -14,5 +14,5 @@ __version__ = "0.1.0"
 
 from .data_model import Dataset, Image2D, RoiMask, SampleRecord  # noqa: F401
 from .errors import (ConfigError, ManifestError,  # noqa: F401
-                     PipelineError, RasterFormatError, ShapeMismatchError,
-                     TrainingError)
+                     ModelFormatError, PipelineError, RasterFormatError,
+                     ShapeMismatchError, TrainingError)

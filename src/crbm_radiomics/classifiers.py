@@ -176,10 +176,11 @@ _SPLIT_BLOCK = 2 ** 13
 
 @dataclass(frozen=True)
 class RfModel:
-    """trees are preorder node lists; node = (feature, threshold, prob).
-    Internal nodes have feature >= 0 and prob = nan; leaves have
-    feature = -1 and carry the class-1 fraction.  rf_fit grows the trees
-    in lockstep, but each list is the tree's recursive preorder."""
+    """trees are preorder node lists; node = (feature, threshold, value).
+    A split has feature >= 0, its left child next in the list, and the
+    index of its right child as value; a leaf has feature = -1 and the
+    class-1 fraction as value.  rf_fit grows the trees in lockstep, but
+    each list is the tree's recursive preorder."""
 
     trees: tuple
     n_features: int
@@ -253,8 +254,9 @@ def _split_nodes(X: np.ndarray, y: np.ndarray, chunk: list) -> None:
     X and y end in the sentinel row; a pending node is (rows, depth,
     positives, its tree's node list, its tree's stack, feature subset),
     and the widest node comes first.  A node without a split becomes a
-    leaf; a split node is listed and pushes its right, then its left
-    child, so the left subtree is grown first.
+    leaf; a split node is listed and pushes its right child, marked with
+    the split's index, then its left child, so the left subtree is grown
+    first.
     """
     width = chunk[0][0].size
     sizes = np.array([node[0].size for node in chunk])
@@ -271,10 +273,10 @@ def _split_nodes(X: np.ndarray, y: np.ndarray, chunk: list) -> None:
         if not split:
             nodes.append((-1, 0.0, pos / rows.size))
             continue
-        nodes.append((feature, cut, float("nan")))
+        nodes.append((feature, cut, -1))
         left = left[:rows.size]
-        stack.append((rows[~left], depth + 1, pos - pos_left))
-        stack.append((rows[left], depth + 1, pos_left))
+        stack.append((rows[~left], depth + 1, pos - pos_left, len(nodes) - 1))
+        stack.append((rows[left], depth + 1, pos_left, -1))
 
 
 def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
@@ -292,7 +294,9 @@ def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
     draws that node's feature subset.  It then scores all those nodes,
     widest first, in blocks of at most _SPLIT_BLOCK elements.  So every
     stream is drawn, and every node listed, in the order of recursive
-    growth, and a step's memory stays bounded.
+    growth, and a step's memory stays bounded.  A split is listed with
+    a placeholder index, which its right child overwrites with its own
+    index when popped.
     """
     X, y = _check_xy(X, y, (0.0, 1.0))
     if n_trees < 1:
@@ -308,12 +312,14 @@ def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
     stacks = []
     for rng in rngs:
         rows = rf_bootstrap_indices(n, rng)
-        stacks.append([(rows, 0, float(y[rows].sum()))])
+        stacks.append([(rows, 0, float(y[rows].sum()), -1)])
     while True:
         pending = []
         for nodes, stack, rng in zip(trees, stacks, rngs):
             while stack:
-                rows, depth, pos = stack.pop()
+                rows, depth, pos, parent = stack.pop()
+                if parent >= 0:
+                    nodes[parent] = (*nodes[parent][:2], len(nodes))
                 if depth >= max_depth or rows.size < 2 or pos == 0 \
                         or pos == rows.size:
                     nodes.append((-1, 0.0, pos / rows.size))
@@ -333,28 +339,18 @@ def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
     return RfModel(trees=tuple(tuple(nodes) for nodes in trees), n_features=p)
 
 
-def _tree_predict(nodes: tuple, x: np.ndarray) -> float:
-    """Walk a preorder node list; skipping a subtree means scanning to its
-    end by leaf counting (each internal node owns exactly two subtrees)."""
+def _tree_predict(nodes: tuple, x: list) -> float:
+    """Walk a preorder node list from the root to x's leaf."""
     idx = 0
     while True:
-        feature, threshold, prob = nodes[idx]
+        feature, threshold, value = nodes[idx]
         if feature < 0:
-            return prob
-        if x[feature] <= threshold:
-            idx += 1
-        else:
-            # skip the left subtree: advance until leaves balance internals
-            depth = 1
-            idx += 1
-            while depth > 0:
-                depth += 1 if nodes[idx][0] >= 0 else -1
-                idx += 1
+            return value
+        idx = idx + 1 if x[feature] <= threshold else value
 
 
 def rf_predict_proba(model: RfModel, X: np.ndarray) -> np.ndarray:
     X = _check_width(model.n_features, X)
-    out = np.zeros(X.shape[0])
-    for i in range(X.shape[0]):
-        out[i] = sum(_tree_predict(tree, X[i]) for tree in model.trees)
-    return out / len(model.trees)
+    # rows as Python lists, which index faster than numpy rows
+    return np.array([sum(_tree_predict(tree, x) for tree in model.trees)
+                     for x in X.tolist()]) / len(model.trees)

@@ -1,13 +1,16 @@
-"""Partial-least-squares reduction of a feature matrix to A latent scores.
+"""Partial-least-squares reduction of a feature matrix to A columns.
 
 PLS1 via NIPALS on z-scored columns and the centered binary label:
 each round extracts the unit weight vector proportional to X'y, scores
 the data, then deflates X and y by the score regression.  Training score
-vectors are pairwise orthogonal; new data is projected in one shot
-through the deflation-consistent rotation W (P'W)^-1.
+vectors are pairwise orthogonal.
 
-An alternative "vip-subset" reducer keeps the top-A original columns by
-VIP (variable importance in projection) instead of latent scores.
+fit_reducer turns one fit into a self-contained Reducer: the input
+columns it reads, their training means and sds, and for "latent" scores
+the deflation-consistent rotation W (P'W)^-1, which projects new data in
+one shot.  A "vip-subset" reducer has no rotation: it reads the top-A
+input columns by VIP (variable importance in projection) and returns
+them z-scored.
 """
 
 from dataclasses import dataclass
@@ -38,22 +41,6 @@ class PlsModel:
             raise ValueError("columns length mismatch")
         if (self.column_sds <= 0).any():
             raise ValueError("column_sds must be positive")
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """R = W (P'W)^-1 so that standardized X @ R reproduces NIPALS scores."""
-        return self.weights @ np.linalg.inv(self.loadings.T @ self.weights)
-
-
-def _standardize(model: PlsModel, X: np.ndarray) -> np.ndarray:
-    """The retained columns of X, z-scored with the training statistics."""
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise ValueError(f"input has {X.shape[-1]} columns, the model was "
-                         f"fit on {model.n_inputs}")
-    vals = X[:, model.columns]
-    if not np.isfinite(vals).all():
-        raise ValueError("non-finite feature values")
-    return (vals - model.column_means) / model.column_sds
 
 
 def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
@@ -113,12 +100,6 @@ def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
                     columns=np.flatnonzero(keep), n_inputs=vals.shape[1])
 
 
-def transform(model: PlsModel, X: np.ndarray) -> np.ndarray:
-    """(n, A) latent scores of an (n, n_inputs) matrix; training data
-    reproduces its NIPALS scores."""
-    return _standardize(model, X) @ model.rotation
-
-
 def vip_scores(model: PlsModel) -> np.ndarray:
     """Variable importance in projection, one score per retained column."""
     ss = model.y_loadings ** 2 * model.score_sq_norms  # explained y-variation
@@ -129,29 +110,41 @@ def vip_scores(model: PlsModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Reducer:
-    """Either the latent-score projection or a VIP-ranked column subset."""
+    """A fitted reduction, all of it fixed at fit time."""
 
-    mode: str  # "latent" | "vip-subset"
-    pls: PlsModel
-    selected: tuple  # vip-subset mode: positions among pls.columns, VIP-descending
-
-    def __post_init__(self):
-        if self.mode not in ("latent", "vip-subset"):
-            raise ValueError(f"unknown reducer mode {self.mode!r}")
+    columns: np.ndarray   # (k,) input positions read, in output order
+    means: np.ndarray     # (k,) their training means
+    sds: np.ndarray       # (k,) and sds, all > 0
+    n_inputs: int         # columns of the fitted matrix
+    rotation: np.ndarray | None  # (k, A) W (P'W)^-1, or None for vip-subset
 
 
 def fit_reducer(X: np.ndarray, y: np.ndarray, n_components: int,
                 mode: str = "latent") -> Reducer:
+    if mode not in ("latent", "vip-subset"):
+        raise ValueError(f"unknown reducer mode {mode!r}")
     model = fit_pls(X, y, n_components)
     if mode == "latent":
-        return Reducer(mode=mode, pls=model, selected=())
-    scores = vip_scores(model)
-    # stable: VIP descending, then column order
-    order = np.lexsort((np.arange(scores.size), -scores))[:n_components]
-    return Reducer(mode=mode, pls=model, selected=tuple(order.tolist()))
+        keep = slice(None)
+        rotation = model.weights @ np.linalg.inv(model.loadings.T @ model.weights)
+    else:
+        scores = vip_scores(model)
+        # stable: VIP descending, then column order
+        keep = np.lexsort((np.arange(scores.size), -scores))[:n_components]
+        rotation = None
+    return Reducer(columns=model.columns[keep], means=model.column_means[keep],
+                   sds=model.column_sds[keep], n_inputs=model.n_inputs,
+                   rotation=rotation)
 
 
 def apply_reducer(reducer: Reducer, X: np.ndarray) -> np.ndarray:
-    if reducer.mode == "latent":
-        return transform(reducer.pls, X)
-    return _standardize(reducer.pls, X)[:, list(reducer.selected)]
+    """(n, A) reduced rows of an (n, n_inputs) matrix; a latent reducer
+    reproduces the NIPALS scores of its training data."""
+    if X.ndim != 2 or X.shape[1] != reducer.n_inputs:
+        raise ValueError(f"input has {X.shape[-1]} columns, the reducer was "
+                         f"fit on {reducer.n_inputs}")
+    vals = X[:, reducer.columns]
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite feature values")
+    vals = (vals - reducer.means) / reducer.sds
+    return vals if reducer.rotation is None else vals @ reducer.rotation

@@ -80,8 +80,8 @@ def generate(spec: SynthSpec, out_dir) -> Path:
 
     Slices are grouped into patients of spec.slices_per_patient
     consecutive samples (per class); stage and subtype cycle through the
-    known vocabulary so metadata filters have something to grip.
-    Returns the manifest path.
+    known vocabulary, so every manifest value is a valid one, though the
+    pipeline reads neither.  Returns the manifest path.
     """
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)

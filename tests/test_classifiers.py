@@ -277,8 +277,8 @@ def reference_forest(X, y, n_trees=100, max_depth=10, features_per_split=0,
                      seed=0):
     """rf_fit's trees grown one at a time by recursion, each node split
     by loop_best_split: the forest as it was before lockstep growth.
-    Forests are compared by repr: node tuples hold Python ints and
-    floats, and an internal node's nan never equals itself."""
+    Forests are compared by repr, which also tells an int from an equal
+    float and -0.0 from 0.0."""
     p = X.shape[1]
     m = features_per_split if features_per_split > 0 else \
         max(1, int(np.ceil(np.sqrt(p))))
@@ -294,9 +294,11 @@ def reference_forest(X, y, n_trees=100, max_depth=10, features_per_split=0,
             out.append((-1, 0.0, pos / rows.size))
             return
         f, threshold = split
-        out.append((f, threshold, float("nan")))
+        at = len(out)
+        out.append(None)
         goes_left = X[rows, f] <= threshold
         grow(rows[goes_left], depth + 1, rng, out)
+        out[at] = (f, threshold, len(out))  # the right subtree starts here
         grow(rows[~goes_left], depth + 1, rng, out)
 
     trees = []
@@ -340,6 +342,42 @@ def forest_cases(draw):
 def test_lockstep_forest_is_the_recursive_forest(case):
     X, y, kwargs = case
     assert repr(rf_fit(X, y, **kwargs).trees) == repr(reference_forest(X, y, **kwargs))
+
+
+def subtree_size(nodes, idx):
+    """Nodes in the subtree rooted at nodes[idx], counted by walking the
+    preorder list until its leaves outnumber its splits."""
+    open_ends, end = 1, idx
+    while open_ends:
+        open_ends += 1 if nodes[end][0] >= 0 else -1
+        end += 1
+    return end - idx
+
+
+def recursive_predict(nodes, x, idx=0):
+    """The leaf value of x, descending by subtree sizes alone."""
+    feature, threshold, value = nodes[idx]
+    if feature < 0:
+        return value
+    left = idx + 1
+    return recursive_predict(nodes, x, left if x[feature] <= threshold
+                             else left + subtree_size(nodes, left))
+
+
+@settings(max_examples=80, deadline=None)
+@given(forest_cases())
+def test_splits_point_at_their_right_child(case):
+    X, y, kwargs = case
+    model = rf_fit(X, y, **kwargs)
+    for nodes in model.trees:
+        assert subtree_size(nodes, 0) == len(nodes)
+        for idx, (feature, _, right) in enumerate(nodes):
+            if feature >= 0:
+                assert right == idx + 1 + subtree_size(nodes, idx + 1)
+    # the forest's mean over trees, summed in tree order as rf_predict_proba does
+    want = [sum(recursive_predict(nodes, x) for nodes in model.trees)
+            / len(model.trees) for x in X]
+    assert rf_predict_proba(model, X).tolist() == want
 
 
 def test_lockstep_forest_of_very_different_tree_sizes(monkeypatch):
@@ -429,7 +467,6 @@ def test_rf_is_deterministic_per_seed():
     a = rf_fit(X, y, n_trees=5, max_depth=3, seed=2)
     b = rf_fit(X, y, n_trees=5, max_depth=3, seed=2)
     c = rf_fit(X, y, n_trees=5, max_depth=3, seed=3)
-    # nan placeholders at internal nodes defeat tuple ==; compare via repr
     assert repr(a.trees) == repr(b.trees)
     assert repr(a.trees) != repr(c.trees)
 

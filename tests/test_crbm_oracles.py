@@ -20,8 +20,8 @@ from crbm_radiomics import crbm, kernels
 from crbm_radiomics.errors import ModelFormatError, ShapeMismatchError
 from crbm_radiomics.seeding import derive_rng
 
-from crbm_enumeration import (all_bit_configs, dense_hidden_biases,
-                              dense_weights, energy,
+from crbm_enumeration import (ENUMERATION_LIMIT, all_bit_configs,
+                              dense_hidden_biases, dense_weights, energy,
                               exact_log_likelihood, exact_log_likelihood_grad,
                               free_energy, log_partition, random_binary_images,
                               random_tiny_model, shifted, visible_states)
@@ -234,13 +234,38 @@ def test_free_energy_equals_hidden_enumeration_vectorized():
             logsumexp(neg_energy), abs=1e-9)
 
 
+def hidden_states(model):
+    """Every binary stack of hidden maps, (2**n_hidden, M, H, H)."""
+    side = model.hidden_side
+    return all_bit_configs(model.num_hidden).reshape(-1, model.num_filters,
+                                                     side, side)
+
+
+def joint_log_partition(model):
+    """log Z as the log-sum-exp of -E(v, h) over every joint state, from
+    the energy alone.  Every hidden state is enumerated; -E is affine in
+    v, so its sum over v is a product over the pixels i:
+    sum_v exp(-E(v, h)) = exp(-E(0, h)) prod_i (1 + exp(E(0, h) - E(e_i, h))),
+    where e_i is the image whose one 1 is pixel i."""
+    n, hidden = model.input_size, hidden_states(model)
+    images = np.vstack([np.zeros((1, n * n)), np.eye(n * n)]).reshape(-1, n, n)
+    neg = np.stack([-energy(model, v, hidden) for v in images])
+    return float(logsumexp(neg[0] + np.logaddexp(0.0, neg[1:] - neg[0]).sum(axis=0)))
+
+
 def test_model_probabilities_sum_to_one():
+    # log Z, the log-sum-exp of -F(v), against the energy summed over
+    # every joint state: a free energy wrong in any term fails here
     rng = derive_rng(5, "z")
     for n, k, m in TINY_COMBOS:
         model = random_tiny_model(rng, n, k, m)
-        free = free_energy(model, visible_states(model))
-        log_total = logsumexp(-free) - log_partition(model)
-        assert np.exp(log_total) == pytest.approx(1.0, abs=1e-9)
+        want = joint_log_partition(model)
+        assert log_partition(model) == pytest.approx(want, abs=1e-9)
+        if model.num_visible + model.num_hidden <= ENUMERATION_LIMIT:
+            # small enough to list the joint states outright
+            joint = -energy(model, visible_states(model)[:, None],
+                            hidden_states(model)[None])
+            assert float(logsumexp(joint)) == pytest.approx(want, abs=1e-9)
 
 
 def test_exact_log_likelihood_is_a_log_probability():

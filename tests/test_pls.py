@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbm_radiomics.errors import TrainingError
-from crbm_radiomics.pls import (
-    Reducer,
-    apply_reducer,
-    fit_pls,
-    fit_reducer,
-    transform,
-    vip_scores,
-)
+from crbm_radiomics.pls import apply_reducer, fit_pls, fit_reducer, vip_scores
 from crbm_radiomics.seeding import derive_rng
 
 
 def matrix_from(values):
     return np.asarray(values, dtype=np.float64)
+
+
+def latent_scores(X, y, n_components):
+    """apply_reducer of a latent reducer fit on (X, y), applied to X."""
+    return apply_reducer(fit_reducer(X, y, n_components), X)
 
 
 def random_problem(seed, n=40, p=8):
@@ -67,7 +65,7 @@ def test_duplicate_columns_share_weight():
 def test_training_scores_are_pairwise_orthogonal():
     X, y = random_problem(4, n=50, p=12)
     model = fit_pls(X, y, 5)
-    scores = transform(model, X)
+    scores = latent_scores(X, y, 5)
     gram = scores.T @ scores
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() < 1e-8
@@ -87,7 +85,7 @@ def nipals_scores(model, Xz):
 @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 12),
        extra_rows=st.integers(3, 30), a=st.integers(1, 5),
        const=st.integers(-1000, 1000), data=st.data())
-def test_nipals_scores_are_orthogonal_and_transform_reproduces_them(
+def test_nipals_scores_are_orthogonal_and_the_reducer_reproduces_them(
         seed, p, extra_rows, a, const, data):
     rng = np.random.default_rng(seed)
     n = p + extra_rows
@@ -109,41 +107,39 @@ def test_nipals_scores_are_orthogonal_and_transform_reproduces_them(
     np.testing.assert_allclose(np.diag(gram), model.score_sq_norms, rtol=1e-9)
 
     tol = 1e-8 * norms.max()
-    got = transform(model, with_const)
+    got = latent_scores(with_const, y, min(a, p))
     np.testing.assert_allclose(got, T, rtol=0, atol=tol)
 
 
 def test_full_rank_fit_reconstructs_standardized_matrix():
     X, y = random_problem(5, n=30, p=6)
     model = fit_pls(X, y, 6)
-    scores = transform(model, X)
+    scores = latent_scores(X, y, 6)
     Xz = (X - model.column_means) / model.column_sds
     np.testing.assert_allclose(scores @ model.loadings.T, Xz, atol=1e-8)
 
 
-def test_transform_is_invariant_to_column_scaling():
+def test_latent_scores_are_invariant_to_column_scaling():
     X, y = random_problem(6)
     scaled = matrix_from(X * np.array([1, 100, 0.01, 5, 1, 1, 1, 1.0]))
-    a = transform(fit_pls(X, y, 3), X)
-    b = transform(fit_pls(scaled, y, 3), scaled)
+    a = latent_scores(X, y, 3)
+    b = latent_scores(scaled, y, 3)
     np.testing.assert_allclose(a, b, atol=1e-8)
 
 
-def test_transform_maps_column_means_to_origin():
+def test_latent_reducer_maps_column_means_to_origin():
     X, y = random_problem(7)
-    model = fit_pls(X, y, 2)
+    reducer = fit_reducer(X, y, 2)
     mean_row = matrix_from(X.mean(axis=0, keepdims=True))
-    np.testing.assert_allclose(transform(model, mean_row), 0.0, atol=1e-10)
+    np.testing.assert_allclose(apply_reducer(reducer, mean_row), 0.0, atol=1e-10)
 
 
-def test_transform_and_apply_reducer_reject_another_width():
+def test_apply_reducer_rejects_another_width():
     X, y = random_problem(8, p=4)
     for mode in ("latent", "vip-subset"):
         red = fit_reducer(X, y, 2, mode=mode)
         for other in (X[:, :3], np.column_stack([X, X[:, 0]])):
             width = other.shape[1]
-            with pytest.raises(ValueError, match=rf"\b{width}\b.*\b4\b"):
-                transform(red.pls, other)
             with pytest.raises(ValueError, match=rf"\b{width}\b.*\b4\b"):
                 apply_reducer(red, other)
 
@@ -159,8 +155,8 @@ def test_zero_variance_columns_are_dropped_and_recorded():
     assert model.columns.tolist() == [0, 1, 3]
     assert model.n_inputs == 4
     assert model.weights.shape == (3, 2)
-    # transform still accepts the full matrix
-    assert transform(model, X).shape == (20, 2)
+    # the reducer still accepts the full matrix
+    assert latent_scores(X, y, 2).shape == (20, 2)
 
 
 def test_fit_rejects_bad_inputs():
@@ -207,31 +203,49 @@ def test_vip_ranks_the_informative_column_first():
     assert int(np.argmax(vip)) == 3
 
 
-def test_reducer_latent_mode_matches_transform():
+def test_latent_reducer_projects_new_rows_like_the_deflation():
     X, y = random_problem(14)
-    red = fit_reducer(X, y, 3, mode="latent")
-    np.testing.assert_allclose(apply_reducer(red, X),
-                               transform(red.pls, X), atol=1e-12)
-    assert red.selected == ()
+    new = random_problem(114)[0]
+    model = fit_pls(X, y, 3)
+    want = nipals_scores(model, (new - model.column_means) / model.column_sds)
+    np.testing.assert_allclose(apply_reducer(fit_reducer(X, y, 3), new), want,
+                               atol=1e-12)
 
 
 def test_reducer_vip_subset_returns_standardized_columns():
     rng = derive_rng(15, "sub")
     vals = rng.normal(size=(40, 5))
-    vals[:, 0] = 3.0  # dropped, so kept positions are input positions - 1
+    vals[:, 0] = 3.0  # dropped, so VIP position k is input column k + 1
     y = (vals[:, 2] > 0).astype(float)
     red = fit_reducer(matrix_from(vals), y, 2, mode="vip-subset")
-    assert len(red.selected) == 2
-    assert 1 in red.selected  # the driving column, input 2, must survive
+    assert red.rotation is None
+    assert red.columns.tolist() == \
+        (np.argsort(-vip_scores(fit_pls(vals, y, 2)), kind="stable")[:2] + 1).tolist()
+    assert 2 in red.columns  # the driving column must survive
     out = apply_reducer(red, matrix_from(vals))
     assert out.shape == (40, 2)
-    for k, pos in enumerate(red.selected):
-        col = red.pls.columns[pos]
-        want = (vals[:, col] - red.pls.column_means[pos]) / red.pls.column_sds[pos]
+    for k, col in enumerate(red.columns):
+        want = (vals[:, col] - vals[:, col].mean()) / vals[:, col].std()
         np.testing.assert_allclose(out[:, k], want, atol=1e-12)
 
 
-def test_reducer_rejects_unknown_mode():
+def test_vip_subset_reads_only_its_columns():
+    X, y = random_problem(17, p=6)
+    red = fit_reducer(X, y, 2, mode="vip-subset")
+    want = apply_reducer(red, X)
+    for col in sorted(set(range(6)) - set(red.columns.tolist())):
+        for value in (1e6, np.nan):
+            changed = X.copy()
+            changed[:, col] = value
+            assert np.array_equal(apply_reducer(red, changed), want)
+    # a non-finite value in a column it reads is still refused
+    changed = X.copy()
+    changed[0, red.columns[0]] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_reducer(red, changed)
+
+
+def test_fit_reducer_rejects_unknown_mode():
     X, y = random_problem(16)
-    with pytest.raises(ValueError):
-        Reducer(mode="pca", pls=fit_pls(X, y, 1), selected=())
+    with pytest.raises(ValueError, match="pca"):
+        fit_reducer(X, y, 1, mode="pca")

@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import crbm_radiomics
+from crbm_radiomics import errors
 
 PACKAGE = Path(crbm_radiomics.__file__).parent
 
@@ -86,3 +87,11 @@ def test_the_enumeration_oracles_share_no_code_with_the_package():
                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                and not node.attr.startswith("__")]
     assert not private, f"private attributes read: {private}"
+
+
+def test_every_error_type_is_exported_by_the_package():
+    defined = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.PipelineError)]
+    assert len(defined) > 1
+    for error in defined:
+        assert getattr(crbm_radiomics, error.__name__, None) is error, error.__name__
