@@ -11,6 +11,11 @@ the sigmoid's.  Each of these rows is timed in float64, the dtype of
 feature extraction and the oracles, and in float32, the dtype of the CD
 training chain.
 
+Two whole steps of the quick-start are timed as well: one CD-1 update
+(``cd_update``) on a batch of 16 patches of 16x16 with 16 filters of 5x5,
+whose chain runs in float32, and one fold's logistic-regression head
+(``lr_fit``, 500 gradient steps on 1200 rows of 20 PLS-like scores).
+
 The texture counters run on 32-level quantized planes with the
 ``radiomics-rf`` workload's elliptical ROI, at the two stack shapes the
 radiomics catalog feeds them: 8 slices of 32x32 (one stack at the
@@ -129,6 +134,16 @@ forest_y = (forest_X[:, 0] + rng.normal(size=150) > 0).astype(np.float64)
 forest = classifiers.rf_fit(forest_X, forest_y, 100, 10)
 held_out_X = rng.normal(size=(50, 20)) / np.arange(1, 21)
 
+# one quick-start CD batch, as train passes it: views of float64 patches
+cd_batch = list(rng.random((16, 16, 16)))
+cd_config = crbm.CrbmConfig(num_filters=16, kernel_size=5, input_size=16,
+                            learning_rate=0.05, batch_size=16)
+cd_rng = np.random.default_rng(1)
+
+# one quick-start fold of the LR head: 1200 rows of 20 PLS-like scores
+lr_X = rng.normal(size=(1200, 20)) / np.arange(1, 21)
+lr_y = (lr_X[:, 0] + rng.normal(size=1200) > 0).astype(np.float64)
+
 CRBM_CASES = (
     ("corr_valid  (1x256x256, 64x5x5)", kernels.corr_valid, (image, filters)),
     ("corr_valid  (16x16x16, 16x5x5)", kernels.corr_valid, (patches, patch_filters)),
@@ -149,6 +164,10 @@ def as_dtype(args, dtype):
 CASES = tuple(
     (f"{label} {np.dtype(dtype).name}", fn, as_dtype(args, dtype))
     for label, fn, args in CRBM_CASES for dtype in (np.float64, np.float32)
+) + (
+    ("cd_update (16 x 16x16, 16x5x5) float32", crbm.cd_update,
+     (patch_model, cd_batch, cd_config, cd_rng)),
+    ("lr_fit (1200x20, 500 steps)", classifiers.lr_fit, (lr_X, lr_y)),
 ) + tuple(
     (f"glcm_counts ({name}, 0,1) {how}", fn, (codes, rois, 0, 1, 32))
     for name, (codes, rois) in STACKS

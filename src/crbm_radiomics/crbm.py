@@ -51,6 +51,7 @@ the same functions: ``cd_gradient_estimate``, ``gibbs_chain`` and
 tests hold these entry points to float64 tolerances.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -284,37 +285,48 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
 
 
 def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, data_phase):
     """k Gibbs rounds for a stack of images v0 (B, N, N) at once.
 
-    Every uniform is drawn before any kernel runs, image by image in the
-    order a one-image chain consumes them ([hidden, visible] x k), so the
-    batch gets the samples its images would get chained one after another
-    from the same generator.  The uniforms, and everything else in the
-    chain, are of v0's dtype (float32 or float64).  A sample is 1.0 where
-    uniform < probability; it is written over its uniform.  Returns (v_k,
-    h0_probs, hk_probs, v1_probs), each with the leading batch axis.
+    The uniforms are drawn in one call, laid out in the order that
+    one-image chains run image after image consume them: per image,
+    [hidden, visible] x k.  One call draws the stream of consecutive
+    calls, float32 too (a float32 draw takes one 32-bit half of a 64-bit
+    output, and the generator keeps the spare half for the next draw), so
+    the batch gets the samples its images would get chained one after
+    another from the same generator.  The uniforms, and everything else
+    in the chain, are of v0's dtype (float32 or float64).  A sample is
+    1.0 where uniform < probability: a hidden sample is written over its
+    uniforms, a visible one into an array of its own, so that v_k does
+    not hold the uniforms alive.
+
+    data_phase(h0_probs) is called with the hidden probabilities of v0
+    before the uniforms are drawn, and the chain drops them once it has
+    sampled from them.  A caller that reduces them to sums, as the CD
+    statistics do, thus holds one stack of hidden maps at a time: a
+    chunk's peak is these probabilities and the uniforms.  Returns (v_k,
+    hk_probs, v1_probs), each with the leading batch axis.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n, side, dtype = model.input_size, model.hidden_side, v0.dtype
-    u_h = np.empty((k, len(v0), model.num_filters, side, side), dtype=dtype)
-    u_v = np.empty((k, len(v0), n, n), dtype=dtype)
-    for i in range(len(v0)):
-        for step in range(k):
-            rng.random(out=u_h[step, i], dtype=dtype)
-            rng.random(out=u_v[step, i], dtype=dtype)
-    h0_probs = probs = _hidden_probs(model, v0)
+    batch, n_hidden = len(v0), model.num_hidden
+    probs = _hidden_probs(model, v0)
+    data_phase(probs)
+    uniforms = rng.random((batch, k, n_hidden + n * n), dtype=dtype)
+    u_h = uniforms[..., :n_hidden].reshape(batch, k, model.num_filters, side, side)
+    u_v = uniforms[..., n_hidden:].reshape(batch, k, n, n)
     for step in range(k):
         if step:
             probs = _hidden_probs(model, v)
-        h = np.less(u_h[step], probs, out=u_h[step])
+        h = np.less(u_h[:, step], probs, out=u_h[:, step])
+        del probs  # sampled: free them before the reconstruction
         v_probs = _visible_probs(model, h)
         if step == 0:
             v1_probs = v_probs
-        v = np.less(u_v[step], v_probs, out=u_v[step])
-    del u_h, h, probs  # spent: free them before the last hidden pass
-    return v, h0_probs, _hidden_probs(model, v), v1_probs
+        v = np.less(u_v[:, step], v_probs, out=np.empty_like(v_probs))
+    del uniforms, u_h, u_v, h  # spent: free them before the last hidden pass
+    return v, _hidden_probs(model, v), v1_probs
 
 
 def gibbs_chain(model: CrbmModel, v0: np.ndarray, k: int,
@@ -327,12 +339,22 @@ def gibbs_chain(model: CrbmModel, v0: np.ndarray, k: int,
     after the first round) feeds the training diagnostics.
     """
     v0 = _visible_stack(model, v0, ndim=2)
-    return GibbsResult(*(a[0] for a in _gibbs_batch(model, v0[None], k, rng)))
+    h0 = []
+    v_k, hk_probs, v1_probs = _gibbs_batch(model, v0[None], k, rng, h0.append)
+    return GibbsResult(v_k[0], h0[0][0], hk_probs[0], v1_probs[0])
 
 
 # ---------------------------------------------------------------------------
 # Contrastive divergence
 # ---------------------------------------------------------------------------
+
+def _add_data_phase(g_w: np.ndarray, g_c: np.ndarray, v0: np.ndarray,
+                    p0: np.ndarray) -> None:
+    """Add the data-phase statistics of images v0 with hidden
+    probabilities p0 to the float64 sums g_w and g_c."""
+    g_w += kernels.corr_grad(v0, p0)
+    g_c += p0.sum(axis=(0, 2, 3), dtype=np.float64)
+
 
 def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
              rng: np.random.Generator):
@@ -343,7 +365,9 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     runs in chunks of whole images that draw at most _CD_CHUNK_DRAWS
     uniforms each; chunks consume the generator in image order, so the
     chunking never changes a sample.  The chain runs in the stack's dtype;
-    the statistics are summed in float64.
+    the statistics are summed in float64.  The data phase is summed before
+    the chain draws its uniforms, so that a chunk never holds two stacks
+    of hidden probabilities.
     """
     per_image = k * (model.num_hidden + model.num_visible)
     step = max(1, _CD_CHUNK_DRAWS // per_image)
@@ -353,14 +377,13 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     ce = 0.0
     for start in range(0, len(pixels), step):
         v0 = pixels[start:start + step]
-        vk, p0, pk, v1_probs = _gibbs_batch(model, v0, k, rng)
-        g_w += kernels.corr_grad(v0, p0)
+        vk, pk, v1_probs = _gibbs_batch(
+            model, v0, k, rng, functools.partial(_add_data_phase, g_w, g_c, v0))
         g_w -= kernels.corr_grad(vk, pk)
         g_b += float(v0.sum(dtype=np.float64) - vk.sum(dtype=np.float64))
-        g_c += p0.sum(axis=(0, 2, 3), dtype=np.float64)
         g_c -= pk.sum(axis=(0, 2, 3), dtype=np.float64)
         ce += _recon_cross_entropy_sum(v0, v1_probs)
-        del vk, p0, pk, v1_probs  # free this chunk's maps before the next chain
+        del vk, pk, v1_probs  # free this chunk's maps before the next chain
     return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c), ce
 
 
@@ -380,9 +403,15 @@ def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
     """Summed cross-entropy of v0 under v_probs, in float64 whatever their
     dtype: float32 rounds 1 - 1e-12 to 1, so a float32 clip would leave
     log(1 - p) unguarded at a saturated p."""
-    v0 = np.asarray(v0, dtype=np.float64)
-    p = np.clip(np.asarray(v_probs, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    return float(-np.sum(v0 * np.log(p) + (1.0 - v0) * np.log(1.0 - p)))
+    v0 = v0.astype(np.float64)
+    p = v_probs.astype(np.float64)
+    np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
+    q = np.log(1.0 - p)
+    np.log(p, out=p)
+    p *= v0
+    q *= np.subtract(1.0, v0, out=v0)
+    p += q  # v0 log(p) + (1 - v0) log(1 - p), computed in place
+    return float(-p.sum())
 
 
 def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,

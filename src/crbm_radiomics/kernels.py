@@ -7,9 +7,13 @@ activations, full convolution for visible reconstruction, and the K x K
 weight-gradient correlation) and the two texture-matrix counters (GLCM
 pair counts, GLRLM run counts).  Each has one numpy implementation.
 
-Each convolution is one matrix product over sliding windows.  All three
-take an optional leading batch axis (any number of leading axes, written
-``...`` below), so a CD minibatch goes through each kernel in one call:
+Each convolution is one matrix product.  ``corr_valid`` and
+``corr_grad`` multiply by an im2col copy of the images' K x K windows;
+``conv_full`` multiplies to K*K shifted tap planes and adds each output
+pixel's taps in a fixed (r, s) order, with one reduction over a frame of
+the placed planes (see its docstring).  All three take an optional
+leading batch axis (any number of leading axes, written ``...`` below),
+so a CD minibatch goes through each kernel in one call:
 
 * ``corr_valid``  (..., N, N) x (M, K, K) -> (..., M, H, H), H = N - K + 1;
 * ``conv_full``   (..., M, H, H) x (M, K, K) -> (..., N, N), summed over maps;
@@ -33,8 +37,9 @@ and it agrees with expit to within 1e-15 relative in float64 (below
 1e-300, 1e-300 absolute) and 4 float32 eps relative in float32.
 """
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "corr_valid",
@@ -46,35 +51,74 @@ __all__ = [
     "active_backend",
 ]
 
+# most values in one band of conv_full's frame of tap planes (1 MB of
+# float32), unless one output row and the 2 (K - 1) rows around it need more
+_FRAME_ELEMENTS = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Convolutions
 # ---------------------------------------------------------------------------
+
+def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A view of the C-contiguous array a with these shape and strides (in
+    bytes), made over a's buffer: numpy checks that it stays inside a,
+    read-only if a is, at a sixth of as_strided's set-up cost (about 1
+    against 6 us; the CD chain makes five such views per minibatch)."""
+    return np.ndarray(shape, a.dtype, a, 0, strides)
+
 
 def corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of images v (..., N, N) with filters w (M, K, K)
     -> (..., M, H, H)."""
     m, k, _ = w.shape
     lead, hside = v.shape[:-2], v.shape[-1] - k + 1
+    v = np.ascontiguousarray(v)
+    row, col = v.strides[-2:]
     # windows[..., r, s, i, j] = v[..., i + r, j + s]; the reshape copies
-    windows = sliding_window_view(v, (hside, hside), axis=(-2, -1))
+    windows = _strided(v, (*lead, k, k, hside, hside),
+                       (*v.strides[:-2], row, col, row, col))
     flat = windows.reshape(*lead, k * k, hside * hside)
     return (w.reshape(m, k * k) @ flat).reshape(*lead, m, hside, hside)
 
 
 def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Full convolution of hidden maps (..., M, H, H) with filters (M, K, K),
-    summed over filters -> (..., N, N) with N = H + K - 1."""
+    summed over filters -> (..., N, N) with N = H + K - 1.
+
+    One matrix product gives the K*K tap planes.  Each output pixel then
+    adds its tap terms one after another in (r, s) order, the order of a
+    loop that adds each shifted plane into a zeroed output: the planes are
+    placed at their offsets in a zeroed frame, (K, K, ..., rows, N), and
+    one reduction over the tap axes adds them in that order.  The frame
+    covers a band of output rows and the K - 1 rows of taps on either side
+    that reach into it, at most _FRAME_ELEMENTS values, so that a large
+    image does not get a K*K-fold copy of itself.
+    """
     m, k, _ = w.shape
     lead, hside = hmaps.shape[:-3], hmaps.shape[-1]
     n = hside + k - 1
     # taps[..., r, s, i, j] = sum_m w[m, r, s] * hmaps[..., m, i, j]
     taps = w.reshape(m, k * k).T @ hmaps.reshape(*lead, m, hside * hside)
     taps = taps.reshape(*lead, k, k, hside, hside)
-    out = np.zeros((*lead, n, n), dtype=taps.dtype)
-    for r in range(k):
-        for s in range(k):
-            out[..., r:r + hside, s:s + hside] += taps[..., r, s, :, :]
+    out = np.empty((*lead, n, n), dtype=taps.dtype)
+    rows = _FRAME_ELEMENTS // (k * k * n * math.prod(lead))
+    band = n if rows >= n else max(1, rows - 2 * (k - 1))
+    for u0 in range(0, n, band):
+        u1 = min(u0 + band, n)
+        # hidden rows [a, b) reach output rows [u0, u1); frame row t is
+        # output row a + t
+        a, b = max(u0 - k + 1, 0), min(u1, hside)
+        frame = np.zeros((k, k, *lead, b - a + k - 1, n), dtype=taps.dtype)
+        tap_r, tap_s, *lead_strides, row, col = frame.strides
+        # placed[..., r, s, i, j] = frame[r, s, ..., i + r, j + s]
+        placed = _strided(frame, (*lead, k, k, b - a, hside),
+                          (*lead_strides, tap_r + row, tap_s + col, row, col))
+        placed[...] = taps[..., a:b, :]
+        planes = frame.reshape(k * k, *lead, b - a + k - 1, n)
+        np.add.reduce(planes[..., u0 - a:u1 - a, :], axis=0,
+                      out=out[..., u0:u1, :])
+        del frame, placed, planes  # before the next band's frame
     return out
 
 
@@ -84,10 +128,14 @@ def corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     m, hside = p.shape[-3], p.shape[-1]
     n = v.shape[-1]
     k = n - hside + 1
-    # both operands as (rows, B*H*H) for one product over every image
-    windows = sliding_window_view(v.reshape(-1, n, n), (hside, hside), axis=(1, 2))
-    flat = np.moveaxis(windows, 0, 2).reshape(k * k, -1)
-    maps = np.moveaxis(p.reshape(-1, m, hside * hside), 0, 1).reshape(m, -1)
+    v = np.ascontiguousarray(v).reshape(-1, n, n)
+    image, row, col = v.strides
+    # both operands as (rows, B*H*H) for one product over every image:
+    # windows[r, s, b, i, j] = v[b, i + r, j + s]; the reshapes copy
+    windows = _strided(v, (k, k, len(v), hside, hside),
+                       (row, col, image, row, col))
+    flat = windows.reshape(k * k, -1)
+    maps = p.reshape(-1, m, hside * hside).transpose(1, 0, 2).reshape(m, -1)
     return (maps @ flat.T).reshape(m, k, k)
 
 

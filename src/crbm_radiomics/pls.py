@@ -46,9 +46,10 @@ class PlsModel:
 def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
     """NIPALS PLS1 on z-scored columns and centered labels; X is (n, p).
 
-    Zero-variance columns are dropped (columns keeps the others'
-    positions).  Each weight vector is sign-fixed by making its
-    largest-magnitude entry positive, so refits are bit-reproducible.
+    Constant columns, whose training values are all equal, are dropped
+    (columns keeps the others' positions).  Each weight vector is
+    sign-fixed by making its largest-magnitude entry positive, so refits
+    are bit-reproducible.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     vals = np.asarray(X, dtype=np.float64)
@@ -60,7 +61,11 @@ def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
     if len(np.unique(y)) < 2:
         raise ValueError("labels are single-class")
     sds = vals.std(axis=0)
-    keep = sds > 0
+    # constant means all values equal, compared exactly: the float mean of
+    # equal values need not be that value (summed down a column, nine 0.1s
+    # have a std of 1.4e-17), and a constant column kept would be z-scored
+    # to a constant +-1
+    keep = (vals != vals[0]).any(axis=0) & (sds > 0)
     if not keep.any():
         raise ValueError("all feature columns are constant")
     means = vals.mean(axis=0)[keep]

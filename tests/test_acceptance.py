@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from crbm_radiomics import cli, crbm, evaluation, synth
-from crbm_radiomics.classifiers import (lr_loss_and_grad, rf_fit,
+from crbm_radiomics.classifiers import (lr_gradient, rf_fit,
                                         rf_predict_proba, svm_decision,
                                         svm_fit)
 from crbm_radiomics.config import CvSection, PipelineConfig, SynthSpec
@@ -29,6 +29,7 @@ from crbm_enumeration import (all_bit_configs, energy, exact_log_likelihood,
                               exact_log_likelihood_grad, expected_cd_cosines,
                               free_energy, random_binary_images,
                               random_tiny_model, shifted)
+from lr_reference import lr_loss
 from radiomics_reference import wavelet_reconstruct
 from texture_bruteforce import brute_glcm, brute_glrlm
 
@@ -299,18 +300,18 @@ def test_criterion_08_classifiers_are_sound():
         y = rng.integers(0, 2, size=12).astype(np.float64)
         w = rng.normal(size=4)
         b = float(rng.normal())
-        _, grad_w, grad_b = lr_loss_and_grad(w, b, X, y, l2=1e-2)
+        grad_w, grad_b = lr_gradient(w, b, X, y, l2=1e-2)
         for j in range(4):
             step = np.zeros(4)
             step[j] = eps
-            hi, _, _ = lr_loss_and_grad(w + step, b, X, y, l2=1e-2)
-            lo, _, _ = lr_loss_and_grad(w - step, b, X, y, l2=1e-2)
+            hi = lr_loss(w + step, b, X, y, l2=1e-2)
+            lo = lr_loss(w - step, b, X, y, l2=1e-2)
             rel = abs((hi - lo) / (2 * eps) - grad_w[j]) \
                 / max(abs((hi - lo) / (2 * eps)), 1e-4)
             assert rel < 1e-4
             worst = max(worst, rel)
-        hi, _, _ = lr_loss_and_grad(w, b + eps, X, y, l2=1e-2)
-        lo, _, _ = lr_loss_and_grad(w, b - eps, X, y, l2=1e-2)
+        hi = lr_loss(w, b + eps, X, y, l2=1e-2)
+        lo = lr_loss(w, b - eps, X, y, l2=1e-2)
         rel = abs((hi - lo) / (2 * eps) - grad_b) \
             / max(abs((hi - lo) / (2 * eps)), 1e-4)
         assert rel < 1e-4

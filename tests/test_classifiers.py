@@ -11,7 +11,7 @@ from crbm_radiomics.classifiers import (
     RfModel,
     SvmModel,
     lr_fit,
-    lr_loss_and_grad,
+    lr_gradient,
     lr_predict_proba,
     rf_fit,
     rf_predict_proba,
@@ -20,6 +20,8 @@ from crbm_radiomics.classifiers import (
     svm_objective,
 )
 from crbm_radiomics.seeding import derive_rng
+
+from lr_reference import lr_loss
 
 
 def separable_problem(seed, n=80, p=4, margin=1.0):
@@ -45,24 +47,24 @@ def test_lr_gradient_matches_finite_differences():
         w = rng.normal(size=p)
         b = float(rng.normal())
         l2 = float(rng.random() * 0.1)
-        _, gw, gb = lr_loss_and_grad(w, b, X, y, l2)
+        gw, gb = lr_gradient(w, b, X, y, l2)
         for j in range(p):
             d = np.zeros(p)
             d[j] = eps
-            hi = lr_loss_and_grad(w + d, b, X, y, l2)[0]
-            lo = lr_loss_and_grad(w - d, b, X, y, l2)[0]
+            hi = lr_loss(w + d, b, X, y, l2)
+            lo = lr_loss(w - d, b, X, y, l2)
             fd = (hi - lo) / (2 * eps)
             assert abs(fd - gw[j]) / max(abs(fd), 1e-4) < 1e-4
-        fd = (lr_loss_and_grad(w, b + eps, X, y, l2)[0]
-              - lr_loss_and_grad(w, b - eps, X, y, l2)[0]) / (2 * eps)
+        fd = (lr_loss(w, b + eps, X, y, l2)
+              - lr_loss(w, b - eps, X, y, l2)) / (2 * eps)
         assert abs(fd - gb) / max(abs(fd), 1e-4) < 1e-4
 
 
 def test_lr_descent_never_increases_the_loss():
     X, y = separable_problem(2)
     model = lr_fit(X, y, l2=1e-3, steps=200)
-    start = lr_loss_and_grad(np.zeros(X.shape[1]), 0.0, X, y, 1e-3)[0]
-    end = lr_loss_and_grad(model.weights, model.bias, X, y, 1e-3)[0]
+    start = lr_loss(np.zeros(X.shape[1]), 0.0, X, y, 1e-3)
+    end = lr_loss(model.weights, model.bias, X, y, 1e-3)
     assert end < start
 
 

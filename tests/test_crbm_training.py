@@ -1,5 +1,7 @@
 """Contrastive-divergence training behaviour on small binary corpora."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,9 +50,15 @@ def record_chunks(monkeypatch):
     chunks = []
     batched = crbm._gibbs_batch
 
-    def spy(model, v0, k, rng):
-        out = batched(model, v0, k, rng)
-        chunks.append(tuple(a.copy() for a in (v0, *out)))
+    def spy(model, v0, k, rng, data_phase):
+        h0 = []
+
+        def record(p0):
+            h0.append(p0.copy())
+            data_phase(p0)
+
+        v_k, hk, v1_probs = out = batched(model, v0, k, rng, record)
+        chunks.append(tuple(a.copy() for a in (v0, v_k, *h0, hk, v1_probs)))
         return out
 
     monkeypatch.setattr(crbm, "_gibbs_batch", spy)
@@ -150,6 +158,43 @@ def test_gibbs_chain_follows_the_one_image_draw_order():
     np.testing.assert_allclose(got.h0_probs, h0, atol=1e-12)
     np.testing.assert_allclose(got.hk_probs, hk, atol=1e-12)
     np.testing.assert_allclose(got.v1_probs, v1_probs, atol=1e-12)
+
+
+def test_one_float32_draw_per_chunk_carries_the_spare_half_word_over():
+    # 3 filters of 2x2 on 5x5: 48 hidden and 25 visible uniforms a step,
+    # an odd count, so a one-image chain starts every other step's float32
+    # draws on the spare 32-bit half of a 64-bit output; the chunk's one
+    # draw must hand every image the uniforms its own chain would draw
+    model = crbm.init_model(3, 2, 5, weight_init_sigma=0.8, seed=18)
+    assert (model.num_hidden + model.num_visible) % 2 == 1
+    v0 = random_binary_images(derive_rng(18, "odd"), 5, 3).astype(np.float32)
+    batched, replayed = derive_rng(18, "u"), derive_rng(18, "u")
+    h0 = []
+    vk, hk, v1_probs = crbm._gibbs_batch(model, v0, 2, batched, h0.append)
+    want = replay_batch(model, v0, 2, replayed)
+    for got, expected in zip((vk, *h0, hk, v1_probs), want, strict=True):
+        assert got.dtype == np.float32 and np.array_equal(got, expected)
+    assert batched.bit_generator.state == replayed.bit_generator.state
+
+
+def test_a_cd_chunk_holds_one_stack_of_hidden_maps_besides_its_uniforms():
+    # a paper-like float32 chunk: one 128x128 image, 64 filters of 5x5
+    model = crbm.init_model(64, 5, 128, seed=19)
+    v0 = derive_rng(19, "mem").random((1, 128, 128)).astype(np.float32)
+    crbm._cd_sums(model, v0, 1, derive_rng(19, "u"))  # lazy set-up first
+    tracemalloc.start()
+    try:
+        crbm._cd_sums(model, v0, 1, derive_rng(19, "u"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hidden = 4 * model.num_hidden
+    uniforms = 4 * (model.num_hidden + model.num_visible)
+    # the peak is the data-phase probabilities and the uniforms drawn to
+    # sample them (7.6 MiB here).  Holding those probabilities through the
+    # reconstruction, or a visible sample that is a view into the
+    # uniforms, keeps a second stack and an im2col copy alive (over 9 MiB)
+    assert peak <= hidden + uniforms + hidden // 16
 
 
 def expit_hidden_probs(model, pixels):

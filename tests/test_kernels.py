@@ -1,6 +1,8 @@
 """Independent oracles for the five hot kernels: scipy.signal for the
 convolutions and literal pixel loops for the texture counters."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,57 @@ def test_corr_grad_batched_is_sum_of_per_image_correlations(seed, batch, m, k, e
     want = sum(np.stack([correlate2d(img, maps[i], mode="valid") for i in range(m)])
                for img, maps in zip(_images(v, 2), _images(h, 3)))
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def conv_full_tap_loop(hmaps, w):
+    """conv_full as a loop over taps: the tap planes of the same matrix
+    product, each added into a zeroed output at its (r, s) offset in
+    (r, s) order.  The kernel adds each pixel's terms in this order."""
+    m, k, _ = w.shape
+    lead, side = hmaps.shape[:-3], hmaps.shape[-1]
+    taps = w.reshape(m, k * k).T @ hmaps.reshape(*lead, m, side * side)
+    taps = taps.reshape(*lead, k, k, side, side)
+    out = np.zeros((*lead, side + k - 1, side + k - 1), dtype=taps.dtype)
+    for r in range(k):
+        for s in range(k):
+            out[..., r:r + side, s:s + side] += taps[..., r, s, :, :]
+    return out
+
+
+def test_window_kernels_take_strided_image_stacks():
+    # the window views are made over a contiguous buffer; a strided stack
+    # must give the bits of its contiguous copy
+    rng = np.random.default_rng(21)
+    v = rng.random((3, 12, 15))[:, :, 1:13]
+    w = rng.normal(size=(2, 4, 4))
+    h = rng.random((3, 2, 9, 9))
+    assert not v.flags.c_contiguous
+    assert np.array_equal(kernels.corr_valid(v, w), kernels.corr_valid(v.copy(), w))
+    assert np.array_equal(kernels.corr_grad(v, h), kernels.corr_grad(v.copy(), h))
+
+
+# frame budgets: one value per band row, a few rows, and the default
+FRAME_BUDGETS = (1, 1 << 10, kernels._FRAME_ELEMENTS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lead=st.sampled_from([(), (3,), (2, 3)]), m=st.integers(1, 4),
+       k=st.integers(1, 5), side=st.integers(1, 9),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       binary=st.booleans(), budget=st.sampled_from(FRAME_BUDGETS))
+def test_conv_full_is_bit_identical_to_the_tap_loop(seed, lead, m, k, side,
+                                                    dtype, binary, budget):
+    rng = np.random.default_rng(seed)
+    hmaps = rng.random((*lead, m, side, side))
+    if binary:  # the CD chain's hidden samples
+        hmaps = (hmaps < 0.5).astype(np.float64)
+    hmaps, w = hmaps.astype(dtype), rng.normal(size=(m, k, k)).astype(dtype)
+    with mock.patch.object(kernels, "_FRAME_ELEMENTS", budget):
+        got = kernels.conv_full(hmaps, w)
+    want = conv_full_tap_loop(hmaps, w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # Property tests on stacks: one call counts every member of a random stack

@@ -159,6 +159,19 @@ def test_zero_variance_columns_are_dropped_and_recorded():
     assert latent_scores(X, y, 2).shape == (20, 2)
 
 
+def test_a_constant_column_with_a_nonzero_float_std_is_dropped():
+    # summed down the rows, the float mean of nine 0.1s is not 0.1, so
+    # their column std is 1.4e-17
+    rng = derive_rng(9, "tenths")
+    vals = rng.normal(size=(9, 3))
+    vals[:, 1] = 0.1
+    assert vals.std(axis=0)[1] > 0
+    y = np.array([0, 1, 0, 1, 0, 1, 1, 0, 0], dtype=float)
+    model = fit_pls(matrix_from(vals), y, 2)
+    assert model.columns.tolist() == [0, 2]
+    assert model.n_inputs == 3
+
+
 def test_fit_rejects_bad_inputs():
     X, y = random_problem(10, n=10, p=3)
     with pytest.raises(ValueError):
