@@ -53,7 +53,11 @@ def cmd_train_crbm(args) -> int:
 
 
 def _load_model(path, config):
-    """The --model file, refused unless its sizes are the config's."""
+    """The --model file, refused unless its sizes are the config's, and
+    under feature_source radiomics, which reads no model."""
+    if config.feature_source == "radiomics":
+        raise ConfigError("--model is given, but feature_source 'radiomics' "
+                          "uses no CRBM")
     model = crbm.load_model(path)
     wrong = [f"{name} {getattr(model, name)} (config {getattr(config.crbm, name)})"
              for name in ("num_filters", "kernel_size", "input_size")

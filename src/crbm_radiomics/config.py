@@ -19,7 +19,6 @@ from .errors import ConfigError
 FEATURE_SOURCES = ("radiomics", "crbm-image", "crbm-patch")
 CLASSIFIER_KINDS = ("lr", "svm", "rf")
 CV_MODES = ("slice-level", "patient-grouped")
-REDUCTION_MODES = ("uniform", "random-projection")
 PLS_MODES = ("latent", "vip-subset")
 
 
@@ -69,7 +68,6 @@ class PipelineConfig:
     pls_mode: str = "latent"
     classifier: ClassifierSection = field(default_factory=ClassifierSection)
     cv: CvSection = field(default_factory=CvSection)
-    reduction_weights: str = "uniform"
     patch_stride: int = 0  # 0 = non-overlapping (stride = patch size)
     radiomics_levels: int = 32
     seed: int = 0
@@ -82,8 +80,6 @@ class PipelineConfig:
             raise ConfigError("pls_components must be >= 1")
         if self.pls_mode not in PLS_MODES:
             raise ConfigError(f"pls_mode must be one of {PLS_MODES}")
-        if self.reduction_weights not in REDUCTION_MODES:
-            raise ConfigError(f"reduction_weights must be one of {REDUCTION_MODES}")
         if self.patch_stride < 0:
             raise ConfigError("patch_stride must be >= 0")
         if self.radiomics_levels < 2:
@@ -128,9 +124,9 @@ _SECTIONS = {"crbm": CrbmConfig, "classifier": ClassifierSection, "cv": CvSectio
 def _has_type(value, annotation) -> bool:
     """Whether a JSON value fits a scalar field's annotation.  An int fits
     a float field and is kept as is, so an echoed config keeps the file's
-    numbers; a bool (an int subclass) fits only a bool field."""
-    if isinstance(value, bool) or annotation is bool:
-        return isinstance(value, bool) and annotation is bool
+    numbers; a bool (an int subclass) fits no field."""
+    if isinstance(value, bool):
+        return False
     if annotation is float:
         return isinstance(value, (int, float))
     return isinstance(value, annotation)

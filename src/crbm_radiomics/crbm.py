@@ -146,7 +146,6 @@ class CrbmConfig:
     epochs: int = 30
     batch_size: int = 16
     weight_init_sigma: float = 0.01
-    binarize_visible: bool = False
 
     def __post_init__(self):
         if self.num_filters < 1 or self.kernel_size < 1:
@@ -432,10 +431,7 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
     """
     if len(batch) == 0:
         raise TrainingError("empty batch")
-    pixels = _visible_stack(model, batch)
-    if cfg.binarize_visible:
-        pixels = pixels >= 0.5  # thresholded before the float32 cast rounds
-    pixels = pixels.astype(np.float32)
+    pixels = _visible_stack(model, batch).astype(np.float32)
     grad, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
     d_b = grad.visible_bias / model.num_visible
@@ -503,26 +499,3 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     float64; each image's maps are the bits it gets alone."""
     return _hidden_probs(model, _visible_stack(model, images, ndim=None))
 
-
-def reduce_1x1(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Pointwise weighted combination of the M maps of each image,
-    (..., M, H, H) -> (..., H, H).  einsum adds the maps one after another,
-    in a stack as for one image alone; tensordot, through BLAS, adds them
-    in another order, which moves the last bits."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != maps.shape[-3:-2]:
-        raise ShapeMismatchError(
-            f"need one weight per map of maps {maps.shape}, "
-            f"got shape {weights.shape}")
-    return np.einsum("m,...mij->...ij", weights, maps)
-
-
-def reduction_weights(mode: str, num_filters: int, seed: int = 0) -> np.ndarray:
-    """1x1 reduction weights: 'uniform' averaging or a seeded unit-norm
-    'random-projection'."""
-    if mode == "uniform":
-        return np.full(num_filters, 1.0 / num_filters)
-    if mode == "random-projection":
-        w = derive_rng(seed, "reduce-1x1").normal(size=num_filters)
-        return w / np.linalg.norm(w)
-    raise ValueError(f"unknown reduction mode {mode!r}")

@@ -4,7 +4,7 @@ radiomics: one row per slice, the 374-feature hand-crafted catalog,
 computed over stacks of consecutive same-shape slices.
 crbm-image: one row per slice; the ROI crop is standardized to the
 configured input size, pushed through the CRBM, the hidden maps are
-combined by a 1x1 reduction and flattened.
+averaged over the filters and flattened.
 crbm-patch: one row per ROI patch, same per-patch encoding.
 
 A row is known by the index in dataset.records of the sample it came
@@ -99,11 +99,10 @@ def crbm_training_images(dataset: Dataset, config: PipelineConfig) -> np.ndarray
 
 def _crbm_features(dataset: Dataset, config: PipelineConfig,
                    model) -> FeatureMatrix:
-    """One row per CRBM input: its hidden maps, 1x1-reduced and flattened.
+    """One row per CRBM input: the mean of its M hidden maps, flattened.
     The inputs go through the CRBM in chunks of images, so one chunk's
-    maps are alive at a time."""
-    weights = crbm_mod.reduction_weights(config.reduction_weights,
-                                         model.num_filters, config.seed)
+    maps are alive at a time; the mean adds an image's maps one after
+    another, as it would for that image alone."""
     step = max(1, _EXTRACT_MAP_VALUES // model.num_hidden)
     inputs = ((i, img) for i, stack in _crbm_inputs(dataset, config)
               for img in stack)
@@ -112,9 +111,8 @@ def _crbm_features(dataset: Dataset, config: PipelineConfig,
         indices, images = zip(*chunk)
         records.extend(indices)
         # unnamed, the maps are freed before the next chunk's are computed
-        rows.append(crbm_mod.reduce_1x1(
-            crbm_mod.extract_feature_map(model, np.stack(images)),
-            weights).reshape(len(images), -1))
+        rows.append(crbm_mod.extract_feature_map(model, np.stack(images))
+                    .mean(axis=-3).reshape(len(images), -1))
     return FeatureMatrix(values=np.concatenate(rows), records=np.array(records))
 
 

@@ -160,6 +160,22 @@ def test_exit_code_2_names_the_model_fields_the_config_differs_in(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "extract"])
+def test_exit_code_2_for_a_model_under_radiomics(workspace, tmp_path, capsys,
+                                                 command):
+    # the model fits the config's crbm section; radiomics would ignore it
+    model = tmp_path / "fits.json"
+    crbm.save_model(crbm.init_model(64, 5, 256, seed=1), model)
+    out = tmp_path / "out.csv"
+    code = cli.main([command, "--config", str(workspace["radiomics_cfg"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(out), "--model", str(model)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--model" in err and "feature_source 'radiomics'" in err
+    assert not out.exists()
+
+
 def test_exit_code_1_names_a_malformed_model_file(workspace, tmp_path, capsys):
     model = tmp_path / "broken.json"
     model.write_text('{"format": "crbm-model"}')

@@ -56,13 +56,21 @@ def test_load_pipeline_config_round_trip(tmp_path):
     assert config.seed == 42
 
 
-def test_unknown_keys_are_rejected_with_context(tmp_path):
-    path = write_json(tmp_path / "c.json", {"featuresource": "radiomics"})
-    with pytest.raises(ConfigError, match="unknown keys"):
+@pytest.mark.parametrize("doc, message", [
+    ({"featuresource": "radiomics"}, "c.json: unknown keys ['featuresource']"),
+    ({"crbm": {"filters": 9}}, "c.json.crbm: unknown keys ['filters']"),
+    # removed modes: an old config carrying them is refused, not ignored
+    ({"reduction_weights": "uniform"},
+     "c.json: unknown keys ['reduction_weights']"),
+    ({"crbm": {"binarize_visible": False}},
+     "c.json.crbm: unknown keys ['binarize_visible']")],
+    ids=["featuresource", "crbm.filters", "removed-reduction-weights",
+         "removed-crbm-binarize-visible"])
+def test_unknown_keys_are_rejected_with_context(tmp_path, doc, message):
+    path = write_json(tmp_path / "c.json", doc)
+    with pytest.raises(ConfigError) as err:
         load_pipeline_config(path)
-    path = write_json(tmp_path / "d.json", {"crbm": {"filters": 9}})
-    with pytest.raises(ConfigError, match=r"crbm.*filters"):
-        load_pipeline_config(path)
+    assert str(err.value) == message
 
 
 def test_invalid_values_are_config_errors(tmp_path):
@@ -70,7 +78,6 @@ def test_invalid_values_are_config_errors(tmp_path):
         {"feature_source": "deep-features"},
         {"pls_components": 0},
         {"pls_mode": "pca"},
-        {"reduction_weights": "learned"},
         {"radiomics_levels": 1},
         {"classifier": {"kind": "xgboost"}},
         {"cv": {"k": 1}},
@@ -160,8 +167,6 @@ def test_wrong_type_is_reported_as_config_error(tmp_path):
          "badcfg.json.crbm.learning_rate: expected float, got str"),
         ({"classifier": {"rf_trees": True}},
          "badcfg.json.classifier.rf_trees: expected int, got bool"),
-        ({"crbm": {"binarize_visible": 1}},
-         "badcfg.json.crbm.binarize_visible: expected bool, got int"),
         ({"feature_source": None}, "badcfg.json.feature_source: expected str, got NoneType"),
         ({"pls_components": [3]}, "badcfg.json.pls_components: expected int, got list"),
     ]

@@ -418,20 +418,3 @@ def test_feature_map_shapes_match_valid_correlation():
     assert maps.shape == (6, 28, 28)
     with pytest.raises(ShapeMismatchError):
         crbm.extract_feature_map(model, np.zeros((16, 16)))
-
-
-def test_reduce_1x1_uniform_is_plain_mean():
-    rng = derive_rng(11, "rw")
-    maps = rng.random((4, 3, 3))
-    weights = crbm.reduction_weights("uniform", 4)
-    np.testing.assert_allclose(crbm.reduce_1x1(maps, weights),
-                               maps.mean(axis=0), atol=1e-12)
-
-
-def test_reduction_weights_random_projection_is_unit_norm_and_seeded():
-    a = crbm.reduction_weights("random-projection", 8, seed=3)
-    b = crbm.reduction_weights("random-projection", 8, seed=3)
-    c = crbm.reduction_weights("random-projection", 8, seed=4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)

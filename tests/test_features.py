@@ -188,13 +188,12 @@ def test_crbm_encodes_exactly_the_images_it_trains_on(tiny_corpus, monkeypatch):
 def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
                                                  source, stride):
     # an image encoded in a stack gets the bits it gets alone: the batched
-    # corr_valid, the sigmoid and the einsum reduction all keep each
-    # image's arithmetic as it is for one image
+    # corr_valid, the sigmoid and the mean over maps all keep each image's
+    # arithmetic as it is for one image
     dataset, _ = tiny_corpus
-    # the quick-start's 16 maps: enough terms per pixel that a reduction
-    # through BLAS (tensordot) sums them in another order in a stack
+    # the quick-start's 16 maps: enough terms per pixel that a mean
+    # through BLAS (tensordot) would sum them in another order in a stack
     config = small_config(feature_source=source, patch_stride=stride,
-                          reduction_weights="random-projection",
                           crbm=CrbmConfig(num_filters=16, kernel_size=5,
                                           input_size=16))
     model = crbm.init_model(16, 5, 16, weight_init_sigma=0.3, seed=3)
@@ -209,14 +208,14 @@ def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
         assert np.array_equal(chunked.records, whole.records)
         assert chunked.values.tobytes() == whole.values.tobytes()
     # and each row is its image's maps, computed alone, summed map after
-    # map in float64; np.tensordot sums them in another order
-    weights = crbm.reduction_weights(config.reduction_weights, 16, config.seed)
+    # map in float64, then divided by 16; np.tensordot sums them in
+    # another order
     for row, image in zip(whole.values, crbm_training_images(dataset, config)):
         maps = crbm.extract_feature_map(model, image)
         want = np.zeros(maps.shape[1:])
-        for w, one in zip(weights, maps):
-            want += w * one
-        assert row.tobytes() == want.tobytes()
+        for one in maps:
+            want += one
+        assert row.tobytes() == (want / 16).tobytes()
 
 
 def test_build_features_dispatch(tiny_corpus):
@@ -240,12 +239,3 @@ def test_column_names_are_unique_and_name_every_built_column(tiny_corpus, source
     names = column_names(config, model)
     assert len(set(names)) == len(names)
     assert len(names) == build_features(dataset, config, model).n_columns
-
-
-def test_build_features_uses_configured_reduction(tiny_corpus):
-    dataset, _ = tiny_corpus
-    model = small_model()
-    uniform = build_features(dataset, small_config(), model)
-    projected = build_features(
-        dataset, small_config(reduction_weights="random-projection"), model)
-    assert not np.allclose(uniform.values, projected.values)
