@@ -11,6 +11,14 @@ the sigmoid's.  Each of these rows is timed in float64, the dtype of
 feature extraction and the oracles, and in float32, the dtype of the CD
 training chain.
 
+The two paper-scale steps that use the CRBM's worker thread are timed
+with the worker and with each submitted call run inline on the calling
+thread: one CD-1 chunk of a 256x256 float32 slice (``crbm._cd_sums``,
+whose uniform fill the worker runs beside the first hidden pass) and the
+feature map of one 256x256 slice with 64 filters
+(``extract_feature_map``, half of whose row bands the worker computes).
+With BLAS on one thread, the two threads run on two cores.
+
 Two whole steps of the quick-start are timed as well: one CD-1 update
 (``cd_update``) on a batch of 16 patches of 16x16 with 16 filters of 5x5,
 whose chain runs in float32, and one fold's logistic-regression head
@@ -48,6 +56,7 @@ import itertools
 import os
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 BLAS_THREADS = 1
@@ -134,6 +143,33 @@ forest_y = (forest_X[:, 0] + rng.normal(size=150) > 0).astype(np.float64)
 forest = classifiers.rf_fit(forest_X, forest_y, 100, 10)
 held_out_X = rng.normal(size=(50, 20)) / np.arange(1, 21)
 
+
+class InlineExecutor:
+    """Runs each submitted call at once, on the calling thread."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+WORKERS = (("worker", crbm._worker), ("inline", InlineExecutor))
+
+
+def with_worker(executor, fn):
+    """fn, run with crbm._worker replaced by executor."""
+    def run(*args):
+        crbm._worker = executor
+        try:
+            return fn(*args)
+        finally:
+            crbm._worker = WORKERS[0][1]
+    return run
+
+
+slice32 = image.astype(np.float32)
+slice_rng = np.random.default_rng(2)
+
 # one quick-start CD batch, as train passes it: views of float64 patches
 cd_batch = list(rng.random((16, 16, 16)))
 cd_config = crbm.CrbmConfig(num_filters=16, kernel_size=5, input_size=16,
@@ -164,6 +200,14 @@ def as_dtype(args, dtype):
 CASES = tuple(
     (f"{label} {np.dtype(dtype).name}", fn, as_dtype(args, dtype))
     for label, fn, args in CRBM_CASES for dtype in (np.float64, np.float32)
+) + tuple(
+    (f"{label} {how}", with_worker(executor, fn), args)
+    for label, fn, args in (
+        ("CD-1 chunk (1x256x256, 64x5x5) float32", crbm._cd_sums,
+         (slice_model, slice32, 1, slice_rng)),
+        ("extract_feature_map (1x256x256, 64x5x5)", crbm.extract_feature_map,
+         (slice_model, image)))
+    for how, executor in WORKERS
 ) + (
     ("cd_update (16 x 16x16, 16x5x5) float32", crbm.cd_update,
      (patch_model, cd_batch, cd_config, cd_rng)),

@@ -49,10 +49,31 @@ chain.  Every other entry point passes float64 and stays float64 through
 the same functions: ``cd_gradient_estimate``, ``gibbs_chain`` and
 ``extract_feature_map``, so feature matrices are float64, and the
 tests hold these entry points to float64 tolerances.
+
+Worker thread.  The module keeps one worker thread, ``_worker()``, started
+on first use, for the two paper-scale steps that leave the second core
+idle when BLAS runs on one thread.  Its results are bit-identical to
+running the same calls inline.  It writes only into buffers the calling
+thread allocated: a thread's own large temporaries come from its own
+malloc arena and raise the peak memory.  It calls none of the functions
+that perfbench's tracer rebinds, whose spans assume one thread.
+
+* A CD chunk that draws at least ``_CD_CHUNK_DRAWS`` uniforms (one
+  256x256 image of 64 maps draws 4,129,792) has the worker fill them, by
+  the same one call, while the chunk's first hidden pass and data phase
+  run; the chunks of a batch share that buffer.  Such a chunk peaks at
+  its hidden maps, its uniforms and one im2col copy of its images.  A
+  smaller chunk, such as one of the quick-start's 16 patches of 16x16
+  (40,960 draws), draws inline after the data phase and peaks at its
+  hidden maps and its uniforms.
+* ``extract_feature_map`` computes a stack whose maps hold more than
+  ``_EXTRACT_MAP_VALUES`` values in bands of hidden rows, the worker half
+  of them, and never holds the whole (..., M, H, H) stack.
 """
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,13 +86,27 @@ from .seeding import derive_rng
 
 # most uniforms drawn ahead for one chunk of a CD batch (8 MB of float64,
 # 4 MB of float32); a chunk holds as many whole images as fit, and at
-# least one
+# least one.  A chunk that draws this many or more (one 256x256 image of
+# 64 maps draws 4,129,792) has them filled on the worker thread
 _CD_CHUNK_DRAWS = 1 << 20
+# hidden-map values per band of extract_feature_map (2 MB of float64); a
+# stack with more maps than this, and a hidden side that is a multiple of
+# 4, is extracted in bands of hidden rows
+_EXTRACT_MAP_VALUES = 1 << 18
 # a parameter beyond it is inf in the float32 CD chain
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # the keys of a model file besides "format" and "version"; sizes first
 _MODEL_KEYS = ("num_filters", "kernel_size", "input_size", "visible_bias",
                "hidden_biases", "filters")
+
+
+@functools.cache
+def _worker():
+    """The one worker thread (see the module docstring), an executor made
+    on first use: importing concurrent.futures adds about 9 ms to the
+    package's cold start."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="crbm")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +319,7 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
 
 
 def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
-                 rng: np.random.Generator, data_phase):
+                 rng: np.random.Generator, data_phase, uniforms=None):
     """k Gibbs rounds for a stack of images v0 (B, N, N) at once.
 
     The uniforms are drawn in one call, laid out in the order that
@@ -299,20 +334,34 @@ def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
     uniforms, a visible one into an array of its own, so that v_k does
     not hold the uniforms alive.
 
-    data_phase(h0_probs) is called with the hidden probabilities of v0
-    before the uniforms are drawn, and the chain drops them once it has
-    sampled from them.  A caller that reduces them to sums, as the CD
-    statistics do, thus holds one stack of hidden maps at a time: a
-    chunk's peak is these probabilities and the uniforms.  Returns (v_k,
-    hk_probs, v1_probs), each with the leading batch axis.
+    data_phase(h0_probs) is called with the hidden probabilities of v0,
+    and the chain drops them once it has sampled from them.  A caller
+    that reduces them to sums, as the CD statistics do, thus holds one
+    stack of hidden maps at a time.  Without a uniforms buffer the draw
+    comes after the data phase, so a chunk's peak is these probabilities
+    and the uniforms.  Given uniforms, a flat buffer of v0's dtype with
+    room for the draws, the worker thread fills it with the same one call
+    while this thread computes the first hidden pass and the data phase;
+    that peak adds one im2col copy of v0.  Returns (v_k, hk_probs,
+    v1_probs), each with the leading batch axis.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n, side, dtype = model.input_size, model.hidden_side, v0.dtype
     batch, n_hidden = len(v0), model.num_hidden
-    probs = _hidden_probs(model, v0)
-    data_phase(probs)
-    uniforms = rng.random((batch, k, n_hidden + n * n), dtype=dtype)
+    shape = (batch, k, n_hidden + n * n)
+    if uniforms is None:
+        probs = _hidden_probs(model, v0)
+        data_phase(probs)
+        uniforms = rng.random(shape, dtype=dtype)
+    else:
+        uniforms = uniforms[:math.prod(shape)].reshape(shape)
+        fill = _worker().submit(rng.random, dtype=dtype, out=uniforms)
+        try:
+            probs = _hidden_probs(model, v0)
+            data_phase(probs)
+        finally:
+            fill.result()
     u_h = uniforms[..., :n_hidden].reshape(batch, k, model.num_filters, side, side)
     u_v = uniforms[..., n_hidden:].reshape(batch, k, n, n)
     for step in range(k):
@@ -362,22 +411,28 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     Returns (CrbmGradient of data-phase minus chain-phase statistics,
     summed reconstruction cross-entropy of the first round).  The batch
     runs in chunks of whole images that draw at most _CD_CHUNK_DRAWS
-    uniforms each; chunks consume the generator in image order, so the
-    chunking never changes a sample.  The chain runs in the stack's dtype;
-    the statistics are summed in float64.  The data phase is summed before
-    the chain draws its uniforms, so that a chunk never holds two stacks
-    of hidden probabilities.
+    uniforms each, or one image; chunks consume the generator in image
+    order, so the chunking never changes a sample.  The chain runs in the
+    stack's dtype; the statistics are summed in float64.  The data phase
+    is summed before the chain samples, so that a chunk never holds two
+    stacks of hidden probabilities.  Chunks that draw _CD_CHUNK_DRAWS or
+    more have their uniforms filled on the worker thread, into one buffer
+    that every such chunk of the stack reuses.
     """
     per_image = k * (model.num_hidden + model.num_visible)
     step = max(1, _CD_CHUNK_DRAWS // per_image)
+    draws = min(step, len(pixels)) * per_image
+    buffer = np.empty(draws, pixels.dtype) if draws >= _CD_CHUNK_DRAWS else None
     g_w = np.zeros_like(model.filters)
     g_b = 0.0
     g_c = np.zeros(model.num_filters)
     ce = 0.0
     for start in range(0, len(pixels), step):
         v0 = pixels[start:start + step]
+        uniforms = buffer if len(v0) * per_image >= _CD_CHUNK_DRAWS else None
         vk, pk, v1_probs = _gibbs_batch(
-            model, v0, k, rng, functools.partial(_add_data_phase, g_w, g_c, v0))
+            model, v0, k, rng, functools.partial(_add_data_phase, g_w, g_c, v0),
+            uniforms)
         g_w -= kernels.corr_grad(vk, pk)
         g_b += float(v0.sum(dtype=np.float64) - vk.sum(dtype=np.float64))
         g_c -= pk.sum(axis=(0, 2, 3), dtype=np.float64)
@@ -493,9 +548,56 @@ def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
-    """Deterministic features: the hidden probability maps of each image,
-    P(h^m_ij = 1 | v), the valid cross-correlation with each filter plus
-    c_m through the sigmoid.  Images (..., N, N) give maps (..., M, H, H),
-    float64; each image's maps are the bits it gets alone."""
-    return _hidden_probs(model, _visible_stack(model, images, ndim=None))
+    """Deterministic features: the mean over the M filters of the hidden
+    probability maps P(h^m_ij = 1 | v), the valid cross-correlation with
+    each filter plus c_m through the sigmoid.  Images (..., N, N) give
+    mean maps (..., H, H), float64, added map after map and divided by M;
+    each image's map is the bits it gets alone.
 
+    A stack whose M maps hold more than _EXTRACT_MAP_VALUES values, as a
+    256x256 slice's 64 do, is computed in bands of hidden rows of about
+    that many values, so its (..., M, H, H) stack is never held: this
+    thread computes the first half of the bands and the worker thread the
+    rest, each into buffers allocated here.  Bands are an even number of
+    rows, and only a side H that is a multiple of 4 is cut into bands, so
+    that every matrix product, a band's and the whole stack's, has a
+    multiple of 8 columns: OpenBLAS's float64 product gives some columns
+    other bits when it has not (a 1-row band of a 252-wide map did), and
+    the bands' values would then not be the whole stack's.
+    """
+    pixels = np.ascontiguousarray(_visible_stack(model, images, ndim=None))
+    lead, m, side = pixels.shape[:-2], model.num_filters, model.hidden_side
+    per_row = math.prod(lead) * m * side
+    rows = max(2, _EXTRACT_MAP_VALUES // max(per_row, 1) // 2 * 2)
+    if rows >= side or side % 4:
+        return _hidden_probs(model, pixels).mean(axis=-3)
+    bands = [(r0, min(r0 + rows, side)) for r0 in range(0, side, rows)]
+    out = np.empty((*lead, side, side))
+    # each thread's buffers: a band's M maps and their im2col copy
+    count = math.prod(lead) * rows * side
+    maps = np.empty((2, m * count))
+    cols = np.empty((2, model.kernel_size ** 2 * count))
+    half = len(bands) // 2
+    job = _worker().submit(_mean_map_rows, model, pixels, bands[half:],
+                           out, maps[1], cols[1])
+    try:
+        _mean_map_rows(model, pixels, bands[:half], out, maps[0], cols[0])
+    finally:
+        job.result()
+    return out
+
+
+def _mean_map_rows(model: CrbmModel, pixels: np.ndarray, bands: list,
+                   out: np.ndarray, maps: np.ndarray, cols: np.ndarray) -> None:
+    """Write the mean maps of each band of hidden rows (r0, r1) of float64
+    images pixels into out[..., r0:r1, :], computing the band's M maps in
+    the flat buffer maps through the im2col buffer cols; it allocates
+    nothing larger than the hidden biases."""
+    lead, m, side = pixels.shape[:-2], model.num_filters, model.hidden_side
+    biases = model.hidden_biases[:, None, None]
+    for r0, r1 in bands:
+        band = maps[:math.prod(lead) * m * (r1 - r0) * side]
+        band = band.reshape(*lead, m, r1 - r0, side)
+        kernels._corr_valid_rows(pixels, model.filters, r0, band, cols)
+        kernels.sigmoid(band, biases)
+        band.mean(axis=-3, out=out[..., r0:r1, :])

@@ -164,7 +164,8 @@ def save_mask(path, mask: RoiMask) -> None:
 # ---------------------------------------------------------------------------
 
 def load_manifest(path) -> Dataset:
-    """Parse a manifest CSV into a Dataset; paths become absolute."""
+    """Parse a manifest CSV into a Dataset of one or more samples; paths
+    become absolute."""
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
@@ -205,6 +206,8 @@ def load_manifest(path) -> Dataset:
             stage=stage,
             subtype=subtype,
         ))
+    if not records:
+        raise ManifestError(f"{path}: no samples, only a header")
     return Dataset(records=tuple(records))
 
 

@@ -3,8 +3,8 @@
 radiomics: one row per slice, the 374-feature hand-crafted catalog,
 computed over stacks of consecutive same-shape slices.
 crbm-image: one row per slice; the ROI crop is standardized to the
-configured input size, pushed through the CRBM, the hidden maps are
-averaged over the filters and flattened.
+configured input size and pushed through the CRBM, whose hidden maps,
+averaged over the filters (crbm.extract_feature_map), are flattened.
 crbm-patch: one row per ROI patch, same per-patch encoding.
 
 A row is known by the index in dataset.records of the sample it came
@@ -12,7 +12,9 @@ from; the rows of one sample are adjacent and follow the manifest order.
 The CRBM trains on exactly the images it later encodes: both draw them,
 as one (P, N, N) array per sample, from one generator, _crbm_inputs.
 Training takes them as one (n, N, N) stack; extraction encodes them in
-chunks of images, each chunk through the CRBM as one stack.
+chunks of images, each chunk through the CRBM as one stack.  A chunk is
+as many images as have _EXTRACT_MAP_VALUES hidden-map values, or one
+image with more, whose maps the CRBM then computes in bands of rows.
 """
 
 from dataclasses import dataclass
@@ -31,11 +33,14 @@ from .errors import ConfigError
 # catalog's temporaries, and so the peak memory, grow with the stack; at 8
 # slices its per-call numpy overhead is already spread over the stack.
 _STACK_PIXELS = 2 ** 13
-# Hidden-map values per CRBM extraction chunk (2 MB of float64); a chunk
-# holds as many whole images as fit, and at least one.  The maps of one
-# chunk are alive at a time, so the peak memory grows with it: at 2^20 the
-# quick-start peak RSS was 81 MB, at 2^16 and 2^18 66 and 65 MB.
-_EXTRACT_MAP_VALUES = 2 ** 18
+# Hidden-map values per CRBM extraction chunk (2 MB of float64), the
+# budget of a band of crbm.extract_feature_map; a chunk holds as many
+# whole images as fit, and at least one.  The M maps of one chunk's images
+# are alive at a time while they are averaged, so the peak memory grows
+# with it: at 2^20 the quick-start peak RSS was 81 MB, at 2^16 and 2^18 66
+# and 65 MB.  A 256x256 slice's 64 maps (4.1M values) are a chunk of their
+# own, which extract_feature_map computes in bands of this budget.
+_EXTRACT_MAP_VALUES = crbm_mod._EXTRACT_MAP_VALUES
 
 
 @dataclass(frozen=True)
@@ -110,9 +115,8 @@ def _crbm_features(dataset: Dataset, config: PipelineConfig,
     while chunk := list(islice(inputs, step)):
         indices, images = zip(*chunk)
         records.extend(indices)
-        # unnamed, the maps are freed before the next chunk's are computed
         rows.append(crbm_mod.extract_feature_map(model, np.stack(images))
-                    .mean(axis=-3).reshape(len(images), -1))
+                    .reshape(len(images), -1))
     return FeatureMatrix(values=np.concatenate(rows), records=np.array(records))
 
 

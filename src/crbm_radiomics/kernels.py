@@ -60,12 +60,27 @@ _FRAME_ELEMENTS = 1 << 18
 # Convolutions
 # ---------------------------------------------------------------------------
 
-def _strided(a: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+def _strided(a: np.ndarray, shape: tuple, strides: tuple,
+             offset: int = 0) -> np.ndarray:
     """A view of the C-contiguous array a with these shape and strides (in
-    bytes), made over a's buffer: numpy checks that it stays inside a,
-    read-only if a is, at a sixth of as_strided's set-up cost (about 1
-    against 6 us; the CD chain makes five such views per minibatch)."""
-    return np.ndarray(shape, a.dtype, a, 0, strides)
+    bytes), starting offset bytes into a's buffer: numpy checks that it
+    stays inside a, read-only if a is, at a sixth of as_strided's set-up
+    cost (about 1 against 6 us; the CD chain makes five such views per
+    minibatch)."""
+    return np.ndarray(shape, a.dtype, a, offset, strides)
+
+
+def _windows(v: np.ndarray, k: int, r0: int = 0,
+             rows: int | None = None) -> np.ndarray:
+    """The K x K windows of the C-contiguous images v (..., N, N) at
+    hidden rows r0 .. r0 + rows - 1 (all H of them by default), a view
+    (..., K, K, rows, H) with windows[..., r, s, i, j] equal to
+    v[..., r0 + i + r, j + s]."""
+    hside = v.shape[-1] - k + 1
+    rows = hside if rows is None else rows
+    row, col = v.strides[-2:]
+    return _strided(v, (*v.shape[:-2], k, k, rows, hside),
+                    (*v.strides[:-2], row, col, row, col), r0 * row)
 
 
 def corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -73,13 +88,28 @@ def corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     -> (..., M, H, H)."""
     m, k, _ = w.shape
     lead, hside = v.shape[:-2], v.shape[-1] - k + 1
-    v = np.ascontiguousarray(v)
-    row, col = v.strides[-2:]
-    # windows[..., r, s, i, j] = v[..., i + r, j + s]; the reshape copies
-    windows = _strided(v, (*lead, k, k, hside, hside),
-                       (*v.strides[:-2], row, col, row, col))
-    flat = windows.reshape(*lead, k * k, hside * hside)
+    windows = _windows(np.ascontiguousarray(v), k)
+    flat = windows.reshape(*lead, k * k, hside * hside)  # copies
     return (w.reshape(m, k * k) @ flat).reshape(*lead, m, hside, hside)
+
+
+def _corr_valid_rows(v: np.ndarray, w: np.ndarray, r0: int, out: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """Hidden rows r0 .. r0 + R - 1 of corr_valid(v, w), written into out
+    (..., M, R, H) through cols, a flat buffer of v's dtype with room for
+    the rows' im2col copy, (..., K*K, R*H).  v and out are C-contiguous.
+    It allocates no array, so a thread can run it on buffers that another
+    thread made; each output value is the one corr_valid computes, as far
+    as the matrix product gives a column the bits it gets in the whole
+    product (see crbm.extract_feature_map)."""
+    m, k, _ = w.shape
+    *lead, _, rows, hside = out.shape
+    windows = _windows(v, k, r0, rows)
+    flat = cols[:windows.size].reshape(*lead, k * k, rows * hside)
+    flat.reshape(windows.shape)[...] = windows
+    np.matmul(w.reshape(m, k * k), flat,
+              out=out.reshape(*lead, m, rows * hside))
+    return out
 
 
 def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -75,6 +75,10 @@ def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
         raise ValueError(f"n_components {n_components} exceeds "
                          f"min(n-1, p) = {min(n - 1, p)}")
 
+    # column-major, as the indexing leaves it; the first deflation makes a
+    # row-major copy that the later ones update in place.  The products of
+    # the first component read the column-major layout, and each layout
+    # gives its own bits
     Xa = (vals[:, keep] - means) / sds
     ya = y - y.mean()
     W = np.empty((p, n_components))
@@ -97,7 +101,10 @@ def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
             raise TrainingError(f"degenerate score vector at component {a}")
         p_a = Xa.T @ t / t_sq
         q_a = float(ya @ t) / t_sq
-        Xa = Xa - np.outer(t, p_a)
+        if Xa.flags.c_contiguous:
+            Xa -= np.outer(t, p_a)
+        else:  # the first deflation: see above
+            Xa = Xa - np.outer(t, p_a)
         ya = ya - q_a * t
         W[:, a], P[:, a], q[a], tt[a] = w, p_a, q_a, t_sq
     return PlsModel(weights=W, loadings=P, y_loadings=q, score_sq_norms=tt,

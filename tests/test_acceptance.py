@@ -55,10 +55,14 @@ def test_criterion_01_feature_map_shapes_and_speed():
     small_maps = crbm.extract_feature_map(small_model, small)
     elapsed = time.perf_counter() - start
 
-    assert big_maps.shape == (64, 252, 252)
-    assert small_maps.shape == (64, 28, 28)
+    # a feature map is the mean of the M hidden maps, of their side
+    assert crbm._hidden_probs(big_model, big).shape == (64, 252, 252)
+    assert crbm._hidden_probs(small_model, small).shape == (64, 28, 28)
+    assert big_maps.shape == (252, 252)
+    assert small_maps.shape == (28, 28)
     assert elapsed < 1.0
-    _ok(1, "shapes+speed", f"252x252x64 and 28x28x64, {elapsed * 1e3:.0f} ms")
+    _ok(1, "shapes+speed", f"252x252 and 28x28 means of 64 maps, "
+                           f"{elapsed * 1e3:.0f} ms")
 
 
 # ---------------------------------------------------------------------------

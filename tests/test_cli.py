@@ -233,6 +233,19 @@ def test_exit_code_1_for_missing_manifest(workspace, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "extract"])
+def test_exit_code_1_names_a_manifest_with_a_header_but_no_rows(
+        workspace, tmp_path, capsys, command):
+    manifest = tmp_path / "header_only.csv"
+    manifest.write_text(",".join(MANIFEST_HEADER) + "\n")
+    code = cli.main([command, "--config", str(workspace["radiomics_cfg"]),
+                     "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{manifest}: no samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config", ["radiomics_cfg", "crbm_cfg"])
 def test_exit_code_1_names_the_sample_and_file_of_an_empty_mask(workspace, tmp_path,
                                                                 capsys, config):

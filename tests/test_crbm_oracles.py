@@ -45,7 +45,7 @@ def test_hidden_probabilities_match_manual_sigmoid():
     rng = derive_rng(1, "hp")
     model = random_tiny_model(rng, 4, 2, 2)
     v = random_binary_images(rng, 4)
-    got = crbm.extract_feature_map(model, v)
+    got = crbm._hidden_probs(model, v)
     for m in range(2):
         for i in range(3):
             for j in range(3):
@@ -177,7 +177,7 @@ def test_production_conditionals_match_the_dense_oracle(case):
     weights = dense_weights(model)
     want_h = expit(v.ravel() @ weights + dense_hidden_biases(model))
     want_v = expit(weights @ h.ravel() + model.visible_bias)
-    np.testing.assert_allclose(crbm.extract_feature_map(model, v).ravel(),
+    np.testing.assert_allclose(crbm._hidden_probs(model, v).ravel(),
                                want_h, rtol=0, atol=1e-12)
     np.testing.assert_allclose(crbm._visible_probs(model, h).ravel(),
                                want_v, rtol=0, atol=1e-12)
@@ -414,7 +414,8 @@ def test_save_model_is_byte_deterministic(tmp_path):
 
 def test_feature_map_shapes_match_valid_correlation():
     model = crbm.init_model(6, 5, 32, seed=0)
+    assert crbm._hidden_probs(model, np.zeros((32, 32))).shape == (6, 28, 28)
     maps = crbm.extract_feature_map(model, np.zeros((32, 32)))
-    assert maps.shape == (6, 28, 28)
+    assert maps.shape == (28, 28)
     with pytest.raises(ShapeMismatchError):
         crbm.extract_feature_map(model, np.zeros((16, 16)))

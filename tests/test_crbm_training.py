@@ -50,14 +50,14 @@ def record_chunks(monkeypatch):
     chunks = []
     batched = crbm._gibbs_batch
 
-    def spy(model, v0, k, rng, data_phase):
+    def spy(model, v0, k, rng, data_phase, uniforms=None):
         h0 = []
 
         def record(p0):
             h0.append(p0.copy())
             data_phase(p0)
 
-        v_k, hk, v1_probs = out = batched(model, v0, k, rng, record)
+        v_k, hk, v1_probs = out = batched(model, v0, k, rng, record, uniforms)
         chunks.append(tuple(a.copy() for a in (v0, v_k, *h0, hk, v1_probs)))
         return out
 

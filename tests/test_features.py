@@ -211,7 +211,7 @@ def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
     # map in float64, then divided by 16; np.tensordot sums them in
     # another order
     for row, image in zip(whole.values, crbm_training_images(dataset, config)):
-        maps = crbm.extract_feature_map(model, image)
+        maps = crbm._hidden_probs(model, image)
         want = np.zeros(maps.shape[1:])
         for one in maps:
             want += one

@@ -119,6 +119,39 @@ def test_full_rank_fit_reconstructs_standardized_matrix():
     np.testing.assert_allclose(scores @ model.loadings.T, Xz, atol=1e-8)
 
 
+def out_of_place_nipals(X, y, n_components):
+    """fit_pls's NIPALS with a new deflated matrix per component, on the
+    same column-major standardized matrix: (weights, loadings)."""
+    keep = X.std(axis=0) > 0
+    Xa = (X[:, keep] - X.mean(axis=0)[keep]) / X.std(axis=0)[keep]
+    ya = y - y.mean()
+    W, P = [], []
+    for _ in range(n_components):
+        cov = Xa.T @ ya
+        w = cov / np.linalg.norm(cov)
+        if w[np.argmax(np.abs(w))] < 0:
+            w = -w
+        t = Xa @ w
+        t_sq = float(t @ t)
+        p_a = Xa.T @ t / t_sq
+        Xa = Xa - np.outer(t, p_a)
+        ya = ya - float(ya @ t) / t_sq * t
+        W.append(w)
+        P.append(p_a)
+    return np.stack(W, axis=1), np.stack(P, axis=1)
+
+
+@pytest.mark.parametrize("n, p", [(40, 8), (12, 3000), (300, 144)])
+def test_in_place_deflation_keeps_every_bit_of_the_out_of_place_fit(n, p):
+    # the matrix products give other bits on another memory layout, so
+    # the in-place deflation must read the layouts the reference reads
+    X, y = random_problem(n + p, n, p)
+    model = fit_pls(X, y, 4)
+    weights, loadings = out_of_place_nipals(X, y, 4)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.loadings.tobytes() == loadings.tobytes()
+
+
 def test_latent_scores_are_invariant_to_column_scaling():
     X, y = random_problem(6)
     scaled = matrix_from(X * np.array([1, 100, 0.01, 5, 1, 1, 1, 1.0]))
