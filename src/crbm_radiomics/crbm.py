@@ -563,12 +563,17 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     that every matrix product, a band's and the whole stack's, has a
     multiple of 8 columns: OpenBLAS's float64 product gives some columns
     other bits when it has not (a 1-row band of a 252-wide map did), and
-    the bands' values would then not be the whole stack's.
+    the bands' values would then not be the whole stack's.  That rule was
+    found by trial on one OpenBLAS build, whose float64 kernel for its CPU
+    target handles a tail of fewer than 8 columns apart; another BLAS or
+    CPU target may round a band's columns otherwise, and the banded
+    equality tests of tests/test_crbm_worker.py then fail.
     """
     pixels = np.ascontiguousarray(_visible_stack(model, images, ndim=None))
     lead, m, side = pixels.shape[:-2], model.num_filters, model.hidden_side
     per_row = math.prod(lead) * m * side
     rows = max(2, _EXTRACT_MAP_VALUES // max(per_row, 1) // 2 * 2)
+    # side % 4: see above; the bit equality rests on the BLAS build
     if rows >= side or side % 4:
         return _hidden_probs(model, pixels).mean(axis=-3)
     bands = [(r0, min(r0 + rows, side)) for r0 in range(0, side, rows)]

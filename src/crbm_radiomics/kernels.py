@@ -11,7 +11,10 @@ Each convolution is one matrix product.  ``corr_valid`` and
 ``corr_grad`` multiply by an im2col copy of the images' K x K windows;
 ``conv_full`` multiplies to K*K shifted tap planes and adds each output
 pixel's taps in a fixed (r, s) order, with one reduction over a frame of
-the placed planes (see its docstring).  All three take an optional
+the placed planes (see its docstring).  ``corr_valid``'s im2col copy
+and product are ``_corr_valid_rows``, which computes any band of hidden
+rows into buffers it is given; ``crbm.extract_feature_map`` calls it
+for bands of a paper-scale stack.  All three take an optional
 leading batch axis (any number of leading axes, written ``...`` below),
 so a CD minibatch goes through each kernel in one call:
 
@@ -70,14 +73,11 @@ def _strided(a: np.ndarray, shape: tuple, strides: tuple,
     return np.ndarray(shape, a.dtype, a, offset, strides)
 
 
-def _windows(v: np.ndarray, k: int, r0: int = 0,
-             rows: int | None = None) -> np.ndarray:
+def _windows(v: np.ndarray, k: int, r0: int, rows: int) -> np.ndarray:
     """The K x K windows of the C-contiguous images v (..., N, N) at
-    hidden rows r0 .. r0 + rows - 1 (all H of them by default), a view
-    (..., K, K, rows, H) with windows[..., r, s, i, j] equal to
-    v[..., r0 + i + r, j + s]."""
+    hidden rows r0 .. r0 + rows - 1, a view (..., K, K, rows, H) with
+    windows[..., r, s, i, j] equal to v[..., r0 + i + r, j + s]."""
     hside = v.shape[-1] - k + 1
-    rows = hside if rows is None else rows
     row, col = v.strides[-2:]
     return _strided(v, (*v.shape[:-2], k, k, rows, hside),
                     (*v.strides[:-2], row, col, row, col), r0 * row)
@@ -87,21 +87,23 @@ def corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of images v (..., N, N) with filters w (M, K, K)
     -> (..., M, H, H)."""
     m, k, _ = w.shape
+    v = np.ascontiguousarray(v)
     lead, hside = v.shape[:-2], v.shape[-1] - k + 1
-    windows = _windows(np.ascontiguousarray(v), k)
-    flat = windows.reshape(*lead, k * k, hside * hside)  # copies
-    return (w.reshape(m, k * k) @ flat).reshape(*lead, m, hside, hside)
+    cols = np.empty(math.prod(lead) * k * k * hside * hside, dtype=v.dtype)
+    out = np.empty((*lead, m, hside, hside), dtype=np.result_type(v, w))
+    return _corr_valid_rows(v, w, 0, out, cols)
 
 
 def _corr_valid_rows(v: np.ndarray, w: np.ndarray, r0: int, out: np.ndarray,
                      cols: np.ndarray) -> np.ndarray:
-    """Hidden rows r0 .. r0 + R - 1 of corr_valid(v, w), written into out
-    (..., M, R, H) through cols, a flat buffer of v's dtype with room for
-    the rows' im2col copy, (..., K*K, R*H).  v and out are C-contiguous.
-    It allocates no array, so a thread can run it on buffers that another
-    thread made; each output value is the one corr_valid computes, as far
-    as the matrix product gives a column the bits it gets in the whole
-    product (see crbm.extract_feature_map)."""
+    """Hidden rows r0 .. r0 + R - 1 of the valid cross-correlation of v
+    with w, written into out (..., M, R, H) through cols, a flat buffer of
+    v's dtype with room for the rows' im2col copy, (..., K*K, R*H).  v and
+    out are C-contiguous.  It allocates no array, so a thread can run it
+    on buffers that another thread made.  corr_valid is the call for all
+    H rows; a band of rows gets the bits of the whole product only as far
+    as the matrix product gives a column the same bits in both (see
+    crbm.extract_feature_map)."""
     m, k, _ = w.shape
     *lead, _, rows, hside = out.shape
     windows = _windows(v, k, r0, rows)

@@ -75,10 +75,10 @@ def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
         raise ValueError(f"n_components {n_components} exceeds "
                          f"min(n-1, p) = {min(n - 1, p)}")
 
-    # column-major, as the indexing leaves it; the first deflation makes a
-    # row-major copy that the later ones update in place.  The products of
-    # the first component read the column-major layout, and each layout
-    # gives its own bits
+    # column-major, as the indexing leaves it.  The first deflation makes
+    # the row-major copy that later components' products read (each layout
+    # gives its own bits); the later ones subtract in place, which saves a
+    # new (n, p) result per component, not np.outer's temporary
     Xa = (vals[:, keep] - means) / sds
     ya = y - y.mean()
     W = np.empty((p, n_components))

@@ -1,6 +1,13 @@
 """The CRBM's worker thread: the CD uniforms it fills beside the hidden
 pass and the bands of feature maps it computes give the bits of the same
-work done on one thread, in buffers the calling thread allocated."""
+work done on one thread, in buffers the calling thread allocated.
+
+The banded feature maps equal the one-band mean only as far as the float64
+matrix product gives a column the same bits in a band's product and the
+whole stack's.  crbm.extract_feature_map bands only where every product
+has a multiple of 8 columns, a rule found by trial on one OpenBLAS build;
+a failure of the banded tests on another BLAS or CPU target points there
+first."""
 
 import sys
 import threading
