@@ -14,8 +14,9 @@ training chain.
 The two paper-scale steps that use the CRBM's worker thread are timed
 with the worker and with each submitted call run inline on the calling
 thread: one CD-1 chunk of a 256x256 float32 slice (``crbm._cd_sums``,
-whose uniform fill the worker runs beside the first hidden pass) and the
-feature map of one 256x256 slice with 64 filters
+whose uniform fill the worker runs beside the first hidden pass, and
+whose later hidden passes, CD statistics and reconstruction the two
+threads split) and the feature map of one 256x256 slice with 64 filters
 (``extract_feature_map``, half of whose row bands the worker computes).
 With BLAS on one thread, the two threads run on two cores.
 
@@ -44,12 +45,15 @@ columns, each family one stacked call), one fold's random forest
 slice by slice through the per-slice reference in
 ``tests/radiomics_reference.py``.
 
-BLAS runs on one thread, as in ``perfbench/run.py``: the script sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before numpy
-loads, overriding the environment, and prints the count it used.  Run
-from the repository root:
+BLAS runs on one thread, as in ``perfbench/run.py``: run as a script, it
+sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before
+numpy loads, overriding the environment, and prints the count it used.
+Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
+
+Imported, it builds ``CASES`` and times nothing, and leaves the
+environment alone; ``tests/test_bench_kernels.py`` calls every case once.
 """
 
 import itertools
@@ -61,8 +65,9 @@ from pathlib import Path
 
 BLAS_THREADS = 1
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for var in BLAS_THREAD_VARS:
-    os.environ[var] = str(BLAS_THREADS)
+if __name__ == "__main__":
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = str(BLAS_THREADS)
 
 import numpy as np  # noqa: E402
 
@@ -253,12 +258,17 @@ def time_call(fn, args):
     return np.mean(samples), np.std(samples)
 
 
-print(f"{REPS} reps after {WARMUP} warmup calls ({SLOW_REPS} reps after one "
-      f"for calls over {SLOW_S} s), times in ms")
-print(f"BLAS threads: {BLAS_THREADS} ({', '.join(BLAS_THREAD_VARS)})\n")
-header = f"{'kernel':<50}{'mean':>10}{'std':>8}"
-print(header)
-print("-" * len(header))
-for label, fn, args in CASES:
-    mean, std = time_call(fn, args)
-    print(f"{label:<50}{mean:>10.3f}{std:>8.3f}")
+def main():
+    print(f"{REPS} reps after {WARMUP} warmup calls ({SLOW_REPS} reps after "
+          f"one for calls over {SLOW_S} s), times in ms")
+    print(f"BLAS threads: {BLAS_THREADS} ({', '.join(BLAS_THREAD_VARS)})\n")
+    header = f"{'kernel':<50}{'mean':>10}{'std':>8}"
+    print(header)
+    print("-" * len(header))
+    for label, fn, args in CASES:
+        mean, std = time_call(fn, args)
+        print(f"{label:<50}{mean:>10.3f}{std:>8.3f}")
+
+
+if __name__ == "__main__":
+    main()

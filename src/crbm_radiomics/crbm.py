@@ -52,20 +52,50 @@ tests hold these entry points to float64 tolerances.
 
 Worker thread.  The module keeps one worker thread, ``_worker()``, started
 on first use, for the two paper-scale steps that leave the second core
-idle when BLAS runs on one thread.  Its results are bit-identical to
-running the same calls inline.  It writes only into buffers the calling
-thread allocated: a thread's own large temporaries come from its own
-malloc arena and raise the peak memory.  It calls none of the functions
-that perfbench's tracer rebinds, whose spans assume one thread.
+idle when BLAS runs on one thread; a forked child starts its own.  It
+writes only into buffers the calling thread allocated: a thread's own
+large temporaries come from its own malloc arena and raise the peak
+memory.  It calls none of the functions that perfbench's tracer rebinds,
+whose spans assume one thread.  Its results are bit-identical to running
+the same calls inline.
 
-* A CD chunk that draws at least ``_CD_CHUNK_DRAWS`` uniforms (one
-  256x256 image of 64 maps draws 4,129,792) has the worker fill them, by
-  the same one call, while the chunk's first hidden pass and data phase
-  run; the chunks of a batch share that buffer.  Such a chunk peaks at
-  its hidden maps, its uniforms and one im2col copy of its images.  A
-  smaller chunk, such as one of the quick-start's 16 patches of 16x16
-  (40,960 draws), draws inline after the data phase and peaks at its
-  hidden maps and its uniforms.
+* An image whose CD chain draws at least ``_CD_CHUNK_DRAWS`` uniforms
+  (a 256x256 image of 64 maps draws 4,129,792 a step) is a chunk of its
+  own, and the two threads share its chain (``_two_thread_chain``):
+
+  - the worker fills the uniforms, by the one call of a one-thread chunk,
+    while this thread runs the first hidden pass through the traced
+    ``kernels.corr_valid``;
+  - the data phase's filter-gradient product and float64 map sums split
+    by filter halves: this thread adds the first half's, the worker the
+    second's once it has drawn, and this thread then samples h whole;
+  - each later hidden pass, its sampling of h and the chain phase's
+    statistics split by filter halves, this thread the first, the worker
+    the second.  Each half writes its own rows of the sums, so they get
+    the bits of the whole stack's;
+  - a reconstruction splits ``conv_full``'s tap product by columns, cut
+    at a multiple of 8, then its frame reduction by bands of output
+    rows; this thread takes the sigmoid, the visible sample and the
+    cross-entropy.
+
+  One im2col buffer per image serves a pass's product and both phases'
+  gradient products, and holds the taps during a reconstruction; the
+  images of a batch share one uniforms buffer.  Such a chunk peaks at
+  one stack of hidden maps, its uniforms and one im2col copy, the maps
+  being freed once sampled, before the two frames of a reconstruction.
+  Its bits equal the one-thread chain's as far as a product split by
+  filter rows or by columns gives each part the bits of the whole
+  product.  On one OpenBLAS build (0.3.31, Haswell kernels), at 1 and 2
+  BLAS threads, the column split of the tap product was bit-equal at
+  every shape tried, and so was the row split of the hidden pass but for
+  float64 with one filter in a half (3 filters of 3x3 on 6x6); the row
+  split of the filter-gradient product was bit-equal at the paper's
+  shape, but not at smaller ones (64x64 with 16 filters, 100x100 with
+  8, 6x6 with 3), which is why only such large chains take two threads;
+  tests/test_crbm_worker.py pins the paper's shape.
+  A smaller chunk, such as one of the quick-start's 16 patches of 16x16
+  (40,960 draws), runs on this thread, draws after the data phase and
+  peaks at its hidden maps and its uniforms.
 * ``extract_feature_map`` computes a stack whose maps hold more than
   ``_EXTRACT_MAP_VALUES`` values in bands of hidden rows, the worker half
   of them, and never holds the whole (..., M, H, H) stack.
@@ -74,6 +104,7 @@ that perfbench's tracer rebinds, whose spans assume one thread.
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,8 +117,8 @@ from .seeding import derive_rng
 
 # most uniforms drawn ahead for one chunk of a CD batch (8 MB of float64,
 # 4 MB of float32); a chunk holds as many whole images as fit, and at
-# least one.  A chunk that draws this many or more (one 256x256 image of
-# 64 maps draws 4,129,792) has them filled on the worker thread
+# least one.  An image that draws this many or more (one 256x256 image of
+# 64 maps draws 4,129,792) is a chunk of its own, run on two threads
 _CD_CHUNK_DRAWS = 1 << 20
 # hidden-map values per band of extract_feature_map (2 MB of float64); a
 # stack with more maps than this, and a hidden side that is a multiple of
@@ -107,6 +138,21 @@ def _worker():
     package's cold start."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="crbm")
+
+
+# a forked child inherits the executor but not its thread, so a call
+# submitted to it would never run: the child makes its own
+os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _on_both_threads(fn, here: tuple, there: tuple) -> None:
+    """fn(*here) on this thread while the worker runs fn(*there); returns
+    once both are done, and an error of either propagates."""
+    job = _worker().submit(fn, *there)
+    try:
+        fn(*here)
+    finally:
+        job.result()
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +365,7 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
 
 
 def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
-                 rng: np.random.Generator, data_phase, uniforms=None):
+                 rng: np.random.Generator, data_phase):
     """k Gibbs rounds for a stack of images v0 (B, N, N) at once.
 
     The uniforms are drawn in one call, laid out in the order that
@@ -337,31 +383,17 @@ def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
     data_phase(h0_probs) is called with the hidden probabilities of v0,
     and the chain drops them once it has sampled from them.  A caller
     that reduces them to sums, as the CD statistics do, thus holds one
-    stack of hidden maps at a time.  Without a uniforms buffer the draw
-    comes after the data phase, so a chunk's peak is these probabilities
-    and the uniforms.  Given uniforms, a flat buffer of v0's dtype with
-    room for the draws, the worker thread fills it with the same one call
-    while this thread computes the first hidden pass and the data phase;
-    that peak adds one im2col copy of v0.  Returns (v_k, hk_probs,
-    v1_probs), each with the leading batch axis.
+    stack of hidden maps at a time; the draw comes after the data phase,
+    so the chain's peak is these probabilities and the uniforms.  Returns
+    (v_k, hk_probs, v1_probs), each with the leading batch axis.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n, side, dtype = model.input_size, model.hidden_side, v0.dtype
     batch, n_hidden = len(v0), model.num_hidden
-    shape = (batch, k, n_hidden + n * n)
-    if uniforms is None:
-        probs = _hidden_probs(model, v0)
-        data_phase(probs)
-        uniforms = rng.random(shape, dtype=dtype)
-    else:
-        uniforms = uniforms[:math.prod(shape)].reshape(shape)
-        fill = _worker().submit(rng.random, dtype=dtype, out=uniforms)
-        try:
-            probs = _hidden_probs(model, v0)
-            data_phase(probs)
-        finally:
-            fill.result()
+    probs = _hidden_probs(model, v0)
+    data_phase(probs)
+    uniforms = rng.random((batch, k, n_hidden + n * n), dtype=dtype)
     u_h = uniforms[..., :n_hidden].reshape(batch, k, model.num_filters, side, side)
     u_v = uniforms[..., n_hidden:].reshape(batch, k, n, n)
     for step in range(k):
@@ -415,30 +447,174 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     order, so the chunking never changes a sample.  The chain runs in the
     stack's dtype; the statistics are summed in float64.  The data phase
     is summed before the chain samples, so that a chunk never holds two
-    stacks of hidden probabilities.  Chunks that draw _CD_CHUNK_DRAWS or
-    more have their uniforms filled on the worker thread, into one buffer
-    that every such chunk of the stack reuses.
+    stacks of hidden probabilities.  An image that draws _CD_CHUNK_DRAWS
+    or more is a chunk of its own and runs on two threads
+    (_two_thread_chain), each such chunk of the stack drawing into one
+    uniforms buffer.
     """
     per_image = k * (model.num_hidden + model.num_visible)
     step = max(1, _CD_CHUNK_DRAWS // per_image)
-    draws = min(step, len(pixels)) * per_image
-    buffer = np.empty(draws, pixels.dtype) if draws >= _CD_CHUNK_DRAWS else None
+    two_threads = per_image >= _CD_CHUNK_DRAWS
+    uniforms = np.empty(per_image, pixels.dtype) if two_threads else None
     g_w = np.zeros_like(model.filters)
     g_b = 0.0
     g_c = np.zeros(model.num_filters)
     ce = 0.0
     for start in range(0, len(pixels), step):
         v0 = pixels[start:start + step]
-        uniforms = buffer if len(v0) * per_image >= _CD_CHUNK_DRAWS else None
-        vk, pk, v1_probs = _gibbs_batch(
-            model, v0, k, rng, functools.partial(_add_data_phase, g_w, g_c, v0),
-            uniforms)
-        g_w -= kernels.corr_grad(vk, pk)
-        g_b += float(v0.sum(dtype=np.float64) - vk.sum(dtype=np.float64))
-        g_c -= pk.sum(axis=(0, 2, 3), dtype=np.float64)
-        ce += _recon_cross_entropy_sum(v0, v1_probs)
-        del vk, pk, v1_probs  # free this chunk's maps before the next chain
+        if two_threads:
+            vk_sum, chunk_ce = _two_thread_chain(model, v0, k, rng, uniforms,
+                                                 g_w, g_c)
+        else:
+            vk, pk, v1_probs = _gibbs_batch(
+                model, v0, k, rng,
+                functools.partial(_add_data_phase, g_w, g_c, v0))
+            g_w -= kernels.corr_grad(vk, pk)
+            g_c -= pk.sum(axis=(0, 2, 3), dtype=np.float64)
+            vk_sum = vk.sum(dtype=np.float64)
+            chunk_ce = _recon_cross_entropy_sum(v0, v1_probs)
+            del vk, pk, v1_probs  # free this chunk's maps before the next chain
+        g_b += float(v0.sum(dtype=np.float64) - vk_sum)
+        ce += chunk_ce
     return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c), ce
+
+
+class _ChainBuffers(NamedTuple):
+    """What both threads of _two_thread_chain read and write: the chain's
+    filters (M, K*K) and hidden biases (M, 1) in its dtype; cols, the
+    (K*K, H*H) im2col copy of the visible image of the current pass, or
+    the tap planes of a reconstruction; a filter-gradient part (M, K*K) of
+    the chain's dtype and a float64 map-sum part (M,) for each pass; and
+    the float64 sums g_w (M, K*K) and g_c (M,) of the CD statistics."""
+
+    filters: np.ndarray
+    biases: np.ndarray
+    cols: np.ndarray
+    grad: np.ndarray
+    sums: np.ndarray
+    g_w: np.ndarray
+    g_c: np.ndarray
+
+
+def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
+                      rng: np.random.Generator, uniforms: np.ndarray,
+                      g_w: np.ndarray, g_c: np.ndarray):
+    """The CD-k chain of one image v0 (1, N, N) on this thread and the
+    worker, adding its data-phase minus chain-phase statistics to the
+    float64 sums g_w and g_c; uniforms is a flat buffer of v0's dtype with
+    room for the chain's draws.  Returns (the float64 sum of v_k's pixels,
+    the summed reconstruction cross-entropy of the first round), taken as
+    soon as they can be, so that neither image is held through the last
+    hidden pass.
+
+    It draws the uniforms of _gibbs_batch and computes every value with
+    the products of the whole-stack kernels, restricted to filter rows or
+    map columns, so it gives the bits of _gibbs_batch and the statistics
+    of _cd_sums' one-thread chunks as far as the matrix product gives a
+    row or a column the same bits alone as in the whole product (see the
+    module docstring).  Every buffer is allocated here, and the worker
+    runs only private functions.
+    """
+    m, kside, n, side = (model.num_filters, model.kernel_size,
+                         model.input_size, model.hidden_side)
+    dtype, n_hidden = v0.dtype, model.num_hidden
+    draws = uniforms.reshape(k, n_hidden + n * n)
+    u_h = draws[:, :n_hidden].reshape(k, m, side * side)
+    u_v = draws[:, n_hidden:].reshape(k, n, n)
+    bands, frame = kernels._tap_bands(kside, side, 1)
+    # filter halves for the hidden passes; a column cut at a multiple of
+    # 8 for the tap product; halves of the output-row bands
+    half, cut, split = m // 2, side * side // 2 // 8 * 8, len(bands) // 2
+    fill = _worker().submit(rng.random, dtype=dtype, out=uniforms)
+    try:
+        # the first hidden pass goes through the traced corr_valid
+        maps = _hidden_probs(model, v0).reshape(m, side * side)
+        chain = _ChainBuffers(
+            filters=model.filters.astype(dtype).reshape(m, kside * kside),
+            biases=model.hidden_biases.astype(dtype)[:, None],
+            cols=np.empty((kside * kside, side * side), dtype),
+            grad=np.empty((m, kside * kside), dtype), sums=np.empty(m),
+            g_w=g_w.reshape(m, kside * kside), g_c=g_c)
+        # cols as (K, K, H, H): v's windows for a hidden pass, the tap
+        # planes for a reconstruction
+        planes = chain.cols.reshape(kside, kside, side, side)
+        planes[...] = kernels._windows(np.ascontiguousarray(v0[0]), kside,
+                                       0, side)
+        # the worker adds its half of the data phase once it has drawn the
+        # uniforms; this thread adds the other half, then samples all of h
+        _on_both_threads(_data_phase, (chain, maps, 0, half, fill, u_h[0]),
+                         (chain, maps, half, m, None, None))
+    finally:
+        fill.result()
+    for step in range(k):
+        del maps  # sampled: free them before the reconstruction
+        # conv_full's tap product of h, by columns
+        h, w_t = u_h[step], chain.filters.T
+        _on_both_threads(np.matmul, (w_t, h[:, :cut], chain.cols[:, :cut]),
+                         (w_t, h[:, cut:], chain.cols[:, cut:]))
+        v = np.empty((n, n), dtype)  # P(v = 1 | h) until sampled
+        frames = np.empty((2, frame), dtype)
+        _on_both_threads(kernels._add_taps,
+                         (planes, v, bands[:split], frames[0]),
+                         (planes, v, bands[split:], frames[1]))
+        del frames
+        kernels.sigmoid(v, dtype.type(model.visible_bias))
+        if step == 0:
+            ce = _recon_cross_entropy_sum(v0[0], v)
+        np.less(u_v[step], v, out=v)
+        planes[...] = kernels._windows(v, kside, 0, side)  # v's im2col
+        last = step == k - 1
+        if last:
+            vk_sum = v.sum(dtype=np.float64)
+            del v
+        maps = np.empty((m, side * side), dtype)
+        stats, sample = (np.subtract, None) if last else (None, u_h[step + 1])
+        _on_both_threads(_hidden_rows, (chain, maps, 0, half, stats, sample),
+                         (chain, maps, half, m, stats, sample))
+    return vk_sum, ce
+
+
+def _data_phase(chain: _ChainBuffers, maps: np.ndarray, lo: int, hi: int,
+                fill, u_h) -> None:
+    """The data phase of _two_thread_chain for filters lo .. hi - 1 of the
+    data image's hidden probabilities maps (M, H*H): their part of the CD
+    statistics; then, given the future fill of the uniform draw, the
+    sample of every map, written over its uniforms u_h (M, H*H) once they
+    are drawn."""
+    _add_statistics(chain, maps, lo, hi, np.add)
+    if fill is not None:
+        fill.result()
+        np.less(u_h, maps, out=u_h)
+
+
+def _hidden_rows(chain: _ChainBuffers, maps: np.ndarray, lo: int, hi: int,
+                 stats, u_h) -> None:
+    """Filters lo .. hi - 1 of a later hidden pass of _two_thread_chain,
+    of the image whose im2col copy chain.cols holds: their probabilities,
+    written into maps (M, H*H); their part of the CD statistics, added by
+    the ufunc stats unless it is None; and their hidden sample, written
+    over their uniforms u_h (M, H*H) unless u_h is None."""
+    rows = maps[lo:hi]
+    # corr_valid's product, then the conditional
+    np.matmul(chain.filters[lo:hi], chain.cols, out=rows)
+    kernels.sigmoid(rows, chain.biases[lo:hi])
+    if stats is not None:
+        _add_statistics(chain, maps, lo, hi, stats)
+    if u_h is not None:
+        np.less(u_h[lo:hi], rows, out=u_h[lo:hi])
+
+
+def _add_statistics(chain: _ChainBuffers, maps: np.ndarray, lo: int,
+                    hi: int, op) -> None:
+    """Add (op np.add, the data phase) or subtract (np.subtract, the chain
+    phase) the CD statistics of filters lo .. hi - 1 of the hidden
+    probabilities maps (M, H*H) to chain.g_w and chain.g_c: corr_grad's
+    product with chain.cols, then the float64 map sums."""
+    rows = maps[lo:hi]
+    grad = np.matmul(rows, chain.cols.T, out=chain.grad[lo:hi])
+    op(chain.g_w[lo:hi], grad, out=chain.g_w[lo:hi])
+    sums = rows.sum(axis=1, dtype=np.float64, out=chain.sums[lo:hi])
+    op(chain.g_c[lo:hi], sums, out=chain.g_c[lo:hi])
 
 
 def cd_gradient_estimate(model: CrbmModel, images: np.ndarray, k: int,
@@ -583,12 +759,9 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     maps = np.empty((2, m * count))
     cols = np.empty((2, model.kernel_size ** 2 * count))
     half = len(bands) // 2
-    job = _worker().submit(_mean_map_rows, model, pixels, bands[half:],
-                           out, maps[1], cols[1])
-    try:
-        _mean_map_rows(model, pixels, bands[:half], out, maps[0], cols[0])
-    finally:
-        job.result()
+    _on_both_threads(_mean_map_rows,
+                     (model, pixels, bands[:half], out, maps[0], cols[0]),
+                     (model, pixels, bands[half:], out, maps[1], cols[1]))
     return out
 
 

@@ -14,7 +14,9 @@ pixel's taps in a fixed (r, s) order, with one reduction over a frame of
 the placed planes (see its docstring).  ``corr_valid``'s im2col copy
 and product are ``_corr_valid_rows``, which computes any band of hidden
 rows into buffers it is given; ``crbm.extract_feature_map`` calls it
-for bands of a paper-scale stack.  All three take an optional
+for bands of a paper-scale stack.  ``conv_full``'s reduction is
+``_add_taps``, which crbm's two-thread CD chain calls for bands of
+output rows.  All three take an optional
 leading batch axis (any number of leading axes, written ``...`` below),
 so a CD minibatch goes through each kernel in one call:
 
@@ -125,7 +127,9 @@ def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
     one reduction over the tap axes adds them in that order.  The frame
     covers a band of output rows and the K - 1 rows of taps on either side
     that reach into it, at most _FRAME_ELEMENTS values, so that a large
-    image does not get a K*K-fold copy of itself.
+    image does not get a K*K-fold copy of itself.  A pixel's sum is the
+    same whatever the bands, so the bands can be reduced in any order, on
+    any thread (``_add_taps``).
     """
     m, k, _ = w.shape
     lead, hside = hmaps.shape[:-3], hmaps.shape[-1]
@@ -134,24 +138,48 @@ def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
     taps = w.reshape(m, k * k).T @ hmaps.reshape(*lead, m, hside * hside)
     taps = taps.reshape(*lead, k, k, hside, hside)
     out = np.empty((*lead, n, n), dtype=taps.dtype)
-    rows = _FRAME_ELEMENTS // (k * k * n * math.prod(lead))
+    bands, frame = _tap_bands(k, hside, math.prod(lead))
+    _add_taps(taps, out, bands, np.empty(frame, dtype=taps.dtype))
+    return out
+
+
+def _tap_bands(k: int, hside: int, count: int) -> tuple:
+    """(bands, frame): the bands (u0, u1) of output rows that conv_full
+    adds its taps in, for count images of hidden side hside, and the most
+    values a band's frame holds."""
+    n = hside + k - 1
+    rows = _FRAME_ELEMENTS // (k * k * n * count)
     band = n if rows >= n else max(1, rows - 2 * (k - 1))
-    for u0 in range(0, n, band):
-        u1 = min(u0 + band, n)
+    bands = [(u0, min(u0 + band, n)) for u0 in range(0, n, band)]
+    frame = k * k * count * (min(band + k - 1, hside) + k - 1) * n
+    return bands, frame
+
+
+def _add_taps(taps: np.ndarray, out: np.ndarray, bands: list,
+              frame: np.ndarray) -> None:
+    """Write output rows u0 .. u1 - 1 of each band (u0, u1) of conv_full
+    into out (..., N, N) from its tap planes taps (..., K, K, H, H),
+    through the flat buffer frame, with room for _tap_bands' frame; it
+    allocates no array, so a thread can run it on buffers that another
+    thread made."""
+    *lead, k, _, hside, _ = taps.shape
+    n = out.shape[-1]
+    for u0, u1 in bands:
         # hidden rows [a, b) reach output rows [u0, u1); frame row t is
         # output row a + t
         a, b = max(u0 - k + 1, 0), min(u1, hside)
-        frame = np.zeros((k, k, *lead, b - a + k - 1, n), dtype=taps.dtype)
-        tap_r, tap_s, *lead_strides, row, col = frame.strides
-        # placed[..., r, s, i, j] = frame[r, s, ..., i + r, j + s]
-        placed = _strided(frame, (*lead, k, k, b - a, hside),
+        rows = b - a + k - 1
+        framed = frame[:k * k * math.prod(lead) * rows * n]
+        framed = framed.reshape(k, k, *lead, rows, n)
+        framed.fill(0)
+        tap_r, tap_s, *lead_strides, row, col = framed.strides
+        # placed[..., r, s, i, j] = framed[r, s, ..., i + r, j + s]
+        placed = _strided(framed, (*lead, k, k, b - a, hside),
                           (*lead_strides, tap_r + row, tap_s + col, row, col))
         placed[...] = taps[..., a:b, :]
-        planes = frame.reshape(k * k, *lead, b - a + k - 1, n)
+        planes = framed.reshape(k * k, *lead, rows, n)
         np.add.reduce(planes[..., u0 - a:u1 - a, :], axis=0,
                       out=out[..., u0:u1, :])
-        del frame, placed, planes  # before the next band's frame
-    return out
 
 
 def corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -50,14 +50,14 @@ def record_chunks(monkeypatch):
     chunks = []
     batched = crbm._gibbs_batch
 
-    def spy(model, v0, k, rng, data_phase, uniforms=None):
+    def spy(model, v0, k, rng, data_phase):
         h0 = []
 
         def record(p0):
             h0.append(p0.copy())
             data_phase(p0)
 
-        v_k, hk, v1_probs = out = batched(model, v0, k, rng, record, uniforms)
+        v_k, hk, v1_probs = out = batched(model, v0, k, rng, record)
         chunks.append(tuple(a.copy() for a in (v0, v_k, *h0, hk, v1_probs)))
         return out
 
@@ -267,15 +267,15 @@ def test_recon_cross_entropy_is_finite_at_saturated_float32_probabilities(
                                                         rel=1e-9)
 
 
-def test_float32_cd_filter_gradient_matches_float64_at_paper_shape(monkeypatch):
+def test_float32_cd_filter_gradient_matches_float64_at_paper_shape():
     # the paper's CRBM: 64 filters of 5x5 on a 256x256 slice, CD-1
     model = crbm.init_model(64, 5, 256, seed=17)
     spec = SynthSpec(image_size=256, noise_level=0.5, seed=17)
     v0 = synth.make_sample(spec, 1, 0).pixels[None].astype(np.float32)
-    chunks = record_chunks(monkeypatch)
     grad, _ = crbm._cd_sums(model, v0, 1, derive_rng(17, "cd"))
-    (chunk,) = chunks
-    v, vk, p0, pk = (a.astype(np.float64) for a in chunk[:4])
+    # the two-thread chain draws these samples (test_crbm_worker.py pins it)
+    vk, p0, pk, _ = replay_batch(model, v0, 1, derive_rng(17, "cd"))
+    v, vk, p0, pk = (a.astype(np.float64) for a in (v0, vk, p0, pk))
     data_phase = kernels.corr_grad(v, p0)
     want = data_phase - kernels.corr_grad(vk, pk)
     # the gradient is a small difference of two large phases ...
