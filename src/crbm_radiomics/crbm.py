@@ -45,10 +45,10 @@ on the same samples, relative to its largest entry, on slices where the
 two CD phases it is the difference of were up to 24x larger than it; a
 test pins 5e-5.  float32 uniforms are a different random stream from
 float64 ones, so training is reproducible but not bit-equal to a float64
-chain.  Every other entry point passes float64 and stays float64 through
-the same functions: ``cd_gradient_estimate``, ``gibbs_chain`` and
-``extract_feature_map``, so feature matrices are float64, and the
-tests hold these entry points to float64 tolerances.
+chain.  ``extract_feature_map`` passes float64 and stays float64 through
+the same functions, so feature matrices are float64.  ``_cd_sums`` given
+a float64 stack, as the tests that hold the chain against the
+enumeration oracles give it, runs the chain in float64 too.
 
 Worker thread.  The module keeps one worker thread, ``_worker()``, started
 on first use, for the two paper-scale steps that leave the second core
@@ -93,9 +93,12 @@ the same calls inline.
   shape, but not at smaller ones (64x64 with 16 filters, 100x100 with
   8, 6x6 with 3), which is why only such large chains take two threads;
   tests/test_crbm_worker.py pins the paper's shape.
-  A smaller chunk, such as one of the quick-start's 16 patches of 16x16
-  (40,960 draws), runs on this thread, draws after the data phase and
-  peaks at its hidden maps and its uniforms.
+  A smaller chunk, such as the quick-start's batch of 16 patches of
+  16x16 (40,960 draws), runs on this thread (``_one_thread_chain``),
+  adds its data-phase statistics before it draws, and peaks at one stack
+  of hidden maps and its uniforms.  Both chains add their own statistics
+  to the sums and return the same two numbers, so ``_cd_sums`` calls
+  either alike.
 * ``extract_feature_map`` computes a stack whose maps hold more than
   ``_EXTRACT_MAP_VALUES`` values in bands of hidden rows, the worker half
   of them, and never holds the whole (..., M, H, H) stack.
@@ -122,7 +125,11 @@ from .seeding import derive_rng
 _CD_CHUNK_DRAWS = 1 << 20
 # hidden-map values per band of extract_feature_map (2 MB of float64); a
 # stack with more maps than this, and a hidden side that is a multiple of
-# 4, is extracted in bands of hidden rows
+# 4, is extracted in bands of hidden rows.  It is also the budget of
+# features' extraction chunks: a chunk holds as many whole images as fit,
+# and at least one.  The M maps of one chunk's images are alive at a time
+# while they are averaged, so the peak memory grows with it: at 2^20 the
+# quick-start peak RSS was 81 MB, at 2^16 and 2^18 66 and 65 MB.
 _EXTRACT_MAP_VALUES = 1 << 18
 # a parameter beyond it is inf in the float32 CD chain
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -256,13 +263,6 @@ class CrbmGradient:
     hidden_biases: np.ndarray
 
 
-class GibbsResult(NamedTuple):
-    v_k: np.ndarray
-    h0_probs: np.ndarray
-    hk_probs: np.ndarray
-    v1_probs: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Construction and persistence
 # ---------------------------------------------------------------------------
@@ -364,77 +364,9 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
     return kernels.sigmoid(act, dtype.type(model.visible_bias))
 
 
-def _gibbs_batch(model: CrbmModel, v0: np.ndarray, k: int,
-                 rng: np.random.Generator, data_phase):
-    """k Gibbs rounds for a stack of images v0 (B, N, N) at once.
-
-    The uniforms are drawn in one call, laid out in the order that
-    one-image chains run image after image consume them: per image,
-    [hidden, visible] x k.  One call draws the stream of consecutive
-    calls, float32 too (a float32 draw takes one 32-bit half of a 64-bit
-    output, and the generator keeps the spare half for the next draw), so
-    the batch gets the samples its images would get chained one after
-    another from the same generator.  The uniforms, and everything else
-    in the chain, are of v0's dtype (float32 or float64).  A sample is
-    1.0 where uniform < probability: a hidden sample is written over its
-    uniforms, a visible one into an array of its own, so that v_k does
-    not hold the uniforms alive.
-
-    data_phase(h0_probs) is called with the hidden probabilities of v0,
-    and the chain drops them once it has sampled from them.  A caller
-    that reduces them to sums, as the CD statistics do, thus holds one
-    stack of hidden maps at a time; the draw comes after the data phase,
-    so the chain's peak is these probabilities and the uniforms.  Returns
-    (v_k, hk_probs, v1_probs), each with the leading batch axis.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n, side, dtype = model.input_size, model.hidden_side, v0.dtype
-    batch, n_hidden = len(v0), model.num_hidden
-    probs = _hidden_probs(model, v0)
-    data_phase(probs)
-    uniforms = rng.random((batch, k, n_hidden + n * n), dtype=dtype)
-    u_h = uniforms[..., :n_hidden].reshape(batch, k, model.num_filters, side, side)
-    u_v = uniforms[..., n_hidden:].reshape(batch, k, n, n)
-    for step in range(k):
-        if step:
-            probs = _hidden_probs(model, v)
-        h = np.less(u_h[:, step], probs, out=u_h[:, step])
-        del probs  # sampled: free them before the reconstruction
-        v_probs = _visible_probs(model, h)
-        if step == 0:
-            v1_probs = v_probs
-        v = np.less(u_v[:, step], v_probs, out=np.empty_like(v_probs))
-    del uniforms, u_h, u_v, h  # spent: free them before the last hidden pass
-    return v, _hidden_probs(model, v), v1_probs
-
-
-def gibbs_chain(model: CrbmModel, v0: np.ndarray, k: int,
-                rng: np.random.Generator) -> GibbsResult:
-    """k full rounds of alternating Gibbs sampling started at v0.
-
-    Each round samples the hidden maps from P(h|v) and then the visible
-    layer from P(v|h).  The returned hidden probability maps at step 0 and
-    step k are the CD statistics; v1_probs (reconstruction probabilities
-    after the first round) feeds the training diagnostics.
-    """
-    v0 = _visible_stack(model, v0, ndim=2)
-    h0 = []
-    v_k, hk_probs, v1_probs = _gibbs_batch(model, v0[None], k, rng, h0.append)
-    return GibbsResult(v_k[0], h0[0][0], hk_probs[0], v1_probs[0])
-
-
 # ---------------------------------------------------------------------------
 # Contrastive divergence
 # ---------------------------------------------------------------------------
-
-def _add_data_phase(g_w: np.ndarray, g_c: np.ndarray, v0: np.ndarray,
-                    p0: np.ndarray) -> None:
-    """Add the data-phase statistics of images v0 with hidden
-    probabilities p0 to the float64 sums g_w and g_c."""
-    g_w += kernels.corr_grad(v0, p0)
-    g_c += p0.sum(axis=(0, 2, 3), dtype=np.float64)
-
 
 def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
              rng: np.random.Generator):
@@ -445,38 +377,77 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     runs in chunks of whole images that draw at most _CD_CHUNK_DRAWS
     uniforms each, or one image; chunks consume the generator in image
     order, so the chunking never changes a sample.  The chain runs in the
-    stack's dtype; the statistics are summed in float64.  The data phase
-    is summed before the chain samples, so that a chunk never holds two
-    stacks of hidden probabilities.  An image that draws _CD_CHUNK_DRAWS
-    or more is a chunk of its own and runs on two threads
-    (_two_thread_chain), each such chunk of the stack drawing into one
-    uniforms buffer.
+    stack's dtype; the statistics are summed in float64.  An image that
+    draws _CD_CHUNK_DRAWS or more is a chunk of its own and runs on two
+    threads (_two_thread_chain); smaller images share chunks that run on
+    this thread (_one_thread_chain).
     """
     per_image = k * (model.num_hidden + model.num_visible)
-    step = max(1, _CD_CHUNK_DRAWS // per_image)
-    two_threads = per_image >= _CD_CHUNK_DRAWS
-    uniforms = np.empty(per_image, pixels.dtype) if two_threads else None
+    if per_image >= _CD_CHUNK_DRAWS:
+        # one uniforms buffer for every chunk of the call: a buffer per
+        # image made a paper-shape cd_update 1.090x as slow (0 of 16
+        # alternations faster)
+        step, chain = 1, functools.partial(
+            _two_thread_chain, uniforms=np.empty(per_image, pixels.dtype))
+    else:
+        step, chain = _CD_CHUNK_DRAWS // per_image, _one_thread_chain
     g_w = np.zeros_like(model.filters)
     g_b = 0.0
     g_c = np.zeros(model.num_filters)
     ce = 0.0
     for start in range(0, len(pixels), step):
         v0 = pixels[start:start + step]
-        if two_threads:
-            vk_sum, chunk_ce = _two_thread_chain(model, v0, k, rng, uniforms,
-                                                 g_w, g_c)
-        else:
-            vk, pk, v1_probs = _gibbs_batch(
-                model, v0, k, rng,
-                functools.partial(_add_data_phase, g_w, g_c, v0))
-            g_w -= kernels.corr_grad(vk, pk)
-            g_c -= pk.sum(axis=(0, 2, 3), dtype=np.float64)
-            vk_sum = vk.sum(dtype=np.float64)
-            chunk_ce = _recon_cross_entropy_sum(v0, v1_probs)
-            del vk, pk, v1_probs  # free this chunk's maps before the next chain
+        vk_sum, chunk_ce = chain(model, v0, k, rng, g_w, g_c)
         g_b += float(v0.sum(dtype=np.float64) - vk_sum)
         ce += chunk_ce
     return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c), ce
+
+
+def _one_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
+                      rng: np.random.Generator, g_w: np.ndarray,
+                      g_c: np.ndarray):
+    """The CD-k chain of a stack of images v0 (B, N, N) on this thread,
+    adding its data-phase minus chain-phase statistics to the float64
+    sums g_w and g_c.  Returns (the float64 sum of v_k's pixels, the
+    summed reconstruction cross-entropy of the first round).
+
+    The uniforms are drawn in one call, laid out in the order that
+    one-image chains run image after image consume them: per image,
+    [hidden, visible] x k.  One call draws the stream of consecutive
+    calls, float32 too (a float32 draw takes one 32-bit half of a 64-bit
+    output, and the generator keeps the spare half for the next draw), so
+    the batch gets the samples its images would get chained one after
+    another from the same generator.  The uniforms, and everything else
+    in the chain, are of v0's dtype (float32 or float64).  A sample is
+    1.0 where uniform < probability, written over the uniforms of a
+    hidden sample and over the probabilities of a visible one.
+
+    The data phase is summed before the draw, and each stack of hidden
+    probabilities is dropped once sampled, so the chain holds one stack
+    of hidden maps at a time and peaks at it and the uniforms.
+    """
+    n, side, dtype = model.input_size, model.hidden_side, v0.dtype
+    batch, n_hidden = len(v0), model.num_hidden
+    probs = _hidden_probs(model, v0)
+    g_w += kernels.corr_grad(v0, probs)
+    g_c += probs.sum(axis=(0, 2, 3), dtype=np.float64)
+    uniforms = rng.random((batch, k, n_hidden + n * n), dtype=dtype)
+    u_h = uniforms[..., :n_hidden].reshape(batch, k, model.num_filters, side, side)
+    u_v = uniforms[..., n_hidden:].reshape(batch, k, n, n)
+    for step in range(k):
+        if step:
+            probs = _hidden_probs(model, v)
+        h = np.less(u_h[:, step], probs, out=u_h[:, step])
+        del probs  # sampled: free them before the reconstruction
+        v = _visible_probs(model, h)
+        if step == 0:
+            ce = _recon_cross_entropy_sum(v0, v)
+        np.less(u_v[:, step], v, out=v)
+    del uniforms, u_h, u_v, h  # spent: free them before the last hidden pass
+    probs = _hidden_probs(model, v)
+    g_w -= kernels.corr_grad(v, probs)
+    g_c -= probs.sum(axis=(0, 2, 3), dtype=np.float64)
+    return v.sum(dtype=np.float64), ce
 
 
 class _ChainBuffers(NamedTuple):
@@ -497,8 +468,8 @@ class _ChainBuffers(NamedTuple):
 
 
 def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
-                      rng: np.random.Generator, uniforms: np.ndarray,
-                      g_w: np.ndarray, g_c: np.ndarray):
+                      rng: np.random.Generator, g_w: np.ndarray,
+                      g_c: np.ndarray, uniforms: np.ndarray):
     """The CD-k chain of one image v0 (1, N, N) on this thread and the
     worker, adding its data-phase minus chain-phase statistics to the
     float64 sums g_w and g_c; uniforms is a flat buffer of v0's dtype with
@@ -507,13 +478,13 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
     soon as they can be, so that neither image is held through the last
     hidden pass.
 
-    It draws the uniforms of _gibbs_batch and computes every value with
-    the products of the whole-stack kernels, restricted to filter rows or
-    map columns, so it gives the bits of _gibbs_batch and the statistics
-    of _cd_sums' one-thread chunks as far as the matrix product gives a
-    row or a column the same bits alone as in the whole product (see the
-    module docstring).  Every buffer is allocated here, and the worker
-    runs only private functions.
+    It draws the uniforms of _one_thread_chain and computes every value
+    with the products of the whole-stack kernels, restricted to filter
+    rows or map columns, so it gives the samples and the statistics of
+    _one_thread_chain as far as the matrix product gives a row or a
+    column the same bits alone as in the whole product (see the module
+    docstring).  Every buffer is allocated here, and the worker runs only
+    private functions.
     """
     m, kside, n, side = (model.num_filters, model.kernel_size,
                          model.input_size, model.hidden_side)
@@ -541,7 +512,9 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
         planes[...] = kernels._windows(np.ascontiguousarray(v0[0]), kside,
                                        0, side)
         # the worker adds its half of the data phase once it has drawn the
-        # uniforms; this thread adds the other half, then samples all of h
+        # uniforms; this thread adds the other half, then samples all of h.
+        # Sampling h after the join instead made a paper-shape cd_update
+        # 1.036x as slow (3 of 16 alternations faster)
         _on_both_threads(_data_phase, (chain, maps, 0, half, fill, u_h[0]),
                          (chain, maps, half, m, None, None))
     finally:
@@ -615,18 +588,6 @@ def _add_statistics(chain: _ChainBuffers, maps: np.ndarray, lo: int,
     op(chain.g_w[lo:hi], grad, out=chain.g_w[lo:hi])
     sums = rows.sum(axis=1, dtype=np.float64, out=chain.sums[lo:hi])
     op(chain.g_c[lo:hi], sums, out=chain.g_c[lo:hi])
-
-
-def cd_gradient_estimate(model: CrbmModel, images: np.ndarray, k: int,
-                         rng: np.random.Generator) -> CrbmGradient:
-    """CD-k estimate of the log-likelihood gradient, summed over the images
-    of a stack (n, N, N).
-
-    Positive and negative phases both use hidden probabilities; the negative
-    phase statistics come from the sampled v_k.  Summed, not averaged, as
-    the gradient of the log-likelihood of the whole stack is.
-    """
-    return _cd_sums(model, _visible_stack(model, images), k, rng)[0]
 
 
 def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
@@ -734,12 +695,13 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     256x256 slice's 64 do, is computed in bands of hidden rows of about
     that many values, so its (..., M, H, H) stack is never held: this
     thread computes the first half of the bands and the worker thread the
-    rest, each into buffers allocated here.  Bands are an even number of
-    rows, and only a side H that is a multiple of 4 is cut into bands, so
-    that every matrix product, a band's and the whole stack's, has a
-    multiple of 8 columns: OpenBLAS's float64 product gives some columns
-    other bits when it has not (a 1-row band of a 252-wide map did), and
-    the bands' values would then not be the whole stack's.  That rule was
+    rest, each into buffers allocated here.  Any other stack is one band,
+    computed on this thread.  Bands are an even number of rows, and only
+    a side H that is a multiple of 4 is cut into bands, so that every
+    matrix product, a band's and the whole stack's, has a multiple of 8
+    columns: OpenBLAS's float64 product gives some columns other bits
+    when it has not (a 1-row band of a 252-wide map did), and the bands'
+    values would then not be the whole stack's.  That rule was
     found by trial on one OpenBLAS build, whose float64 kernel for its CPU
     target handles a tail of fewer than 8 columns apart; another BLAS or
     CPU target may round a band's columns otherwise, and the banded
@@ -751,13 +713,17 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     rows = max(2, _EXTRACT_MAP_VALUES // max(per_row, 1) // 2 * 2)
     # side % 4: see above; the bit equality rests on the BLAS build
     if rows >= side or side % 4:
-        return _hidden_probs(model, pixels).mean(axis=-3)
+        rows = side  # one band, on this thread
     bands = [(r0, min(r0 + rows, side)) for r0 in range(0, side, rows)]
     out = np.empty((*lead, side, side))
     # each thread's buffers: a band's M maps and their im2col copy
     count = math.prod(lead) * rows * side
-    maps = np.empty((2, m * count))
-    cols = np.empty((2, model.kernel_size ** 2 * count))
+    threads = min(2, len(bands))
+    maps = np.empty((threads, m * count))
+    cols = np.empty((threads, model.kernel_size ** 2 * count))
+    if threads == 1:
+        _mean_map_rows(model, pixels, bands, out, maps[0], cols[0])
+        return out
     half = len(bands) // 2
     _on_both_threads(_mean_map_rows,
                      (model, pixels, bands[:half], out, maps[0], cols[0]),

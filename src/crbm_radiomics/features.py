@@ -13,8 +13,8 @@ The CRBM trains on exactly the images it later encodes: both draw them,
 as one (P, N, N) array per sample, from one generator, _crbm_inputs.
 Training takes them as one (n, N, N) stack; extraction encodes them in
 chunks of images, each chunk through the CRBM as one stack.  A chunk is
-as many images as have _EXTRACT_MAP_VALUES hidden-map values, or one
-image with more, whose maps the CRBM then computes in bands of rows.
+as many images as have crbm._EXTRACT_MAP_VALUES hidden-map values, or
+one image with more, whose maps the CRBM then computes in bands of rows.
 """
 
 from dataclasses import dataclass
@@ -33,14 +33,6 @@ from .errors import ConfigError
 # catalog's temporaries, and so the peak memory, grow with the stack; at 8
 # slices its per-call numpy overhead is already spread over the stack.
 _STACK_PIXELS = 2 ** 13
-# Hidden-map values per CRBM extraction chunk (2 MB of float64), the
-# budget of a band of crbm.extract_feature_map; a chunk holds as many
-# whole images as fit, and at least one.  The M maps of one chunk's images
-# are alive at a time while they are averaged, so the peak memory grows
-# with it: at 2^20 the quick-start peak RSS was 81 MB, at 2^16 and 2^18 66
-# and 65 MB.  A 256x256 slice's 64 maps (4.1M values) are a chunk of their
-# own, which extract_feature_map computes in bands of this budget.
-_EXTRACT_MAP_VALUES = crbm_mod._EXTRACT_MAP_VALUES
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ def _crbm_features(dataset: Dataset, config: PipelineConfig,
     The inputs go through the CRBM in chunks of images, so one chunk's
     maps are alive at a time; the mean adds an image's maps one after
     another, as it would for that image alone."""
-    step = max(1, _EXTRACT_MAP_VALUES // model.num_hidden)
+    step = max(1, crbm_mod._EXTRACT_MAP_VALUES // model.num_hidden)
     inputs = ((i, img) for i, stack in _crbm_inputs(dataset, config)
               for img in stack)
     records, rows = [], []

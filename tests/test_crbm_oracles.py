@@ -25,6 +25,7 @@ from crbm_enumeration import (ENUMERATION_LIMIT, all_bit_configs,
                               exact_log_likelihood, exact_log_likelihood_grad,
                               free_energy, log_partition, random_binary_images,
                               random_tiny_model, shifted, visible_states)
+from test_crbm_training import assert_same_sums, chunks_seen, spy_conditionals
 
 
 # combos keep n_visible <= 16 and n_hidden <= 18 so enumeration is exact
@@ -311,10 +312,8 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
     model = random_tiny_model(rng, 3, 2, 2)
     data = random_binary_images(rng, 3, 3)
     calls = {
-        "cd_gradient_estimate": lambda: crbm.cd_gradient_estimate(
-            model, data, 2, derive_rng(19, "cd")).filters,
-        "gibbs_chain": lambda: crbm.gibbs_chain(
-            model, data[0], 2, derive_rng(19, "gc")).hk_probs,
+        "_cd_sums": lambda: crbm._cd_sums(
+            model, data, 2, derive_rng(19, "cd"))[0].filters,
         "extract_feature_map": lambda: crbm.extract_feature_map(model, data[0]),
     }
     for name, call in calls.items():
@@ -326,27 +325,39 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
     assert set(seen) == {np.dtype(np.float32)}
 
 
-def test_gibbs_chain_shapes_and_binary_samples():
+def test_the_cd_chain_shapes_and_binary_samples(monkeypatch):
     rng = derive_rng(8, "gc")
     model = random_tiny_model(rng, 4, 2, 2)
-    v0 = random_binary_images(rng, 4)
-    res = crbm.gibbs_chain(model, v0, 3, derive_rng(8, "chain"))
-    assert set(np.unique(res.v_k)) <= {0.0, 1.0}
-    for probs in (res.h0_probs, res.hk_probs):
-        assert probs.shape == (2, 3, 3)
+    v0 = random_binary_images(rng, 4)[None]
+    hidden, visible = spy_conditionals(monkeypatch)
+    crbm._cd_sums(model, v0, 3, derive_rng(8, "chain"))
+    (chunk,) = chunks_seen(hidden, visible, 3)
+    _, v_k, h0_probs, hk_probs, v1_probs = chunk
+    # every visible state the chain passes through after v0 is binary
+    for v, _ in hidden[1:]:
+        assert set(np.unique(v)) <= {0.0, 1.0}
+    assert v_k.shape == (1, 4, 4)
+    for probs in (h0_probs, hk_probs):
+        assert probs.shape == (1, 2, 3, 3)
         assert probs.min() >= 0.0 and probs.max() <= 1.0
-    assert res.v1_probs.shape == (4, 4)
-    assert res.v1_probs.min() >= 0.0 and res.v1_probs.max() <= 1.0
+    assert v1_probs.shape == (1, 4, 4)
+    assert v1_probs.min() >= 0.0 and v1_probs.max() <= 1.0
 
 
-def test_gibbs_chain_is_reproducible_for_equal_streams():
+def test_the_cd_chain_is_reproducible_for_equal_streams(monkeypatch):
     rng = derive_rng(9, "gr")
     model = random_tiny_model(rng, 4, 2, 1)
-    v0 = random_binary_images(rng, 4)
-    a = crbm.gibbs_chain(model, v0, 5, derive_rng(42, "x"))
-    b = crbm.gibbs_chain(model, v0, 5, derive_rng(42, "x"))
-    assert np.array_equal(a.v_k, b.v_k)
-    assert np.array_equal(a.hk_probs, b.hk_probs)
+    v0 = random_binary_images(rng, 4)[None]
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            hidden, visible = spy_conditionals(patch)
+            sums = crbm._cd_sums(model, v0, 5, derive_rng(42, "x"))
+        runs.append((sums, chunks_seen(hidden, visible, 5)[0]))
+    (a, chunk_a), (b, chunk_b) = runs
+    assert_same_sums(a, b)
+    for x, y in zip(chunk_a, chunk_b, strict=True):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_save_load_round_trip_preserves_parameters(tmp_path):

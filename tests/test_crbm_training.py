@@ -1,5 +1,6 @@
 """Contrastive-divergence training behaviour on small binary corpora."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -44,45 +45,81 @@ def replay_batch(model, v0, k, rng):
                                               for v in v0)))
 
 
-def record_chunks(monkeypatch):
-    """Spy on _gibbs_batch: the list it fills gets a copy of (v0, v_k,
-    h0_probs, hk_probs, v1_probs) of each chunk of the CD batch."""
-    chunks = []
-    batched = crbm._gibbs_batch
+def replay_sums(model, v0, k, rng, size):
+    """_cd_sums' (CrbmGradient, summed cross-entropy) of images v0 from
+    replay_batch's chains, summed as _cd_sums sums chunks of size images:
+    each chunk's statistics through one kernel call, chunks added up in
+    float64."""
+    vk, h0, hk, v1_probs = replay_batch(model, v0, k, rng)
+    g_w, g_c = np.zeros_like(model.filters), np.zeros(model.num_filters)
+    g_b = ce = 0.0
+    for lo in range(0, len(v0), size):
+        part = slice(lo, lo + size)
+        g_w += kernels.corr_grad(v0[part], h0[part])
+        g_w -= kernels.corr_grad(vk[part], hk[part])
+        g_c += h0[part].sum(axis=(0, 2, 3), dtype=np.float64)
+        g_c -= hk[part].sum(axis=(0, 2, 3), dtype=np.float64)
+        g_b += float(v0[part].sum(dtype=np.float64)
+                     - vk[part].sum(dtype=np.float64))
+        ce += crbm._recon_cross_entropy_sum(v0[part], v1_probs[part])
+    return crbm.CrbmGradient(g_w, g_b, g_c), ce
 
-    def spy(model, v0, k, rng, data_phase):
-        h0 = []
 
-        def record(p0):
-            h0.append(p0.copy())
-            data_phase(p0)
+def assert_same_sums(got, want):
+    """Two (CrbmGradient, cross-entropy) pairs are equal bit for bit."""
+    (grad, ce), (want_grad, want_ce) = got, want
+    assert grad.filters.tobytes() == want_grad.filters.tobytes()
+    assert grad.hidden_biases.tobytes() == want_grad.hidden_biases.tobytes()
+    assert grad.visible_bias == want_grad.visible_bias
+    assert ce == want_ce
 
-        v_k, hk, v1_probs = out = batched(model, v0, k, rng, record)
-        chunks.append(tuple(a.copy() for a in (v0, v_k, *h0, hk, v1_probs)))
-        return out
 
-    monkeypatch.setattr(crbm, "_gibbs_batch", spy)
-    return chunks
+def spy_conditionals(monkeypatch):
+    """Spy on the chain's two conditionals: the lists (hidden, visible)
+    it returns get a copy of (input, output) of each call of
+    _hidden_probs and of _visible_probs, in call order."""
+    calls = {"_hidden_probs": [], "_visible_probs": []}
+    for name, seen in calls.items():
+        def spy(model, x, real=getattr(crbm, name), seen=seen):
+            out = real(model, x)
+            seen.append((x.copy(), out.copy()))
+            return out
+        monkeypatch.setattr(crbm, name, spy)
+    return calls["_hidden_probs"], calls["_visible_probs"]
+
+
+def chunks_seen(hidden, visible, k):
+    """(v0, v_k, h0_probs, hk_probs, v1_probs) of each one-thread CD-k
+    chunk whose conditionals spy_conditionals saw: a chunk makes k + 1
+    hidden passes, of v0 .. v_k, and k reconstructions."""
+    return [(hidden[i][0], hidden[i + k][0], hidden[i][1], hidden[i + k][1],
+             visible[i // (k + 1) * k][1])
+            for i in range(0, len(hidden), k + 1)]
 
 
 def test_cd_update_matches_manual_replay(monkeypatch):
     # replaying the same rng stream reproduces the float32 chain, so the
-    # update can be recomputed from first principles: the float32 kernel
+    # sums can be recomputed from first principles: the float32 kernel
     # correlates the replayed samples of the batch (one chunk here), and
     # the rest is summed in float64
     model = small_model()
     cfg = crbm.CrbmConfig(learning_rate=0.1, cd_steps=2, batch_size=4)
     batch = random_binary_images(derive_rng(0, "b"), 3, 4)
-    chunks = record_chunks(monkeypatch)
-    updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(1, "u"))
-
     v0 = batch.astype(np.float32)
+    hidden, visible = spy_conditionals(monkeypatch)
+    sums = crbm._cd_sums(model, v0, 2, derive_rng(1, "u"))
+    (chunk,) = chunks_seen(hidden, visible, 2)
     vk, p0, pk, _ = replay_batch(model, v0, 2, derive_rng(1, "u"))
-    assert len(chunks) == 1 and chunks[0][1].dtype == np.float32
-    assert np.array_equal(chunks[0][0], v0)
-    assert np.array_equal(chunks[0][1], vk)
+    assert chunk[1].dtype == np.float32
+    assert np.array_equal(chunk[0], v0)
+    assert np.array_equal(chunk[1], vk)
+    want = replay_sums(model, v0, 2, derive_rng(1, "u"), 4)
+    assert_same_sums(sums, want)
+
+    # cd_update applies those sums as mean steps over the batch
+    updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(1, "u"))
     n_h = model.hidden_side ** 2
-    d_w = kernels.corr_grad(v0, p0).astype(np.float64) - kernels.corr_grad(vk, pk)
+    d_w = want[0].filters
     d_b = float(np.mean(v0 - vk, axis=(1, 2), dtype=np.float64).sum())
     d_c = (p0.astype(np.float64) - pk).sum(axis=(0, 2, 3)) / n_h
     scale = cfg.learning_rate / 4
@@ -102,21 +139,23 @@ def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
     batch = derive_rng(11, "grey").random((7, 6, 6))
     per_image = cfg.cd_steps * (model.num_hidden + model.num_visible)
     monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", 2 * per_image)
-    chunks = record_chunks(monkeypatch)
-    updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(12, "u"))
-    assert [len(chunk[0]) for chunk in chunks] == [2, 2, 2, 1]
-
     # grey pixels enter the chain as they are, cast to float32
     v0 = batch.astype(np.float32)
+    with monkeypatch.context() as patch:
+        hidden, visible = spy_conditionals(patch)
+        sums = crbm._cd_sums(model, v0, 2, derive_rng(12, "u"))
+    chunks = chunks_seen(hidden, visible, 2)
+    assert [len(chunk[0]) for chunk in chunks] == [2, 2, 2, 1]
     vk, h0, hk, v1_probs = replay_batch(model, v0, 2, derive_rng(12, "u"))
     assert np.array_equal(np.concatenate([chunk[0] for chunk in chunks]), v0)
     assert np.array_equal(np.concatenate([chunk[1] for chunk in chunks]), vk)
     # the float32 kernel sums each chunk's images; chunks add up in float64
-    d_w = np.zeros_like(model.filters)
-    for lo in range(0, len(batch), 2):
-        part = slice(lo, lo + 2)
-        d_w += kernels.corr_grad(v0[part], h0[part])
-        d_w -= kernels.corr_grad(vk[part], hk[part])
+    want = replay_sums(model, v0, 2, derive_rng(12, "u"), 2)
+    assert_same_sums(sums, want)
+
+    # cd_update applies those sums as mean steps over the batch
+    updated, diag = crbm.cd_update(model, batch, cfg, derive_rng(12, "u"))
+    d_w = want[0].filters
     # grey v0 - vk is not exact in float32, so the difference is in float64
     d_b = float(np.mean(v0.astype(np.float64) - vk, axis=(1, 2)).sum())
     d_c = (h0.astype(np.float64) - hk).mean(axis=(2, 3)).sum(axis=0)
@@ -132,31 +171,35 @@ def test_chunked_cd_update_equals_image_by_image_replay(monkeypatch):
     assert diag["recon_cross_entropy"] == pytest.approx(np.mean(ce), abs=1e-12)
 
 
-def test_cd_gradient_estimate_of_a_stack_is_the_sum_of_one_image_estimates():
+def test_cd_sums_of_a_stack_are_the_sum_of_one_image_sums():
     rng = derive_rng(13, "est")
     model = crbm.init_model(2, 3, 5, weight_init_sigma=0.5, seed=6)
     data = random_binary_images(rng, 5, 6)
-    whole = crbm.cd_gradient_estimate(model, data, 3, derive_rng(13, "s"))
+    whole = crbm._cd_sums(model, data, 3, derive_rng(13, "s"))[0]
     stream = derive_rng(13, "s")
-    parts = [crbm.cd_gradient_estimate(model, img[None], 3, stream) for img in data]
+    parts = [crbm._cd_sums(model, img[None], 3, stream)[0] for img in data]
     np.testing.assert_allclose(flatten(whole),
                                np.sum([flatten(g) for g in parts], axis=0),
                                atol=1e-12)
 
 
-def test_gibbs_chain_follows_the_one_image_draw_order():
+def test_the_cd_chain_follows_the_one_image_draw_order(monkeypatch):
+    # one float64 image, as the enumeration oracles run the chain
     rng = derive_rng(14, "chain")
     model = crbm.init_model(3, 2, 5, weight_init_sigma=0.8, seed=7)
-    v0 = random_binary_images(rng, 5)
-    got = crbm.gibbs_chain(model, v0, 3, derive_rng(14, "draws"))
-    vk, h0, hk, v1_probs = replay_chain(model, v0, 3, derive_rng(14, "draws"))
-    assert np.array_equal(got.v_k, vk)
-    np.testing.assert_allclose(got.h0_probs, h0, atol=1e-12)
-    np.testing.assert_allclose(got.hk_probs, hk, atol=1e-12)
-    np.testing.assert_allclose(got.v1_probs, v1_probs, atol=1e-12)
+    v0 = random_binary_images(rng, 5)[None]
+    hidden, visible = spy_conditionals(monkeypatch)
+    sums = crbm._cd_sums(model, v0, 3, derive_rng(14, "draws"))
+    (got,) = chunks_seen(hidden, visible, 3)
+    want = replay_chain(model, v0[0], 3, derive_rng(14, "draws"))
+    for name, a, b in zip(("v_k", "h0", "hk", "v1_probs"), got[1:], want,
+                          strict=True):
+        assert a.dtype == np.float64 and np.array_equal(a[0], b), name
+    assert_same_sums(sums, replay_sums(model, v0, 3, derive_rng(14, "draws"), 1))
 
 
-def test_one_float32_draw_per_chunk_carries_the_spare_half_word_over():
+def test_one_float32_draw_per_chunk_carries_the_spare_half_word_over(
+        monkeypatch):
     # 3 filters of 2x2 on 5x5: 48 hidden and 25 visible uniforms a step,
     # an odd count, so a one-image chain starts every other step's float32
     # draws on the spare 32-bit half of a 64-bit output; the chunk's one
@@ -165,12 +208,15 @@ def test_one_float32_draw_per_chunk_carries_the_spare_half_word_over():
     assert (model.num_hidden + model.num_visible) % 2 == 1
     v0 = random_binary_images(derive_rng(18, "odd"), 5, 3).astype(np.float32)
     batched, replayed = derive_rng(18, "u"), derive_rng(18, "u")
-    h0 = []
-    vk, hk, v1_probs = crbm._gibbs_batch(model, v0, 2, batched, h0.append)
+    with monkeypatch.context() as patch:
+        hidden, visible = spy_conditionals(patch)
+        sums = crbm._cd_sums(model, v0, 2, batched)
+    (chunk,) = chunks_seen(hidden, visible, 2)
     want = replay_batch(model, v0, 2, replayed)
-    for got, expected in zip((vk, *h0, hk, v1_probs), want, strict=True):
+    for got, expected in zip(chunk[1:], want, strict=True):
         assert got.dtype == np.float32 and np.array_equal(got, expected)
     assert batched.bit_generator.state == replayed.bit_generator.state
+    assert_same_sums(sums, replay_sums(model, v0, 2, derive_rng(18, "u"), 3))
 
 
 def test_a_cd_chunk_holds_one_stack_of_hidden_maps_besides_its_uniforms():
@@ -191,6 +237,32 @@ def test_a_cd_chunk_holds_one_stack_of_hidden_maps_besides_its_uniforms():
     # reconstruction, or a visible sample that is a view into the
     # uniforms, keeps a second stack and an im2col copy alive (over 9 MiB)
     assert peak <= hidden + uniforms + hidden // 16
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("chain", ["_one_thread_chain", "_two_thread_chain"])
+def test_each_chain_adds_its_statistics_to_the_sums_it_is_given(chain, k):
+    # _cd_sums hands every chunk of a call the same g_w and g_c, so a
+    # chain adds to them in place, and what it returns is not changed by
+    # what they already hold
+    model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=33)
+    v0 = derive_rng(33, "grey").random((1, 6, 6)).astype(np.float32)
+    run = getattr(crbm, chain)
+    if chain == "_two_thread_chain":
+        per_image = k * (model.num_hidden + model.num_visible)
+        run = functools.partial(run, uniforms=np.empty(per_image, np.float32))
+    start_w = derive_rng(33, "w").normal(size=model.filters.shape)
+    start_c = derive_rng(33, "c").normal(size=model.num_filters)
+    sums = []
+    for w, c in ((np.zeros_like(start_w), np.zeros_like(start_c)),
+                 (start_w.copy(), start_c.copy())):
+        out = run(model, v0, k, derive_rng(33, "u"), w, c)
+        sums.append((out, w, c))
+    (out_zero, w_zero, c_zero), (out_start, w_start, c_start) = sums
+    assert out_start == out_zero
+    assert np.abs(w_zero).max() > 0 and np.abs(c_zero).max() > 0
+    np.testing.assert_allclose(w_start, start_w + w_zero, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(c_start, start_c + c_zero, rtol=0, atol=1e-12)
 
 
 def expit_hidden_probs(model, pixels):
@@ -217,8 +289,9 @@ def test_cd_update_samples_equal_those_of_the_expit_conditionals(monkeypatch):
 
     def run():
         with monkeypatch.context() as patch:
-            chunks = record_chunks(patch)
+            hidden, visible = spy_conditionals(patch)
             updated, _ = crbm.cd_update(model, batch, cfg, derive_rng(15, "u"))
+        chunks = chunks_seen(hidden, visible, 2)
         return updated, np.concatenate([chunk[1] for chunk in chunks])
 
     got, got_vk = run()
@@ -248,10 +321,10 @@ def test_recon_cross_entropy_is_finite_at_saturated_float32_probabilities(
                            visible_bias=visible_bias,
                            hidden_biases=np.zeros(2), input_size=3)
     batch = random_binary_images(derive_rng(16, "sat"), 3, 4)
-    chunks = record_chunks(monkeypatch)
+    hidden, visible = spy_conditionals(monkeypatch)
     _, diag = crbm.cd_update(model, batch, crbm.CrbmConfig(batch_size=4),
                              derive_rng(16, "u"))
-    (chunk,) = chunks
+    (chunk,) = chunks_seen(hidden, visible, 1)
     v1_probs = chunk[4]
     saturated = 1.0 if visible_bias > 0 else 0.0
     assert v1_probs.dtype == np.float32
@@ -305,8 +378,6 @@ ENTRY_POINTS = {
         model, stack, crbm.CrbmConfig(epochs=1, batch_size=2)),
     "cd_update": lambda model, stack: crbm.cd_update(
         model, stack, crbm.CrbmConfig(), derive_rng(0)),
-    "cd_gradient_estimate": lambda model, stack: crbm.cd_gradient_estimate(
-        model, stack, 1, derive_rng(0)),
     "extract_feature_map": lambda model, stack: crbm.extract_feature_map(
         model, stack),
 }
@@ -321,7 +392,7 @@ def test_entry_points_refuse_malformed_image_stacks(entry, stack, error):
         call(small_model(), stack)
 
 
-@pytest.mark.parametrize("entry", ["train", "cd_update", "cd_gradient_estimate"])
+@pytest.mark.parametrize("entry", ["train", "cd_update"])
 def test_training_entry_points_take_a_stack_not_one_image(entry):
     with pytest.raises(ShapeMismatchError):
         ENTRY_POINTS[entry](small_model(), np.full((3, 3), 0.5))
@@ -413,7 +484,7 @@ def test_sampled_cd_estimate_converges_to_enumerated_expectation():
     reps = 3000
     draws = np.empty((reps, exact.size))
     for i in range(reps):
-        est = crbm.cd_gradient_estimate(model, data, 2, derive_rng(6, "rep", i))
+        est = crbm._cd_sums(model, data, 2, derive_rng(6, "rep", i))[0]
         draws[i] = flatten(est)
     mean = draws.mean(axis=0)
     sem = draws.std(axis=0, ddof=1) / np.sqrt(reps)

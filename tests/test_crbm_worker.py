@@ -27,7 +27,7 @@ import pytest
 
 from crbm_radiomics import crbm, kernels
 from crbm_radiomics.seeding import derive_rng
-from test_crbm_training import replay_batch
+from test_crbm_training import assert_same_sums, replay_sums
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -134,21 +134,31 @@ def test_a_paper_shape_two_thread_chunk_equals_a_one_thread_replay(
                            input_size=256)
     v0 = derive_rng(29, "paper").random((1, 256, 256)).astype(np.float32)
     log = on_worker(monkeypatch)
-    grad, ce = crbm._cd_sums(model, v0, k, derive_rng(29, "u"))
+    sums = crbm._cd_sums(model, v0, k, derive_rng(29, "u"))
     assert len(log.threads) == submissions(k)
     assert threading.get_ident() not in log.threads
-    vk, h0, hk, v1_probs = replay_batch(model, v0, k, derive_rng(29, "u"))
-    g_w = np.zeros_like(model.filters)
-    g_w += kernels.corr_grad(v0, h0)
-    g_w -= kernels.corr_grad(vk, hk)
-    g_c = np.zeros(64)
-    g_c += h0.sum(axis=(0, 2, 3), dtype=np.float64)
-    g_c -= hk.sum(axis=(0, 2, 3), dtype=np.float64)
-    assert grad.filters.tobytes() == g_w.tobytes()
-    assert grad.hidden_biases.tobytes() == g_c.tobytes()
-    assert grad.visible_bias == float(v0.sum(dtype=np.float64)
-                                      - vk.sum(dtype=np.float64))
-    assert ce == crbm._recon_cross_entropy_sum(v0, v1_probs)
+    assert_same_sums(sums, replay_sums(model, v0, k, derive_rng(29, "u"), 1))
+
+
+def test_the_two_thread_chunks_of_a_call_share_one_uniforms_buffer(
+        monkeypatch):
+    # a buffer per image made a paper-shape cd_update 1.090x as slow
+    model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=31)
+    images = derive_rng(31, "grey").random((5, 6, 6)).astype(np.float32)
+    per_image = 2 * (model.num_hidden + model.num_visible)
+    monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", per_image)
+    buffers = []
+    chain = crbm._two_thread_chain
+
+    def spy(model, v0, k, rng, g_w, g_c, uniforms):
+        buffers.append(uniforms)
+        return chain(model, v0, k, rng, g_w, g_c, uniforms)
+
+    monkeypatch.setattr(crbm, "_two_thread_chain", spy)
+    crbm._cd_sums(model, images, 2, derive_rng(31, "u"))
+    assert len(buffers) == len(images)
+    assert all(buffer is buffers[0] for buffer in buffers)
+    assert buffers[0].shape == (per_image,) and buffers[0].dtype == np.float32
 
 
 def test_an_overlapped_cd_chunk_adds_one_im2col_copy_to_its_peak(monkeypatch):
@@ -255,6 +265,31 @@ def test_a_side_not_a_multiple_of_4_is_extracted_in_one_band(monkeypatch):
     got = crbm.extract_feature_map(model, image)
     assert log.threads == []
     assert got.tobytes() == one_band_mean(model, image).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_a_stack_within_the_budget_is_one_band_of_the_band_routine(
+        monkeypatch, lead):
+    # 8 filters of 5x5 on 68x68: the maps of 6 images hold 196,608
+    # values, within the budget, so every stack here is one band on this
+    # thread, through the band routine that banded stacks use
+    model = crbm.init_model(8, 5, 68, weight_init_sigma=0.3, seed=26)
+    images = derive_rng(26, "one").random((*lead, 68, 68))
+    assert crbm._EXTRACT_MAP_VALUES >= 6 * 8 * 64 * 64
+    bands = []
+    real = crbm._mean_map_rows
+
+    def spy(model, pixels, rows, out, maps, cols):
+        bands.append(list(rows))
+        real(model, pixels, rows, out, maps, cols)
+
+    monkeypatch.setattr(crbm, "_mean_map_rows", spy)
+    log = on_worker(monkeypatch)
+    got = crbm.extract_feature_map(model, images)
+    assert log.threads == []
+    assert bands == [[(0, 64)]]
+    assert got.shape == (*lead, 64, 64)
+    assert got.tobytes() == one_band_mean(model, images).tobytes()
 
 
 def test_paper_slice_feature_map_is_banded_and_equals_the_one_band_mean(

@@ -1,9 +1,10 @@
-"""Every public module-level function and class of the package, and every
-public method and property of its classes, is used by the package itself;
-the only exceptions are the entry points listed below.  A method or
-property counts as used when the package reads an attribute of its name
-outside its own definition.  The exact-enumeration oracles in
-tests/crbm_enumeration.py read nothing of the package but its model type."""
+"""Every module-level function, class and constant of the package, and
+every public method and property of its public classes, is used by the
+package itself, outside its own definition; private constants count,
+public ones are settings.  A method or property counts as used when the
+package reads an attribute of its name outside its own definition.  The
+exact-enumeration oracles in tests/crbm_enumeration.py read nothing of
+the package but its model and gradient types."""
 
 import ast
 from pathlib import Path
@@ -12,28 +13,40 @@ import crbm_radiomics
 from crbm_radiomics import errors
 
 PACKAGE = Path(crbm_radiomics.__file__).parent
-
-# The production chain as the tests reach it, to hold it against the
-# enumeration oracles; the pipeline runs the chain through cd_update.
-ORACLES = {"crbm": {"gibbs_chain", "cd_gradient_estimate"}}
-
-
-def public_definitions(tree):
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+TREES = {path.stem: ast.parse(path.read_text())
+         for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def public_members(tree):
-    """(qualified name, node, is a member) of every public definition of
-    the module and every public method and property of its public classes."""
-    for node in public_definitions(tree):
-        yield node.name, node, False
-        if isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if (isinstance(member, ast.FunctionDef)
-                        and not member.name.startswith("_")):
-                    yield f"{node.name}.{member.name}", member, True
+    """(qualified name, node, is a member) of every public function and
+    class of the module and every public method and property of its
+    public classes."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")):
+                        yield f"{node.name}.{member.name}", member, True
+
+
+def private_definitions(tree):
+    """(name, node, False) of every private module-level function, class
+    and constant of the module; dunder names are Python's."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node, False
 
 
 def references(tree):
@@ -48,25 +61,37 @@ def references(tree):
             yield node.name, node.lineno, False
 
 
-def test_every_public_definition_has_a_caller_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
-    refs = {module: list(references(tree)) for module, tree in trees.items()}
-    uncalled, defined = [], set()
-    for module, tree in trees.items():
-        for qualified, node, member in public_members(tree):
-            defined.add((module, qualified))
-            if qualified in ORACLES.get(module, ()):
-                continue
+def uncalled(definitions):
+    """module.name of each definition (name, node, is a member) that
+    definitions(tree) yields for a module tree of the package and that no
+    module of the package reads outside the definition's own lines."""
+    refs = {module: list(references(tree)) for module, tree in TREES.items()}
+    found = []
+    for module, tree in TREES.items():
+        for qualified, node, member in definitions(tree):
+            name = qualified.rsplit(".", 1)[-1]
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and (attribute or not member)
+            if not any(ref == name and (attribute or not member)
                        and (other != module or line not in own)
-                       for other, found in refs.items()
-                       for name, line, attribute in found):
-                uncalled.append(f"{module}.{qualified}")
-    assert not uncalled, f"public definitions with no caller in the package: {uncalled}"
-    # the allowlist names only definitions that exist
-    assert {(m, n) for m, names in ORACLES.items() for n in names} <= defined
+                       for other, seen in refs.items()
+                       for ref, line, attribute in seen):
+                found.append(f"{module}.{qualified}")
+    return found
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    missing = uncalled(public_members)
+    assert not missing, f"public definitions with no caller in the package: {missing}"
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # a private helper kept only for the tests would pass unnoticed
+    # otherwise; the tests reach the CD chain through _cd_sums
+    assert {("crbm", "_cd_sums"), ("crbm", "_EXTRACT_MAP_VALUES")} <= {
+        (module, name) for module, tree in TREES.items()
+        for name, _, _ in private_definitions(tree)}
+    missing = uncalled(private_definitions)
+    assert not missing, f"private definitions with no caller in the package: {missing}"
 
 
 def test_the_enumeration_oracles_share_no_code_with_the_package():
