@@ -115,22 +115,14 @@ class SvmModel:
             raise ValueError("C must be > 0")
 
 
-def svm_objective(weights: np.ndarray, bias: float, X: np.ndarray,
-                  y: np.ndarray, C: float) -> float:
-    """(1/2)||w||^2 + C * sum(hinge), the quantity svm_fit descends."""
-    margins = y * (X @ weights + bias)
-    return 0.5 * float(weights @ weights) \
-        + C * float(np.maximum(0.0, 1.0 - margins).sum())
-
-
 def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
-            epochs: int = 200, seed: int = 0) -> tuple:
-    """Single-sample subgradient descent with a decaying step.
+            epochs: int = 200, seed: int = 0) -> SvmModel:
+    """Single-sample subgradient descent with a decaying step on
+    (1/2)||w||^2 + C * sum(hinge).
 
     Equivalent scaling: lambda = 1/(C n) turns the objective into the
     mean-hinge form, and step 1/(lambda (t + n)) decays like the classic
-    schedule but skips the violent first updates.  Returns
-    (SvmModel, per-epoch objective history).
+    schedule but skips the violent first updates.
     """
     X, y = _check_xy(X, y, (-1.0, 1.0))
     n, p = X.shape
@@ -138,7 +130,6 @@ def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
     w = np.zeros(p)
     b = 0.0
     t = 0
-    history = []
     for epoch in range(epochs):
         order = derive_rng(seed, "svm-shuffle", epoch).permutation(n)
         for i in order:
@@ -149,8 +140,7 @@ def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
             if violated:
                 w += eta * y[i] * X[i]
                 b += eta * y[i]
-        history.append(svm_objective(w, b, X, y, C))
-    return SvmModel(weights=w, bias=b, C=C), history
+    return SvmModel(weights=w, bias=b, C=C)
 
 
 def svm_decision(model: SvmModel, X: np.ndarray) -> np.ndarray:

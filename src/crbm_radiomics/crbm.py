@@ -61,18 +61,20 @@ the same calls inline.
 
 * An image whose CD chain draws at least ``_CD_CHUNK_DRAWS`` uniforms
   (a 256x256 image of 64 maps draws 4,129,792 a step) is a chunk of its
-  own, and the two threads share its chain (``_two_thread_chain``):
+  own, and the two threads share its chain (``_two_thread_chain``),
+  through that function's local steps:
 
   - the worker fills the uniforms, by the one call of a one-thread chunk,
     while this thread runs the first hidden pass through the traced
     ``kernels.corr_valid``;
-  - the data phase's filter-gradient product and float64 map sums split
-    by filter halves: this thread adds the first half's, the worker the
-    second's once it has drawn, and this thread then samples h whole;
-  - each later hidden pass, its sampling of h and the chain phase's
-    statistics split by filter halves, this thread the first, the worker
-    the second.  Each half writes its own rows of the sums, so they get
-    the bits of the whole stack's;
+  - ``data_phase`` splits the data phase's ``statistics``, the
+    filter-gradient product and float64 map sums, by filter halves: this
+    thread adds the first half's, the worker the second's once it has
+    drawn, and this thread then samples h whole;
+  - ``hidden_rows`` splits each later hidden pass, its sampling of h and
+    the chain phase's ``statistics`` by filter halves, this thread the
+    first, the worker the second.  Each half writes its own rows of the
+    sums, so they get the bits of the whole stack's;
   - a reconstruction splits ``conv_full``'s tap product by columns, cut
     at a multiple of 8, then its frame reduction by bands of output
     rows; this thread takes the sigmoid, the visible sample and the
@@ -109,7 +111,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -450,23 +451,6 @@ def _one_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
     return v.sum(dtype=np.float64), ce
 
 
-class _ChainBuffers(NamedTuple):
-    """What both threads of _two_thread_chain read and write: the chain's
-    filters (M, K*K) and hidden biases (M, 1) in its dtype; cols, the
-    (K*K, H*H) im2col copy of the visible image of the current pass, or
-    the tap planes of a reconstruction; a filter-gradient part (M, K*K) of
-    the chain's dtype and a float64 map-sum part (M,) for each pass; and
-    the float64 sums g_w (M, K*K) and g_c (M,) of the CD statistics."""
-
-    filters: np.ndarray
-    biases: np.ndarray
-    cols: np.ndarray
-    grad: np.ndarray
-    sums: np.ndarray
-    g_w: np.ndarray
-    g_c: np.ndarray
-
-
 def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
                       rng: np.random.Generator, g_w: np.ndarray,
                       g_c: np.ndarray, uniforms: np.ndarray):
@@ -478,13 +462,11 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
     soon as they can be, so that neither image is held through the last
     hidden pass.
 
-    It draws the uniforms of _one_thread_chain and computes every value
-    with the products of the whole-stack kernels, restricted to filter
-    rows or map columns, so it gives the samples and the statistics of
-    _one_thread_chain as far as the matrix product gives a row or a
-    column the same bits alone as in the whole product (see the module
-    docstring).  Every buffer is allocated here, and the worker runs only
-    private functions.
+    It draws the uniforms of _one_thread_chain and splits the products of
+    the whole-stack kernels by filter rows or map columns, as the module
+    docstring sets out.  Every buffer is allocated here, and the worker
+    runs only this function's local steps, on those buffers, and the
+    numpy calls it is handed.
     """
     m, kside, n, side = (model.num_filters, model.kernel_size,
                          model.input_size, model.hidden_side)
@@ -496,35 +478,74 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
     # filter halves for the hidden passes; a column cut at a multiple of
     # 8 for the tap product; halves of the output-row bands
     half, cut, split = m // 2, side * side // 2 // 8 * 8, len(bands) // 2
+
+    def statistics(maps, lo, hi, op):
+        """Add (op np.add, the data phase) or subtract (np.subtract, the
+        chain phase) the CD statistics of filters lo .. hi - 1 of the
+        hidden probabilities maps (M, H*H) to g_w and g_c: corr_grad's
+        product with cols, then the float64 map sums."""
+        rows = maps[lo:hi]
+        op(g_w[lo:hi], np.matmul(rows, cols.T, out=grad[lo:hi]),
+           out=g_w[lo:hi])
+        op(g_c[lo:hi], rows.sum(axis=1, dtype=np.float64, out=sums[lo:hi]),
+           out=g_c[lo:hi])
+
+    def data_phase(maps, lo, hi, fill):
+        """The data image's statistics of filters lo .. hi - 1; then, given
+        the future fill of the uniform draw, the sample of every map,
+        written over its uniforms once they are drawn."""
+        statistics(maps, lo, hi, np.add)
+        if fill is not None:
+            fill.result()
+            np.less(u_h[0], maps, out=u_h[0])
+
+    def hidden_rows(maps, lo, hi, op, u):
+        """Filters lo .. hi - 1 of a later hidden pass, of the image whose
+        im2col copy cols holds: their probabilities, written into maps
+        (M, H*H); their statistics, added by op unless it is None; and
+        their sample, written over their uniforms u (M, H*H) unless u is
+        None."""
+        rows = maps[lo:hi]
+        # corr_valid's product, then the conditional
+        np.matmul(filters[lo:hi], cols, out=rows)
+        kernels.sigmoid(rows, biases[lo:hi])
+        if op is not None:
+            statistics(maps, lo, hi, op)
+        if u is not None:
+            np.less(u[lo:hi], rows, out=u[lo:hi])
+
     fill = _worker().submit(rng.random, dtype=dtype, out=uniforms)
     try:
         # the first hidden pass goes through the traced corr_valid
         maps = _hidden_probs(model, v0).reshape(m, side * side)
-        chain = _ChainBuffers(
-            filters=model.filters.astype(dtype).reshape(m, kside * kside),
-            biases=model.hidden_biases.astype(dtype)[:, None],
-            cols=np.empty((kside * kside, side * side), dtype),
-            grad=np.empty((m, kside * kside), dtype), sums=np.empty(m),
-            g_w=g_w.reshape(m, kside * kside), g_c=g_c)
+        # the chain's parameters in its dtype; cols, the (K*K, H*H) im2col
+        # copy of the visible image of the current pass, or the tap planes
+        # of a reconstruction; each pass's filter-gradient part and
+        # float64 map-sum part; g_w as (M, K*K)
+        filters = model.filters.astype(dtype).reshape(m, kside * kside)
+        biases = model.hidden_biases.astype(dtype)[:, None]
+        cols = np.empty((kside * kside, side * side), dtype)
+        grad, sums = np.empty((m, kside * kside), dtype), np.empty(m)
+        g_w = g_w.reshape(m, kside * kside)
         # cols as (K, K, H, H): v's windows for a hidden pass, the tap
         # planes for a reconstruction
-        planes = chain.cols.reshape(kside, kside, side, side)
+        planes = cols.reshape(kside, kside, side, side)
         planes[...] = kernels._windows(np.ascontiguousarray(v0[0]), kside,
                                        0, side)
         # the worker adds its half of the data phase once it has drawn the
         # uniforms; this thread adds the other half, then samples all of h.
         # Sampling h after the join instead made a paper-shape cd_update
         # 1.036x as slow (3 of 16 alternations faster)
-        _on_both_threads(_data_phase, (chain, maps, 0, half, fill, u_h[0]),
-                         (chain, maps, half, m, None, None))
+        _on_both_threads(data_phase, (maps, 0, half, fill),
+                         (maps, half, m, None))
     finally:
         fill.result()
     for step in range(k):
         del maps  # sampled: free them before the reconstruction
         # conv_full's tap product of h, by columns
-        h, w_t = u_h[step], chain.filters.T
-        _on_both_threads(np.matmul, (w_t, h[:, :cut], chain.cols[:, :cut]),
-                         (w_t, h[:, cut:], chain.cols[:, cut:]))
+        h, w_t = u_h[step], filters.T
+        _on_both_threads(np.matmul, (w_t, h[:, :cut], cols[:, :cut]),
+                         (w_t, h[:, cut:], cols[:, cut:]))
         v = np.empty((n, n), dtype)  # P(v = 1 | h) until sampled
         frames = np.empty((2, frame), dtype)
         _on_both_threads(kernels._add_taps,
@@ -541,53 +562,10 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
             vk_sum = v.sum(dtype=np.float64)
             del v
         maps = np.empty((m, side * side), dtype)
-        stats, sample = (np.subtract, None) if last else (None, u_h[step + 1])
-        _on_both_threads(_hidden_rows, (chain, maps, 0, half, stats, sample),
-                         (chain, maps, half, m, stats, sample))
+        op, u = (np.subtract, None) if last else (None, u_h[step + 1])
+        _on_both_threads(hidden_rows, (maps, 0, half, op, u),
+                         (maps, half, m, op, u))
     return vk_sum, ce
-
-
-def _data_phase(chain: _ChainBuffers, maps: np.ndarray, lo: int, hi: int,
-                fill, u_h) -> None:
-    """The data phase of _two_thread_chain for filters lo .. hi - 1 of the
-    data image's hidden probabilities maps (M, H*H): their part of the CD
-    statistics; then, given the future fill of the uniform draw, the
-    sample of every map, written over its uniforms u_h (M, H*H) once they
-    are drawn."""
-    _add_statistics(chain, maps, lo, hi, np.add)
-    if fill is not None:
-        fill.result()
-        np.less(u_h, maps, out=u_h)
-
-
-def _hidden_rows(chain: _ChainBuffers, maps: np.ndarray, lo: int, hi: int,
-                 stats, u_h) -> None:
-    """Filters lo .. hi - 1 of a later hidden pass of _two_thread_chain,
-    of the image whose im2col copy chain.cols holds: their probabilities,
-    written into maps (M, H*H); their part of the CD statistics, added by
-    the ufunc stats unless it is None; and their hidden sample, written
-    over their uniforms u_h (M, H*H) unless u_h is None."""
-    rows = maps[lo:hi]
-    # corr_valid's product, then the conditional
-    np.matmul(chain.filters[lo:hi], chain.cols, out=rows)
-    kernels.sigmoid(rows, chain.biases[lo:hi])
-    if stats is not None:
-        _add_statistics(chain, maps, lo, hi, stats)
-    if u_h is not None:
-        np.less(u_h[lo:hi], rows, out=u_h[lo:hi])
-
-
-def _add_statistics(chain: _ChainBuffers, maps: np.ndarray, lo: int,
-                    hi: int, op) -> None:
-    """Add (op np.add, the data phase) or subtract (np.subtract, the chain
-    phase) the CD statistics of filters lo .. hi - 1 of the hidden
-    probabilities maps (M, H*H) to chain.g_w and chain.g_c: corr_grad's
-    product with chain.cols, then the float64 map sums."""
-    rows = maps[lo:hi]
-    grad = np.matmul(rows, chain.cols.T, out=chain.grad[lo:hi])
-    op(chain.g_w[lo:hi], grad, out=chain.g_w[lo:hi])
-    sums = rows.sum(axis=1, dtype=np.float64, out=chain.sums[lo:hi])
-    op(chain.g_c[lo:hi], sums, out=chain.g_c[lo:hi])
 
 
 def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:

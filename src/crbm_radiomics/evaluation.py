@@ -19,7 +19,7 @@ import numpy as np
 from . import classifiers, crbm, features, kernels, pls
 from .config import PipelineConfig
 from .data_model import Dataset
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .seeding import derive_rng, derive_seed
 
 
@@ -193,8 +193,8 @@ def _fit_and_score(clf, Ztr: np.ndarray, ytr: np.ndarray, Zte: np.ndarray,
         model = classifiers.lr_fit(Ztr, ytr, l2=clf.lr_l2, steps=clf.lr_steps)
         return classifiers.lr_predict_proba(model, Zte), 0.5
     if clf.kind == "svm":
-        model, _ = classifiers.svm_fit(Ztr, 2.0 * ytr - 1.0, C=clf.svm_c,
-                                       epochs=clf.svm_epochs, seed=seed)
+        model = classifiers.svm_fit(Ztr, 2.0 * ytr - 1.0, C=clf.svm_c,
+                                    epochs=clf.svm_epochs, seed=seed)
         return classifiers.svm_decision(model, Zte), 0.0
     model = classifiers.rf_fit(Ztr, ytr, n_trees=clf.rf_trees,
                                max_depth=clf.rf_depth,
@@ -205,7 +205,10 @@ def _fit_and_score(clf, Ztr: np.ndarray, ytr: np.ndarray, Zte: np.ndarray,
 
 def train_crbm_for(config: PipelineConfig, dataset: Dataset):
     """Unsupervised CRBM fit on every image (labels unseen), as performed
-    once before cross-validation.  Returns (model, history)."""
+    once before cross-validation.  Returns (model, history); raises
+    ConfigError under feature_source radiomics, which uses no CRBM."""
+    if config.feature_source == "radiomics":
+        raise ConfigError("feature_source 'radiomics' uses no CRBM to train")
     images = features.crbm_training_images(dataset, config)
     init = crbm.init_model(config.crbm.num_filters, config.crbm.kernel_size,
                            config.crbm.input_size,

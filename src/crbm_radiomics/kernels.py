@@ -189,11 +189,9 @@ def corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     n = v.shape[-1]
     k = n - hside + 1
     v = np.ascontiguousarray(v).reshape(-1, n, n)
-    image, row, col = v.strides
     # both operands as (rows, B*H*H) for one product over every image:
     # windows[r, s, b, i, j] = v[b, i + r, j + s]; the reshapes copy
-    windows = _strided(v, (k, k, len(v), hside, hside),
-                       (row, col, image, row, col))
+    windows = _windows(v, k, 0, hside).transpose(1, 2, 0, 3, 4)
     flat = windows.reshape(k * k, -1)
     maps = p.reshape(-1, m, hside * hside).transpose(1, 0, 2).reshape(m, -1)
     return (maps @ flat.T).reshape(m, k, k)

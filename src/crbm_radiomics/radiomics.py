@@ -75,23 +75,31 @@ def _quantize(values: np.ndarray, inside: np.ndarray, levels: int) -> np.ndarray
 def _histograms(x: np.ndarray, inside: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray) -> np.ndarray:
     """np.histogram(pixels, 256, range=(lo, hi)) of each slice's in-ROI
-    pixels -> (n, 256) counts; all zero for a slice with hi == lo.
+    pixels -> (n, 256) counts; all zero for a slice whose range
+    np.histogram cannot cut into 256 strictly increasing edges, which it
+    refuses: hi == lo, or a span of a few ulps, such as a Haar plane's
+    two equal differences that round one ulp apart.  Such a slice gets a
+    constant ROI's entropy, 0.
 
     One bincount over (slice, bin) cells.  The bin of a value is
     np.histogram's: the scaled index, moved down by one where the value
     lies below its bin's left edge and up by one where it reaches the
     next edge, with the edges np.linspace(lo, hi, 257) computes,
-    k * ((hi - lo) / 256) + lo.  So a value on an edge lands in the same
-    bin as in np.histogram.  (np.linspace computes the edges another way
-    when (hi - lo) / 256 underflows to 0, which no [0, 1] image with
-    distinct 16-bit pixel values comes near.)
+    k * ((hi - lo) / 256) + lo and hi last.  So a value on an edge lands
+    in the same bin as in np.histogram.  (np.linspace computes the edges
+    another way when (hi - lo) / 256 underflows to 0, but such a range
+    has fewer than 256 floats in it, so neither way cuts it.)
     """
     n, bins = x.shape[0], 256
-    rows, cols = np.nonzero(inside & (hi > lo)[:, None])
+    step = (hi - lo) / bins
+    edges = np.arange(bins + 1) * step[:, None] + lo[:, None]
+    edges[:, -1] = hi
+    cuttable = (edges[:, 1:] > edges[:, :-1]).all(axis=1)
+    rows, cols = np.nonzero(inside & cuttable[:, None])
     v, first, span = x[rows, cols], lo[rows], (hi - lo)[rows]
     index = ((v - first) / span * bins).astype(np.intp)
     index[index == bins] -= 1
-    step = span / bins
+    step = step[rows]
     index[v < index * step + first] -= 1
     index[(v >= (index + 1) * step + first) & (index != bins - 1)] += 1
     counts = np.bincount(rows * bins + index, minlength=n * bins)

@@ -24,8 +24,8 @@ _DARK, _BRIGHT = 0.2, 0.8
 def _stripe_field(size: int, period: int, orientation: str) -> np.ndarray:
     r, c = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     coord = {"horizontal": r, "vertical": c, "diagonal": r + c}[orientation]
-    phase = (coord // (period // 2)) % 2
-    return np.where(phase == 0, _DARK, _BRIGHT)
+    # dark for the first half of each period, rounded up for an odd one
+    return np.where(coord % period < period / 2, _DARK, _BRIGHT)
 
 
 def _blob_field(size: int, density: float, rng: np.random.Generator) -> np.ndarray:

@@ -48,7 +48,8 @@ def first_order_values(x):
 
     Variance is population variance; skewness and excess kurtosis are 0
     when the standard deviation is; entropy uses a 256-bin histogram over
-    the in-ROI range (log base 2); percentiles use the nearest-rank rule
+    the in-ROI range (log base 2), and is 0 where np.histogram cannot cut
+    that range into 256 bins; percentiles use the nearest-rank rule
     and the median averages the two middle values for even counts.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -63,7 +64,10 @@ def first_order_values(x):
         kurt = 0.0
     energy = float(np.sum(x * x))
     lo, hi = x.min(), x.max()
-    if hi > lo:
+    # a range np.histogram cannot cut into 256 strictly increasing edges
+    # (hi == lo, or a span of a few ulps) gets a constant ROI's entropy
+    edges = np.linspace(lo, hi, 257)
+    if (edges[1:] > edges[:-1]).all():
         counts, _ = np.histogram(x, bins=256, range=(lo, hi))
         p = counts[counts > 0] / x.size
         entropy = float(-np.sum(p * np.log2(p)))

@@ -334,7 +334,7 @@ def test_criterion_08_classifiers_are_sound():
     X = np.vstack([rng.normal(2.0, 0.5, size=(n_half, 4)),
                    rng.normal(-2.0, 0.5, size=(n_half, 4))])
     y = np.concatenate([np.ones(n_half), -np.ones(n_half)])
-    margin_model, _ = svm_fit(X, y, C=1.0, epochs=200, seed=9)
+    margin_model = svm_fit(X, y, C=1.0, epochs=200, seed=9)
     margins = y * svm_decision(margin_model, X)
     assert margins.min() >= 0.0
     _ok(8, "classifier soundness",

@@ -17,7 +17,6 @@ from crbm_radiomics.classifiers import (
     rf_predict_proba,
     svm_decision,
     svm_fit,
-    svm_objective,
 )
 from crbm_radiomics.seeding import derive_rng
 
@@ -108,14 +107,23 @@ def test_lr_predict_refuses_non_finite_features():
 # Linear SVM
 # ---------------------------------------------------------------------------
 
+def svm_objective(model, X, y):
+    """(1/2)||w||^2 + C * sum(hinge), the quantity svm_fit descends."""
+    margins = y * (X @ model.weights + model.bias)
+    return 0.5 * float(model.weights @ model.weights) \
+        + model.C * float(np.maximum(0.0, 1.0 - margins).sum())
+
+
 def test_svm_classifies_separable_data():
     X, y01 = separable_problem(5, margin=2.0)
     y = 2 * y01 - 1
-    model, history = svm_fit(X, y, C=1.0, epochs=100, seed=0)
+    model = svm_fit(X, y, C=1.0, epochs=100, seed=0)
     decisions = svm_decision(model, X)
     assert (np.sign(decisions) == y).mean() >= 0.98
-    assert history[-1] < history[0]
-    assert len(history) == 100
+    # each epoch's shuffle is seeded apart, so one epoch is the first
+    # epoch of the hundred
+    first = svm_fit(X, y, C=1.0, epochs=1, seed=0)
+    assert svm_objective(model, X, y) < svm_objective(first, X, y)
 
 
 def test_svm_label_flip_negates_the_decision_exactly():
@@ -123,8 +131,8 @@ def test_svm_label_flip_negates_the_decision_exactly():
     # stream does not depend on the labels
     X, y01 = separable_problem(6)
     y = 2 * y01 - 1
-    a, _ = svm_fit(X, y, C=0.5, epochs=30, seed=3)
-    b, _ = svm_fit(X, -y, C=0.5, epochs=30, seed=3)
+    a = svm_fit(X, y, C=0.5, epochs=30, seed=3)
+    b = svm_fit(X, -y, C=0.5, epochs=30, seed=3)
     np.testing.assert_allclose(svm_decision(a, X), -svm_decision(b, X),
                                atol=1e-10)
 
@@ -132,8 +140,8 @@ def test_svm_label_flip_negates_the_decision_exactly():
 def test_svm_small_c_shrinks_the_weights():
     X, y01 = separable_problem(7)
     y = 2 * y01 - 1
-    heavy, _ = svm_fit(X, y, C=10.0, epochs=60, seed=0)
-    light, _ = svm_fit(X, y, C=1e-4, epochs=60, seed=0)
+    heavy = svm_fit(X, y, C=10.0, epochs=60, seed=0)
+    light = svm_fit(X, y, C=1e-4, epochs=60, seed=0)
     assert np.linalg.norm(light.weights) < np.linalg.norm(heavy.weights)
 
 
@@ -142,17 +150,17 @@ def test_svm_objective_hand_value():
     X = np.array([[2.0, 0.0], [0.0, 1.0]])
     y = np.array([1.0, -1.0])
     # margins: 1*(2+0.5)=2.5 (no hinge), -1*(-1+0.5)=0.5 (hinge 0.5)
-    got = svm_objective(w, 0.5, X, y, C=2.0)
+    got = svm_objective(SvmModel(weights=w, bias=0.5, C=2.0), X, y)
     assert got == pytest.approx(0.5 * 2.0 + 2.0 * 0.5, abs=1e-12)
 
 
 def test_svm_is_deterministic_per_seed():
     X, y01 = separable_problem(8)
     y = 2 * y01 - 1
-    a, ha = svm_fit(X, y, epochs=20, seed=9)
-    b, hb = svm_fit(X, y, epochs=20, seed=9)
-    c, _ = svm_fit(X, y, epochs=20, seed=10)
-    assert np.array_equal(a.weights, b.weights) and ha == hb
+    a = svm_fit(X, y, epochs=20, seed=9)
+    b = svm_fit(X, y, epochs=20, seed=9)
+    c = svm_fit(X, y, epochs=20, seed=10)
+    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     assert not np.array_equal(a.weights, c.weights)
 
 
@@ -164,7 +172,7 @@ def test_svm_requires_plus_minus_one_labels():
 
 def test_svm_decision_refuses_non_finite_features():
     X, y01 = separable_problem(18, n=20, p=3)
-    model, _ = svm_fit(X, 2 * y01 - 1, epochs=5, seed=0)
+    model = svm_fit(X, 2 * y01 - 1, epochs=5, seed=0)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             svm_decision(model, np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))

@@ -176,6 +176,16 @@ def test_exit_code_2_for_a_model_under_radiomics(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_train_crbm_refuses_a_radiomics_config(workspace, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    code = cli.main(["train-crbm", "--config", str(workspace["radiomics_cfg"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(out)])
+    assert code == 2
+    assert "feature_source 'radiomics'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # neither model nor history
+
+
 def test_exit_code_1_names_a_malformed_model_file(workspace, tmp_path, capsys):
     model = tmp_path / "broken.json"
     model.write_text('{"format": "crbm-model"}')

@@ -32,6 +32,21 @@ def test_noiseless_stripes_are_a_pure_square_wave():
     np.testing.assert_array_equal(img.pixels[:4], img.pixels[4:8])
 
 
+@pytest.mark.parametrize("orientation", ["horizontal", "vertical", "diagonal"])
+def test_stripes_repeat_with_their_period_and_no_shorter_one(orientation):
+    for period in range(2, 10):
+        spec = SynthSpec(n_per_class=1, image_size=32, noise_level=0.0,
+                         stripe_period=period, stripe_orientation=orientation,
+                         seed=0)
+        img = synth.make_sample(spec, 1, 0).pixels
+        # the stripes run across the rows, but for vertical ones
+        lines = img.T if orientation == "vertical" else img
+        assert np.array_equal(lines[period:], lines[:-period]), period
+        for shorter in range(1, period):
+            assert not np.array_equal(lines[shorter:], lines[:-shorter]), \
+                (period, shorter)
+
+
 def test_stripe_orientations_differ():
     kwargs = dict(n_per_class=1, image_size=16, noise_level=0.0, seed=0)
     h = synth.make_sample(SynthSpec(stripe_orientation="horizontal", **kwargs), 1, 0)
