@@ -18,7 +18,10 @@ whose uniform fill the worker runs beside the first hidden pass, and
 whose later hidden passes, CD statistics and reconstruction the two
 threads split) and the feature map of one 256x256 slice with 64 filters
 (``extract_feature_map``, half of whose row bands the worker computes).
-With BLAS on one thread, the two threads run on two cores.
+With BLAS on one thread, the two threads run on two cores.  Beside the
+latter, ``extract_feature_map`` is timed on one quick-start extraction
+stack, which runs on the calling thread: 32 patches of 16x16 (the 2**13
+input values ``features`` stacks) with 16 filters of 5x5, in float64.
 
 Two whole steps of the quick-start are timed as well: one CD-1 update
 (``cd_update``) on a batch of 16 patches of 16x16 with 16 filters of 5x5,
@@ -41,7 +44,7 @@ columns, each family one stacked call), one fold's random forest
 (``rf_fit`` on 150 rows of 20 PLS-like scores, 100 trees of depth 10,
 5 features per split) and its scores of the fold's 50 held-out rows
 (``rf_predict_proba``), and the 374-feature catalog of 200 slices of
-32x32, in stacks of 8 as ``features.radiomics_features`` runs it and
+32x32, in stacks of 8 as ``features._radiomics_features`` runs it and
 slice by slice through the per-slice reference in
 ``tests/radiomics_reference.py``.
 
@@ -174,6 +177,8 @@ def with_worker(executor, fn):
 
 slice32 = image.astype(np.float32)
 slice_rng = np.random.default_rng(2)
+# one quick-start extraction stack: 32 patches of 16x16
+extract_stack = np.random.default_rng(3).random((32, 16, 16))
 
 # one quick-start CD batch, as train passes it: views of float64 patches
 cd_batch = list(rng.random((16, 16, 16)))
@@ -214,6 +219,8 @@ CASES = tuple(
          (slice_model, image)))
     for how, executor in WORKERS
 ) + (
+    ("extract_feature_map (32 x 16x16, 16x5x5) float64",
+     crbm.extract_feature_map, (patch_model, extract_stack)),
     ("cd_update (16 x 16x16, 16x5x5) float32", crbm.cd_update,
      (patch_model, cd_batch, cd_config, cd_rng)),
     ("lr_fit (1200x20, 500 steps)", classifiers.lr_fit, (lr_X, lr_y)),

@@ -47,13 +47,10 @@ def _check_width(width: int, X: np.ndarray) -> np.ndarray:
 class LrModel:
     weights: np.ndarray
     bias: float
-    l2: float
 
     def __post_init__(self):
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
             raise ValueError("non-finite parameters")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
 
 
 def lr_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
@@ -77,6 +74,8 @@ def lr_fit(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
     Stops early when the gradient's max-norm falls below tol.  Only the
     gradient is computed: the loss steers nothing.
     """
+    if l2 < 0:
+        raise ValueError("l2 must be >= 0")
     X, y = _check_xy(X, y, (0.0, 1.0))
     n, p = X.shape
     lipschitz = 0.25 * float((X * X).sum()) / n + l2 + 1e-12
@@ -90,7 +89,7 @@ def lr_fit(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
         gw *= step
         w -= gw
         b -= step * gb
-    return LrModel(weights=w, bias=b, l2=l2)
+    return LrModel(weights=w, bias=b)
 
 
 def lr_predict_proba(model: LrModel, X: np.ndarray) -> np.ndarray:
@@ -106,13 +105,10 @@ def lr_predict_proba(model: LrModel, X: np.ndarray) -> np.ndarray:
 class SvmModel:
     weights: np.ndarray
     bias: float
-    C: float
 
     def __post_init__(self):
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
             raise ValueError("non-finite parameters")
-        if self.C <= 0:
-            raise ValueError("C must be > 0")
 
 
 def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
@@ -124,6 +120,8 @@ def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
     mean-hinge form, and step 1/(lambda (t + n)) decays like the classic
     schedule but skips the violent first updates.
     """
+    if C <= 0:
+        raise ValueError("C must be > 0")
     X, y = _check_xy(X, y, (-1.0, 1.0))
     n, p = X.shape
     lam = 1.0 / (C * n)
@@ -140,7 +138,7 @@ def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
             if violated:
                 w += eta * y[i] * X[i]
                 b += eta * y[i]
-    return SvmModel(weights=w, bias=b, C=C)
+    return SvmModel(weights=w, bias=b)
 
 
 def svm_decision(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -171,10 +169,6 @@ class RfModel:
 
     trees: tuple
     n_features: int
-
-
-def rf_bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, n, size=n)
 
 
 def _best_splits(X: np.ndarray, y: np.ndarray, rows: np.ndarray,
@@ -298,7 +292,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
     trees = [[] for _ in range(n_trees)]
     stacks = []
     for rng in rngs:
-        rows = rf_bootstrap_indices(n, rng)
+        rows = rng.integers(0, n, size=n)  # the bootstrap rows
         stacks.append([(rows, 0, float(y[rows].sum()), -1)])
     while True:
         pending = []

@@ -121,15 +121,20 @@ class SynthSpec:
 _SECTIONS = {"crbm": CrbmConfig, "classifier": ClassifierSection, "cv": CvSection}
 
 
-def _has_type(value, annotation) -> bool:
-    """Whether a JSON value fits a scalar field's annotation.  An int fits
-    a float field and is kept as is, so an echoed config keeps the file's
-    numbers; a bool (an int subclass) fits no field."""
-    if isinstance(value, bool):
-        return False
-    if annotation is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, annotation)
+def _type_error(value, annotation) -> str | None:
+    """Why a JSON value does not fit a scalar field's annotation, or None
+    if it does.  An int fits a float field if float() can convert it, and
+    is kept as is, so an echoed config keeps the file's numbers; a bool (an
+    int subclass) fits no field."""
+    if annotation is float and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return "integer too large for a float"
+        return None
+    if isinstance(value, annotation) and not isinstance(value, bool):
+        return None
+    return f"expected {annotation.__name__}, got {type(value).__name__}"
 
 
 def _build(cls, data: dict, context: str):
@@ -143,11 +148,10 @@ def _build(cls, data: dict, context: str):
     for key, value in data.items():
         if key in _SECTIONS:
             kwargs[key] = _build(_SECTIONS[key], value, f"{context}.{key}")
-        elif _has_type(value, fields[key]):
-            kwargs[key] = value
+        elif (error := _type_error(value, fields[key])) is not None:
+            raise ConfigError(f"{context}.{key}: {error}")
         else:
-            raise ConfigError(f"{context}.{key}: expected {fields[key].__name__}, "
-                              f"got {type(value).__name__}")
+            kwargs[key] = value
     try:
         return cls(**kwargs)
     except (ConfigError, TypeError, ValueError) as exc:

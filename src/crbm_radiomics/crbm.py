@@ -126,11 +126,7 @@ from .seeding import derive_rng
 _CD_CHUNK_DRAWS = 1 << 20
 # hidden-map values per band of extract_feature_map (2 MB of float64); a
 # stack with more maps than this, and a hidden side that is a multiple of
-# 4, is extracted in bands of hidden rows.  It is also the budget of
-# features' extraction chunks: a chunk holds as many whole images as fit,
-# and at least one.  The M maps of one chunk's images are alive at a time
-# while they are averaged, so the peak memory grows with it: at 2^20 the
-# quick-start peak RSS was 81 MB, at 2^16 and 2^18 66 and 65 MB.
+# 4, is extracted in bands of hidden rows
 _EXTRACT_MAP_VALUES = 1 << 18
 # a parameter beyond it is inf in the float32 CD chain
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -255,15 +251,6 @@ class TrainHistory:
     mean_abs_dw: list
 
 
-@dataclass(frozen=True)
-class CrbmGradient:
-    """Gradient-shaped container: d/dW (M,K,K), d/db scalar, d/dc (M,)."""
-
-    filters: np.ndarray
-    visible_bias: float
-    hidden_biases: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Construction and persistence
 # ---------------------------------------------------------------------------
@@ -293,10 +280,19 @@ def save_model(model: CrbmModel, path) -> None:
         fh.write("\n")
 
 
+def _numbers(value) -> bool:
+    """Whether a JSON value is a number or nested lists of numbers; a bool
+    is none, though Python's bool is an int, nor is a string numpy would
+    read as one."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _model_array(path, doc: dict, key: str, shape: tuple) -> np.ndarray:
     try:
-        arr = np.array(doc[key], dtype=np.float64)
-    except (TypeError, ValueError):  # ragged lists, strings, objects
+        arr = np.array(doc[key], dtype=np.float64) if _numbers(doc[key]) else None
+    except (ValueError, OverflowError):  # ragged lists, ints beyond float
         arr = None
     if arr is None or arr.shape != shape or not np.isfinite(arr).all():
         raise ModelFormatError(
@@ -373,8 +369,9 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
              rng: np.random.Generator):
     """CD-k statistics of a stack of images (B, N, N), summed over images.
 
-    Returns (CrbmGradient of data-phase minus chain-phase statistics,
-    summed reconstruction cross-entropy of the first round).  The batch
+    Returns the float64 sums of data-phase minus chain-phase statistics,
+    d/dW (M, K, K), d/db and d/dc (M,), then the summed reconstruction
+    cross-entropy of the first round.  The batch
     runs in chunks of whole images that draw at most _CD_CHUNK_DRAWS
     uniforms each, or one image; chunks consume the generator in image
     order, so the chunking never changes a sample.  The chain runs in the
@@ -401,7 +398,7 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
         vk_sum, chunk_ce = chain(model, v0, k, rng, g_w, g_c)
         g_b += float(v0.sum(dtype=np.float64) - vk_sum)
         ce += chunk_ce
-    return CrbmGradient(filters=g_w, visible_bias=g_b, hidden_biases=g_c), ce
+    return g_w, g_b, g_c, ce
 
 
 def _one_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
@@ -602,12 +599,12 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
     if len(batch) == 0:
         raise TrainingError("empty batch")
     pixels = _visible_stack(model, batch).astype(np.float32)
-    grad, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
+    g_w, g_b, g_c, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
-    d_b = grad.visible_bias / model.num_visible
-    d_c = grad.hidden_biases / model.hidden_side ** 2
+    d_b = g_b / model.num_visible
+    d_c = g_c / model.hidden_side ** 2
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        dw_applied = scale * grad.filters
+        dw_applied = scale * g_w
         filters = model.filters + dw_applied
         visible_bias = model.visible_bias + scale * d_b
         hidden_biases = model.hidden_biases + scale * d_c

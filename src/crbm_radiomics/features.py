@@ -1,7 +1,6 @@
 """Feature-matrix assembly for the three feature sources.
 
-radiomics: one row per slice, the 374-feature hand-crafted catalog,
-computed over stacks of consecutive same-shape slices.
+radiomics: one row per slice, the 374-feature hand-crafted catalog.
 crbm-image: one row per slice; the ROI crop is standardized to the
 configured input size and pushed through the CRBM, whose hidden maps,
 averaged over the filters (crbm.extract_feature_map), are flattened.
@@ -11,14 +10,16 @@ A row is known by the index in dataset.records of the sample it came
 from; the rows of one sample are adjacent and follow the manifest order.
 The CRBM trains on exactly the images it later encodes: both draw them,
 as one (P, N, N) array per sample, from one generator, _crbm_inputs.
-Training takes them as one (n, N, N) stack; extraction encodes them in
-chunks of images, each chunk through the CRBM as one stack.  A chunk is
-as many images as have crbm._EXTRACT_MAP_VALUES hidden-map values, or
-one image with more, whose maps the CRBM then computes in bands of rows.
+Training takes them as one (n, N, N) stack.
+
+Both sources extract by one rule (_stacks): their inputs, slices or CRBM
+images, go through the extractor in stacks of consecutive same-shape
+arrays of at most _STACK_PIXELS values, or one larger array alone (a
+256x256 slice, whose maps the CRBM then computes in bands of rows).  A
+row does not depend on the stack it was computed in.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -29,9 +30,11 @@ from .data_model import (Dataset, crop_to_roi, extract_patches, load_sample,
                          resize_or_pad)
 from .errors import ConfigError
 
-# Original-plane pixels per radiomics stack: 8 slices of 32x32.  The
-# catalog's temporaries, and so the peak memory, grow with the stack; at 8
-# slices its per-call numpy overhead is already spread over the stack.
+# Input values per stack of either source: 8 slices of 32x32, or 32 CRBM
+# patches of 16x16.  The extractors' temporaries, and so the peak memory,
+# grow with the stack; at this size the catalog's per-call numpy overhead
+# is already spread over the stack, and the CRBM's maps take as long per
+# patch as in stacks of 113.
 _STACK_PIXELS = 2 ** 13
 
 
@@ -96,43 +99,43 @@ def crbm_training_images(dataset: Dataset, config: PipelineConfig) -> np.ndarray
 
 def _crbm_features(dataset: Dataset, config: PipelineConfig,
                    model) -> FeatureMatrix:
-    """One row per CRBM input: the mean of its M hidden maps, flattened.
-    The inputs go through the CRBM in chunks of images, so one chunk's
-    maps are alive at a time; the mean adds an image's maps one after
-    another, as it would for that image alone."""
-    step = max(1, crbm_mod._EXTRACT_MAP_VALUES // model.num_hidden)
-    inputs = ((i, img) for i, stack in _crbm_inputs(dataset, config)
+    """One row per CRBM input: the mean of its M hidden maps, flattened,
+    each stack of _stacks through the CRBM at once."""
+    inputs = ((img, i) for i, stack in _crbm_inputs(dataset, config)
               for img in stack)
     records, rows = [], []
-    while chunk := list(islice(inputs, step)):
-        indices, images = zip(*chunk)
-        records.extend(indices)
-        rows.append(crbm_mod.extract_feature_map(model, np.stack(images))
+    for images, indices in _stacks(inputs):
+        records.append(indices)
+        rows.append(crbm_mod.extract_feature_map(model, images)
                     .reshape(len(images), -1))
-    return FeatureMatrix(values=np.concatenate(rows), records=np.array(records))
+    return FeatureMatrix(values=np.concatenate(rows),
+                         records=np.concatenate(records))
 
 
-def _same_shape_runs(records):
-    """(pixels, bits) stacks of consecutive same-shape samples, in
-    manifest order, each at most _STACK_PIXELS original-plane pixels (or
-    one sample, if a single one is larger)."""
+def _stacks(items):
+    """Each run of consecutive items, tuples whose first array gives the
+    shape, stacked field by field: runs of one shape, in order, of at most
+    _STACK_PIXELS values of first arrays, or one item larger than that.
+    np.array stacks a field of same-shape arrays as np.stack would, in a
+    third of its time."""
     run = []
-    for record in records:
-        img, mask = load_sample(record)
-        if run and (img.pixels.shape != run[0][0].shape
-                    or (len(run) + 1) * img.pixels.size > _STACK_PIXELS):
-            yield tuple(map(np.stack, zip(*run)))
+    for item in items:
+        if run and (item[0].shape != run[0][0].shape
+                    or (len(run) + 1) * item[0].size > _STACK_PIXELS):
+            yield tuple(map(np.array, zip(*run)))
             run = []
-        run.append((img.pixels, mask.bits))
+        run.append(item)
     if run:
-        yield tuple(map(np.stack, zip(*run)))
+        yield tuple(map(np.array, zip(*run)))
 
 
 def _radiomics_features(dataset: Dataset, levels: int) -> FeatureMatrix:
-    """One catalog row per slice; each run of consecutive same-shape
-    slices goes through extract_all as one stack."""
+    """One catalog row per slice, each stack of _stacks through
+    extract_all at once."""
+    samples = ((img.pixels, mask.bits)
+               for img, mask in map(load_sample, dataset.records))
     values = [radiomics_mod.extract_all(pixels, bits, levels)
-              for pixels, bits in _same_shape_runs(dataset.records)]
+              for pixels, bits in _stacks(samples)]
     return FeatureMatrix(values=np.concatenate(values),
                          records=np.arange(len(dataset)))
 

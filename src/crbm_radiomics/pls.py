@@ -31,17 +31,6 @@ class PlsModel:
     columns: np.ndarray        # (p,) positions of the retained input columns
     n_inputs: int              # columns of the fitted matrix, constant ones too
 
-    def __post_init__(self):
-        p, a = self.weights.shape
-        if self.loadings.shape != (p, a) or self.y_loadings.shape != (a,):
-            raise ValueError("inconsistent component shapes")
-        if self.column_means.shape != (p,) or self.column_sds.shape != (p,):
-            raise ValueError("inconsistent column-statistic shapes")
-        if self.columns.shape != (p,):
-            raise ValueError("columns length mismatch")
-        if (self.column_sds <= 0).any():
-            raise ValueError("column_sds must be positive")
-
 
 def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
     """NIPALS PLS1 on z-scored columns and centered labels; X is (n, p).

@@ -24,6 +24,12 @@ import numpy as np
 from . import kernels
 from .errors import ShapeMismatchError
 
+# An in-ROI range of at most this is rounding residue, such as a Haar
+# plane's differences of equal pixels, 0 and 5.6e-17: the plane is
+# constant.  It is far below the step of an 8-bit subband, 1/510, and of a
+# 16-bit one, 1/131070.
+_RESIDUE = 2.0 ** -40
+
 GLCM_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 GLRLM_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
@@ -57,11 +63,11 @@ def _offset_tag(offset) -> str:
 def _quantize(values: np.ndarray, inside: np.ndarray, levels: int) -> np.ndarray:
     """Equal-width binning of each slice's in-ROI values (n, h, w) into
     codes [1, levels] between that slice's in-ROI minimum and maximum; 0
-    outside the ROI, 1 throughout a constant ROI.  Every slice needs at
-    least one in-ROI pixel."""
+    outside the ROI, 1 throughout a constant ROI, one whose range is at
+    most _RESIDUE.  Every slice needs at least one in-ROI pixel."""
     lo = np.where(inside, values, np.inf).min(axis=(1, 2), keepdims=True)
     hi = np.where(inside, values, -np.inf).max(axis=(1, 2), keepdims=True)
-    span = np.where(hi > lo, hi - lo, 1.0)
+    span = np.where(hi - lo > _RESIDUE, hi - lo, np.inf)
     # out-of-ROI pixels are binned as the minimum, so none overflows the cast
     scaled = np.floor((np.where(inside, values, lo) - lo) / span * levels)
     scaled = scaled.astype(np.int32) + 1
@@ -110,8 +116,9 @@ def _first_order(values: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """The 13 FIRST_ORDER_NAMES of each slice's in-ROI pixels, for a stack
     (n, h, w) with at least one in-ROI pixel per slice -> (n, 13).
 
-    Variance is population variance; a constant ROI has zero variance,
-    skewness, excess kurtosis and entropy, and its own value as mean.
+    Variance is population variance; a constant ROI, one whose range is at
+    most _RESIDUE, has zero variance, skewness, excess kurtosis, entropy
+    and mean absolute deviation, and its minimum as mean.
     Entropy uses a 256-bin histogram over the in-ROI range (log base 2);
     percentiles use the nearest-rank rule and the median averages the two
     middle values for even counts.  The moments are masked row sums; the
@@ -132,17 +139,18 @@ def _first_order(values: np.ndarray, inside: np.ndarray) -> np.ndarray:
         return rank(np.maximum(np.ceil(pct / 100.0 * count).astype(np.intp), 1) - 1)
 
     lo, hi = ordered[:, 0], rank(count - 1)
+    spread = hi - lo > _RESIDUE
+    # a constant ROI's pixels have no deviations and no histogram
+    varied = inside & spread[:, None]
     masked = np.where(inside, x, 0.0)
-    mean = np.where(hi > lo, masked.sum(axis=1) / count, lo)
-    dev = np.where(inside, x - mean[:, None], 0.0)
+    mean = np.where(spread, masked.sum(axis=1) / count, lo)
+    dev = np.where(varied, x - mean[:, None], 0.0)
     dev2 = dev * dev
     var = dev2.sum(axis=1) / count
-    sd = np.sqrt(var)
-    spread = sd > 0
-    sd = np.where(spread, sd, 1.0)
-    skew = np.where(spread, (dev2 * dev).sum(axis=1) / count / sd ** 3, 0.0)
+    sd = np.where(spread, np.sqrt(var), 1.0)
+    skew = (dev2 * dev).sum(axis=1) / count / sd ** 3
     kurt = np.where(spread, (dev2 * dev2).sum(axis=1) / count / sd ** 4 - 3.0, 0.0)
-    p = _histograms(x, inside, lo, hi) / count[:, None]
+    p = _histograms(x, varied, lo, hi) / count[:, None]
     entropy = 0.0 - (p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
     median = (rank((count - 1) // 2) + rank(count // 2)) / 2
     return np.stack([

@@ -193,10 +193,10 @@ def expected_cd_gradient(model, data, k, tables=None):
     return pos - dist @ stats
 
 
-def flatten(grad):
-    """A CrbmGradient as one vector: d/dW, then d/db, then d/dc."""
-    return np.concatenate([grad.filters.ravel(), [grad.visible_bias],
-                           grad.hidden_biases])
+def flatten(g_w, g_b, g_c):
+    """A gradient's parts d/dW, d/db and d/dc as one vector, in that
+    order."""
+    return np.concatenate([g_w.ravel(), [g_b], g_c])
 
 
 def shifted(model, step):

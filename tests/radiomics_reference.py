@@ -19,18 +19,21 @@ from crbm_radiomics import kernels, radiomics
 GLCM_OFFSETS = radiomics.GLCM_OFFSETS
 GLRLM_DIRECTIONS = radiomics.GLRLM_DIRECTIONS
 WAVELET_BANDS = radiomics.WAVELET_BANDS
+# an in-ROI range of at most this is rounding residue: the plane is constant
+RESIDUE = 2.0 ** -40
 
 
 def quantize(values, roi_bits, levels):
     """Equal-width binning of the in-ROI values into codes [1, levels]
-    between their minimum and maximum; 0 outside the ROI."""
+    between their minimum and maximum; 0 outside the ROI, 1 throughout a
+    constant ROI, one whose range is at most RESIDUE."""
     inside = roi_bits > 0
     if not inside.any():
         raise ValueError("empty mask")
     lo = values[inside].min()
     hi = values[inside].max()
     codes = np.zeros(values.shape, dtype=np.int32)
-    if hi == lo:
+    if hi - lo <= RESIDUE:
         codes[inside] = 1
     else:
         scaled = np.floor((values[inside] - lo) / (hi - lo) * levels).astype(np.int32) + 1
@@ -50,11 +53,16 @@ def first_order_values(x):
     when the standard deviation is; entropy uses a 256-bin histogram over
     the in-ROI range (log base 2), and is 0 where np.histogram cannot cut
     that range into 256 bins; percentiles use the nearest-rank rule
-    and the median averages the two middle values for even counts.
+    and the median averages the two middle values for even counts.  A
+    range of at most RESIDUE is a constant multiset: its mean is its
+    minimum, and its variance, skewness, kurtosis, entropy and mean
+    absolute deviation are 0.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    mean = x.mean()
-    var = x.var()
+    lo, hi = x.min(), x.max()
+    constant = hi - lo <= RESIDUE
+    mean = lo if constant else x.mean()
+    var = 0.0 if constant else x.var()
     sd = np.sqrt(var)
     if sd > 0:
         skew = float(np.mean((x - mean) ** 3) / sd ** 3)
@@ -63,11 +71,10 @@ def first_order_values(x):
         skew = 0.0
         kurt = 0.0
     energy = float(np.sum(x * x))
-    lo, hi = x.min(), x.max()
     # a range np.histogram cannot cut into 256 strictly increasing edges
-    # (hi == lo, or a span of a few ulps) gets a constant ROI's entropy
+    # gets a constant ROI's entropy
     edges = np.linspace(lo, hi, 257)
-    if (edges[1:] > edges[:-1]).all():
+    if not constant and (edges[1:] > edges[:-1]).all():
         counts, _ = np.histogram(x, bins=256, range=(lo, hi))
         p = counts[counts > 0] / x.size
         entropy = float(-np.sum(p * np.log2(p)))
@@ -79,7 +86,7 @@ def first_order_values(x):
         float(lo), float(hi), float(hi - lo),
         float(np.median(x)),
         _nearest_rank(xs, 10.0), _nearest_rank(xs, 90.0),
-        float(np.mean(np.abs(x - mean))),
+        0.0 if constant else float(np.mean(np.abs(x - mean))),
     ])
 
 
@@ -236,9 +243,10 @@ def assert_catalog_row_matches_reference(row, pixels, bits, levels):
     positive terms over the same run counts, but the reference zero-pads
     the subbands' matrices to the slice's max_run, and a longer row sums
     in another order.  The other first-order values agree to 1e-12
-    relative, with the floors of first_order_floor.  On a constant plane, variance, skewness,
-    kurtosis and mean absolute deviation are exactly 0 and the mean is the
-    plane's value (the reference could round them off 0; see
+    relative, with the floors of first_order_floor.  On a constant plane,
+    one whose range is at most RESIDUE, variance, skewness, kurtosis and
+    mean absolute deviation are exactly 0 and the mean is the plane's
+    minimum (checked on the row alone; see
     test_radiomics.py::test_constant_roi_has_zero_spread_whatever_the_rounding_of_its_mean).
     """
     want = extract_one(pixels, bits, levels)
@@ -262,8 +270,8 @@ def assert_catalog_row_matches_reference(row, pixels, bits, levels):
         got, ref = row[cols], want[cols]
         assert np.array_equal(got[ORDER_STATS], ref[ORDER_STATS])
         checked = np.ones(first, dtype=bool)
-        if x.min() == x.max():
-            assert got[0] == x[0]
+        if x.max() - x.min() <= RESIDUE:
+            assert got[0] == x.min()
             assert not got[SPREAD].any()
             checked[[0] + SPREAD] = False
         err = np.abs(got - ref)

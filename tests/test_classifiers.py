@@ -92,7 +92,21 @@ def test_lr_rejects_bad_labels_and_shapes():
     with pytest.raises(ValueError):
         lr_predict_proba(model, np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        LrModel(weights=np.array([np.nan]), bias=0.0, l2=0.0)
+        LrModel(weights=np.array([np.nan]), bias=0.0)
+
+
+def test_lr_refuses_a_negative_l2_before_any_step(monkeypatch):
+    X, y = separable_problem(18, n=20, p=3)
+    steps = []
+
+    def spy(*args):
+        steps.append(args)
+        return lr_gradient(*args)
+
+    monkeypatch.setattr(classifiers, "lr_gradient", spy)
+    with pytest.raises(ValueError, match="l2"):
+        lr_fit(X, y, l2=-1.0, steps=5)
+    assert not steps
 
 
 def test_lr_predict_refuses_non_finite_features():
@@ -107,11 +121,11 @@ def test_lr_predict_refuses_non_finite_features():
 # Linear SVM
 # ---------------------------------------------------------------------------
 
-def svm_objective(model, X, y):
+def svm_objective(model, X, y, C):
     """(1/2)||w||^2 + C * sum(hinge), the quantity svm_fit descends."""
     margins = y * (X @ model.weights + model.bias)
     return 0.5 * float(model.weights @ model.weights) \
-        + model.C * float(np.maximum(0.0, 1.0 - margins).sum())
+        + C * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
 def test_svm_classifies_separable_data():
@@ -123,7 +137,24 @@ def test_svm_classifies_separable_data():
     # each epoch's shuffle is seeded apart, so one epoch is the first
     # epoch of the hundred
     first = svm_fit(X, y, C=1.0, epochs=1, seed=0)
-    assert svm_objective(model, X, y) < svm_objective(first, X, y)
+    assert svm_objective(model, X, y, 1.0) < svm_objective(first, X, y, 1.0)
+
+
+@pytest.mark.parametrize("C", [0.0, -1.0])
+def test_svm_refuses_a_non_positive_c_before_any_step(monkeypatch, C):
+    # each epoch's shuffle stream is derived first, so no derivation means
+    # no step was taken
+    X, y01 = separable_problem(19, n=20, p=3)
+    streams = []
+
+    def spy(*args):
+        streams.append(args)
+        return derive_rng(*args)
+
+    monkeypatch.setattr(classifiers, "derive_rng", spy)
+    with pytest.raises(ValueError, match="C must be > 0"):
+        svm_fit(X, 2 * y01 - 1, C=C, epochs=3)
+    assert not streams
 
 
 def test_svm_label_flip_negates_the_decision_exactly():
@@ -150,7 +181,7 @@ def test_svm_objective_hand_value():
     X = np.array([[2.0, 0.0], [0.0, 1.0]])
     y = np.array([1.0, -1.0])
     # margins: 1*(2+0.5)=2.5 (no hinge), -1*(-1+0.5)=0.5 (hinge 0.5)
-    got = svm_objective(SvmModel(weights=w, bias=0.5, C=2.0), X, y)
+    got = svm_objective(SvmModel(weights=w, bias=0.5), X, y, 2.0)
     assert got == pytest.approx(0.5 * 2.0 + 2.0 * 0.5, abs=1e-12)
 
 

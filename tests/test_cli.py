@@ -235,6 +235,25 @@ def test_exit_code_2_names_the_file_of_a_bad_crbm_training_field(workspace, tmp_
     assert "config error: c.json.crbm: learning_rate" in capsys.readouterr().err
 
 
+def test_exit_code_2_names_the_file_of_an_int_too_large_for_a_float(
+        workspace, tmp_path, capsys):
+    huge = "1" + "0" * 400
+    bad = tmp_path / "c.json"
+    bad.write_text('{"crbm": {"learning_rate": %s}}' % huge)
+    code = cli.main(["run", "--config", str(bad),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert ("config error: c.json.crbm.learning_rate: integer too large "
+            "for a float") in capsys.readouterr().err
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_per_class": 2, "noise_level": %s}' % huge)
+    assert cli.main(["synth", "--config", str(spec),
+                     "--out", str(tmp_path / "corpus")]) == 2
+    assert "spec.json.noise_level: integer too large" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_exit_code_1_for_missing_manifest(workspace, tmp_path, capsys):
     code = cli.main(["run", "--config", str(workspace["radiomics_cfg"]),
                      "--manifest", str(tmp_path / "absent.csv"),

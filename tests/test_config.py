@@ -1,6 +1,7 @@
 """Config loading, defaults, and validation."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ def test_int_for_a_float_field_is_kept_as_written(tmp_path):
     assert json.dumps(echo["classifier"]["svm_c"]) == "2"
     spec = load_synth_spec(write_json(tmp_path / "s.json", {"noise_level": 2}))
     assert type(spec.noise_level) is int
+
+
+def test_an_int_too_large_for_a_float_field_is_refused_naming_the_file(tmp_path):
+    # float() cannot convert it, so it would overflow where it is used
+    huge = 10 ** 400
+    path = write_json(tmp_path / "big.json", {"crbm": {"learning_rate": huge}})
+    with pytest.raises(ConfigError, match=r"^big\.json\.crbm\.learning_rate: "
+                                          r"integer too large for a float$"):
+        load_pipeline_config(path)
+    path = write_json(tmp_path / "bigspec.json", {"noise_level": -huge})
+    with pytest.raises(ConfigError, match=r"^bigspec\.json\.noise_level: "
+                                          r"integer too large for a float$"):
+        load_synth_spec(path)
+    # the largest int float() converts still loads, as written
+    edge = int(sys.float_info.max)
+    path = write_json(tmp_path / "edge.json", {"crbm": {"learning_rate": edge}})
+    assert load_pipeline_config(path).crbm.learning_rate == edge
 
 
 def test_synth_spec_load_and_validation(tmp_path):

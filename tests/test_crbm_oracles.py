@@ -313,7 +313,7 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
     data = random_binary_images(rng, 3, 3)
     calls = {
         "_cd_sums": lambda: crbm._cd_sums(
-            model, data, 2, derive_rng(19, "cd"))[0].filters,
+            model, data, 2, derive_rng(19, "cd"))[0],
         "extract_feature_map": lambda: crbm.extract_feature_map(model, data[0]),
     }
     for name, call in calls.items():
@@ -404,6 +404,12 @@ def malformed_models():
         (doc(visible_bias=None), "visible_bias"),
         (doc(visible_bias=float("nan")), "visible_bias"),
         (doc(filters="abc"), "filters"),
+        # numpy reads these as numbers, so only their JSON type refuses them
+        (doc(visible_bias=True), "visible_bias"),
+        (doc(hidden_biases=[0.0, False]), "hidden_biases"),
+        (doc(filters=[[0.0] * 4, [0.0, 0.0, 0.0, True]]), "filters"),
+        (doc(hidden_biases=[0.0, "1.5"]), "hidden_biases"),
+        (doc(visible_bias=10 ** 400), "visible_bias"),
     ]
 
 

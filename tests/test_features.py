@@ -171,7 +171,7 @@ def test_crbm_encodes_exactly_the_images_it_trains_on(tiny_corpus, monkeypatch):
 
     monkeypatch.setattr(crbm, "extract_feature_map", spy)
     # five images a chunk, so chunks hold several samples and split some
-    monkeypatch.setattr(crbm, "_EXTRACT_MAP_VALUES", 5 * 3 * 12 * 12)
+    monkeypatch.setattr(features, "_STACK_PIXELS", 5 * 16 * 16)
     for config in (small_config(),
                    small_config(feature_source="crbm-patch", patch_stride=8)):
         seen.clear()
@@ -197,13 +197,13 @@ def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
                           crbm=CrbmConfig(num_filters=16, kernel_size=5,
                                           input_size=16))
     model = crbm.init_model(16, 5, 16, weight_init_sigma=0.3, seed=3)
-    per_image = model.num_hidden
-    assert crbm._EXTRACT_MAP_VALUES >= 24 * per_image  # one chunk
+    per_image = 16 * 16  # pixels
+    assert features._STACK_PIXELS >= 24 * per_image  # one chunk
     whole = build_features(dataset, config, model)
     if source == "crbm-patch":
         assert np.bincount(whole.records).min() >= 8
     for images in (1, 5):  # one image a chunk; chunks that split samples
-        monkeypatch.setattr(crbm, "_EXTRACT_MAP_VALUES", images * per_image)
+        monkeypatch.setattr(features, "_STACK_PIXELS", images * per_image)
         chunked = build_features(dataset, config, model)
         assert np.array_equal(chunked.records, whole.records)
         assert chunked.values.tobytes() == whole.values.tobytes()

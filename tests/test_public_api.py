@@ -2,9 +2,11 @@
 every public method and property of its public classes, is used by the
 package itself, outside its own definition; private constants count,
 public ones are settings.  A method or property counts as used when the
-package reads an attribute of its name outside its own definition.  The
-exact-enumeration oracles in tests/crbm_enumeration.py read nothing of
-the package but its model and gradient types."""
+package reads an attribute of its name outside its own definition, and
+so does a dataclass field, outside its class, in the modules that hold
+the pipeline's own types.  The exact-enumeration oracles in
+tests/crbm_enumeration.py read nothing of the package but its model
+type."""
 
 import ast
 from pathlib import Path
@@ -61,14 +63,26 @@ def references(tree):
             yield node.name, node.lineno, False
 
 
-def uncalled(definitions):
+def dataclass_fields(tree):
+    """(qualified name, class node, True) of every annotated field of each
+    dataclass of the module: a field counts as read only where the package
+    reads an attribute of its name outside the field's class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign):
+                    yield f"{node.name}.{member.target.id}", node, True
+
+
+def uncalled(definitions, modules=tuple(TREES)):
     """module.name of each definition (name, node, is a member) that
-    definitions(tree) yields for a module tree of the package and that no
-    module of the package reads outside the definition's own lines."""
+    definitions(tree) yields for the tree of one of the modules and that
+    no module of the package reads outside the definition's own lines."""
     refs = {module: list(references(tree)) for module, tree in TREES.items()}
     found = []
-    for module, tree in TREES.items():
-        for qualified, node, member in definitions(tree):
+    for module in modules:
+        for qualified, node, member in definitions(TREES[module]):
             name = qualified.rsplit(".", 1)[-1]
             own = range(node.lineno, node.end_lineno + 1)
             if not any(ref == name and (attribute or not member)
@@ -94,6 +108,19 @@ def test_every_private_definition_has_a_caller_in_the_package():
     assert not missing, f"private definitions with no caller in the package: {missing}"
 
 
+def test_every_dataclass_field_is_read_outside_its_class():
+    """A field the package stores and never reads does no work.  The
+    types of data_model and config are out of scope: they mirror outside
+    formats, the manifest's columns and the config file's keys, and keep
+    fields the pipeline reads nowhere, such as a sample's stage and
+    subtype."""
+    modules = ("crbm", "classifiers", "pls", "evaluation", "features")
+    assert "CrbmModel.filters" in [name for name, _, _ in
+                                   dataclass_fields(TREES["crbm"])]
+    missing = uncalled(dataclass_fields, modules)
+    assert not missing, f"dataclass fields the package never reads: {missing}"
+
+
 def test_the_enumeration_oracles_share_no_code_with_the_package():
     # an oracle that called the kernels or conditionals it judges would
     # agree with them whatever they compute
@@ -106,8 +133,7 @@ def test_the_enumeration_oracles_share_no_code_with_the_package():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
                 "crbm_radiomics"):
             imported |= {f"{node.module}.{alias.name}" for alias in node.names}
-    assert imported <= {"crbm_radiomics.crbm.CrbmModel",
-                        "crbm_radiomics.crbm.CrbmGradient"}, imported
+    assert imported <= {"crbm_radiomics.crbm.CrbmModel"}, imported
     private = [node.attr for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                and not node.attr.startswith("__")]

@@ -733,6 +733,12 @@ def test_extract_all_single_pixel_roi_zero_fills_glcm():
 # Stacked catalog against the per-slice reference
 # ---------------------------------------------------------------------------
 
+# a 1x6 slice whose ROI, columns 0 and 5, gives Haar detail planes of
+# rounding residue only
+RESIDUE_SLICE = np.array([[[16, 164, 0, 0, 66, 214]]]) / 255
+RESIDUE_ROI = np.array([[[1, 0, 0, 0, 0, 1]]], dtype=np.uint8)
+
+
 @st.composite
 def catalog_stacks(draw):
     """A stack of same-shape slices (h != w allowed) with ragged ROIs:
@@ -754,14 +760,32 @@ def catalog_stacks(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(catalog_stacks())
-# the Haar LH plane of this slice's ROI holds (16 - 164) / 255 and
-# (66 - 214) / 255, equal but rounded one ulp apart: np.histogram cannot
-# cut that range into 256 bins, so both sides give the entropy 0
-@example((np.array([[[16, 164, 0, 0, 66, 214]]]) / 255,
-          np.array([[[1, 0, 0, 0, 0, 1]]], dtype=np.uint8), 2))
+# RESIDUE_SLICE, whose three Haar detail planes are rounding residue
+@example((RESIDUE_SLICE, RESIDUE_ROI, 2))
+@example((RESIDUE_SLICE, RESIDUE_ROI, 32))
 def test_stacked_catalog_matches_the_per_slice_reference(case):
     pixels, bits, levels = case
     got = extract_all(pixels, bits, levels)
     assert got.shape == (pixels.shape[0], FEATURE_COUNT)
     for row, p, b in zip(got, pixels, bits):
         assert_catalog_row_matches_reference(row, p, b, levels)
+
+
+@pytest.mark.parametrize("levels", [2, 32])
+def test_haar_rounding_residue_is_a_constant_plane(levels):
+    # the ROI's HL and HH planes hold 0 and 5.6e-17, the Haar residue of
+    # the replicated row, and its LH plane (16 - 164) / 255 and
+    # (66 - 214) / 255, equal but rounded one ulp apart; np.histogram can
+    # cut the first range into 256 bins, which read an entropy of 1
+    got = dict(zip(CATALOG_NAMES, extract_all(RESIDUE_SLICE, RESIDUE_ROI,
+                                              levels)[0]))
+    flat = extract_all(np.zeros_like(RESIDUE_SLICE), RESIDUE_ROI, levels)[0]
+    want = dict(zip(CATALOG_NAMES, flat))
+    for band in ("LH", "HL", "HH"):
+        for stat in ("variance", "skewness", "kurtosis", "entropy",
+                     "mean_abs_dev"):
+            assert got[f"wavelet_{band}_firstorder_{stat}"] == 0.0, (band, stat)
+        texture = [name for name in CATALOG_NAMES
+                   if name.startswith((f"wavelet_{band}_glcm",
+                                       f"wavelet_{band}_glrlm"))]
+        assert [got[name] for name in texture] == [want[name] for name in texture]
