@@ -39,12 +39,10 @@ def _check_width(width: int, X: np.ndarray) -> np.ndarray:
     return X
 
 
-# ---------------------------------------------------------------------------
-# Logistic regression
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class LrModel:
+class LinearModel:
+    """The LR and SVM heads' model: both score X @ weights + bias."""
+
     weights: np.ndarray
     bias: float
 
@@ -52,6 +50,10 @@ class LrModel:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
             raise ValueError("non-finite parameters")
 
+
+# ---------------------------------------------------------------------------
+# Logistic regression
+# ---------------------------------------------------------------------------
 
 def lr_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
                 y: np.ndarray, l2: float) -> tuple:
@@ -66,7 +68,7 @@ def lr_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
 
 
 def lr_fit(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
-           steps: int = 500, tol: float = 1e-8) -> LrModel:
+           steps: int = 500, tol: float = 1e-8) -> LinearModel:
     """Full-batch gradient descent with a Lipschitz-safe fixed step.
 
     The logistic Hessian's largest eigenvalue is at most
@@ -89,10 +91,10 @@ def lr_fit(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
         gw *= step
         w -= gw
         b -= step * gb
-    return LrModel(weights=w, bias=b)
+    return LinearModel(weights=w, bias=b)
 
 
-def lr_predict_proba(model: LrModel, X: np.ndarray) -> np.ndarray:
+def lr_predict_proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
     X = _check_width(model.weights.shape[0], X)
     return kernels.sigmoid(X @ model.weights, model.bias)
 
@@ -101,18 +103,9 @@ def lr_predict_proba(model: LrModel, X: np.ndarray) -> np.ndarray:
 # Linear SVM
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SvmModel:
-    weights: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
-            raise ValueError("non-finite parameters")
-
 
 def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
-            epochs: int = 200, seed: int = 0) -> SvmModel:
+            epochs: int = 200, seed: int = 0) -> LinearModel:
     """Single-sample subgradient descent with a decaying step on
     (1/2)||w||^2 + C * sum(hinge).
 
@@ -138,10 +131,10 @@ def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0,
             if violated:
                 w += eta * y[i] * X[i]
                 b += eta * y[i]
-    return SvmModel(weights=w, bias=b)
+    return LinearModel(weights=w, bias=b)
 
 
-def svm_decision(model: SvmModel, X: np.ndarray) -> np.ndarray:
+def svm_decision(model: LinearModel, X: np.ndarray) -> np.ndarray:
     """Raw margin Xw + b; sign is the class call, magnitude the confidence."""
     X = _check_width(model.weights.shape[0], X)
     return X @ model.weights + model.bias

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .crbm import CrbmConfig
 from .errors import ConfigError
+from .radiomics import MAX_LEVELS
 
 FEATURE_SOURCES = ("radiomics", "crbm-image", "crbm-patch")
 CLASSIFIER_KINDS = ("lr", "svm", "rf")
@@ -82,8 +83,9 @@ class PipelineConfig:
             raise ConfigError(f"pls_mode must be one of {PLS_MODES}")
         if self.patch_stride < 0:
             raise ConfigError("patch_stride must be >= 0")
-        if self.radiomics_levels < 2:
-            raise ConfigError("radiomics_levels must be >= 2")
+        if not 2 <= self.radiomics_levels <= MAX_LEVELS:
+            raise ConfigError(
+                f"radiomics_levels must be within 2 .. {MAX_LEVELS}")
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,10 @@ memory.  It calls none of the functions that perfbench's tracer rebinds,
 whose spans assume one thread.  Its results are bit-identical to running
 the same calls inline.
 
-* An image whose CD chain draws at least ``_CD_CHUNK_DRAWS`` uniforms
-  (a 256x256 image of 64 maps draws 4,129,792 a step) is a chunk of its
-  own, and the two threads share its chain (``_two_thread_chain``),
-  through that function's local steps:
+* An image whose CD-1 chain draws at least ``_CD_CHUNK_DRAWS`` uniforms
+  (a 256x256 image of 64 maps draws 4,129,792) is a chunk of its own,
+  and the two threads share its chain (``_two_thread_chain``), through
+  that function's local steps:
 
   - the worker fills the uniforms, by the one call of a one-thread chunk,
     while this thread runs the first hidden pass through the traced
@@ -71,20 +71,20 @@ the same calls inline.
     filter-gradient product and float64 map sums, by filter halves: this
     thread adds the first half's, the worker the second's once it has
     drawn, and this thread then samples h whole;
-  - ``hidden_rows`` splits each later hidden pass, its sampling of h and
-    the chain phase's ``statistics`` by filter halves, this thread the
-    first, the worker the second.  Each half writes its own rows of the
-    sums, so they get the bits of the whole stack's;
-  - a reconstruction splits ``conv_full``'s tap product by columns, cut
-    at a multiple of 8, then its frame reduction by bands of output
+  - the reconstruction splits ``conv_full``'s tap product by columns,
+    cut at a multiple of 8, then its frame reduction by bands of output
     rows; this thread takes the sigmoid, the visible sample and the
-    cross-entropy.
+    cross-entropy;
+  - ``hidden_rows`` splits the last hidden pass and the chain phase's
+    ``statistics`` by filter halves, this thread the first, the worker
+    the second.  Each half writes its own rows of the sums, so they get
+    the bits of the whole stack's.
 
   One im2col buffer per image serves a pass's product and both phases'
-  gradient products, and holds the taps during a reconstruction; the
+  gradient products, and holds the taps during the reconstruction; the
   images of a batch share one uniforms buffer.  Such a chunk peaks at
   one stack of hidden maps, its uniforms and one im2col copy, the maps
-  being freed once sampled, before the two frames of a reconstruction.
+  being freed once sampled, before the two frames of the reconstruction.
   Its bits equal the one-thread chain's as far as a product split by
   filter rows or by columns gives each part the bits of the whole
   product.  On one OpenBLAS build (0.3.31, Haswell kernels), at 1 and 2
@@ -95,12 +95,12 @@ the same calls inline.
   shape, but not at smaller ones (64x64 with 16 filters, 100x100 with
   8, 6x6 with 3), which is why only such large chains take two threads;
   tests/test_crbm_worker.py pins the paper's shape.
-  A smaller chunk, such as the quick-start's batch of 16 patches of
-  16x16 (40,960 draws), runs on this thread (``_one_thread_chain``),
-  adds its data-phase statistics before it draws, and peaks at one stack
-  of hidden maps and its uniforms.  Both chains add their own statistics
-  to the sums and return the same two numbers, so ``_cd_sums`` calls
-  either alike.
+  Every other chunk, such as the quick-start's batch of 16 patches of
+  16x16 (40,960 draws) or any chunk of CD-k for k > 1, runs on this
+  thread (``_one_thread_chain``), adds its data-phase statistics before
+  it draws, and peaks at one stack of hidden maps and its uniforms.  Both
+  chains add their own statistics to the sums and return the same two
+  numbers, so ``_cd_sums`` calls either alike.
 * ``extract_feature_map`` computes a stack whose maps hold more than
   ``_EXTRACT_MAP_VALUES`` values in bands of hidden rows, the worker half
   of them, and never holds the whole (..., M, H, H) stack.
@@ -121,8 +121,8 @@ from .seeding import derive_rng
 
 # most uniforms drawn ahead for one chunk of a CD batch (8 MB of float64,
 # 4 MB of float32); a chunk holds as many whole images as fit, and at
-# least one.  An image that draws this many or more (one 256x256 image of
-# 64 maps draws 4,129,792) is a chunk of its own, run on two threads
+# least one.  Under CD-1, an image that draws this many or more (a 256x256
+# image of 64 maps draws 4,129,792) is a chunk of its own, on two threads
 _CD_CHUNK_DRAWS = 1 << 20
 # hidden-map values per band of extract_feature_map (2 MB of float64); a
 # stack with more maps than this, and a hidden side that is a multiple of
@@ -375,35 +375,36 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     runs in chunks of whole images that draw at most _CD_CHUNK_DRAWS
     uniforms each, or one image; chunks consume the generator in image
     order, so the chunking never changes a sample.  The chain runs in the
-    stack's dtype; the statistics are summed in float64.  An image that
-    draws _CD_CHUNK_DRAWS or more is a chunk of its own and runs on two
-    threads (_two_thread_chain); smaller images share chunks that run on
+    stack's dtype; the statistics are summed in float64.  Under CD-1, an
+    image that draws _CD_CHUNK_DRAWS or more is a chunk of its own and
+    runs on two threads (_two_thread_chain); every other chunk runs on
     this thread (_one_thread_chain).
     """
     per_image = k * (model.num_hidden + model.num_visible)
-    if per_image >= _CD_CHUNK_DRAWS:
+    if k == 1 and per_image >= _CD_CHUNK_DRAWS:
         # one uniforms buffer for every chunk of the call: a buffer per
         # image made a paper-shape cd_update 1.090x as slow (0 of 16
         # alternations faster)
         step, chain = 1, functools.partial(
             _two_thread_chain, uniforms=np.empty(per_image, pixels.dtype))
     else:
-        step, chain = _CD_CHUNK_DRAWS // per_image, _one_thread_chain
+        step = max(1, _CD_CHUNK_DRAWS // per_image)
+        chain = functools.partial(_one_thread_chain, k=k)
     g_w = np.zeros_like(model.filters)
     g_b = 0.0
     g_c = np.zeros(model.num_filters)
     ce = 0.0
     for start in range(0, len(pixels), step):
         v0 = pixels[start:start + step]
-        vk_sum, chunk_ce = chain(model, v0, k, rng, g_w, g_c)
+        vk_sum, chunk_ce = chain(model, v0, rng, g_w, g_c)
         g_b += float(v0.sum(dtype=np.float64) - vk_sum)
         ce += chunk_ce
     return g_w, g_b, g_c, ce
 
 
-def _one_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
+def _one_thread_chain(model: CrbmModel, v0: np.ndarray,
                       rng: np.random.Generator, g_w: np.ndarray,
-                      g_c: np.ndarray):
+                      g_c: np.ndarray, k: int):
     """The CD-k chain of a stack of images v0 (B, N, N) on this thread,
     adding its data-phase minus chain-phase statistics to the float64
     sums g_w and g_c.  Returns (the float64 sum of v_k's pixels, the
@@ -448,16 +449,15 @@ def _one_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
     return v.sum(dtype=np.float64), ce
 
 
-def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
+def _two_thread_chain(model: CrbmModel, v0: np.ndarray,
                       rng: np.random.Generator, g_w: np.ndarray,
                       g_c: np.ndarray, uniforms: np.ndarray):
-    """The CD-k chain of one image v0 (1, N, N) on this thread and the
+    """The CD-1 chain of one image v0 (1, N, N) on this thread and the
     worker, adding its data-phase minus chain-phase statistics to the
     float64 sums g_w and g_c; uniforms is a flat buffer of v0's dtype with
-    room for the chain's draws.  Returns (the float64 sum of v_k's pixels,
-    the summed reconstruction cross-entropy of the first round), taken as
-    soon as they can be, so that neither image is held through the last
-    hidden pass.
+    room for the chain's draws.  Returns (the float64 sum of v_1's pixels,
+    the summed reconstruction cross-entropy), taken as soon as they can
+    be, so that neither image is held through the last hidden pass.
 
     It draws the uniforms of _one_thread_chain and splits the products of
     the whole-stack kernels by filter rows or map columns, as the module
@@ -468,9 +468,8 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
     m, kside, n, side = (model.num_filters, model.kernel_size,
                          model.input_size, model.hidden_side)
     dtype, n_hidden = v0.dtype, model.num_hidden
-    draws = uniforms.reshape(k, n_hidden + n * n)
-    u_h = draws[:, :n_hidden].reshape(k, m, side * side)
-    u_v = draws[:, n_hidden:].reshape(k, n, n)
+    u_h = uniforms[:n_hidden].reshape(m, side * side)
+    u_v = uniforms[n_hidden:].reshape(n, n)
     bands, frame = kernels._tap_bands(kside, side, 1)
     # filter halves for the hidden passes; a column cut at a multiple of
     # 8 for the tap product; halves of the output-row bands
@@ -494,22 +493,17 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
         statistics(maps, lo, hi, np.add)
         if fill is not None:
             fill.result()
-            np.less(u_h[0], maps, out=u_h[0])
+            np.less(u_h, maps, out=u_h)
 
-    def hidden_rows(maps, lo, hi, op, u):
-        """Filters lo .. hi - 1 of a later hidden pass, of the image whose
+    def hidden_rows(maps, lo, hi):
+        """Filters lo .. hi - 1 of the last hidden pass, of the image whose
         im2col copy cols holds: their probabilities, written into maps
-        (M, H*H); their statistics, added by op unless it is None; and
-        their sample, written over their uniforms u (M, H*H) unless u is
-        None."""
+        (M, H*H), then their chain-phase statistics."""
         rows = maps[lo:hi]
         # corr_valid's product, then the conditional
         np.matmul(filters[lo:hi], cols, out=rows)
         kernels.sigmoid(rows, biases[lo:hi])
-        if op is not None:
-            statistics(maps, lo, hi, op)
-        if u is not None:
-            np.less(u[lo:hi], rows, out=u[lo:hi])
+        statistics(maps, lo, hi, np.subtract)
 
     fill = _worker().submit(rng.random, dtype=dtype, out=uniforms)
     try:
@@ -537,31 +531,25 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray, k: int,
                          (maps, half, m, None))
     finally:
         fill.result()
-    for step in range(k):
-        del maps  # sampled: free them before the reconstruction
-        # conv_full's tap product of h, by columns
-        h, w_t = u_h[step], filters.T
-        _on_both_threads(np.matmul, (w_t, h[:, :cut], cols[:, :cut]),
-                         (w_t, h[:, cut:], cols[:, cut:]))
-        v = np.empty((n, n), dtype)  # P(v = 1 | h) until sampled
-        frames = np.empty((2, frame), dtype)
-        _on_both_threads(kernels._add_taps,
-                         (planes, v, bands[:split], frames[0]),
-                         (planes, v, bands[split:], frames[1]))
-        del frames
-        kernels.sigmoid(v, dtype.type(model.visible_bias))
-        if step == 0:
-            ce = _recon_cross_entropy_sum(v0[0], v)
-        np.less(u_v[step], v, out=v)
-        planes[...] = kernels._windows(v, kside, 0, side)  # v's im2col
-        last = step == k - 1
-        if last:
-            vk_sum = v.sum(dtype=np.float64)
-            del v
-        maps = np.empty((m, side * side), dtype)
-        op, u = (np.subtract, None) if last else (None, u_h[step + 1])
-        _on_both_threads(hidden_rows, (maps, 0, half, op, u),
-                         (maps, half, m, op, u))
+    del maps  # sampled: free them before the reconstruction
+    # conv_full's tap product of h, by columns
+    w_t = filters.T
+    _on_both_threads(np.matmul, (w_t, u_h[:, :cut], cols[:, :cut]),
+                     (w_t, u_h[:, cut:], cols[:, cut:]))
+    v = np.empty((n, n), dtype)  # P(v = 1 | h) until sampled
+    frames = np.empty((2, frame), dtype)
+    _on_both_threads(kernels._add_taps,
+                     (planes, v, bands[:split], frames[0]),
+                     (planes, v, bands[split:], frames[1]))
+    del frames
+    kernels.sigmoid(v, dtype.type(model.visible_bias))
+    ce = _recon_cross_entropy_sum(v0[0], v)
+    np.less(u_v, v, out=v)
+    planes[...] = kernels._windows(v, kside, 0, side)  # v's im2col
+    vk_sum = v.sum(dtype=np.float64)
+    del v
+    maps = np.empty((m, side * side), dtype)
+    _on_both_threads(hidden_rows, (maps, 0, half), (maps, half, m))
     return vk_sum, ce
 
 
@@ -580,6 +568,14 @@ def _recon_cross_entropy_sum(v0: np.ndarray, v_probs: np.ndarray) -> float:
     return float(-p.sum())
 
 
+def _refuse_beyond_float32(what: str, *params) -> None:
+    """Raise TrainingError, naming what, unless every entry of params lies
+    within float32's finite range."""
+    # a max is nan if any entry is, and every comparison with nan fails
+    if not all(np.abs(p).max() <= _FLOAT32_MAX for p in params):
+        raise TrainingError(f"{what} beyond float32 range")
+
+
 def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
               rng: np.random.Generator):
     """One CD-k parameter update from a batch of images (B, N, N).
@@ -593,11 +589,13 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
 
     Returns (updated model, diagnostics dict with the batch-mean
     reconstruction cross-entropy and mean |Delta W|); raises TrainingError
-    if an updated parameter lies beyond float32's finite range, where the
-    next batch's float32 chain would make it inf.
+    if a parameter of the given model or of the updated one lies beyond
+    float32's finite range, where the float32 chain would make it inf.
     """
     if len(batch) == 0:
         raise TrainingError("empty batch")
+    _refuse_beyond_float32("given model's parameters", model.filters,
+                           model.visible_bias, model.hidden_biases)
     pixels = _visible_stack(model, batch).astype(np.float32)
     g_w, g_b, g_c, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
@@ -608,10 +606,7 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
         filters = model.filters + dw_applied
         visible_bias = model.visible_bias + scale * d_b
         hidden_biases = model.hidden_biases + scale * d_c
-    # a max is nan if any entry is, and every comparison with nan fails
-    if not all(np.abs(p).max() <= _FLOAT32_MAX
-               for p in (filters, hidden_biases, visible_bias)):
-        raise TrainingError("parameters beyond float32 range")
+    _refuse_beyond_float32("parameters", filters, visible_bias, hidden_biases)
     updated = CrbmModel(filters=filters, visible_bias=visible_bias,
                         hidden_biases=hidden_biases, input_size=model.input_size)
     diagnostics = {
@@ -627,8 +622,8 @@ def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
 
     Shuffling and every Gibbs draw derive deterministically from seed, so
     identical inputs give bit-identical final weights.  Aborts with
-    TrainingError, naming the epoch and batch, if a parameter leaves
-    float32's finite range.
+    TrainingError, naming the epoch and batch, if a parameter lies beyond
+    float32's finite range, before or after an update.
     """
     if len(data) == 0:
         raise TrainingError("training data is empty")

@@ -9,6 +9,7 @@ whose paths are resolved relative to the manifest's directory.
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,29 +86,32 @@ class Dataset:
 # PGM raster I/O
 # ---------------------------------------------------------------------------
 
+# a PGM header token after the whitespace and comments before it; a
+# comment must run to a CR, an LF or the end of the data, so that no
+# backtracking can read the tail of a comment as a token
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
+
+
 def read_pgm(path) -> tuple:
-    """Read a binary PGM (P5) file.  Returns (raw uint16 array, maxval)."""
+    """Read a binary PGM (P5) file.  Returns (raw uint16 array, maxval).
+
+    As in libnetpbm, a header comment runs from "#" to the next CR or LF
+    and ends the token before it; one whitespace byte, not a comment's
+    newline, ends the header."""
     data = Path(path).read_bytes()
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        if pos >= len(data):
+        token = _PGM_TOKEN.match(data, pos)
+        if token is None:
             raise RasterFormatError(f"{path}: truncated PGM header")
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
+        tokens.append(token[1])
+        pos = token.end()
     magic, *dims = tokens
     if magic != b"P5":
         raise RasterFormatError(f"{path}: not a binary PGM (magic {magic!r})")
-    if not all(t.isdigit() for t in dims):  # bytes.isdigit: ASCII 0-9 only
+    # bytes.isdigit: ASCII 0-9 only
+    if not all(t.isdigit() for t in dims) or data[pos:pos + 1] == b"#":
         raise RasterFormatError(f"{path}: bad PGM header")
     try:
         width, height, maxval = (int(t) for t in dims)
@@ -212,10 +216,11 @@ def load_manifest(path) -> Dataset:
 
 
 def _csv_rows(path: Path):
-    """The rows of a UTF-8 CSV file; undecodable bytes and malformed CSV
-    (an over-long field, say) are ManifestErrors naming the file."""
+    """The rows of a UTF-8 CSV file, after any byte-order mark;
+    undecodable bytes and malformed CSV (an over-long field, say) are
+    ManifestErrors naming the file."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: not UTF-8 text ({exc})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))

@@ -30,6 +30,10 @@ from .errors import ShapeMismatchError
 # 16-bit one, 1/131070.
 _RESIDUE = 2.0 ** -40
 
+# most gray levels: the texture counters hold n * levels**2 cells for a
+# stack of n planes, 4 MB of float64 for 8 planes at 256 levels
+MAX_LEVELS = 256
+
 GLCM_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 GLRLM_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
@@ -306,9 +310,7 @@ def glrlm_compute(codes: np.ndarray, roi: np.ndarray, direction: tuple,
     """Counts of maximal in-ROI runs of equal codes along the direction in
     each slice of a stack (..., h, w) -> (..., levels, max(h, w)); rows =
     gray level, columns = run length (1-based); an out-of-ROI pixel
-    breaks a run."""
-    if tuple(direction) not in GLRLM_DIRECTIONS:
-        raise ValueError(f"direction must be one of {GLRLM_DIRECTIONS}")
+    breaks a run; a direction not in GLRLM_DIRECTIONS is a ValueError."""
     return kernels.glrlm_counts(codes, roi, *direction, levels,
                                 max(codes.shape[-2:]))
 
@@ -428,13 +430,14 @@ def extract_all(pixels: np.ndarray, bits: np.ndarray,
 
     pixels and bits are (n, h, w): the slices and their ROI masks, each
     mask with at least one set pixel; intensities are quantized to levels
-    (>= 2) gray levels.  Original plane: first-order (13) +
+    (2 .. MAX_LEVELS) gray levels.  Original plane: first-order (13) +
     shape (9) + GLCM (32) + GLRLM (28); each Haar subband: first-order
     (13) + GLCM (32) + GLRLM (28).  The four subbands of every slice go
     through the plane features as one stack of 4n planes.
     """
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
+    if not 2 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must be within 2 .. {MAX_LEVELS}, "
+                         f"got {levels}")
     pixels = np.asarray(pixels, dtype=np.float64)
     bits = np.asarray(bits)
     if pixels.ndim != 3 or pixels.shape != bits.shape:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from crbm_radiomics import classifiers
 from crbm_radiomics.classifiers import (
-    LrModel,
+    LinearModel,
     RfModel,
-    SvmModel,
     lr_fit,
     lr_gradient,
     lr_predict_proba,
@@ -92,7 +91,7 @@ def test_lr_rejects_bad_labels_and_shapes():
     with pytest.raises(ValueError):
         lr_predict_proba(model, np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        LrModel(weights=np.array([np.nan]), bias=0.0)
+        LinearModel(weights=np.array([np.nan]), bias=0.0)
 
 
 def test_lr_refuses_a_negative_l2_before_any_step(monkeypatch):
@@ -181,7 +180,7 @@ def test_svm_objective_hand_value():
     X = np.array([[2.0, 0.0], [0.0, 1.0]])
     y = np.array([1.0, -1.0])
     # margins: 1*(2+0.5)=2.5 (no hinge), -1*(-1+0.5)=0.5 (hinge 0.5)
-    got = svm_objective(SvmModel(weights=w, bias=0.5), X, y, 2.0)
+    got = svm_objective(LinearModel(weights=w, bias=0.5), X, y, 2.0)
     assert got == pytest.approx(0.5 * 2.0 + 2.0 * 0.5, abs=1e-12)
 
 

@@ -235,6 +235,21 @@ def test_exit_code_2_names_the_file_of_a_bad_crbm_training_field(workspace, tmp_
     assert "config error: c.json.crbm: learning_rate" in capsys.readouterr().err
 
 
+def test_exit_code_2_names_the_file_of_too_many_radiomics_levels(
+        workspace, tmp_path, capsys):
+    # 70000 levels once reached the texture counters and failed there,
+    # allocating hundreds of GiB; 257 is the first refused
+    bad = tmp_path / "c.json"
+    bad.write_text('{"radiomics_levels": 257}')
+    code = cli.main(["run", "--config", str(bad),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert ("config error: c.json: radiomics_levels must be within 2 .. 256"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_exit_code_2_names_the_file_of_an_int_too_large_for_a_float(
         workspace, tmp_path, capsys):
     huge = "1" + "0" * 400

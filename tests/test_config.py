@@ -80,6 +80,7 @@ def test_invalid_values_are_config_errors(tmp_path):
         {"pls_components": 0},
         {"pls_mode": "pca"},
         {"radiomics_levels": 1},
+        {"radiomics_levels": 257},
         {"classifier": {"kind": "xgboost"}},
         {"cv": {"k": 1}},
         {"cv": {"mode": "loocv"}},

@@ -241,24 +241,45 @@ def test_a_cd_chunk_holds_one_stack_of_hidden_maps_besides_its_uniforms():
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("chain", ["_one_thread_chain", "_two_thread_chain"])
-def test_each_chain_adds_its_statistics_to_the_sums_it_is_given(chain, k):
+def test_each_chain_adds_its_statistics_to_the_sums_it_is_given(
+        monkeypatch, chain, k):
     # _cd_sums hands every chunk of a call the same g_w and g_c, so a
     # chain adds to them in place, and what it returns is not changed by
-    # what they already hold
+    # what they already hold.  Each case runs the chain, and its bound
+    # argument, that _cd_sums picks for an image that draws one uniform
+    # fewer than _CD_CHUNK_DRAWS (the one-thread chain) or as many (the
+    # two-thread chain, under CD-1 only: CD-2 runs on this thread)
     model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=33)
     v0 = derive_rng(33, "grey").random((1, 6, 6)).astype(np.float32)
-    run = getattr(crbm, chain)
-    if chain == "_two_thread_chain":
-        per_image = k * (model.num_hidden + model.num_visible)
-        run = functools.partial(run, uniforms=np.empty(per_image, np.float32))
+    per_image = k * (model.num_hidden + model.num_visible)
+    picked, submitted, worker = [], [], crbm._worker
+    with monkeypatch.context() as patch:
+        patch.setattr(crbm, "_CD_CHUNK_DRAWS",
+                      per_image + (chain == "_one_thread_chain"))
+        for name in ("_one_thread_chain", "_two_thread_chain"):
+            patch.setattr(crbm, name, lambda *_, name=name, **bound:
+                          picked.append((name, bound)) or (0.0, 0.0))
+        crbm._cd_sums(model, v0, k, derive_rng(33, "u"))
+    ((name, bound),) = picked
+    two_threads = chain == "_two_thread_chain" and k == 1
+    assert name == ("_two_thread_chain" if two_threads else "_one_thread_chain")
+    monkeypatch.setattr(crbm, "_worker",
+                        lambda: submitted.append(1) or worker())
+    run = functools.partial(getattr(crbm, name), **bound)
     start_w = derive_rng(33, "w").normal(size=model.filters.shape)
     start_c = derive_rng(33, "c").normal(size=model.num_filters)
     sums = []
     for w, c in ((np.zeros_like(start_w), np.zeros_like(start_c)),
                  (start_w.copy(), start_c.copy())):
-        out = run(model, v0, k, derive_rng(33, "u"), w, c)
+        out = run(model, v0, derive_rng(33, "u"), w, c)
         sums.append((out, w, c))
     (out_zero, w_zero, c_zero), (out_start, w_start, c_start) = sums
+    # a two-thread chain submits 5 calls to the worker
+    assert len(submitted) == (2 * 5 if two_threads else 0)
+    if not two_threads:
+        g_b = float(v0.sum(dtype=np.float64) - out_zero[0])
+        assert_same_sums((w_zero, g_b, c_zero, out_zero[1]),
+                         replay_sums(model, v0, k, derive_rng(33, "u"), 1))
     assert out_start == out_zero
     assert np.abs(w_zero).max() > 0 and np.abs(c_zero).max() > 0
     np.testing.assert_allclose(w_start, start_w + w_zero, rtol=0, atol=1e-12)
@@ -414,6 +435,20 @@ def test_train_names_the_epoch_and_batch_where_parameters_diverge():
             TrainingError,
             match=r"^parameters beyond float32 range at epoch 0, batch 0$"):
         crbm.train(small_model(), data, cfg)
+
+
+def test_cd_update_refuses_a_given_model_beyond_float32_range():
+    # filters of ~1e300 are finite in float64 but inf once the chain casts
+    # them to float32; they are refused before that cast, with no numpy
+    # warning (the suite turns warnings into errors), and the message
+    # blames the given model, not the update
+    model = crbm.init_model(2, 2, 3, weight_init_sigma=1e300, seed=0)
+    data = random_binary_images(derive_rng(3, "big"), 3, 4)
+    with pytest.raises(
+            TrainingError,
+            match=r"^given model's parameters beyond float32 range "
+                  r"at epoch 0, batch 0$"):
+        crbm.train(model, data, crbm.CrbmConfig(epochs=1, batch_size=2))
 
 
 def test_train_rejects_empty_data():

@@ -12,7 +12,8 @@ product has a multiple of 8 columns.  The two-thread CD chain equals the
 one-thread chain at the paper's shape, where the products split by filter
 rows and by columns cut at a multiple of 8 give the whole products' bits;
 the filter-gradient product split by rows did not at some smaller shapes
-(64x64 with 16 filters, 100x100 with 8, 6x6 with 3)."""
+(64x64 with 16 filters, 100x100 with 8, 6x6 with 3).  Only CD-1 takes two
+threads: a CD-k chain for k > 1 runs on one thread at any size."""
 
 import os
 import signal
@@ -70,17 +71,16 @@ def on_worker(monkeypatch):
     return log
 
 
-def submissions(k):
-    """Calls a two-thread CD-k chunk submits to the worker: the uniform
-    fill, k + 1 hidden passes and k reconstructions of two steps each."""
-    return 1 + (k + 1) + 2 * k
+# calls a two-thread CD-1 chunk submits to the worker: the uniform fill,
+# two hidden passes and a reconstruction of two steps
+SUBMISSIONS = 5
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_overlapped_cd_chunks_are_bit_identical_on_the_worker_and_inline(
         monkeypatch, k):
-    # each image draws _CD_CHUNK_DRAWS, so it is a chunk of its own and
-    # runs on two threads
+    # each image draws _CD_CHUNK_DRAWS, so it is a chunk of its own, and
+    # runs on two threads under CD-1 and on this one under CD-2
     model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=4)
     cfg = crbm.CrbmConfig(learning_rate=0.1, cd_steps=k, batch_size=7)
     batch = derive_rng(21, "grey").random((7, 6, 6))
@@ -96,13 +96,16 @@ def test_overlapped_cd_chunks_are_bit_identical_on_the_worker_and_inline(
             log = on_worker(patch)
             runs.append(crbm.cd_update(model, batch, cfg, derive_rng(22, "u")))
         main = threading.get_ident()
-        calls = 0 if executor == "one thread" else 7 * submissions(k)
-        assert len(log.threads) == calls
+        two_threads = k == 1 and executor != "one thread"
+        assert len(log.threads) == (7 * SUBMISSIONS if two_threads else 0)
         assert all((t == main) == (executor == "inline") for t in log.threads)
     (worker, worker_diag), (inline, inline_diag), (one, one_diag) = runs
-    for name in ("filters", "visible_bias", "hidden_biases"):
-        assert (np.asarray(getattr(worker, name)).tobytes()
-                == np.asarray(getattr(inline, name)).tobytes())
+    # CD-2 runs every image as a one-thread chunk of one image, so all
+    # three runs are the one-thread replay's bits
+    for other in (inline, one) if k > 1 else (inline,):
+        for name in ("filters", "visible_bias", "hidden_biases"):
+            assert (np.asarray(getattr(worker, name)).tobytes()
+                    == np.asarray(getattr(other, name)).tobytes())
     assert worker_diag == inline_diag
     # the one-thread chunks draw the same samples, so the visible bias and
     # the cross-entropy agree; at this shape the filter-gradient product
@@ -121,13 +124,14 @@ def test_overlapped_cd_chunks_are_bit_identical_on_the_worker_and_inline(
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_paper_shape_two_thread_chunk_equals_a_one_thread_replay(
         monkeypatch, k):
-    """One 256x256 image, 64 filters of 5x5: the two-thread chunk's CD
+    """One 256x256 image, 64 filters of 5x5: the two-thread CD-1 chunk's
     sums are, bit for bit, those of the one-image chain replayed through
     the whole-stack kernels and summed as _cd_sums' one-thread chunks sum
     them.  This rests on the BLAS build: the products split by filter rows
     and by columns cut at a multiple of 8 gave the whole products' bits at
     this shape, at 1 and 2 BLAS threads, on one OpenBLAS build (0.3.31,
-    Haswell kernels; see the module docstring)."""
+    Haswell kernels; see the module docstring).  The CD-2 chunk of the
+    same image runs on this thread alone, with the same bits."""
     model = crbm.init_model(64, 5, 256, seed=29)
     model = crbm.CrbmModel(filters=model.filters, visible_bias=-0.1,
                            hidden_biases=np.linspace(-0.5, 0.5, 64),
@@ -135,7 +139,7 @@ def test_a_paper_shape_two_thread_chunk_equals_a_one_thread_replay(
     v0 = derive_rng(29, "paper").random((1, 256, 256)).astype(np.float32)
     log = on_worker(monkeypatch)
     sums = crbm._cd_sums(model, v0, k, derive_rng(29, "u"))
-    assert len(log.threads) == submissions(k)
+    assert len(log.threads) == (SUBMISSIONS if k == 1 else 0)
     assert threading.get_ident() not in log.threads
     assert_same_sums(sums, replay_sums(model, v0, k, derive_rng(29, "u"), 1))
 
@@ -145,20 +149,26 @@ def test_the_two_thread_chunks_of_a_call_share_one_uniforms_buffer(
     # a buffer per image made a paper-shape cd_update 1.090x as slow
     model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=31)
     images = derive_rng(31, "grey").random((5, 6, 6)).astype(np.float32)
-    per_image = 2 * (model.num_hidden + model.num_visible)
+    per_image = model.num_hidden + model.num_visible
     monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", per_image)
     buffers = []
     chain = crbm._two_thread_chain
 
-    def spy(model, v0, k, rng, g_w, g_c, uniforms):
+    def spy(model, v0, rng, g_w, g_c, uniforms):
         buffers.append(uniforms)
-        return chain(model, v0, k, rng, g_w, g_c, uniforms)
+        return chain(model, v0, rng, g_w, g_c, uniforms)
 
     monkeypatch.setattr(crbm, "_two_thread_chain", spy)
-    crbm._cd_sums(model, images, 2, derive_rng(31, "u"))
+    crbm._cd_sums(model, images, 1, derive_rng(31, "u"))
     assert len(buffers) == len(images)
     assert all(buffer is buffers[0] for buffer in buffers)
     assert buffers[0].shape == (per_image,) and buffers[0].dtype == np.float32
+    # CD-2 chunks of the same images, each drawing twice as many uniforms,
+    # run on this thread with the one-thread replay's bits
+    log = on_worker(monkeypatch)
+    sums = crbm._cd_sums(model, images, 2, derive_rng(31, "u"))
+    assert len(buffers) == len(images) and log.threads == []
+    assert_same_sums(sums, replay_sums(model, images, 2, derive_rng(31, "u"), 1))
 
 
 def test_an_overlapped_cd_chunk_adds_one_im2col_copy_to_its_peak(monkeypatch):
@@ -176,7 +186,7 @@ def test_an_overlapped_cd_chunk_adds_one_im2col_copy_to_its_peak(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(log.threads) == 2 * submissions(1)
+    assert len(log.threads) == 2 * SUBMISSIONS
     hidden = 4 * model.num_hidden
     uniforms = 4 * per_image
     im2col = 4 * model.kernel_size ** 2 * model.hidden_side ** 2
@@ -197,7 +207,7 @@ def test_a_paper_shape_two_thread_chunk_holds_one_stack_of_maps(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(log.threads) == 2 * submissions(1)
+    assert len(log.threads) == 2 * SUBMISSIONS
     hidden = 4 * model.num_hidden
     uniforms = 4 * (model.num_hidden + model.num_visible)
     side = model.hidden_side
@@ -327,7 +337,7 @@ def test_no_traced_function_runs_on_the_worker(monkeypatch):
     crbm.extract_feature_map(model, images)
     main = threading.get_ident()
     # each image is a two-thread chunk, then one banded extraction
-    assert len(log.threads) == 2 * submissions(1) + 1
+    assert len(log.threads) == 2 * SUBMISSIONS + 1
     assert main not in log.threads
     # a two-thread chunk calls corr_valid for its first hidden pass and
     # no other public kernel

@@ -78,12 +78,37 @@ def test_pgm_rejects_empty_raster(tmp_path, dims):
 
 @pytest.mark.parametrize("data", [b"P5 3_0 1 255\n" + bytes(30),  # int(): 30 wide
                                   b"P5 +3 1 255\n" + bytes(3),    # int(): 3 wide
-                                  b"P5 3 1 +255\n" + bytes(3)])
+                                  b"P5 3 1 +255\n" + bytes(3),
+                                  # one whitespace byte, not a comment's
+                                  # newline, ends the header
+                                  b"P5 2 2 255#c\n" + bytes(4)])
 def test_pgm_rejects_header_numbers_that_are_not_ascii_decimal(tmp_path, data):
     path = tmp_path / "odd.pgm"
     path.write_bytes(data)
     with pytest.raises(RasterFormatError, match="odd.pgm: bad PGM header"):
         read_pgm(path)
+
+
+# a comment runs to a CR or LF, so its tail is never read as a token
+@pytest.mark.parametrize("data", [b"P5 2 2", b"P5 2 2 #255",
+                                  b"P5 2 2 #255" + bytes(4)])
+def test_pgm_rejects_a_truncated_header(tmp_path, data):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(data)
+    with pytest.raises(RasterFormatError, match="cut.pgm: truncated PGM header"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("header", [b"P5#c\n2 2\n255\n",
+                                    b"P5\n2 2#c\n255\n",
+                                    b"P5 2#c\r2 # d\n255\n"])
+def test_pgm_comment_ends_the_token_before_it(tmp_path, header):
+    # as libnetpbm reads it: a "#" needs no whitespace before it, and the
+    # comment runs to the next CR or LF, which counts as whitespace
+    path = tmp_path / "noted.pgm"
+    path.write_bytes(header + bytes([0, 1, 2, 3]))
+    raw, maxval = read_pgm(path)
+    assert maxval == 255 and raw.tolist() == [[0, 1], [2, 3]]
 
 
 # header tokens a damaged or hand-edited PGM may carry
@@ -260,6 +285,16 @@ def test_manifest_rejects_bad_header(tmp_path):
     path = _write_manifest(tmp_path, [], header="id,patient,label")
     with pytest.raises(ManifestError):
         load_manifest(path)
+
+
+def test_manifest_with_a_byte_order_mark_loads_the_same_dataset(tmp_path):
+    # spreadsheet programs save UTF-8 CSV with a leading BOM
+    rows = ["a,p1,i.pgm,m.pgm,1,baseline,unknown",
+            "b,p2,j.pgm,n.pgm,0,baseline,unknown"]
+    plain = load_manifest(_write_manifest(tmp_path, rows))
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_manifest(path) == plain
 
 
 def test_manifest_rejects_duplicate_ids(tmp_path):

@@ -1,7 +1,8 @@
 """Every module-level function, class and constant of the package, and
 every public method and property of its public classes, is used by the
 package itself, outside its own definition; private constants count,
-public ones are settings.  A method or property counts as used when the
+public ones are settings.  Every parameter of every function is read in
+its body.  A method or property counts as used when the
 package reads an attribute of its name outside its own definition, and
 so does a dataclass field, outside its class, in the modules that hold
 the pipeline's own types.  The exact-enumeration oracles in
@@ -119,6 +120,71 @@ def test_every_dataclass_field_is_read_outside_its_class():
                                    dataclass_fields(TREES["crbm"])]
     missing = uncalled(dataclass_fields, modules)
     assert not missing, f"dataclass fields the package never reads: {missing}"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def function_body(node):
+    """The statements, or a lambda's expression, of a function node."""
+    return node.body if isinstance(node.body, list) else [node.body]
+
+
+def parameters(node):
+    """The parameter names of a function node."""
+    args = node.args
+    return [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                            *args.kwonlyargs, args.kwarg) if a is not None]
+
+
+def reads(node):
+    """The names node reads: its Name loads and the targets of its
+    augmented assignments (x += y reads x).  What a nested function or
+    lambda reads counts, except the parameters it binds itself."""
+    if isinstance(node, ast.Name):
+        return {node.id} if isinstance(node.ctx, ast.Load) else set()
+    found = set()
+    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+        found.add(node.target.id)
+    body = function_body(node) if isinstance(node, FUNCTIONS) else []
+    if body:
+        found |= set().union(*map(reads, body)) - set(parameters(node))
+    for child in ast.iter_child_nodes(node):
+        # decorators, defaults and annotations read the enclosing scope
+        if not any(child is stmt for stmt in body):
+            found |= reads(child)
+    return found
+
+
+def unread_parameters(tree):
+    """function:parameter of each parameter of each function of the
+    module, nested local steps and lambdas included, that its body never
+    reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            loaded = set().union(*map(reads, function_body(node)))
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}:{param}" for param in parameters(node)
+                      if param not in loaded]
+    return found
+
+
+def test_every_parameter_is_read_by_its_function():
+    # a parameter kept after the work that read it has gone does no work;
+    # a local step that reads a parameter of its own name reads only that
+    source = ("def f(a, b, *c, d, **e):\n"
+              "    def g(b, h):\n"
+              "        h += 1\n"
+              "        return a, b\n"
+              "    return g, lambda d: d\n"
+              "async def i(j, k):\n"
+              "    return j\n")
+    assert unread_parameters(ast.parse(source)) == [
+        "f:b", "f:c", "f:d", "f:e", "i:k"]
+    missing = [f"{module}.{name}" for module, tree in TREES.items()
+               for name in unread_parameters(tree)]
+    assert not missing, f"parameters their function never reads: {missing}"
 
 
 def test_the_enumeration_oracles_share_no_code_with_the_package():

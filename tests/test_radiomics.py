@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crbm_radiomics import radiomics
+from crbm_radiomics import kernels, radiomics
 from crbm_radiomics.data_model import Image2D, RoiMask
 from crbm_radiomics.errors import ShapeMismatchError
 from crbm_radiomics.radiomics import (
@@ -89,6 +89,21 @@ def test_quantize_validation_errors():
     bits[1] = 0
     with pytest.raises(ValueError, match="empty mask"):
         extract_all(np.zeros((2, 3, 3)), bits)
+
+
+def test_extract_all_refuses_more_than_max_levels_before_counting(
+        monkeypatch):
+    # the texture counters hold n * levels**2 cells, so an unbounded
+    # levels fails late, in a huge allocation
+    def refuse(*_):
+        raise AssertionError("a texture counter ran")
+
+    monkeypatch.setattr(kernels, "glcm_counts", refuse)
+    monkeypatch.setattr(kernels, "glrlm_counts", refuse)
+    pixels = derive_rng(5, "lv").random((2, 4, 4))
+    with pytest.raises(ValueError, match=r"^levels must be within 2 \.\. 256, "
+                                         r"got 257$"):
+        extract_all(pixels, np.ones((2, 4, 4)), levels=radiomics.MAX_LEVELS + 1)
 
 
 # ---------------------------------------------------------------------------
