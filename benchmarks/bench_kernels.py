@@ -15,8 +15,9 @@ The two paper-scale steps that use the CRBM's worker thread are timed
 with the worker and with each submitted call run inline on the calling
 thread: one CD-1 chunk of a 256x256 float32 slice (``crbm._cd_sums``,
 whose uniform fill the worker runs beside the first hidden pass, and
-whose later hidden passes, CD statistics and reconstruction the two
-threads split) and the feature map of one 256x256 slice with 64 filters
+whose later hidden passes, CD statistics and the reconstruction's tap
+product the two threads split; the calling thread adds the taps) and the
+feature map of one 256x256 slice with 64 filters
 (``extract_feature_map``, half of whose row bands the worker computes).
 With BLAS on one thread, the two threads run on two cores.  Beside the
 latter, ``extract_feature_map`` is timed on one quick-start extraction

@@ -156,6 +156,10 @@ def main(argv=None) -> int:
     except (PipelineError, OSError, ValueError) as exc:
         print(f"radiomics-crbm: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"radiomics-crbm: error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -177,17 +177,32 @@ def _finite_float(token: str) -> float:
 
 
 def _read_json(path) -> dict:
-    """The JSON document at path; Python's json would also read NaN,
-    Infinity and -Infinity, and a number like 1e999 as inf."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    """The JSON document at path, which may name any readable file, a pipe
+    too; Python's json would also read NaN, Infinity and -Infinity, a
+    number like 1e999 as inf, and the last of two equal keys."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"),
-                          parse_float=_finite_float,
-                          parse_constant=_finite_float)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return json.loads(
+            text, parse_float=_finite_float, parse_constant=_finite_float,
+            object_pairs_hook=lambda pairs: _json_object(path, pairs))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, an int of > 4300 digits
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _json_object(path, pairs: list) -> dict:
+    """A JSON object of the file at path as a dict; a key it gives twice
+    is a ConfigError naming the file and the key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"{path}: duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def config_echo(config) -> dict:

@@ -72,19 +72,28 @@ the same calls inline.
     thread adds the first half's, the worker the second's once it has
     drawn, and this thread then samples h whole;
   - the reconstruction splits ``conv_full``'s tap product by columns,
-    cut at a multiple of 8, then its frame reduction by bands of output
-    rows; this thread takes the sigmoid, the visible sample and the
-    cross-entropy;
+    cut at a multiple of 8; this thread then adds the taps in one
+    ``kernels._add_taps`` call and takes the sigmoid, the visible sample
+    and the cross-entropy;
   - ``hidden_rows`` splits the last hidden pass and the chain phase's
     ``statistics`` by filter halves, this thread the first, the worker
     the second.  Each half writes its own rows of the sums, so they get
     the bits of the whole stack's.
 
+  Each of these four splits stays because it pays.  Run on this thread
+  instead, each made a 12-slice paper-shape ``cd_update`` slower, as a
+  median of in-process alternations at one BLAS thread on a 2-vCPU VM:
+  the uniform fill 1.364x, the last hidden pass and its statistics
+  1.278x, the data-phase statistics 1.121x, and the tap product 1.080x
+  (with the frame reduction).  The frame reduction alone, split by bands
+  of output rows between the threads, saved nothing (run here it read
+  0.999-1.025x), so it runs on this thread.
+
   One im2col buffer per image serves a pass's product and both phases'
   gradient products, and holds the taps during the reconstruction; the
   images of a batch share one uniforms buffer.  Such a chunk peaks at
   one stack of hidden maps, its uniforms and one im2col copy, the maps
-  being freed once sampled, before the two frames of the reconstruction.
+  being freed once sampled, before the one frame of the reconstruction.
   Its bits equal the one-thread chain's as far as a product split by
   filter rows or by columns gives each part the bits of the whole
   product.  On one OpenBLAS build (0.3.31, Haswell kernels), at 1 and 2
@@ -313,6 +322,10 @@ def load_model(path) -> CrbmModel:
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
         raise ModelFormatError(f"{path}: missing {', '.join(missing)}")
+    # the int 1 is the one JSON value that dumps as 1: not 1.0, "1" or true
+    version = json.dumps(doc["version"]) if "version" in doc else "none"
+    if version != "1":
+        raise ModelFormatError(f"{path}: version must be 1, got {version}")
     sizes = [doc[key] for key in _MODEL_KEYS[:3]]
     if not all(type(v) is int for v in sizes):
         raise ModelFormatError(f"{path}: {', '.join(_MODEL_KEYS[:3])} "
@@ -461,19 +474,18 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray,
 
     It draws the uniforms of _one_thread_chain and splits the products of
     the whole-stack kernels by filter rows or map columns, as the module
-    docstring sets out.  Every buffer is allocated here, and the worker
-    runs only this function's local steps, on those buffers, and the
-    numpy calls it is handed.
+    docstring sets out.  Every buffer the worker writes is allocated on
+    this thread, and the worker runs only this function's local steps, on
+    those buffers, and the numpy calls it is handed.
     """
     m, kside, n, side = (model.num_filters, model.kernel_size,
                          model.input_size, model.hidden_side)
     dtype, n_hidden = v0.dtype, model.num_hidden
     u_h = uniforms[:n_hidden].reshape(m, side * side)
     u_v = uniforms[n_hidden:].reshape(n, n)
-    bands, frame = kernels._tap_bands(kside, side, 1)
     # filter halves for the hidden passes; a column cut at a multiple of
-    # 8 for the tap product; halves of the output-row bands
-    half, cut, split = m // 2, side * side // 2 // 8 * 8, len(bands) // 2
+    # 8 for the tap product
+    half, cut = m // 2, side * side // 2 // 8 * 8
 
     def statistics(maps, lo, hi, op):
         """Add (op np.add, the data phase) or subtract (np.subtract, the
@@ -537,11 +549,7 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray,
     _on_both_threads(np.matmul, (w_t, u_h[:, :cut], cols[:, :cut]),
                      (w_t, u_h[:, cut:], cols[:, cut:]))
     v = np.empty((n, n), dtype)  # P(v = 1 | h) until sampled
-    frames = np.empty((2, frame), dtype)
-    _on_both_threads(kernels._add_taps,
-                     (planes, v, bands[:split], frames[0]),
-                     (planes, v, bands[split:], frames[1]))
-    del frames
+    kernels._add_taps(planes, v)  # on this thread: see the module docstring
     kernels.sigmoid(v, dtype.type(model.visible_bias))
     ce = _recon_cross_entropy_sum(v0[0], v)
     np.less(u_v, v, out=v)

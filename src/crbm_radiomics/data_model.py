@@ -190,8 +190,11 @@ def load_manifest(path) -> Dataset:
         if len(row) != len(MANIFEST_HEADER):
             raise ManifestError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} "
                                 f"columns, got {len(row)}")
-        sample_id, patient_id, image, mask, label, stage, subtype = \
-            (c.strip() for c in row)
+        cells = [c.strip() for c in row]
+        for column, cell in zip(MANIFEST_HEADER[:4], cells):
+            if not cell:
+                raise ManifestError(f"{path}:{lineno}: empty {column}")
+        sample_id, patient_id, image, mask, label, stage, subtype = cells
         if sample_id in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
         seen.add(sample_id)
@@ -287,17 +290,14 @@ def extract_patches(pixels: np.ndarray, patch: int, stride: int) -> np.ndarray:
 
 
 def _area_average_matrix(src: int, dst: int) -> np.ndarray:
-    """Row matrix R (dst x src): R @ x averages x over equal-width intervals."""
+    """Row matrix R (dst x src): R @ x averages x over equal-width intervals.
+    R[i, j] is the overlap of pixel [j, j + 1) with interval i,
+    [i, i + 1) * src / dst, over the interval's width, or 0 where they do
+    not overlap."""
     ratio = src / dst
-    mat = np.zeros((dst, src))
-    for i in range(dst):
-        lo, hi = i * ratio, (i + 1) * ratio
-        j0, j1 = int(np.floor(lo)), int(np.ceil(hi))
-        for j in range(j0, min(j1, src)):
-            overlap = min(hi, j + 1) - max(lo, j)
-            if overlap > 0:
-                mat[i, j] = overlap / ratio
-    return mat
+    i, j = np.arange(dst)[:, None], np.arange(src)
+    overlap = np.minimum((i + 1) * ratio, j + 1) - np.maximum(i * ratio, j)
+    return np.where(overlap > 0, overlap / ratio, 0.0)
 
 
 def resize_or_pad(pixels: np.ndarray, target: int) -> np.ndarray:

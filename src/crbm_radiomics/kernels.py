@@ -15,10 +15,10 @@ the placed planes (see its docstring).  ``corr_valid``'s im2col copy
 and product are ``_corr_valid_rows``, which computes any band of hidden
 rows into buffers it is given; ``crbm.extract_feature_map`` calls it
 for bands of a paper-scale stack.  ``conv_full``'s reduction is
-``_add_taps``, which crbm's two-thread CD chain calls for bands of
-output rows.  All three take an optional
-leading batch axis (any number of leading axes, written ``...`` below),
-so a CD minibatch goes through each kernel in one call:
+``_add_taps``, which crbm's two-thread CD chain calls on tap planes it
+has computed itself, in one call on the calling thread.  All three take
+an optional leading batch axis (any number of leading axes, written
+``...`` below), so a CD minibatch goes through each kernel in one call:
 
 * ``corr_valid``  (..., N, N) x (M, K, K) -> (..., M, H, H), H = N - K + 1;
 * ``conv_full``   (..., M, H, H) x (M, K, K) -> (..., N, N), summed over maps;
@@ -127,9 +127,8 @@ def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
     one reduction over the tap axes adds them in that order.  The frame
     covers a band of output rows and the K - 1 rows of taps on either side
     that reach into it, at most _FRAME_ELEMENTS values, so that a large
-    image does not get a K*K-fold copy of itself.  A pixel's sum is the
-    same whatever the bands, so the bands can be reduced in any order, on
-    any thread (``_add_taps``).
+    image does not get a K*K-fold copy of itself (``_add_taps``).  A
+    pixel's sum is the same whatever the bands.
     """
     m, k, _ = w.shape
     lead, hside = hmaps.shape[:-3], hmaps.shape[-1]
@@ -138,38 +137,30 @@ def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
     taps = w.reshape(m, k * k).T @ hmaps.reshape(*lead, m, hside * hside)
     taps = taps.reshape(*lead, k, k, hside, hside)
     out = np.empty((*lead, n, n), dtype=taps.dtype)
-    bands, frame = _tap_bands(k, hside, math.prod(lead))
-    _add_taps(taps, out, bands, np.empty(frame, dtype=taps.dtype))
+    _add_taps(taps, out)
     return out
 
 
-def _tap_bands(k: int, hside: int, count: int) -> tuple:
-    """(bands, frame): the bands (u0, u1) of output rows that conv_full
-    adds its taps in, for count images of hidden side hside, and the most
-    values a band's frame holds."""
-    n = hside + k - 1
-    rows = _FRAME_ELEMENTS // (k * k * n * count)
-    band = n if rows >= n else max(1, rows - 2 * (k - 1))
-    bands = [(u0, min(u0 + band, n)) for u0 in range(0, n, band)]
-    frame = k * k * count * (min(band + k - 1, hside) + k - 1) * n
-    return bands, frame
-
-
-def _add_taps(taps: np.ndarray, out: np.ndarray, bands: list,
-              frame: np.ndarray) -> None:
-    """Write output rows u0 .. u1 - 1 of each band (u0, u1) of conv_full
-    into out (..., N, N) from its tap planes taps (..., K, K, H, H),
-    through the flat buffer frame, with room for _tap_bands' frame; it
-    allocates no array, so a thread can run it on buffers that another
-    thread made."""
+def _add_taps(taps: np.ndarray, out: np.ndarray) -> None:
+    """Write conv_full's output out (..., N, N) from its tap planes taps
+    (..., K, K, H, H), band of output rows after band, through one frame
+    that it allocates: at most _FRAME_ELEMENTS values, unless a band of
+    one output row needs more."""
     *lead, k, _, hside, _ = taps.shape
-    n = out.shape[-1]
-    for u0, u1 in bands:
+    n, count = out.shape[-1], math.prod(lead)
+    # output rows per band: as many as fit in the frame beside the
+    # 2 (K - 1) rows of taps around them, and at least one
+    fit = _FRAME_ELEMENTS // (k * k * n * count)
+    band = n if fit >= n else max(1, fit - 2 * (k - 1))
+    frame = np.empty(k * k * count * (min(band + k - 1, hside) + k - 1) * n,
+                     dtype=taps.dtype)
+    for u0 in range(0, n, band):
+        u1 = min(u0 + band, n)
         # hidden rows [a, b) reach output rows [u0, u1); frame row t is
         # output row a + t
         a, b = max(u0 - k + 1, 0), min(u1, hside)
         rows = b - a + k - 1
-        framed = frame[:k * k * math.prod(lead) * rows * n]
+        framed = frame[:k * k * count * rows * n]
         framed = framed.reshape(k, k, *lead, rows, n)
         framed.fill(0)
         tap_r, tap_s, *lead_strides, row, col = framed.strides

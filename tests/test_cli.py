@@ -321,6 +321,25 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
+def test_exit_code_1_for_an_allocation_failure(workspace, monkeypatch, capsys):
+    # numpy's MemoryError for an array too large to allocate, made without
+    # allocating it
+    from numpy._core._exceptions import _ArrayMemoryError
+    error = _ArrayMemoryError((1 << 40,), np.dtype(np.float64))
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(crbm_radiomics.evaluation, "cross_validate", fail)
+    out = workspace["root"] / "oom.json"
+    assert cli.main(["run", "--config", str(workspace["radiomics_cfg"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"radiomics-crbm: error: out of memory ({error})\n")
+    assert not out.exists()
+
+
 def test_cold_start_loads_no_scipy(tmp_path):
     # the runtime is numpy-only; scipy is the tests' independent oracle
     spec = tmp_path / "spec.json"

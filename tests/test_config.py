@@ -1,13 +1,16 @@
 """Config loading, defaults, and validation."""
 
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crbm_radiomics
 from crbm_radiomics import classifiers
 from crbm_radiomics.config import (
     ClassifierSection,
@@ -125,6 +128,50 @@ def test_missing_file_and_bad_json(tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
     with pytest.raises(ConfigError, match="expected an object"):
         load_pipeline_config(tmp_path / "list.json")
+    # a path that exists but cannot be read is not "not found"
+    with pytest.raises(ConfigError) as err:
+        load_pipeline_config(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path}: cannot read (")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"pls_components": 2, "pls_components": 3}', "pls_components"),
+    ('{"crbm": {"epochs": 1}, "seed": 1, "crbm": {"epochs": 2}}', "crbm"),
+    ('{"classifier": {"svm_c": 1, "kind": "svm", "svm_c": 2}}', "svm_c")])
+def test_a_key_given_twice_is_refused_naming_the_file_and_the_key(
+        tmp_path, text, key):
+    # Python's json keeps the last of two equal keys
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_pipeline_config(path)
+    assert str(err.value) == f"{path}: duplicate key {key!r}"
+
+
+PIPED_SYNTH = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from crbm_radiomics import cli
+sys.exit(cli.main(["synth", "--config", "/dev/stdin", "--out", sys.argv[2]]))
+"""
+
+
+def test_a_config_is_read_from_a_pipe(tmp_path):
+    # /dev/stdin is no regular file, but it can be read
+    src = Path(crbm_radiomics.__file__).parent.parent
+    runs = []
+    for text in ('{"n_per_class": 1, "image_size": 8}',
+                 '{"n_per_class": 1, "n_per_class": 2}'):
+        runs.append(subprocess.run(
+            [sys.executable, "-c", PIPED_SYNTH, str(src),
+             str(tmp_path / f"corpus{len(runs)}")],
+            input=text, capture_output=True, text=True))
+    ok, twice = runs
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "corpus0" / "manifest.csv").is_file()
+    assert twice.returncode == 2
+    assert twice.stderr == ("radiomics-crbm: config error: /dev/stdin: "
+                            "duplicate key 'n_per_class'\n")
 
 
 def test_undecodable_config_names_the_file(tmp_path):

@@ -386,8 +386,13 @@ def malformed_models():
     def doc(**over):
         return json.dumps({**good, **over}).encode()
 
+    unversioned = {key: value for key, value in good.items() if key != "version"}
     return [
         (b'{"format": "crbm-model"}', "missing num_filters"),
+        (doc(version=2), "version must be 1, got 2"),
+        (doc(version="1"), 'version must be 1, got "1"'),
+        (doc(version=True), "version must be 1, got true"),
+        (json.dumps(unversioned).encode(), "version must be 1, got none"),
         (b"[1, 2]", "not a CRBM model"),
         (b"{", "invalid JSON"),
         (b'{"format": "crbm-model\xff"}', "invalid JSON"),

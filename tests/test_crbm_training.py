@@ -274,8 +274,8 @@ def test_each_chain_adds_its_statistics_to_the_sums_it_is_given(
         out = run(model, v0, derive_rng(33, "u"), w, c)
         sums.append((out, w, c))
     (out_zero, w_zero, c_zero), (out_start, w_start, c_start) = sums
-    # a two-thread chain submits 5 calls to the worker
-    assert len(submitted) == (2 * 5 if two_threads else 0)
+    # a two-thread chain submits 4 calls to the worker
+    assert len(submitted) == (2 * 4 if two_threads else 0)
     if not two_threads:
         g_b = float(v0.sum(dtype=np.float64) - out_zero[0])
         assert_same_sums((w_zero, g_b, c_zero, out_zero[1]),

@@ -72,8 +72,8 @@ def on_worker(monkeypatch):
 
 
 # calls a two-thread CD-1 chunk submits to the worker: the uniform fill,
-# two hidden passes and a reconstruction of two steps
-SUBMISSIONS = 5
+# two hidden passes and the reconstruction's tap product
+SUBMISSIONS = 4
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -212,12 +212,12 @@ def test_a_paper_shape_two_thread_chunk_holds_one_stack_of_maps(monkeypatch):
     uniforms = 4 * (model.num_hidden + model.num_visible)
     side = model.hidden_side
     im2col = 4 * model.kernel_size ** 2 * side ** 2
-    frame = 4 * kernels._tap_bands(model.kernel_size, side, 1)[1]
+    frame = 4 * kernels._FRAME_ELEMENTS  # the most a frame holds, float32
     # beside the uniforms and one im2col-sized buffer, a hidden pass holds
-    # one stack of maps and a reconstruction two frames (one per thread):
-    # the maps are freed once sampled, and the taps go into the im2col
-    # buffer (39.3 of 40.1 MB seen)
-    assert peak <= uniforms + im2col + max(hidden, 2 * frame) + hidden // 16
+    # one stack of maps and a reconstruction one frame: the maps are freed
+    # once sampled, and the taps go into the im2col buffer (39.2 of
+    # 40.1 MB seen)
+    assert peak <= uniforms + im2col + max(hidden, frame) + hidden // 16
 
 
 def test_a_forked_child_gets_a_worker_of_its_own(monkeypatch):

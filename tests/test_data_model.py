@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crbm_radiomics.data_model import (
-    Image2D, RoiMask, crop_to_roi,
+    Image2D, RoiMask, _area_average_matrix, crop_to_roi,
     extract_patches, load_image, load_manifest, load_mask, normalize_image,
     read_pgm, resize_or_pad, save_image, save_mask, write_pgm)
 from crbm_radiomics.errors import (ManifestError, PipelineError,
@@ -263,6 +263,30 @@ def test_resize_or_pad_keeps_aspect_ratio():
     np.testing.assert_allclose(out[:, :2], 0.0, atol=1e-12)
 
 
+def area_average_loops(src, dst):
+    """The interval-by-interval loop that built the area-average matrix."""
+    ratio = src / dst
+    mat = np.zeros((dst, src))
+    for i in range(dst):
+        lo, hi = i * ratio, (i + 1) * ratio
+        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), src)):
+            overlap = min(hi, j + 1) - max(lo, j)
+            if overlap > 0:
+                mat[i, j] = overlap / ratio
+    return mat
+
+
+def test_area_average_matrix_equals_the_interval_loops():
+    # every downsampling of up to 64 pixels and some of 255-299, bit for bit
+    shapes = [(src, dst) for src in range(1, 65) for dst in range(1, src + 1)]
+    shapes += [(src, dst) for src in (255, 256, 299)
+               for dst in (1, 7, 16, 31, 32, 64, 100, 127, 128, 255)
+               if dst <= src]
+    for src, dst in shapes:
+        got = _area_average_matrix(src, dst)
+        assert got.tobytes() == area_average_loops(src, dst).tobytes(), (src, dst)
+
+
 def _write_manifest(tmp_path, rows, header="sample_id,patient_id,image,mask,"
                                            "label,stage,subtype"):
     path = tmp_path / "manifest.csv"
@@ -308,6 +332,20 @@ def test_manifest_rejects_bad_label(tmp_path):
     rows = ["a,p1,i.pgm,m.pgm,2,baseline,unknown"]
     with pytest.raises(ManifestError, match="label"):
         load_manifest(_write_manifest(tmp_path, rows))
+
+
+@pytest.mark.parametrize("column", ["sample_id", "patient_id", "image", "mask"])
+def test_manifest_rejects_an_empty_required_field(tmp_path, column):
+    # an empty image or mask would resolve to the manifest's directory, and
+    # empty patient ids would all be one patient under patient-grouped folds
+    cells = dict(sample_id="b", patient_id="p2", image="j.pgm", mask="n.pgm")
+    cells[column] = " "
+    rows = ["a,p1,i.pgm,m.pgm,1,baseline,unknown",
+            ",".join(cells.values()) + ",0,baseline,unknown"]
+    path = _write_manifest(tmp_path, rows)
+    with pytest.raises(ManifestError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}:3: empty {column}"
 
 
 def test_manifest_reports_offending_line_number(tmp_path):

@@ -12,14 +12,6 @@ from scipy.signal import convolve2d, correlate2d
 from crbm_radiomics import kernels
 from texture_bruteforce import brute_glcm, brute_glrlm
 
-# Each kernel has one implementation. The tests that check it against an
-# oracle are labelled with the active backend's name, so their IDs stay
-# `<test>[numpy-backend0]` as they were when the counters had a second one.
-ON_KERNELS = pytest.mark.parametrize(
-    "name,backend", [(kernels.active_backend(), kernels)],
-    ids=[f"{kernels.active_backend()}-backend0"])
-
-
 def _random_case(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 24))
@@ -31,27 +23,24 @@ def _random_case(seed):
     return v, filters, h
 
 
-@ON_KERNELS
-def test_corr_valid_matches_scipy(name, backend):
+def test_corr_valid_matches_scipy():
     for seed in range(10):
         v, filters, _ = _random_case(seed)
-        got = backend.corr_valid(v, filters)
+        got = kernels.corr_valid(v, filters)
         want = np.stack([correlate2d(v, f, mode="valid") for f in filters])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-@ON_KERNELS
-def test_conv_full_matches_scipy(name, backend):
+def test_conv_full_matches_scipy():
     for seed in range(10):
         _, filters, h = _random_case(seed)
-        got = backend.conv_full(h, filters)
+        got = kernels.conv_full(h, filters)
         want = sum(convolve2d(h[i], filters[i], mode="full")
                    for i in range(filters.shape[0]))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-@ON_KERNELS
-def test_corr_grad_matches_explicit_loops(name, backend):
+def test_corr_grad_matches_explicit_loops():
     for seed in range(6):
         v, filters, h = _random_case(seed)
         m, k, _ = filters.shape
@@ -62,7 +51,7 @@ def test_corr_grad_matches_explicit_loops(name, backend):
                 for c in range(k):
                     want[mi, r, c] = np.sum(
                         v[r:r + side, c:c + side] * h[mi])
-        np.testing.assert_allclose(backend.corr_grad(v, h), want, atol=1e-12)
+        np.testing.assert_allclose(kernels.corr_grad(v, h), want, atol=1e-12)
 
 
 def test_active_backend_reports_a_known_name():
@@ -92,33 +81,30 @@ def quantized_slices(draw):
         draw(st.integers(1, max(h, w)))
 
 
-@ON_KERNELS
 @settings(max_examples=60, deadline=None)
 @given(quantized_slices())
-def test_glcm_counts_match_brute_force(name, backend, case):
+def test_glcm_counts_match_brute_force(case):
     codes, roi, levels, (dr, dc), _ = case
-    got = backend.glcm_counts(codes, roi, dr, dc, levels)
+    got = kernels.glcm_counts(codes, roi, dr, dc, levels)
     assert np.array_equal(got, brute_glcm(codes, roi, dr, dc, levels))
 
 
-@ON_KERNELS
 @settings(max_examples=60, deadline=None)
 @given(quantized_slices())
-def test_glrlm_counts_match_brute_force(name, backend, case):
+def test_glrlm_counts_match_brute_force(case):
     codes, roi, levels, (dr, dc), max_run = case
-    got = backend.glrlm_counts(codes, roi, dr, dc, levels, max_run)
+    got = kernels.glrlm_counts(codes, roi, dr, dc, levels, max_run)
     assert got.shape == (levels, max_run)
     assert np.array_equal(got, brute_glrlm(codes, roi, dr, dc, levels, max_run))
 
 
-@ON_KERNELS
 @settings(max_examples=60, deadline=None)
 @given(quantized_slices())
-def test_glrlm_runs_cover_roi_pixels_exactly_once(name, backend, case):
+def test_glrlm_runs_cover_roi_pixels_exactly_once(case):
     # sum of length * count over the unclipped matrix = number of in-ROI pixels
     codes, roi, levels, (dr, dc), _ = case
     max_run = max(codes.shape)
-    mat = backend.glrlm_counts(codes, roi, dr, dc, levels, max_run)
+    mat = kernels.glrlm_counts(codes, roi, dr, dc, levels, max_run)
     assert (mat * np.arange(1, max_run + 1)).sum() == roi.sum()
 
 
