@@ -11,7 +11,6 @@ these defaults is enough to re-run the experiment exactly.
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from .crbm import CrbmConfig
 from .errors import ConfigError
@@ -162,11 +161,11 @@ def _build(cls, data: dict, context: str):
 
 def load_pipeline_config(path) -> PipelineConfig:
     """Read and validate a pipeline config; unknown keys are errors."""
-    return _build(PipelineConfig, _read_json(path), Path(path).name)
+    return _build(PipelineConfig, _read_json(path), str(path))
 
 
 def load_synth_spec(path) -> SynthSpec:
-    return _build(SynthSpec, _read_json(path), Path(path).name)
+    return _build(SynthSpec, _read_json(path), str(path))
 
 
 def _finite_float(token: str) -> float:

@@ -23,9 +23,10 @@ minibatch runs as one batched chain, drawing its uniforms in the order of
 one-image chains run image after image, so batching never changes a
 sample.
 
-Images are plain float64 arrays, (N, N) or stacks (..., N, N); hidden
+Images are plain float32 or float64 arrays, (N, N) or stacks
+(..., N, N); an image of any other dtype is read as float64.  Hidden
 maps are (..., M, H, H).  Each entry point checks the stack it is given
-once: its shape, and pixels finite and within [0, 1].
+once, in its own dtype: its shape, and pixels finite and within [0, 1].
 
 Both conditionals go through the package's one sigmoid,
 ``kernels.sigmoid``, in place.
@@ -45,10 +46,19 @@ on the same samples, relative to its largest entry, on slices where the
 two CD phases it is the difference of were up to 24x larger than it; a
 test pins 5e-5.  float32 uniforms are a different random stream from
 float64 ones, so training is reproducible but not bit-equal to a float64
-chain.  ``extract_feature_map`` passes float64 and stays float64 through
-the same functions, so feature matrices are float64.  ``_cd_sums`` given
-a float64 stack, as the tests that hold the chain against the
-enumeration oracles give it, runs the chain in float64 too.
+chain.  ``extract_feature_map`` reads its images as float64, float32
+ones too, and stays float64 through the same functions, so feature
+matrices are float64.  ``_cd_sums`` given a float64 stack, as the tests
+that hold the chain against the enumeration oracles give it, runs the
+chain in float64 too.
+
+The training stack is float32 (``features.crbm_training_images`` fills
+it so), half the size of a float64 one.  ``train`` keeps a float32 stack
+as it is, and ``cd_update`` stacks a batch of its images once, in
+float32, so no float64 copy of a batch is held beside the chain's
+buffers; it casts only a batch of another dtype.  A float64 stack trains
+to the same bits as its float32 cast, as the chain sees the same
+float32 values.
 
 Worker thread.  The module keeps one worker thread, ``_worker()``, started
 on first use, for the two paper-scale steps that leave the second core
@@ -347,9 +357,13 @@ def load_model(path) -> CrbmModel:
 # ---------------------------------------------------------------------------
 
 def _visible_stack(model: CrbmModel, images, ndim: int | None = 3) -> np.ndarray:
-    """images as float64 pixels, checked once: ndim axes (any number if
-    None) ending in N x N, finite and within [0, 1]."""
-    pixels = np.asarray(images, dtype=np.float64)
+    """images as pixels, float32 if they are float32 and float64 if not,
+    checked once in that dtype: ndim axes (any number if None) ending in
+    N x N, finite and within [0, 1].  A float32 array is not copied, and
+    a list of float32 images is stacked once, in float32."""
+    pixels = np.asarray(images)
+    if pixels.dtype != np.float32:
+        pixels = pixels.astype(np.float64, copy=False)
     n = model.input_size
     if pixels.shape[-2:] != (n, n) or ndim not in (None, pixels.ndim):
         raise ShapeMismatchError(
@@ -586,7 +600,8 @@ def _refuse_beyond_float32(what: str, *params) -> None:
 
 def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
               rng: np.random.Generator):
-    """One CD-k parameter update from a batch of images (B, N, N).
+    """One CD-k parameter update from a batch of images (B, N, N), an
+    array or a list of images.
 
     Per image: Delta W_m is the difference of K x K gradient correlations
     between the data phase and the chain phase; Delta b averages the visible
@@ -594,6 +609,9 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
     difference over map positions.  Deltas are averaged over the batch and
     applied once with the learning rate.  The chain runs in float32; the
     deltas are summed and applied in float64 (see the module docstring).
+    A float32 batch is taken as it is, and a list of float32 images is
+    stacked once; a batch of any other dtype is checked in float64 and
+    then cast to float32.
 
     Returns (updated model, diagnostics dict with the batch-mean
     reconstruction cross-entropy and mean |Delta W|); raises TrainingError
@@ -604,7 +622,7 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
         raise TrainingError("empty batch")
     _refuse_beyond_float32("given model's parameters", model.filters,
                            model.visible_bias, model.hidden_biases)
-    pixels = _visible_stack(model, batch).astype(np.float32)
+    pixels = _visible_stack(model, batch).astype(np.float32, copy=False)
     g_w, g_b, g_c, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
     d_b = g_b / model.num_visible
@@ -626,7 +644,9 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
 
 def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
     """Epochs of shuffled-batch CD updates over a stack of images (n, N, N);
-    returns (model, TrainHistory).
+    returns (model, TrainHistory).  A float32 stack is used as it is, not
+    copied; any other is read as float64.  Both give the same bits when
+    one is the other's float32 cast, as the chain runs in float32.
 
     Shuffling and every Gibbs draw derive deterministically from seed, so
     identical inputs give bit-identical final weights.  Aborts with
@@ -641,8 +661,8 @@ def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
         order = derive_rng(seed, "shuffle", epoch).permutation(len(data))
         ce_parts, dw_parts, weights = [], [], []
         for batch_idx, start in enumerate(range(0, len(data), cfg.batch_size)):
-            # views into the stack: cd_update stacks them itself, so the
-            # batch's float64 copy is freed once cast to float32
+            # views into the stack: cd_update stacks them once, so a
+            # float32 stack's batch is never held in float64
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             rng = derive_rng(seed, "cd", epoch, batch_idx)
             try:
@@ -667,7 +687,8 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     probability maps P(h^m_ij = 1 | v), the valid cross-correlation with
     each filter plus c_m through the sigmoid.  Images (..., N, N) give
     mean maps (..., H, H), float64, added map after map and divided by M;
-    each image's map is the bits it gets alone.
+    each image's map is the bits it gets alone.  float32 images are read
+    as float64, so they give the maps of their float64 values.
 
     A stack whose M maps hold more than _EXTRACT_MAP_VALUES values, as a
     256x256 slice's 64 do, is computed in bands of hidden rows of about
@@ -685,7 +706,8 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     CPU target may round a band's columns otherwise, and the banded
     equality tests of tests/test_crbm_worker.py then fail.
     """
-    pixels = np.ascontiguousarray(_visible_stack(model, images, ndim=None))
+    pixels = np.ascontiguousarray(_visible_stack(model, images, ndim=None),
+                                  dtype=np.float64)
     lead, m, side = pixels.shape[:-2], model.num_filters, model.hidden_side
     per_row = math.prod(lead) * m * side
     rows = max(2, _EXTRACT_MAP_VALUES // max(per_row, 1) // 2 * 2)

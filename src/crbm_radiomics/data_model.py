@@ -169,10 +169,8 @@ def save_mask(path, mask: RoiMask) -> None:
 
 def load_manifest(path) -> Dataset:
     """Parse a manifest CSV into a Dataset of one or more samples; paths
-    become absolute."""
+    become absolute.  path may name any readable file, a pipe too."""
     path = Path(path)
-    if not path.is_file():
-        raise ManifestError(f"manifest not found: {path}")
     base = path.parent
     reader = _csv_rows(path)
     try:
@@ -219,11 +217,15 @@ def load_manifest(path) -> Dataset:
 
 
 def _csv_rows(path: Path):
-    """The rows of a UTF-8 CSV file, after any byte-order mark;
-    undecodable bytes and malformed CSV (an over-long field, say) are
-    ManifestErrors naming the file."""
+    """The rows of a UTF-8 CSV file, after any byte-order mark; a file
+    that is missing or cannot be read, undecodable bytes and malformed CSV
+    (an over-long field, say) are ManifestErrors naming the file."""
     try:
         text = path.read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise ManifestError(f"manifest not found: {path}") from None
+    except OSError as exc:  # a directory, no permission
+        raise ManifestError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: not UTF-8 text ({exc})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))

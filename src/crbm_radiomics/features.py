@@ -9,8 +9,10 @@ crbm-patch: one row per ROI patch, same per-patch encoding.
 A row is known by the index in dataset.records of the sample it came
 from; the rows of one sample are adjacent and follow the manifest order.
 The CRBM trains on exactly the images it later encodes: both draw them,
-as one (P, N, N) array per sample, from one generator, _crbm_inputs.
-Training takes them as one (n, N, N) stack.
+as one float64 (P, N, N) array per sample, from one generator,
+_crbm_inputs.  Training takes their float32 cast, the dtype its CD chain
+runs in, as one (n, N, N) stack; extraction and the feature matrices
+stay float64.
 
 Both sources extract by one rule (_stacks): their inputs, slices or CRBM
 images, go through the extractor in stacks of consecutive same-shape
@@ -87,13 +89,16 @@ def _crbm_inputs(dataset: Dataset, config: PipelineConfig):
 
 def crbm_training_images(dataset: Dataset, config: PipelineConfig) -> np.ndarray:
     """The unlabeled images the CRBM trains on, the ones it later encodes,
-    as one (n, N, N) stack, filled as they are read, so they are never held
-    twice (as a list and its concatenation).  Outside patch mode n is one
-    per sample, and the stack is allocated once, at its size."""
+    as one float32 (n, N, N) stack, filled as they are read, so they are
+    never held twice (as a list and its concatenation).  Each is the
+    float32 cast of a float64 image of _crbm_inputs: the CD chain runs in
+    float32, so crbm.train takes this stack as it is, at half the size of
+    a float64 one.  Outside patch mode n is one per sample, and the stack
+    is allocated once, at its size."""
     size = config.crbm.input_size
     count = -1 if config.feature_source == "crbm-patch" else len(dataset)
     images = (img for _, stack in _crbm_inputs(dataset, config) for img in stack)
-    return np.fromiter(images, dtype=np.dtype((np.float64, (size, size))),
+    return np.fromiter(images, dtype=np.dtype((np.float32, (size, size))),
                        count=count)
 
 

@@ -232,7 +232,7 @@ def test_exit_code_2_names_the_file_of_a_bad_crbm_training_field(workspace, tmp_
                      "--manifest", str(workspace["manifest"]),
                      "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert "config error: c.json.crbm: learning_rate" in capsys.readouterr().err
+    assert f"config error: {bad}.crbm: learning_rate" in capsys.readouterr().err
 
 
 def test_exit_code_2_names_the_file_of_too_many_radiomics_levels(
@@ -245,7 +245,7 @@ def test_exit_code_2_names_the_file_of_too_many_radiomics_levels(
                      "--manifest", str(workspace["manifest"]),
                      "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert ("config error: c.json: radiomics_levels must be within 2 .. 256"
+    assert (f"config error: {bad}: radiomics_levels must be within 2 .. 256"
             in capsys.readouterr().err)
     assert not (tmp_path / "r.json").exists()
 
@@ -259,13 +259,13 @@ def test_exit_code_2_names_the_file_of_an_int_too_large_for_a_float(
                      "--manifest", str(workspace["manifest"]),
                      "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert ("config error: c.json.crbm.learning_rate: integer too large "
+    assert (f"config error: {bad}.crbm.learning_rate: integer too large "
             "for a float") in capsys.readouterr().err
     spec = tmp_path / "spec.json"
     spec.write_text('{"n_per_class": 2, "noise_level": %s}' % huge)
     assert cli.main(["synth", "--config", str(spec),
                      "--out", str(tmp_path / "corpus")]) == 2
-    assert "spec.json.noise_level: integer too large" in capsys.readouterr().err
+    assert f"{spec}.noise_level: integer too large" in capsys.readouterr().err
     assert not (tmp_path / "corpus").exists()
 
 
@@ -275,6 +275,37 @@ def test_exit_code_1_for_missing_manifest(workspace, tmp_path, capsys):
                      "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+PIPED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from crbm_radiomics import cli
+sys.exit(cli.main(["run", "--config", sys.argv[2], "--manifest", "/dev/stdin",
+                   "--out", sys.argv[3]]))
+"""
+
+
+def test_a_manifest_is_read_from_a_pipe(workspace, tmp_path):
+    # /dev/stdin is no regular file, but it can be read; its paths are
+    # absolute, as a pipe's directory means nothing
+    records = load_manifest(workspace["manifest"]).records
+    text = "".join(
+        [",".join(MANIFEST_HEADER) + "\n"]
+        + [f"{r.sample_id},{r.patient_id},{r.image_path},{r.mask_path},"
+           f"{r.label},{r.stage},{r.subtype}\n" for r in records])
+    src = Path(crbm_radiomics.__file__).parent.parent
+    piped = tmp_path / "piped.json"
+    done = subprocess.run(
+        [sys.executable, "-c", PIPED_RUN, str(src),
+         str(workspace["radiomics_cfg"]), str(piped)],
+        input=text, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    direct = tmp_path / "direct.json"
+    assert cli.main(["run", "--config", str(workspace["radiomics_cfg"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(direct)]) == 0
+    assert piped.read_bytes() == direct.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["run", "extract"])

@@ -1,6 +1,7 @@
 """Config loading, defaults, and validation."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,21 +61,22 @@ def test_load_pipeline_config_round_trip(tmp_path):
     assert config.seed == 42
 
 
+# each message follows the config's path as given
 @pytest.mark.parametrize("doc, message", [
-    ({"featuresource": "radiomics"}, "c.json: unknown keys ['featuresource']"),
-    ({"crbm": {"filters": 9}}, "c.json.crbm: unknown keys ['filters']"),
+    ({"featuresource": "radiomics"}, ": unknown keys ['featuresource']"),
+    ({"crbm": {"filters": 9}}, ".crbm: unknown keys ['filters']"),
     # removed modes: an old config carrying them is refused, not ignored
     ({"reduction_weights": "uniform"},
-     "c.json: unknown keys ['reduction_weights']"),
+     ": unknown keys ['reduction_weights']"),
     ({"crbm": {"binarize_visible": False}},
-     "c.json.crbm: unknown keys ['binarize_visible']")],
+     ".crbm: unknown keys ['binarize_visible']")],
     ids=["featuresource", "crbm.filters", "removed-reduction-weights",
          "removed-crbm-binarize-visible"])
 def test_unknown_keys_are_rejected_with_context(tmp_path, doc, message):
     path = write_json(tmp_path / "c.json", doc)
     with pytest.raises(ConfigError) as err:
         load_pipeline_config(path)
-    assert str(err.value) == message
+    assert str(err.value) == f"{path}{message}"
 
 
 def test_invalid_values_are_config_errors(tmp_path):
@@ -103,7 +105,8 @@ def test_invalid_values_are_config_errors(tmp_path):
 def test_crbm_training_fields_are_checked_at_load(tmp_path, source, field, value):
     path = write_json(tmp_path / "c.json",
                       {"feature_source": source, "crbm": {field: value}})
-    with pytest.raises(ConfigError, match=rf"^c\.json\.crbm: .*{field}"):
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(str(path))}\.crbm: .*{field}"):
         load_pipeline_config(path)
 
 
@@ -113,7 +116,8 @@ def test_crbm_training_fields_are_checked_at_load(tmp_path, source, field, value
     ("rf_depth", -1, 0), ("rf_features_per_split", -1, 0)])
 def test_classifier_fields_are_checked_at_load(tmp_path, field, bad, edge):
     path = write_json(tmp_path / "c.json", {"classifier": {field: bad}})
-    with pytest.raises(ConfigError, match=rf"^c\.json\.classifier: {field}"):
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(str(path))}\.classifier: {field}"):
         load_pipeline_config(path)
     path = write_json(tmp_path / "c.json", {"classifier": {field: edge}})
     assert getattr(load_pipeline_config(path).classifier, field) == edge
@@ -205,27 +209,50 @@ def test_non_finite_synth_numbers_are_refused_naming_the_file(tmp_path, text):
 
 
 def test_wrong_type_is_reported_as_config_error(tmp_path):
-    # the message names the file, the dotted field, the expected type and
-    # the type found
+    # the message names the file by its path as given, the dotted field,
+    # the expected type and the type found
     cases = [
-        ({"seed": "lots"}, "badcfg.json.seed: expected int, got str"),
+        ({"seed": "lots"}, ".seed: expected int, got str"),
         ({"crbm": {"num_filters": "x"}},
-         "badcfg.json.crbm.num_filters: expected int, got str"),
-        ({"cv": {"k": 2.5}}, "badcfg.json.cv.k: expected int, got float"),
+         ".crbm.num_filters: expected int, got str"),
+        ({"cv": {"k": 2.5}}, ".cv.k: expected int, got float"),
         ({"crbm": {"learning_rate": "0.1"}},
-         "badcfg.json.crbm.learning_rate: expected float, got str"),
+         ".crbm.learning_rate: expected float, got str"),
         ({"classifier": {"rf_trees": True}},
-         "badcfg.json.classifier.rf_trees: expected int, got bool"),
-        ({"feature_source": None}, "badcfg.json.feature_source: expected str, got NoneType"),
-        ({"pls_components": [3]}, "badcfg.json.pls_components: expected int, got list"),
+         ".classifier.rf_trees: expected int, got bool"),
+        ({"feature_source": None}, ".feature_source: expected str, got NoneType"),
+        ({"pls_components": [3]}, ".pls_components: expected int, got list"),
     ]
     for doc, message in cases:
         path = write_json(tmp_path / "badcfg.json", doc)
         with pytest.raises(ConfigError) as err:
             load_pipeline_config(path)
-        assert str(err.value) == message
-    with pytest.raises(ConfigError, match=r"^bad\.json\.noise_level: expected float, got str$"):
-        load_synth_spec(write_json(tmp_path / "bad.json", {"noise_level": "0.5"}))
+        assert str(err.value) == f"{path}{message}"
+    path = write_json(tmp_path / "bad.json", {"noise_level": "0.5"})
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}"
+                                          r"\.noise_level: expected float, got str$"):
+        load_synth_spec(path)
+
+
+def test_same_named_configs_in_two_directories_give_two_messages(tmp_path):
+    # a value error names the config by the path it was given, not by its
+    # file name alone, which both share
+    messages = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        path = write_json(tmp_path / folder / "spec.json", {"n_per_class": 0})
+        with pytest.raises(ConfigError) as err:
+            load_synth_spec(path)
+        messages.append(str(err.value))
+        path = write_json(tmp_path / folder / "c.json", {"cv": {"k": 1}})
+        with pytest.raises(ConfigError) as err:
+            load_pipeline_config(path)
+        messages.append(str(err.value))
+    a_spec, a_cfg, b_spec, b_cfg = messages
+    assert a_spec.startswith(f"{tmp_path / 'a' / 'spec.json'}: n_per_class")
+    assert b_spec.startswith(f"{tmp_path / 'b' / 'spec.json'}: n_per_class")
+    assert a_cfg.startswith(f"{tmp_path / 'a' / 'c.json'}.cv: ")
+    assert b_cfg.startswith(f"{tmp_path / 'b' / 'c.json'}.cv: ")
 
 
 def test_int_for_a_float_field_is_kept_as_written(tmp_path):
@@ -244,11 +271,13 @@ def test_an_int_too_large_for_a_float_field_is_refused_naming_the_file(tmp_path)
     # float() cannot convert it, so it would overflow where it is used
     huge = 10 ** 400
     path = write_json(tmp_path / "big.json", {"crbm": {"learning_rate": huge}})
-    with pytest.raises(ConfigError, match=r"^big\.json\.crbm\.learning_rate: "
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}"
+                                          r"\.crbm\.learning_rate: "
                                           r"integer too large for a float$"):
         load_pipeline_config(path)
     path = write_json(tmp_path / "bigspec.json", {"noise_level": -huge})
-    with pytest.raises(ConfigError, match=r"^bigspec\.json\.noise_level: "
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}"
+                                          r"\.noise_level: "
                                           r"integer too large for a float$"):
         load_synth_spec(path)
     # the largest int float() converts still loads, as written

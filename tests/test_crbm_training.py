@@ -391,6 +391,8 @@ def malformed_stacks():
         out.append((bad, ValueError))
     out.append((np.full((4, 4, 4), 0.5), ShapeMismatchError))  # wrong side
     out.append((np.full((4, 3, 4), 0.5), ShapeMismatchError))
+    # a float32 stack is checked in float32, as it is kept
+    out += [(bad.astype(np.float32), error) for bad, error in out[:4]]
     return out
 
 
@@ -474,6 +476,59 @@ def test_train_is_deterministic_per_seed():
 
     other = crbm.train(small_model(), data, cfg, seed=8)[0]
     assert not np.array_equal(a.filters, other.filters)
+
+
+def test_train_on_a_float32_stack_equals_train_on_its_float64_source():
+    # the chain runs in float32 either way, on the same float32 values
+    data = derive_rng(5, "f32").random((10, 6, 6))
+    assert not np.array_equal(data.astype(np.float32), data)
+    model = crbm.init_model(3, 3, 6, weight_init_sigma=0.3, seed=5)
+    cfg = crbm.CrbmConfig(learning_rate=0.1, epochs=3, batch_size=4)
+    a, hist_a = crbm.train(model, data, cfg, seed=9)
+    b, hist_b = crbm.train(model, data.astype(np.float32), cfg, seed=9)
+    for name in ("filters", "visible_bias", "hidden_biases"):
+        assert (np.asarray(getattr(a, name)).tobytes()
+                == np.asarray(getattr(b, name)).tobytes())
+    assert hist_a == hist_b
+
+
+def test_cd_update_stacks_float32_views_once_in_float32(monkeypatch):
+    # a float32 training stack's batch reaches cd_update as views; they
+    # are stacked once, in float32, with no float64 copy besides (which,
+    # with its float32 cast, would make three float32 batches)
+    model = crbm.init_model(4, 5, 64, seed=3)
+    stack = derive_rng(3, "views").random((12, 64, 64)).astype(np.float32)
+    batch = list(stack)
+    seen = []
+
+    def cd_sums(model, pixels, k, rng):
+        seen.append(pixels)
+        return (np.zeros_like(model.filters), 0.0,
+                np.zeros(model.num_filters), 0.0)
+
+    monkeypatch.setattr(crbm, "_cd_sums", cd_sums)
+    crbm.cd_update(model, batch, crbm.CrbmConfig(), derive_rng(0))  # warm-up
+    tracemalloc.start()
+    try:
+        crbm.cd_update(model, batch, crbm.CrbmConfig(), derive_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen[-1].dtype == np.float32
+    assert seen[-1].tobytes() == stack.tobytes()
+    assert peak < 1.25 * stack.nbytes
+    # and a float32 array is taken as it is
+    crbm.cd_update(model, stack, crbm.CrbmConfig(), derive_rng(0))
+    assert seen[-1] is stack
+
+
+def test_extract_feature_map_reads_float32_images_as_float64():
+    model = crbm.init_model(3, 3, 8, weight_init_sigma=0.3, seed=4)
+    images = derive_rng(4, "x32").random((5, 8, 8)).astype(np.float32)
+    maps = crbm.extract_feature_map(model, images)
+    assert maps.dtype == np.float64
+    want = crbm.extract_feature_map(model, images.astype(np.float64))
+    assert maps.tobytes() == want.tobytes()
 
 
 def test_train_history_has_one_entry_per_epoch():

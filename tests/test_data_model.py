@@ -356,6 +356,17 @@ def test_manifest_reports_offending_line_number(tmp_path):
 
 
 
+def test_manifest_that_cannot_be_read_is_not_reported_missing(tmp_path):
+    # a directory exists but cannot be read as a file; only a missing
+    # path is "not found"
+    with pytest.raises(ManifestError) as err:
+        load_manifest(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path}: cannot read (")
+    with pytest.raises(ManifestError) as err:
+        load_manifest(tmp_path / "absent.csv")
+    assert str(err.value) == f"manifest not found: {tmp_path / 'absent.csv'}"
+
+
 def test_manifest_undecodable_or_malformed_csv_names_the_file(tmp_path):
     header = b"sample_id,patient_id,image,mask,label,stage,subtype\n"
     for data, message in ((b"\xff" + header, "not UTF-8"),

@@ -180,7 +180,10 @@ def test_crbm_encodes_exactly_the_images_it_trains_on(tiny_corpus, monkeypatch):
         encoded = np.concatenate(seen)
         assert trained.shape == (fm.n_rows, 16, 16)
         assert [len(chunk) for chunk in seen[:-1]] == [5] * (len(seen) - 1)
-        assert np.array_equal(encoded, trained)
+        # training takes the float32 cast of the float64 images encoded
+        assert encoded.dtype == np.float64
+        assert trained.dtype == np.float32
+        assert trained.tobytes() == encoded.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("source, stride", [("crbm-image", 0),
@@ -207,10 +210,13 @@ def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
         chunked = build_features(dataset, config, model)
         assert np.array_equal(chunked.records, whole.records)
         assert chunked.values.tobytes() == whole.values.tobytes()
-    # and each row is its image's maps, computed alone, summed map after
-    # map in float64, then divided by 16; np.tensordot sums them in
+    # and each row is its float64 image's maps, computed alone, summed map
+    # after map in float64, then divided by 16; np.tensordot sums them in
     # another order
-    for row, image in zip(whole.values, crbm_training_images(dataset, config)):
+    images = [img for _, stack in features._crbm_inputs(dataset, config)
+              for img in stack]
+    assert len(images) == whole.n_rows
+    for row, image in zip(whole.values, images):
         maps = crbm._hidden_probs(model, image)
         want = np.zeros(maps.shape[1:])
         for one in maps:
