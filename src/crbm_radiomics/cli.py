@@ -3,9 +3,13 @@
 Every command reads a JSON config and writes its primary outputs to the
 --out path; reruns with identical inputs and seeds are byte-identical.
 Exit status: 0 success, 1 runtime or data error, 2 usage or config error.
+train-crbm, extract and run hold numpy's OpenBLAS at one thread while
+they run (blas.limited_threads), so their outputs do not depend on
+OPENBLAS_NUM_THREADS; synth uses no BLAS and leaves it alone.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, crbm, evaluation, features, synth
+from . import __version__, blas, crbm, evaluation, features, synth
 from .config import (config_echo, load_pipeline_config, load_synth_spec)
 from .data_model import load_manifest
 from .errors import ConfigError, PipelineError
@@ -148,8 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    threads = (contextlib.nullcontext() if args.func is cmd_synth
+               else blas.limited_threads(1))
     try:
-        return args.func(args)
+        with threads:
+            return args.func(args)
     except ConfigError as exc:
         print(f"radiomics-crbm: config error: {exc}", file=sys.stderr)
         return 2

@@ -54,9 +54,10 @@ chain in float64 too.
 
 The training stack is float32 (``features.crbm_training_images`` fills
 it so), half the size of a float64 one.  ``train`` keeps a float32 stack
-as it is, and ``cd_update`` stacks a batch of its images once, in
-float32, so no float64 copy of a batch is held beside the chain's
-buffers; it casts only a batch of another dtype.  A float64 stack trains
+as it is, and ``cd_update`` checks each image of a batch where it is and
+hands the images on, which ``_cd_sums`` stacks one chunk at a time, so
+no copy of a whole batch is held beside the chain's buffers; it casts
+only images of another dtype, one at a time.  A float64 stack trains
 to the same bits as its float32 cast, as the chain sees the same
 float32 values.
 
@@ -394,7 +395,8 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
 
 def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
              rng: np.random.Generator):
-    """CD-k statistics of a stack of images (B, N, N), summed over images.
+    """CD-k statistics of images (B, N, N), summed over images: an array,
+    or a list of (N, N) images of one dtype, stacked one chunk at a time.
 
     Returns the float64 sums of data-phase minus chain-phase statistics,
     d/dW (M, K, K), d/db and d/dc (M,), then the summed reconstruction
@@ -413,7 +415,7 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
         # image made a paper-shape cd_update 1.090x as slow (0 of 16
         # alternations faster)
         step, chain = 1, functools.partial(
-            _two_thread_chain, uniforms=np.empty(per_image, pixels.dtype))
+            _two_thread_chain, uniforms=np.empty(per_image, pixels[0].dtype))
     else:
         step = max(1, _CD_CHUNK_DRAWS // per_image)
         chain = functools.partial(_one_thread_chain, k=k)
@@ -422,7 +424,7 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     g_c = np.zeros(model.num_filters)
     ce = 0.0
     for start in range(0, len(pixels), step):
-        v0 = pixels[start:start + step]
+        v0 = np.asarray(pixels[start:start + step])
         vk_sum, chunk_ce = chain(model, v0, rng, g_w, g_c)
         g_b += float(v0.sum(dtype=np.float64) - vk_sum)
         ce += chunk_ce
@@ -609,9 +611,10 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
     difference over map positions.  Deltas are averaged over the batch and
     applied once with the learning rate.  The chain runs in float32; the
     deltas are summed and applied in float64 (see the module docstring).
-    A float32 batch is taken as it is, and a list of float32 images is
-    stacked once; a batch of any other dtype is checked in float64 and
-    then cast to float32.
+    Each image is checked where it is, in float32 if it is float32 and in
+    float64 if not, and only an image of another dtype than float32 is
+    cast; the chain stacks the images one chunk at a time, so the batch
+    is never copied whole.
 
     Returns (updated model, diagnostics dict with the batch-mean
     reconstruction cross-entropy and mean |Delta W|); raises TrainingError
@@ -622,8 +625,9 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
         raise TrainingError("empty batch")
     _refuse_beyond_float32("given model's parameters", model.filters,
                            model.visible_bias, model.hidden_biases)
-    pixels = _visible_stack(model, batch).astype(np.float32, copy=False)
-    g_w, g_b, g_c, ce = _cd_sums(model, pixels, cfg.cd_steps, rng)
+    images = [_visible_stack(model, image, ndim=2).astype(np.float32, copy=False)
+              for image in batch]
+    g_w, g_b, g_c, ce = _cd_sums(model, images, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
     d_b = g_b / model.num_visible
     d_c = g_c / model.hidden_side ** 2
@@ -636,7 +640,7 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
     updated = CrbmModel(filters=filters, visible_bias=visible_bias,
                         hidden_biases=hidden_biases, input_size=model.input_size)
     diagnostics = {
-        "recon_cross_entropy": ce / pixels.size,
+        "recon_cross_entropy": ce / (len(images) * model.num_visible),
         "mean_abs_dw": float(np.abs(dw_applied).mean()),
     }
     return updated, diagnostics
@@ -661,8 +665,8 @@ def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
         order = derive_rng(seed, "shuffle", epoch).permutation(len(data))
         ce_parts, dw_parts, weights = [], [], []
         for batch_idx, start in enumerate(range(0, len(data), cfg.batch_size)):
-            # views into the stack: cd_update stacks them once, so a
-            # float32 stack's batch is never held in float64
+            # views into the stack: the chain stacks them one chunk at a
+            # time, so a batch is never copied whole
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             rng = derive_rng(seed, "cd", epoch, batch_idx)
             try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifiers, crbm, features, kernels, pls
+from . import blas, classifiers, crbm, features, kernels, pls
 from .config import PipelineConfig
 from .data_model import Dataset
 from .errors import ConfigError, TrainingError
@@ -287,6 +287,7 @@ def cross_validate(config: PipelineConfig, dataset: Dataset,
                               if config.feature_source == "crbm-patch"
                               else "none (one row per slice)"),
         "kernel_backend": kernels.active_backend(),
+        "blas_threads": blas.thread_count(),
     }
     return {
         "auc": auc_trapezoid(curve),

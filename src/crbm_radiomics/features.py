@@ -33,10 +33,11 @@ from .data_model import (Dataset, crop_to_roi, extract_patches, load_sample,
 from .errors import ConfigError
 
 # Input values per stack of either source: 8 slices of 32x32, or 32 CRBM
-# patches of 16x16.  The extractors' temporaries, and so the peak memory,
-# grow with the stack; at this size the catalog's per-call numpy overhead
-# is already spread over the stack, and the CRBM's maps take as long per
-# patch as in stacks of 113.
+# patches of 16x16.  The extractors' temporaries grow with the stack: the
+# catalog holds one offset's texture matrices at a time and peaks at 1.0
+# MiB on such a stack at 32 levels.  At this size the catalog's per-call
+# numpy overhead is already spread over the stack, and the CRBM's maps
+# take as long per patch as in stacks of 113.
 _STACK_PIXELS = 2 ** 13
 
 

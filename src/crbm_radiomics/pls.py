@@ -64,11 +64,14 @@ def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
         raise ValueError(f"n_components {n_components} exceeds "
                          f"min(n-1, p) = {min(n - 1, p)}")
 
-    # column-major, as the indexing leaves it.  The first deflation makes
-    # the row-major copy that later components' products read (each layout
-    # gives its own bits); the later ones subtract in place, which saves a
-    # new (n, p) result per component, not np.outer's temporary
-    Xa = (vals[:, keep] - means) / sds
+    # the one (n, p) copy, standardized in place; column-major, as the
+    # indexing leaves it.  The first deflation makes the row-major copy
+    # that later components' products read (each layout gives its own
+    # bits), and every deflation subtracts in place, so the fit holds at
+    # most two (n, p) arrays besides X, np.outer's temporary among them
+    Xa = vals[:, keep]
+    Xa -= means
+    Xa /= sds
     ya = y - y.mean()
     W = np.empty((p, n_components))
     P = np.empty((p, n_components))
@@ -90,10 +93,8 @@ def fit_pls(X: np.ndarray, y: np.ndarray, n_components: int) -> PlsModel:
             raise TrainingError(f"degenerate score vector at component {a}")
         p_a = Xa.T @ t / t_sq
         q_a = float(ya @ t) / t_sq
-        if Xa.flags.c_contiguous:
-            Xa -= np.outer(t, p_a)
-        else:  # the first deflation: see above
-            Xa = Xa - np.outer(t, p_a)
+        Xa = np.ascontiguousarray(Xa)  # a copy the first time: see above
+        Xa -= np.outer(t, p_a)
         ya = ya - q_a * t
         W[:, a], P[:, a], q[a], tt[a] = w, p_a, q_a, t_sq
     return PlsModel(weights=W, loadings=P, y_loadings=q, score_sq_norms=tt,

@@ -255,8 +255,8 @@ def _diagonal_sums(p: np.ndarray) -> np.ndarray:
 
 def _glcm_descriptors(p: np.ndarray) -> np.ndarray:
     """The 8 GLCM_FEATURE_NAMES of each matrix of an (n, L, L) stack of
-    co-occurrence probabilities -> (n, 8).  An all-zero member (no pair
-    at its offset) gives all zeros.
+    co-occurrence probabilities, one offset's -> (n, 8).  An all-zero
+    member (no pair at its offset) gives all zeros.
 
     Everything but ASM and entropy is a sum over the difference and sum
     histograms p_{x-y}, p_{x+y} (anti-diagonal sums of p with its columns
@@ -317,9 +317,9 @@ def glrlm_compute(codes: np.ndarray, roi: np.ndarray, direction: tuple,
 
 def _glrlm_descriptors(mats: np.ndarray) -> np.ndarray:
     """The 7 GLRLM_FEATURE_NAMES of each matrix of an (n, levels, max_run)
-    stack of run counts -> (n, 7).  Zero columns past a member's own
-    max_run change nothing, so matrices of different max_run can share a
-    stack once zero-padded to the widest."""
+    stack of run counts, one direction's -> (n, 7).  Every sum runs within
+    one member, so a member's descriptors are the same bits whatever else
+    is in the stack."""
     n_runs = mats.sum(axis=(1, 2))
     if not n_runs.all():
         raise ValueError("run-length matrix has zero runs")
@@ -405,22 +405,20 @@ CATALOG_NAMES = _catalog_names()
 def _plane_features(values: np.ndarray, inside: np.ndarray,
                     levels: int) -> np.ndarray:
     """First-order (13), GLCM (4 offsets x 8) and GLRLM (4 directions x 7)
-    features of each plane of a stack (n, h, w) -> (n, 73).
+    features of each plane of a stack (n, h, w) -> (n, 73).  Each offset's
+    and each direction's descriptors are taken as soon as its matrices
+    are, so the stack never holds two offsets' matrices at once.
 
     An offset with no in-ROI pair contributes an all-zero GLCM, hence zero
     descriptors, which keeps the catalog total on degenerate ROIs.
     """
-    n = values.shape[0]
     codes = _quantize(values, inside, levels)
-    glcms = np.stack([glcm_compute(codes, inside, offset, levels)
-                      for offset in GLCM_OFFSETS], axis=1)
-    runs = np.stack([glrlm_compute(codes, inside, direction, levels)
-                     for direction in GLRLM_DIRECTIONS], axis=1)
-    return np.concatenate([
-        _first_order(values, inside),
-        _glcm_descriptors(glcms.reshape(-1, levels, levels)).reshape(n, -1),
-        _glrlm_descriptors(runs.reshape(-1, *runs.shape[2:])).reshape(n, -1),
-    ], axis=1)
+    return np.concatenate(
+        [_first_order(values, inside)]
+        + [_glcm_descriptors(glcm_compute(codes, inside, offset, levels))
+           for offset in GLCM_OFFSETS]
+        + [_glrlm_descriptors(glrlm_compute(codes, inside, direction, levels))
+           for direction in GLRLM_DIRECTIONS], axis=1)
 
 
 def extract_all(pixels: np.ndarray, bits: np.ndarray,

@@ -492,13 +492,13 @@ def test_train_on_a_float32_stack_equals_train_on_its_float64_source():
     assert hist_a == hist_b
 
 
-def test_cd_update_stacks_float32_views_once_in_float32(monkeypatch):
-    # a float32 training stack's batch reaches cd_update as views; they
-    # are stacked once, in float32, with no float64 copy besides (which,
-    # with its float32 cast, would make three float32 batches)
+def test_cd_update_hands_float32_views_to_the_chain_uncopied(monkeypatch):
+    # a float32 training stack's batch reaches cd_update as views; each is
+    # checked where it is and reaches _cd_sums uncopied, which stacks one
+    # chunk at a time.  Stacking the whole batch held a float32 copy of it
+    # beside the chain (a peak of 1.03 batches)
     model = crbm.init_model(4, 5, 64, seed=3)
     stack = derive_rng(3, "views").random((12, 64, 64)).astype(np.float32)
-    batch = list(stack)
     seen = []
 
     def cd_sums(model, pixels, k, rng):
@@ -507,19 +507,36 @@ def test_cd_update_stacks_float32_views_once_in_float32(monkeypatch):
                 np.zeros(model.num_filters), 0.0)
 
     monkeypatch.setattr(crbm, "_cd_sums", cd_sums)
-    crbm.cd_update(model, batch, crbm.CrbmConfig(), derive_rng(0))  # warm-up
-    tracemalloc.start()
-    try:
-        crbm.cd_update(model, batch, crbm.CrbmConfig(), derive_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert seen[-1].dtype == np.float32
-    assert seen[-1].tobytes() == stack.tobytes()
-    assert peak < 1.25 * stack.nbytes
-    # and a float32 array is taken as it is
-    crbm.cd_update(model, stack, crbm.CrbmConfig(), derive_rng(0))
-    assert seen[-1] is stack
+    crbm.cd_update(model, list(stack), crbm.CrbmConfig(), derive_rng(0))  # warm-up
+    for batch in (list(stack), stack):
+        tracemalloc.start()
+        try:
+            crbm.cd_update(model, batch, crbm.CrbmConfig(), derive_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seen[-1]) == len(stack)
+        assert all(image.dtype == np.float32 and np.shares_memory(image, stack)
+                   for image in seen[-1])
+        assert np.asarray(seen[-1]).tobytes() == stack.tobytes()
+        assert peak < 0.1 * stack.nbytes
+    # a float64 batch is checked in float64 and reaches the chain as the
+    # float32 cast of each image
+    crbm.cd_update(model, stack.astype(np.float64), crbm.CrbmConfig(), derive_rng(0))
+    assert all(image.dtype == np.float32 for image in seen[-1])
+    assert np.asarray(seen[-1]).tobytes() == stack.tobytes()
+
+
+def test_cd_sums_of_a_list_of_images_are_those_of_their_stack(monkeypatch):
+    model = crbm.init_model(3, 3, 8, weight_init_sigma=0.3, seed=6)
+    stack = derive_rng(6, "list").random((7, 8, 8)).astype(np.float32)
+    for k in (1, 2):
+        # chunks of 3, 3 and 1 images
+        monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS",
+                            3 * k * (model.num_hidden + model.num_visible))
+        got = crbm._cd_sums(model, list(stack), k, derive_rng(6, "u", k))
+        want = crbm._cd_sums(model, stack, k, derive_rng(6, "u", k))
+        assert_same_sums(got, want)
 
 
 def test_extract_feature_map_reads_float32_images_as_float64():

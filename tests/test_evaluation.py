@@ -321,7 +321,8 @@ def test_cross_validate_report_keys_are_in_the_written_order(tiny_corpus):
     assert list(report["provenance"]) == [
         "feature_source", "classifier", "seed", "cv_mode", "fold_sizes",
         "n_slices", "n_feature_rows", "n_feature_columns", "class_counts",
-        "crbm_protocol", "patch_aggregation", "kernel_backend"]
+        "crbm_protocol", "patch_aggregation", "kernel_backend",
+        "blas_threads"]
 
 
 def test_cross_validate_crbm_patch_aggregates_to_slices(tiny_corpus):

@@ -1,5 +1,7 @@
 """Properties of the partial-least-squares reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,3 +297,20 @@ def test_fit_reducer_rejects_unknown_mode():
     X, y = random_problem(16)
     with pytest.raises(ValueError, match="pca"):
         fit_reducer(X, y, 1, mode="pca")
+
+
+def test_a_paper_shape_fit_holds_two_copies_of_its_input():
+    # a paper-slice fold's training rows: 36 slices of 63,504 CRBM columns.
+    # The fit standardizes its one copy of X in place and deflates it in
+    # place, so it holds that copy and one more (n, p) array, the row-major
+    # copy or np.outer's temporary; a standardization and a first deflation
+    # that each made a new result peaked at 3.3 times the input
+    X, y = random_problem(13, n=36, p=63_504)
+    fit_reducer(X, y, 3)  # lazy set-up first
+    tracemalloc.start()
+    try:
+        fit_reducer(X, y, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * X.nbytes

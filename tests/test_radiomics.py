@@ -1,5 +1,7 @@
 """Feature-extraction oracles: hand-computed fixtures and scipy cross-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -742,6 +744,24 @@ def test_extract_all_single_pixel_roi_zero_fills_glcm():
     assert len(got) == 374
     assert got["original_glcm_0_1_contrast"] == 0.0
     assert got["original_glrlm_0_1_rp"] == 1.0  # one run of one pixel
+
+
+def test_a_catalog_stack_holds_one_offsets_matrices_at_a_time():
+    # one stack of the size features.py extracts: 8 slices of 32x32 at 32
+    # levels.  Taking every offset's and direction's matrices before their
+    # descriptors held four offsets' (4n, L, L) matrices, their stacked
+    # copy and _diagonal_sums' padded copies at once (4.0 MiB)
+    rng = derive_rng(14, "peak")
+    pixels = rng.random((8, 32, 32))
+    bits = (rng.random((8, 32, 32)) < 0.8).astype(np.uint8)
+    extract_all(pixels, bits)  # lazy set-up first
+    tracemalloc.start()
+    try:
+        extract_all(pixels, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
