@@ -1,7 +1,7 @@
 """The thread count of the OpenBLAS that numpy loads.
 
 numpy's wheels bundle scipy-openblas, which starts one thread per core.
-The CLI runs its BLAS-using commands under ``limited_threads(1)``: crbm's
+The CLI runs its commands under ``one_thread()``: crbm's
 worker thread takes the second core for the paper-scale steps, and
 OpenBLAS's threads would compete with it.  At one thread the CLI's
 outputs are also the same bytes whatever ``OPENBLAS_NUM_THREADS`` says
@@ -57,17 +57,17 @@ def thread_count():
 
 
 @contextlib.contextmanager
-def limited_threads(count: int = 1):
-    """Run the block with numpy's OpenBLAS at count threads, then restore
-    the count it had; where no known getter and setter are found, leave
-    BLAS alone."""
+def one_thread():
+    """Run the block with numpy's OpenBLAS at one thread, then restore the
+    count it had; where no known getter and setter are found, leave BLAS
+    alone."""
     found = _openblas()
     if found is None:
         yield
         return
     getter, setter = found
     before = getter()
-    setter(count)
+    setter(1)
     try:
         yield
     finally:

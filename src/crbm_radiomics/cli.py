@@ -3,13 +3,11 @@
 Every command reads a JSON config and writes its primary outputs to the
 --out path; reruns with identical inputs and seeds are byte-identical.
 Exit status: 0 success, 1 runtime or data error, 2 usage or config error.
-train-crbm, extract and run hold numpy's OpenBLAS at one thread while
-they run (blas.limited_threads), so their outputs do not depend on
-OPENBLAS_NUM_THREADS; synth uses no BLAS and leaves it alone.
+Every command holds numpy's OpenBLAS at one thread while it runs
+(blas.one_thread), so the outputs do not depend on OPENBLAS_NUM_THREADS.
 """
 
 import argparse
-import contextlib
 import csv
 import json
 import sys
@@ -152,10 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = (contextlib.nullcontext() if args.func is cmd_synth
-               else blas.limited_threads(1))
     try:
-        with threads:
+        with blas.one_thread():
             return args.func(args)
     except ConfigError as exc:
         print(f"radiomics-crbm: config error: {exc}", file=sys.stderr)

@@ -54,10 +54,11 @@ chain in float64 too.
 
 The training stack is float32 (``features.crbm_training_images`` fills
 it so), half the size of a float64 one.  ``train`` keeps a float32 stack
-as it is, and ``cd_update`` checks each image of a batch where it is and
-hands the images on, which ``_cd_sums`` stacks one chunk at a time, so
-no copy of a whole batch is held beside the chain's buffers; it casts
-only images of another dtype, one at a time.  A float64 stack trains
+as it is, and ``cd_update`` hands a float32 batch, an array or a list of
+its images, to ``_cd_sums``, which stacks and checks one chunk at a
+time, so no copy of a whole batch is held beside the chain's buffers;
+it checks a batch of another dtype whole, in float64, and casts it once
+to float32.  A float64 stack trains
 to the same bits as its float32 cast, as the chain sees the same
 float32 values.
 
@@ -396,7 +397,8 @@ def _visible_probs(model: CrbmModel, hmaps: np.ndarray) -> np.ndarray:
 def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
              rng: np.random.Generator):
     """CD-k statistics of images (B, N, N), summed over images: an array,
-    or a list of (N, N) images of one dtype, stacked one chunk at a time.
+    or a list of (N, N) images of one dtype, float32 or float64, stacked
+    and checked (_visible_stack) one chunk at a time.
 
     Returns the float64 sums of data-phase minus chain-phase statistics,
     d/dW (M, K, K), d/db and d/dc (M,), then the summed reconstruction
@@ -424,7 +426,7 @@ def _cd_sums(model: CrbmModel, pixels: np.ndarray, k: int,
     g_c = np.zeros(model.num_filters)
     ce = 0.0
     for start in range(0, len(pixels), step):
-        v0 = np.asarray(pixels[start:start + step])
+        v0 = _visible_stack(model, pixels[start:start + step])
         vk_sum, chunk_ce = chain(model, v0, rng, g_w, g_c)
         g_b += float(v0.sum(dtype=np.float64) - vk_sum)
         ce += chunk_ce
@@ -611,10 +613,10 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
     difference over map positions.  Deltas are averaged over the batch and
     applied once with the learning rate.  The chain runs in float32; the
     deltas are summed and applied in float64 (see the module docstring).
-    Each image is checked where it is, in float32 if it is float32 and in
-    float64 if not, and only an image of another dtype than float32 is
-    cast; the chain stacks the images one chunk at a time, so the batch
-    is never copied whole.
+    A float32 batch, an array (B, N, N) or a list of float32 images, is
+    handed as it is to the chain, which stacks and checks it one chunk at
+    a time, so it is never copied whole.  Any other batch is checked
+    whole, in float64, and cast once to float32.
 
     Returns (updated model, diagnostics dict with the batch-mean
     reconstruction cross-entropy and mean |Delta W|); raises TrainingError
@@ -625,9 +627,14 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
         raise TrainingError("empty batch")
     _refuse_beyond_float32("given model's parameters", model.filters,
                            model.visible_bias, model.hidden_biases)
-    images = [_visible_stack(model, image, ndim=2).astype(np.float32, copy=False)
-              for image in batch]
-    g_w, g_b, g_c, ce = _cd_sums(model, images, cfg.cd_steps, rng)
+    n = model.input_size
+    # an array of another shape is checked here, so that the error names
+    # its shape and not a chunk's
+    if (getattr(batch, "shape", (0, n, n))[1:] != (n, n)
+            or not all(getattr(image, "dtype", None) == np.float32
+                       for image in batch)):
+        batch = _visible_stack(model, batch).astype(np.float32, copy=False)
+    g_w, g_b, g_c, ce = _cd_sums(model, batch, cfg.cd_steps, rng)
     scale = cfg.learning_rate / len(batch)
     d_b = g_b / model.num_visible
     d_c = g_c / model.hidden_side ** 2
@@ -640,7 +647,7 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
     updated = CrbmModel(filters=filters, visible_bias=visible_bias,
                         hidden_biases=hidden_biases, input_size=model.input_size)
     diagnostics = {
-        "recon_cross_entropy": ce / (len(images) * model.num_visible),
+        "recon_cross_entropy": ce / (len(batch) * model.num_visible),
         "mean_abs_dw": float(np.abs(dw_applied).mean()),
     }
     return updated, diagnostics
@@ -665,8 +672,8 @@ def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
         order = derive_rng(seed, "shuffle", epoch).permutation(len(data))
         ce_parts, dw_parts, weights = [], [], []
         for batch_idx, start in enumerate(range(0, len(data), cfg.batch_size)):
-            # views into the stack: the chain stacks them one chunk at a
-            # time, so a batch is never copied whole
+            # views into the stack: the chain stacks and checks them one
+            # chunk at a time, so a batch is never copied whole
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             rng = derive_rng(seed, "cd", epoch, batch_idx)
             try:

@@ -45,6 +45,19 @@ def openblas_or_skip():
     return found
 
 
+@pytest.fixture
+def two_threads():
+    """numpy's OpenBLAS at two threads for the test, then at the count it
+    had; yields its getter."""
+    getter, setter = openblas_or_skip()
+    before = getter()
+    setter(2)
+    try:
+        yield getter
+    finally:
+        setter(before)
+
+
 def test_outputs_are_the_same_bytes_whatever_openblas_num_threads_says(
         corpus, tmp_path):
     openblas_or_skip()
@@ -95,41 +108,26 @@ def threads_seen_by_run(monkeypatch, getter, radiomics, manifest, out):
 
 
 def test_run_holds_blas_at_one_thread_and_restores_it(corpus, tmp_path,
-                                                      monkeypatch):
-    getter, _ = openblas_or_skip()
+                                                      monkeypatch, two_threads):
     manifest, _, radiomics = corpus
-    with blas.limited_threads(2):
-        assert threads_seen_by_run(monkeypatch, getter, radiomics, manifest,
-                                   tmp_path / "report.json") == (1, 1)
-        assert getter() == 2
+    assert threads_seen_by_run(monkeypatch, two_threads, radiomics, manifest,
+                               tmp_path / "report.json") == (1, 1)
+    assert two_threads() == 2
 
 
 def test_without_a_known_setter_blas_is_left_alone(corpus, tmp_path,
-                                                   monkeypatch):
-    getter, _ = openblas_or_skip()
+                                                   monkeypatch, two_threads):
     manifest, _, radiomics = corpus
-    with blas.limited_threads(2):
-        with monkeypatch.context() as patch:
-            patch.setattr(blas, "_SETTER", "no_such_setter")
+    with monkeypatch.context() as patch:
+        patch.setattr(blas, "_SETTER", "no_such_setter")
+        blas._openblas.cache_clear()
+        try:
+            with blas.one_thread():
+                assert two_threads() == 2
+                assert blas.thread_count() == "unknown"
+            assert threads_seen_by_run(
+                monkeypatch, two_threads, radiomics, manifest,
+                tmp_path / "report.json") == (2, "unknown")
+        finally:
             blas._openblas.cache_clear()
-            try:
-                with blas.limited_threads(1):
-                    assert getter() == 2
-                    assert blas.thread_count() == "unknown"
-                assert threads_seen_by_run(
-                    monkeypatch, getter, radiomics, manifest,
-                    tmp_path / "report.json") == (2, "unknown")
-            finally:
-                blas._openblas.cache_clear()
-        assert getter() == 2
-
-
-def test_synth_does_not_look_blas_up(tmp_path, monkeypatch):
-    def lookup():
-        raise AssertionError("synth looked BLAS up")
-
-    monkeypatch.setattr(blas, "_openblas", lookup)
-    (tmp_path / "synth.json").write_text(json.dumps(
-        {**SYNTH, "n_per_class": 1, "image_size": 8}))
-    assert cli.main(["synth", "--config", str(tmp_path / "synth.json"),
-                     "--out", str(tmp_path / "corpus")]) == 0
+    assert two_threads() == 2

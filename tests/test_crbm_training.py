@@ -417,7 +417,8 @@ def test_entry_points_refuse_malformed_image_stacks(entry, stack, error):
 
 @pytest.mark.parametrize("entry", ["train", "cd_update"])
 def test_training_entry_points_take_a_stack_not_one_image(entry):
-    with pytest.raises(ShapeMismatchError):
+    # the error names the shape the caller passed, not a row's
+    with pytest.raises(ShapeMismatchError, match=r"\(3, 3\)"):
         ENTRY_POINTS[entry](small_model(), np.full((3, 3), 0.5))
 
 
@@ -493,10 +494,10 @@ def test_train_on_a_float32_stack_equals_train_on_its_float64_source():
 
 
 def test_cd_update_hands_float32_views_to_the_chain_uncopied(monkeypatch):
-    # a float32 training stack's batch reaches cd_update as views; each is
-    # checked where it is and reaches _cd_sums uncopied, which stacks one
-    # chunk at a time.  Stacking the whole batch held a float32 copy of it
-    # beside the chain (a peak of 1.03 batches)
+    # a float32 training stack's batch reaches cd_update as views, which
+    # reach _cd_sums uncopied; it stacks and checks one chunk at a time.
+    # Stacking the whole batch held a float32 copy of it beside the chain
+    # (a peak of 1.03 batches)
     model = crbm.init_model(4, 5, 64, seed=3)
     stack = derive_rng(3, "views").random((12, 64, 64)).astype(np.float32)
     seen = []
@@ -520,8 +521,8 @@ def test_cd_update_hands_float32_views_to_the_chain_uncopied(monkeypatch):
                    for image in seen[-1])
         assert np.asarray(seen[-1]).tobytes() == stack.tobytes()
         assert peak < 0.1 * stack.nbytes
-    # a float64 batch is checked in float64 and reaches the chain as the
-    # float32 cast of each image
+    # a float64 batch is checked in float64 and reaches the chain as its
+    # float32 cast
     crbm.cd_update(model, stack.astype(np.float64), crbm.CrbmConfig(), derive_rng(0))
     assert all(image.dtype == np.float32 for image in seen[-1])
     assert np.asarray(seen[-1]).tobytes() == stack.tobytes()
@@ -537,6 +538,18 @@ def test_cd_sums_of_a_list_of_images_are_those_of_their_stack(monkeypatch):
         got = crbm._cd_sums(model, list(stack), k, derive_rng(6, "u", k))
         want = crbm._cd_sums(model, stack, k, derive_rng(6, "u", k))
         assert_same_sums(got, want)
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_cd_update_checks_every_chunk_of_a_float32_batch(monkeypatch, as_list):
+    model = crbm.init_model(3, 3, 8, weight_init_sigma=0.3, seed=6)
+    stack = derive_rng(6, "chunks").random((5, 8, 8)).astype(np.float32)
+    # one image a chunk: the chain checks the last image on its own
+    monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS", model.num_hidden)
+    stack[4, 7, 7] = 1.5
+    batch = list(stack) if as_list else stack
+    with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+        crbm.cd_update(model, batch, crbm.CrbmConfig(), derive_rng(0))
 
 
 def test_extract_feature_map_reads_float32_images_as_float64():
