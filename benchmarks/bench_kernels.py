@@ -49,33 +49,25 @@ columns, each family one stacked call), one fold's random forest
 slice by slice through the per-slice reference in
 ``tests/radiomics_reference.py``.
 
-BLAS runs on one thread, as in ``perfbench/run.py``: run as a script, it
-sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before
-numpy loads, overriding the environment, and prints the count it used.
-Run from the repository root:
+BLAS runs on one thread, as the CLI runs it: ``main`` times every case
+under the program's own ``blas.one_thread()`` and prints the thread count
+it read there.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
-Imported, it builds ``CASES`` and times nothing, and leaves the
-environment alone; ``tests/test_bench_kernels.py`` calls every case once.
+Imported, it builds ``CASES`` and times nothing, and leaves BLAS alone;
+``tests/test_bench_kernels.py`` calls every case once.
 """
 
 import itertools
-import os
 import sys
 import time
 from concurrent.futures import Future
 from pathlib import Path
 
-BLAS_THREADS = 1
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if __name__ == "__main__":
-    for var in BLAS_THREAD_VARS:
-        os.environ[var] = str(BLAS_THREADS)
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from crbm_radiomics import classifiers, crbm, kernels, radiomics, synth  # noqa: E402
+from crbm_radiomics import blas, classifiers, crbm, kernels, radiomics, synth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import radiomics_reference  # noqa: E402
@@ -269,7 +261,7 @@ def time_call(fn, args):
 def main():
     print(f"{REPS} reps after {WARMUP} warmup calls ({SLOW_REPS} reps after "
           f"one for calls over {SLOW_S} s), times in ms")
-    print(f"BLAS threads: {BLAS_THREADS} ({', '.join(BLAS_THREAD_VARS)})\n")
+    print(f"BLAS threads: {blas.thread_count()}\n")
     header = f"{'kernel':<50}{'mean':>10}{'std':>8}"
     print(header)
     print("-" * len(header))
@@ -279,4 +271,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with blas.one_thread():
+        main()

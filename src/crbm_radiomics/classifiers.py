@@ -68,12 +68,12 @@ def lr_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
 
 
 def lr_fit(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
-           steps: int = 500, tol: float = 1e-8) -> LinearModel:
+           steps: int = 500) -> LinearModel:
     """Full-batch gradient descent with a Lipschitz-safe fixed step.
 
     The logistic Hessian's largest eigenvalue is at most
     ||X||_F^2 / (4n) + l2, so step = 1/that bound guarantees monotone loss.
-    Stops early when the gradient's max-norm falls below tol.  Only the
+    Stops early when the gradient's max-norm falls below 1e-8.  Only the
     gradient is computed: the loss steers nothing.
     """
     if l2 < 0:
@@ -86,7 +86,7 @@ def lr_fit(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
     b = 0.0
     for _ in range(steps):
         gw, gb = lr_gradient(w, b, X, y, l2)
-        if max(np.abs(gw).max(initial=0.0), abs(gb)) < tol:
+        if max(np.abs(gw).max(initial=0.0), abs(gb)) < 1e-8:
             break
         gw *= step
         w -= gw

@@ -189,7 +189,9 @@ def _read_json(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, no permission
         raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, an int of > 4300 digits
+    # bad JSON, bad UTF-8, an int of > 4300 digits; arrays or objects
+    # nested deeper than the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -23,10 +23,14 @@ minibatch runs as one batched chain, drawing its uniforms in the order of
 one-image chains run image after image, so batching never changes a
 sample.
 
-Images are plain float32 or float64 arrays, (N, N) or stacks
-(..., N, N); an image of any other dtype is read as float64.  Hidden
-maps are (..., M, H, H).  Each entry point checks the stack it is given
-once, in its own dtype: its shape, and pixels finite and within [0, 1].
+One shape rule holds from the entry points down to the kernels: images
+come in stacks (B, N, N), one image being a stack of one, hidden maps
+are (B, M, H, H) and mean maps (B, H, H).  Images are plain float32 or
+float64 arrays; an image of any other dtype is read as float64.  Each
+entry point checks the stack it is given once, in its own dtype: its
+shape, and pixels finite and within [0, 1].  The stacks the kernels and
+the chains get are C-contiguous, as the window views of the kernels
+need: a strided stack is copied when it is checked.
 
 Both conditionals go through the package's one sigmoid,
 ``kernels.sigmoid``, in place.
@@ -53,14 +57,13 @@ that hold the chain against the enumeration oracles give it, runs the
 chain in float64 too.
 
 The training stack is float32 (``features.crbm_training_images`` fills
-it so), half the size of a float64 one.  ``train`` keeps a float32 stack
-as it is, and ``cd_update`` hands a float32 batch, an array or a list of
-its images, to ``_cd_sums``, which stacks and checks one chunk at a
-time, so no copy of a whole batch is held beside the chain's buffers;
-it checks a batch of another dtype whole, in float64, and casts it once
-to float32.  A float64 stack trains
-to the same bits as its float32 cast, as the chain sees the same
-float32 values.
+it so), half the size of a float64 one.  ``train`` keeps a C-contiguous
+float32 stack as it is, and ``cd_update`` hands a float32 batch, an
+array or a list of its images, to ``_cd_sums``, which stacks and checks
+one chunk at a time, so no copy of a whole batch is held beside the
+chain's buffers; it checks a batch of another dtype whole, in float64,
+and casts it once to float32.  A float64 stack trains to the same bits
+as its float32 cast, as the chain sees the same float32 values.
 
 Worker thread.  The module keeps one worker thread, ``_worker()``, started
 on first use, for the two paper-scale steps that leave the second core
@@ -124,12 +127,11 @@ the same calls inline.
   numbers, so ``_cd_sums`` calls either alike.
 * ``extract_feature_map`` computes a stack whose maps hold more than
   ``_EXTRACT_MAP_VALUES`` values in bands of hidden rows, the worker half
-  of them, and never holds the whole (..., M, H, H) stack.
+  of them, and never holds the whole (B, M, H, H) stack.
 """
 
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -313,7 +315,9 @@ def _numbers(value) -> bool:
 def _model_array(path, doc: dict, key: str, shape: tuple) -> np.ndarray:
     try:
         arr = np.array(doc[key], dtype=np.float64) if _numbers(doc[key]) else None
-    except (ValueError, OverflowError):  # ragged lists, ints beyond float
+    # ragged lists, ints beyond float, lists nested beyond the recursion
+    # limit of _numbers
+    except (ValueError, OverflowError, RecursionError):
         arr = None
     if arr is None or arr.shape != shape or not np.isfinite(arr).all():
         raise ModelFormatError(
@@ -327,7 +331,8 @@ def load_model(path) -> CrbmModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    # bad JSON, bad UTF-8, or lists nested beyond the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != "crbm-model":
         raise ModelFormatError(f"{path}: not a CRBM model file")
@@ -358,22 +363,22 @@ def load_model(path) -> CrbmModel:
 # Inference
 # ---------------------------------------------------------------------------
 
-def _visible_stack(model: CrbmModel, images, ndim: int | None = 3) -> np.ndarray:
-    """images as pixels, float32 if they are float32 and float64 if not,
-    checked once in that dtype: ndim axes (any number if None) ending in
-    N x N, finite and within [0, 1].  A float32 array is not copied, and
-    a list of float32 images is stacked once, in float32."""
+def _visible_stack(model: CrbmModel, images) -> np.ndarray:
+    """images as C-contiguous pixels, float32 if they are float32 and
+    float64 if not, checked once in that dtype: a stack (B, N, N), finite
+    and within [0, 1].  A C-contiguous float32 array is not copied, and a
+    list of float32 images is stacked once, in float32."""
     pixels = np.asarray(images)
     if pixels.dtype != np.float32:
         pixels = pixels.astype(np.float64, copy=False)
     n = model.input_size
-    if pixels.shape[-2:] != (n, n) or ndim not in (None, pixels.ndim):
+    if pixels.shape[1:] != (n, n):
         raise ShapeMismatchError(
-            f"visible layer must be {n}x{n}, got shape {pixels.shape}")
+            f"images must be a stack (B, {n}, {n}), got shape {pixels.shape}")
     # min and max are nan if any pixel is, and every comparison with nan fails
     if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
         raise ValueError("image pixels must be finite and within [0, 1]")
-    return pixels
+    return np.ascontiguousarray(pixels)
 
 
 def _hidden_probs(model: CrbmModel, pixels: np.ndarray) -> np.ndarray:
@@ -500,7 +505,7 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray,
                          model.input_size, model.hidden_side)
     dtype, n_hidden = v0.dtype, model.num_hidden
     u_h = uniforms[:n_hidden].reshape(m, side * side)
-    u_v = uniforms[n_hidden:].reshape(n, n)
+    u_v = uniforms[n_hidden:].reshape(1, n, n)
     # filter halves for the hidden passes; a column cut at a multiple of
     # 8 for the tap product
     half, cut = m // 2, side * side // 2 // 8 * 8
@@ -548,11 +553,10 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray,
         cols = np.empty((kside * kside, side * side), dtype)
         grad, sums = np.empty((m, kside * kside), dtype), np.empty(m)
         g_w = g_w.reshape(m, kside * kside)
-        # cols as (K, K, H, H): v's windows for a hidden pass, the tap
-        # planes for a reconstruction
-        planes = cols.reshape(kside, kside, side, side)
-        planes[...] = kernels._windows(np.ascontiguousarray(v0[0]), kside,
-                                       0, side)
+        # cols as a stack of one (1, K, K, H, H): v's windows for a
+        # hidden pass, the tap planes for a reconstruction
+        planes = cols.reshape(1, kside, kside, side, side)
+        planes[...] = kernels._windows(v0, kside, 0, side)
         # the worker adds its half of the data phase once it has drawn the
         # uniforms; this thread adds the other half, then samples all of h.
         # Sampling h after the join instead made a paper-shape cd_update
@@ -566,10 +570,10 @@ def _two_thread_chain(model: CrbmModel, v0: np.ndarray,
     w_t = filters.T
     _on_both_threads(np.matmul, (w_t, u_h[:, :cut], cols[:, :cut]),
                      (w_t, u_h[:, cut:], cols[:, cut:]))
-    v = np.empty((n, n), dtype)  # P(v = 1 | h) until sampled
+    v = np.empty((1, n, n), dtype)  # P(v = 1 | h) until sampled
     kernels._add_taps(planes, v)  # on this thread: see the module docstring
     kernels.sigmoid(v, dtype.type(model.visible_bias))
-    ce = _recon_cross_entropy_sum(v0[0], v)
+    ce = _recon_cross_entropy_sum(v0, v)
     np.less(u_v, v, out=v)
     planes[...] = kernels._windows(v, kside, 0, side)  # v's im2col
     vk_sum = v.sum(dtype=np.float64)
@@ -655,9 +659,10 @@ def cd_update(model: CrbmModel, batch: np.ndarray, cfg: CrbmConfig,
 
 def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
     """Epochs of shuffled-batch CD updates over a stack of images (n, N, N);
-    returns (model, TrainHistory).  A float32 stack is used as it is, not
-    copied; any other is read as float64.  Both give the same bits when
-    one is the other's float32 cast, as the chain runs in float32.
+    returns (model, TrainHistory).  A C-contiguous float32 stack is used
+    as it is, not copied, and a strided one is copied once; any other is
+    read as float64.  Both give the same bits when one is the other's
+    float32 cast, as the chain runs in float32.
 
     Shuffling and every Gibbs draw derive deterministically from seed, so
     identical inputs give bit-identical final weights.  Aborts with
@@ -696,14 +701,14 @@ def train(model: CrbmModel, data: np.ndarray, cfg: CrbmConfig, seed: int = 0):
 def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     """Deterministic features: the mean over the M filters of the hidden
     probability maps P(h^m_ij = 1 | v), the valid cross-correlation with
-    each filter plus c_m through the sigmoid.  Images (..., N, N) give
-    mean maps (..., H, H), float64, added map after map and divided by M;
+    each filter plus c_m through the sigmoid.  Images (B, N, N) give
+    mean maps (B, H, H), float64, added map after map and divided by M;
     each image's map is the bits it gets alone.  float32 images are read
     as float64, so they give the maps of their float64 values.
 
     A stack whose M maps hold more than _EXTRACT_MAP_VALUES values, as a
     256x256 slice's 64 do, is computed in bands of hidden rows of about
-    that many values, so its (..., M, H, H) stack is never held: this
+    that many values, so its (B, M, H, H) stack is never held: this
     thread computes the first half of the bands and the worker thread the
     rest, each into buffers allocated here.  Any other stack is one band,
     computed on this thread.  Bands are an even number of rows, and only
@@ -717,18 +722,17 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
     CPU target may round a band's columns otherwise, and the banded
     equality tests of tests/test_crbm_worker.py then fail.
     """
-    pixels = np.ascontiguousarray(_visible_stack(model, images, ndim=None),
-                                  dtype=np.float64)
-    lead, m, side = pixels.shape[:-2], model.num_filters, model.hidden_side
-    per_row = math.prod(lead) * m * side
+    pixels = _visible_stack(model, images).astype(np.float64, copy=False)
+    batch, m, side = len(pixels), model.num_filters, model.hidden_side
+    per_row = batch * m * side
     rows = max(2, _EXTRACT_MAP_VALUES // max(per_row, 1) // 2 * 2)
     # side % 4: see above; the bit equality rests on the BLAS build
     if rows >= side or side % 4:
         rows = side  # one band, on this thread
     bands = [(r0, min(r0 + rows, side)) for r0 in range(0, side, rows)]
-    out = np.empty((*lead, side, side))
+    out = np.empty((batch, side, side))
     # each thread's buffers: a band's M maps and their im2col copy
-    count = math.prod(lead) * rows * side
+    count = batch * rows * side
     threads = min(2, len(bands))
     maps = np.empty((threads, m * count))
     cols = np.empty((threads, model.kernel_size ** 2 * count))
@@ -745,14 +749,14 @@ def extract_feature_map(model: CrbmModel, images: np.ndarray) -> np.ndarray:
 def _mean_map_rows(model: CrbmModel, pixels: np.ndarray, bands: list,
                    out: np.ndarray, maps: np.ndarray, cols: np.ndarray) -> None:
     """Write the mean maps of each band of hidden rows (r0, r1) of float64
-    images pixels into out[..., r0:r1, :], computing the band's M maps in
-    the flat buffer maps through the im2col buffer cols; it allocates
-    nothing larger than the hidden biases."""
-    lead, m, side = pixels.shape[:-2], model.num_filters, model.hidden_side
+    images pixels (B, N, N) into out[:, r0:r1], computing the band's M
+    maps in the flat buffer maps through the im2col buffer cols; it
+    allocates nothing larger than the hidden biases."""
+    batch, m, side = len(pixels), model.num_filters, model.hidden_side
     biases = model.hidden_biases[:, None, None]
     for r0, r1 in bands:
-        band = maps[:math.prod(lead) * m * (r1 - r0) * side]
-        band = band.reshape(*lead, m, r1 - r0, side)
+        band = maps[:batch * m * (r1 - r0) * side]
+        band = band.reshape(batch, m, r1 - r0, side)
         kernels._corr_valid_rows(pixels, model.filters, r0, band, cols)
         kernels.sigmoid(band, biases)
-        band.mean(axis=-3, out=out[..., r0:r1, :])
+        band.mean(axis=1, out=out[:, r0:r1])

@@ -153,10 +153,10 @@ def load_mask(path) -> RoiMask:
     return RoiMask(bits=(raw > 0).astype(np.uint8))
 
 
-def save_image(path, img: Image2D, bit_depth: int = 8) -> None:
-    maxval = (1 << bit_depth) - 1
-    raw = np.rint(img.pixels * maxval).astype(np.int64)
-    write_pgm(path, raw, maxval)
+def save_image(path, img: Image2D) -> None:
+    """Write img as an 8-bit PGM."""
+    raw = np.rint(img.pixels * 255).astype(np.int64)
+    write_pgm(path, raw, 255)
 
 
 def save_mask(path, mask: RoiMask) -> None:

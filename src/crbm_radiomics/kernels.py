@@ -17,13 +17,13 @@ rows into buffers it is given; ``crbm.extract_feature_map`` calls it
 for bands of a paper-scale stack.  ``conv_full``'s reduction is
 ``_add_taps``, which crbm's two-thread CD chain calls on tap planes it
 has computed itself, in one call on the calling thread.  All three take
-an optional leading batch axis (any number of leading axes, written
-``...`` below), so a CD minibatch goes through each kernel in one call:
+stacks with exactly one leading axis B, one image being a stack of one,
+so a CD minibatch goes through each kernel in one call:
 
-* ``corr_valid``  (..., N, N) x (M, K, K) -> (..., M, H, H), H = N - K + 1;
-* ``conv_full``   (..., M, H, H) x (M, K, K) -> (..., N, N), summed over maps;
-* ``corr_grad``   (..., N, N) x (..., M, H, H) -> (M, K, K), summed over
-  the leading axes.
+* ``corr_valid``  (B, N, N) x (M, K, K) -> (B, M, H, H), H = N - K + 1;
+* ``conv_full``   (B, M, H, H) x (M, K, K) -> (B, N, N), summed over maps;
+* ``corr_grad``   (B, N, N) x (B, M, H, H) -> (M, K, K), summed over the
+  stack.
 
 Each texture counter takes quantized codes (1..levels) and ROI masks of a
 stack of same-shape slices, (..., h, w), and returns one matrix per slice.
@@ -41,8 +41,6 @@ in place, 1 / (1 + exp(-bias - act)) in four ufunc passes; at the paper's
 and it agrees with expit to within 1e-15 relative in float64 (below
 1e-300, 1e-300 absolute) and 4 float32 eps relative in float32.
 """
-
-import math
 
 import numpy as np
 
@@ -76,54 +74,54 @@ def _strided(a: np.ndarray, shape: tuple, strides: tuple,
 
 
 def _windows(v: np.ndarray, k: int, r0: int, rows: int) -> np.ndarray:
-    """The K x K windows of the C-contiguous images v (..., N, N) at
-    hidden rows r0 .. r0 + rows - 1, a view (..., K, K, rows, H) with
-    windows[..., r, s, i, j] equal to v[..., r0 + i + r, j + s]."""
-    hside = v.shape[-1] - k + 1
-    row, col = v.strides[-2:]
-    return _strided(v, (*v.shape[:-2], k, k, rows, hside),
-                    (*v.strides[:-2], row, col, row, col), r0 * row)
+    """The K x K windows of the C-contiguous images v (B, N, N) at hidden
+    rows r0 .. r0 + rows - 1, a view (B, K, K, rows, H) with
+    windows[b, r, s, i, j] equal to v[b, r0 + i + r, j + s]."""
+    batch, n, _ = v.shape
+    image, row, col = v.strides
+    return _strided(v, (batch, k, k, rows, n - k + 1),
+                    (image, row, col, row, col), r0 * row)
 
 
 def corr_valid(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of images v (..., N, N) with filters w (M, K, K)
-    -> (..., M, H, H)."""
+    """Valid cross-correlation of images v (B, N, N) with filters w (M, K, K)
+    -> (B, M, H, H)."""
     m, k, _ = w.shape
     v = np.ascontiguousarray(v)
-    lead, hside = v.shape[:-2], v.shape[-1] - k + 1
-    cols = np.empty(math.prod(lead) * k * k * hside * hside, dtype=v.dtype)
-    out = np.empty((*lead, m, hside, hside), dtype=np.result_type(v, w))
+    batch, hside = len(v), v.shape[-1] - k + 1
+    cols = np.empty(batch * k * k * hside * hside, dtype=v.dtype)
+    out = np.empty((batch, m, hside, hside), dtype=np.result_type(v, w))
     return _corr_valid_rows(v, w, 0, out, cols)
 
 
 def _corr_valid_rows(v: np.ndarray, w: np.ndarray, r0: int, out: np.ndarray,
                      cols: np.ndarray) -> np.ndarray:
     """Hidden rows r0 .. r0 + R - 1 of the valid cross-correlation of v
-    with w, written into out (..., M, R, H) through cols, a flat buffer of
-    v's dtype with room for the rows' im2col copy, (..., K*K, R*H).  v and
+    with w, written into out (B, M, R, H) through cols, a flat buffer of
+    v's dtype with room for the rows' im2col copy, (B, K*K, R*H).  v and
     out are C-contiguous.  It allocates no array, so a thread can run it
     on buffers that another thread made.  corr_valid is the call for all
     H rows; a band of rows gets the bits of the whole product only as far
     as the matrix product gives a column the same bits in both (see
     crbm.extract_feature_map)."""
     m, k, _ = w.shape
-    *lead, _, rows, hside = out.shape
+    batch, _, rows, hside = out.shape
     windows = _windows(v, k, r0, rows)
-    flat = cols[:windows.size].reshape(*lead, k * k, rows * hside)
+    flat = cols[:windows.size].reshape(batch, k * k, rows * hside)
     flat.reshape(windows.shape)[...] = windows
     np.matmul(w.reshape(m, k * k), flat,
-              out=out.reshape(*lead, m, rows * hside))
+              out=out.reshape(batch, m, rows * hside))
     return out
 
 
 def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Full convolution of hidden maps (..., M, H, H) with filters (M, K, K),
-    summed over filters -> (..., N, N) with N = H + K - 1.
+    """Full convolution of hidden maps (B, M, H, H) with filters (M, K, K),
+    summed over filters -> (B, N, N) with N = H + K - 1.
 
     One matrix product gives the K*K tap planes.  Each output pixel then
     adds its tap terms one after another in (r, s) order, the order of a
     loop that adds each shifted plane into a zeroed output: the planes are
-    placed at their offsets in a zeroed frame, (K, K, ..., rows, N), and
+    placed at their offsets in a zeroed frame, (K, K, B, rows, N), and
     one reduction over the tap axes adds them in that order.  The frame
     covers a band of output rows and the K - 1 rows of taps on either side
     that reach into it, at most _FRAME_ELEMENTS values, so that a large
@@ -131,28 +129,28 @@ def conv_full(hmaps: np.ndarray, w: np.ndarray) -> np.ndarray:
     pixel's sum is the same whatever the bands.
     """
     m, k, _ = w.shape
-    lead, hside = hmaps.shape[:-3], hmaps.shape[-1]
+    batch, _, hside, _ = hmaps.shape
     n = hside + k - 1
-    # taps[..., r, s, i, j] = sum_m w[m, r, s] * hmaps[..., m, i, j]
-    taps = w.reshape(m, k * k).T @ hmaps.reshape(*lead, m, hside * hside)
-    taps = taps.reshape(*lead, k, k, hside, hside)
-    out = np.empty((*lead, n, n), dtype=taps.dtype)
+    # taps[b, r, s, i, j] = sum_m w[m, r, s] * hmaps[b, m, i, j]
+    taps = w.reshape(m, k * k).T @ hmaps.reshape(batch, m, hside * hside)
+    taps = taps.reshape(batch, k, k, hside, hside)
+    out = np.empty((batch, n, n), dtype=taps.dtype)
     _add_taps(taps, out)
     return out
 
 
 def _add_taps(taps: np.ndarray, out: np.ndarray) -> None:
-    """Write conv_full's output out (..., N, N) from its tap planes taps
-    (..., K, K, H, H), band of output rows after band, through one frame
+    """Write conv_full's output out (B, N, N) from its tap planes taps
+    (B, K, K, H, H), band of output rows after band, through one frame
     that it allocates: at most _FRAME_ELEMENTS values, unless a band of
     one output row needs more."""
-    *lead, k, _, hside, _ = taps.shape
-    n, count = out.shape[-1], math.prod(lead)
+    batch, k, _, hside, _ = taps.shape
+    n = out.shape[-1]
     # output rows per band: as many as fit in the frame beside the
     # 2 (K - 1) rows of taps around them, and at least one
-    fit = _FRAME_ELEMENTS // (k * k * n * count)
+    fit = _FRAME_ELEMENTS // (k * k * n * batch)
     band = n if fit >= n else max(1, fit - 2 * (k - 1))
-    frame = np.empty(k * k * count * (min(band + k - 1, hside) + k - 1) * n,
+    frame = np.empty(k * k * batch * (min(band + k - 1, hside) + k - 1) * n,
                      dtype=taps.dtype)
     for u0 in range(0, n, band):
         u1 = min(u0 + band, n)
@@ -160,31 +158,30 @@ def _add_taps(taps: np.ndarray, out: np.ndarray) -> None:
         # output row a + t
         a, b = max(u0 - k + 1, 0), min(u1, hside)
         rows = b - a + k - 1
-        framed = frame[:k * k * count * rows * n]
-        framed = framed.reshape(k, k, *lead, rows, n)
+        framed = frame[:k * k * batch * rows * n]
+        framed = framed.reshape(k, k, batch, rows, n)
         framed.fill(0)
-        tap_r, tap_s, *lead_strides, row, col = framed.strides
-        # placed[..., r, s, i, j] = framed[r, s, ..., i + r, j + s]
-        placed = _strided(framed, (*lead, k, k, b - a, hside),
-                          (*lead_strides, tap_r + row, tap_s + col, row, col))
+        tap_r, tap_s, image, row, col = framed.strides
+        # placed[b, r, s, i, j] = framed[r, s, b, i + r, j + s]
+        placed = _strided(framed, (batch, k, k, b - a, hside),
+                          (image, tap_r + row, tap_s + col, row, col))
         placed[...] = taps[..., a:b, :]
-        planes = framed.reshape(k * k, *lead, rows, n)
+        planes = framed.reshape(k * k, batch, rows, n)
         np.add.reduce(planes[..., u0 - a:u1 - a, :], axis=0,
-                      out=out[..., u0:u1, :])
+                      out=out[:, u0:u1])
 
 
 def corr_grad(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """K x K weight-gradient patches summed over the leading axes:
-    grad[m,r,s] = sum_..ij p[..., m, i, j] * v[..., i+r, j+s] -> (M, K, K)."""
-    m, hside = p.shape[-3], p.shape[-1]
-    n = v.shape[-1]
-    k = n - hside + 1
-    v = np.ascontiguousarray(v).reshape(-1, n, n)
+    """K x K weight-gradient patches summed over the images:
+    grad[m,r,s] = sum_bij p[b, m, i, j] * v[b, i+r, j+s] -> (M, K, K)."""
+    m, hside = p.shape[1], p.shape[-1]
+    k = v.shape[-1] - hside + 1
+    v = np.ascontiguousarray(v)
     # both operands as (rows, B*H*H) for one product over every image:
     # windows[r, s, b, i, j] = v[b, i + r, j + s]; the reshapes copy
     windows = _windows(v, k, 0, hside).transpose(1, 2, 0, 3, 4)
     flat = windows.reshape(k * k, -1)
-    maps = p.reshape(-1, m, hside * hside).transpose(1, 0, 2).reshape(m, -1)
+    maps = p.transpose(1, 0, 2, 3).reshape(m, -1)
     return (maps @ flat.T).reshape(m, k, k)
 
 

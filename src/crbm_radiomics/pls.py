@@ -141,12 +141,14 @@ def fit_reducer(X: np.ndarray, y: np.ndarray, n_components: int,
 
 def apply_reducer(reducer: Reducer, X: np.ndarray) -> np.ndarray:
     """(n, A) reduced rows of an (n, n_inputs) matrix; a latent reducer
-    reproduces the NIPALS scores of its training data."""
+    reproduces the NIPALS scores of its training data.  The reducer's
+    columns are copied once, as float64, and standardized in place."""
     if X.ndim != 2 or X.shape[1] != reducer.n_inputs:
         raise ValueError(f"input has {X.shape[-1]} columns, the reducer was "
                          f"fit on {reducer.n_inputs}")
-    vals = X[:, reducer.columns]
+    vals = X[:, reducer.columns].astype(np.float64, copy=False)
     if not np.isfinite(vals).all():
         raise ValueError("non-finite feature values")
-    vals = (vals - reducer.means) / reducer.sds
+    vals -= reducer.means
+    vals /= reducer.sds
     return vals if reducer.rotation is None else vals @ reducer.rotation

@@ -98,7 +98,7 @@ def generate(spec: SynthSpec, out_dir) -> Path:
             img = make_sample(spec, label, index)
             sample_id = f"S{label}_{index:04d}"
             image_rel = f"images/{sample_id}.pgm"
-            save_image(out / image_rel, img, bit_depth=8)
+            save_image(out / image_rel, img)
             rows.append((
                 sample_id,
                 f"P{label}_{index // spec.slices_per_patient:03d}",

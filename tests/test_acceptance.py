@@ -46,8 +46,8 @@ def test_criterion_01_feature_map_shapes_and_speed():
     rng = np.random.default_rng(0)
     big_model = crbm.init_model(64, 5, 256, seed=0)
     small_model = crbm.init_model(64, 5, 32, seed=0)
-    big = rng.random((256, 256))
-    small = rng.random((32, 32))
+    big = rng.random((1, 256, 256))
+    small = rng.random((1, 32, 32))
 
     crbm.extract_feature_map(big_model, big)  # warm any JIT cache first
     start = time.perf_counter()
@@ -56,10 +56,10 @@ def test_criterion_01_feature_map_shapes_and_speed():
     elapsed = time.perf_counter() - start
 
     # a feature map is the mean of the M hidden maps, of their side
-    assert crbm._hidden_probs(big_model, big).shape == (64, 252, 252)
-    assert crbm._hidden_probs(small_model, small).shape == (64, 28, 28)
-    assert big_maps.shape == (252, 252)
-    assert small_maps.shape == (28, 28)
+    assert crbm._hidden_probs(big_model, big).shape == (1, 64, 252, 252)
+    assert crbm._hidden_probs(small_model, small).shape == (1, 64, 28, 28)
+    assert big_maps.shape == (1, 252, 252)
+    assert small_maps.shape == (1, 28, 28)
     assert elapsed < 1.0
     _ok(1, "shapes+speed", f"252x252 and 28x28 means of 64 maps, "
                            f"{elapsed * 1e3:.0f} ms")

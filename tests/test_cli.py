@@ -196,6 +196,29 @@ def test_exit_code_1_names_a_malformed_model_file(workspace, tmp_path, capsys):
     assert f"error: {model}: missing" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_ends_in_a_typed_error(workspace, tmp_path, capsys):
+    # nested deeper than the JSON parser's recursion limit: a config error
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code = cli.main(["run", "--config", str(deep),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"config error: {deep}: invalid JSON (" in capsys.readouterr().err
+    # filters nested deeper than the model check's recursion limit: a
+    # malformed model
+    model = tmp_path / "deep-model.json"
+    crbm.save_model(crbm.init_model(2, 2, 4), model)
+    doc = json.loads(model.read_text())
+    doc["filters"] = None
+    model.write_text(json.dumps(doc).replace("null", "[" * 900 + "]" * 900))
+    code = cli.main(["run", "--config", str(workspace["crbm_cfg"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "r.json"), "--model", str(model)])
+    assert code == 1
+    assert f"error: {model}: filters must be" in capsys.readouterr().err
+
+
 def test_exit_code_2_for_config_errors(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"feature_source": "deep"}')

@@ -46,7 +46,7 @@ def test_hidden_probabilities_match_manual_sigmoid():
     rng = derive_rng(1, "hp")
     model = random_tiny_model(rng, 4, 2, 2)
     v = random_binary_images(rng, 4)
-    got = crbm._hidden_probs(model, v)
+    got = crbm._hidden_probs(model, v[None])[0]
     for m in range(2):
         for i in range(3):
             for j in range(3):
@@ -136,7 +136,7 @@ def test_visible_probabilities_match_manual_sum():
     rng = derive_rng(2, "vp")
     model = random_tiny_model(rng, 4, 2, 2)
     h = (rng.random((2, 3, 3)) < 0.5).astype(float)
-    got = crbm._visible_probs(model, h)
+    got = crbm._visible_probs(model, h[None])[0]
     for u in range(4):
         for w in range(4):
             act = model.visible_bias
@@ -178,9 +178,9 @@ def test_production_conditionals_match_the_dense_oracle(case):
     weights = dense_weights(model)
     want_h = expit(v.ravel() @ weights + dense_hidden_biases(model))
     want_v = expit(weights @ h.ravel() + model.visible_bias)
-    np.testing.assert_allclose(crbm._hidden_probs(model, v).ravel(),
+    np.testing.assert_allclose(crbm._hidden_probs(model, v[None]).ravel(),
                                want_h, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(crbm._visible_probs(model, h).ravel(),
+    np.testing.assert_allclose(crbm._visible_probs(model, h[None]).ravel(),
                                want_v, rtol=0, atol=1e-12)
 
 
@@ -314,7 +314,7 @@ def test_oracles_and_feature_maps_compute_in_float64(monkeypatch):
     calls = {
         "_cd_sums": lambda: crbm._cd_sums(
             model, data, 2, derive_rng(19, "cd"))[0],
-        "extract_feature_map": lambda: crbm.extract_feature_map(model, data[0]),
+        "extract_feature_map": lambda: crbm.extract_feature_map(model, data[:1]),
     }
     for name, call in calls.items():
         seen.clear()
@@ -427,6 +427,23 @@ def test_load_model_names_the_file_of_a_malformed_model(tmp_path, raw, named):
     assert str(path) in str(info.value) and named in str(info.value)
 
 
+@pytest.mark.parametrize("depth, named", [
+    (900, "filters must be finite numbers of shape (2, 4)"),
+    (100_000, "invalid JSON")], ids=["900-deep", "100000-deep"])
+def test_load_model_names_the_file_of_deeply_nested_filters(tmp_path, depth,
+                                                            named):
+    # deeper than the recursion limit of the shape check, then of the JSON
+    # parser: a malformed model, not a RecursionError
+    path = tmp_path / "deep-model.json"
+    crbm.save_model(crbm.init_model(2, 2, 4), path)
+    doc = json.loads(path.read_text())
+    doc["filters"] = None
+    path.write_text(json.dumps(doc).replace("null", "[" * depth + "]" * depth))
+    with pytest.raises(ModelFormatError) as info:
+        crbm.load_model(path)
+    assert str(path) in str(info.value) and named in str(info.value)
+
+
 def test_save_model_is_byte_deterministic(tmp_path):
     model = crbm.init_model(2, 3, 8, seed=11)
     crbm.save_model(model, tmp_path / "a.json")
@@ -436,8 +453,8 @@ def test_save_model_is_byte_deterministic(tmp_path):
 
 def test_feature_map_shapes_match_valid_correlation():
     model = crbm.init_model(6, 5, 32, seed=0)
-    assert crbm._hidden_probs(model, np.zeros((32, 32))).shape == (6, 28, 28)
-    maps = crbm.extract_feature_map(model, np.zeros((32, 32)))
-    assert maps.shape == (28, 28)
+    assert crbm._hidden_probs(model, np.zeros((1, 32, 32))).shape == (1, 6, 28, 28)
+    maps = crbm.extract_feature_map(model, np.zeros((1, 32, 32)))
+    assert maps.shape == (1, 28, 28)
     with pytest.raises(ShapeMismatchError):
-        crbm.extract_feature_map(model, np.zeros((16, 16)))
+        crbm.extract_feature_map(model, np.zeros((1, 16, 16)))

@@ -1,6 +1,7 @@
 """Contrastive-divergence training behaviour on small binary corpora."""
 
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,9 +22,9 @@ def small_model(seed=0):
 
 
 def replay_chain(model, v0, k, rng):
-    """The one-image chain step by step through the two conditionals,
-    drawing [hidden, visible] x k uniforms of v0's dtype from rng:
-    (v_k, h0, hk, v1_probs)."""
+    """The chain of one image, a stack v0 (1, N, N), step by step through
+    the two conditionals, drawing [hidden, visible] x k uniforms of v0's
+    dtype from rng: (v_k, h0, hk, v1_probs), each a stack of one."""
     def draw(probs):
         return (rng.random(probs.shape, dtype=probs.dtype) < probs).astype(probs.dtype)
 
@@ -41,8 +42,8 @@ def replay_chain(model, v0, k, rng):
 def replay_batch(model, v0, k, rng):
     """replay_chain image after image from one generator, each result
     stacked over the images of v0 (B, N, N)."""
-    return tuple(np.stack(a) for a in zip(*(replay_chain(model, v, k, rng)
-                                              for v in v0)))
+    return tuple(np.concatenate(a) for a in zip(
+        *(replay_chain(model, v0[i:i + 1], k, rng) for i in range(len(v0)))))
 
 
 def replay_sums(model, v0, k, rng, size):
@@ -191,10 +192,10 @@ def test_the_cd_chain_follows_the_one_image_draw_order(monkeypatch):
     hidden, visible = spy_conditionals(monkeypatch)
     sums = crbm._cd_sums(model, v0, 3, derive_rng(14, "draws"))
     (got,) = chunks_seen(hidden, visible, 3)
-    want = replay_chain(model, v0[0], 3, derive_rng(14, "draws"))
+    want = replay_chain(model, v0, 3, derive_rng(14, "draws"))
     for name, a, b in zip(("v_k", "h0", "hk", "v1_probs"), got[1:], want,
                           strict=True):
-        assert a.dtype == np.float64 and np.array_equal(a[0], b), name
+        assert a.dtype == np.float64 and np.array_equal(a, b), name
     assert_same_sums(sums, replay_sums(model, v0, 3, derive_rng(14, "draws"), 1))
 
 
@@ -415,11 +416,14 @@ def test_entry_points_refuse_malformed_image_stacks(entry, stack, error):
         call(small_model(), stack)
 
 
-@pytest.mark.parametrize("entry", ["train", "cd_update"])
-def test_training_entry_points_take_a_stack_not_one_image(entry):
-    # the error names the shape the caller passed, not a row's
-    with pytest.raises(ShapeMismatchError, match=r"\(3, 3\)"):
-        ENTRY_POINTS[entry](small_model(), np.full((3, 3), 0.5))
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2, 3, 3)],
+                         ids=["image", "4-axes"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_training_entry_points_take_a_stack_not_one_image(entry, shape):
+    # one image and a stack of stacks are refused alike, and the error
+    # names the shape the caller passed, not a row's
+    with pytest.raises(ShapeMismatchError, match=re.escape(str(shape))):
+        ENTRY_POINTS[entry](small_model(), np.full(shape, 0.5))
 
 
 def test_cd_update_rejects_empty_batch():

@@ -171,6 +171,28 @@ def test_the_two_thread_chunks_of_a_call_share_one_uniforms_buffer(
     assert_same_sums(sums, replay_sums(model, images, 2, derive_rng(31, "u"), 1))
 
 
+def test_a_strided_batch_trains_to_the_bits_of_its_contiguous_copy(
+        monkeypatch):
+    # the two-thread chain takes its chunk's windows as a view, which needs
+    # a C-contiguous chunk: a strided float32 batch is copied a chunk at a
+    # time, as it is checked
+    model = crbm.init_model(3, 3, 6, weight_init_sigma=0.5, seed=34)
+    cfg = crbm.CrbmConfig(learning_rate=0.1, batch_size=4)
+    batch = derive_rng(34, "grey").random((4, 6, 9)).astype(np.float32)[:, :, 1:7]
+    assert not batch.flags.c_contiguous
+    monkeypatch.setattr(crbm, "_CD_CHUNK_DRAWS",
+                        model.num_hidden + model.num_visible)
+    log = on_worker(monkeypatch)
+    (got, got_diag), (want, want_diag) = (
+        crbm.cd_update(model, images, cfg, derive_rng(34, "u"))
+        for images in (batch, batch.copy()))
+    assert len(log.threads) == 2 * 4 * SUBMISSIONS
+    for name in ("filters", "visible_bias", "hidden_biases"):
+        assert (np.asarray(getattr(got, name)).tobytes()
+                == np.asarray(getattr(want, name)).tobytes())
+    assert got_diag == want_diag
+
+
 def test_an_overlapped_cd_chunk_adds_one_im2col_copy_to_its_peak(monkeypatch):
     # the 128x128 chunk of the inline test beside it in
     # test_crbm_training.py, run on two threads
@@ -224,7 +246,7 @@ def test_a_forked_child_gets_a_worker_of_its_own(monkeypatch):
     # a child inherits the parent's executor but not its thread; the alarm
     # ends a child left waiting on it, so that this test fails, not hangs
     model = crbm.init_model(8, 5, 68, weight_init_sigma=0.3, seed=28)
-    image = derive_rng(28, "fork").random((68, 68))
+    image = derive_rng(28, "fork").random((1, 68, 68))
     monkeypatch.setattr(crbm, "_EXTRACT_MAP_VALUES", 4 * 8 * 64)
     with monkeypatch.context() as patch:
         log = on_worker(patch)
@@ -244,16 +266,16 @@ def test_a_forked_child_gets_a_worker_of_its_own(monkeypatch):
 
 
 def one_band_mean(model, images):
-    return crbm._hidden_probs(model, np.asarray(images, np.float64)).mean(axis=-3)
+    return crbm._hidden_probs(model, np.asarray(images, np.float64)).mean(axis=1)
 
 
-@pytest.mark.parametrize("lead", [(), (3,)])
-def test_banded_feature_maps_equal_the_one_band_mean(monkeypatch, lead):
+@pytest.mark.parametrize("batch", [1, 3])
+def test_banded_feature_maps_equal_the_one_band_mean(monkeypatch, batch):
     # 8 filters of 5x5 on 68x68: 64 hidden rows in 16 bands of 4
     model = crbm.init_model(8, 5, 68, weight_init_sigma=0.3, seed=23)
-    images = derive_rng(23, "band").random((*lead, 68, 68))
+    images = derive_rng(23, "band").random((batch, 68, 68))
     want = one_band_mean(model, images)
-    rows = 4 * int(np.prod(lead)) * 8 * 64
+    rows = 4 * batch * 8 * 64
     monkeypatch.setattr(crbm, "_EXTRACT_MAP_VALUES", rows)
     for executor in ("worker", "inline"):
         with monkeypatch.context() as patch:
@@ -263,13 +285,13 @@ def test_banded_feature_maps_equal_the_one_band_mean(monkeypatch, lead):
             got = crbm.extract_feature_map(model, images)
         assert len(log.threads) == 1
         assert (log.threads[0] == threading.get_ident()) == (executor == "inline")
-        assert got.shape == (*lead, 64, 64)
+        assert got.shape == (batch, 64, 64)
         assert got.tobytes() == want.tobytes()
 
 
 def test_a_side_not_a_multiple_of_4_is_extracted_in_one_band(monkeypatch):
     model = crbm.init_model(8, 5, 66, weight_init_sigma=0.3, seed=24)
-    image = derive_rng(24, "band").random((66, 66))
+    image = derive_rng(24, "band").random((1, 66, 66))
     monkeypatch.setattr(crbm, "_EXTRACT_MAP_VALUES", 4 * 8 * 62)
     log = on_worker(monkeypatch)
     got = crbm.extract_feature_map(model, image)
@@ -277,14 +299,14 @@ def test_a_side_not_a_multiple_of_4_is_extracted_in_one_band(monkeypatch):
     assert got.tobytes() == one_band_mean(model, image).tobytes()
 
 
-@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("batch", [1, 3, 6])
 def test_a_stack_within_the_budget_is_one_band_of_the_band_routine(
-        monkeypatch, lead):
+        monkeypatch, batch):
     # 8 filters of 5x5 on 68x68: the maps of 6 images hold 196,608
     # values, within the budget, so every stack here is one band on this
     # thread, through the band routine that banded stacks use
     model = crbm.init_model(8, 5, 68, weight_init_sigma=0.3, seed=26)
-    images = derive_rng(26, "one").random((*lead, 68, 68))
+    images = derive_rng(26, "one").random((batch, 68, 68))
     assert crbm._EXTRACT_MAP_VALUES >= 6 * 8 * 64 * 64
     bands = []
     real = crbm._mean_map_rows
@@ -298,7 +320,7 @@ def test_a_stack_within_the_budget_is_one_band_of_the_band_routine(
     got = crbm.extract_feature_map(model, images)
     assert log.threads == []
     assert bands == [[(0, 64)]]
-    assert got.shape == (*lead, 64, 64)
+    assert got.shape == (batch, 64, 64)
     assert got.tobytes() == one_band_mean(model, images).tobytes()
 
 
@@ -360,7 +382,7 @@ def test_threads_sharing_the_worker_each_get_their_own_results(monkeypatch):
     def work(i):
         update = crbm.cd_update(model, images[i:i + 2], cfg,
                                 derive_rng(27, "u", i))[0]
-        return crbm.extract_feature_map(model, images[i]), update.filters
+        return crbm.extract_feature_map(model, images[i:i + 1]), update.filters
 
     with monkeypatch.context() as patch:
         run_inline(patch)

@@ -170,7 +170,7 @@ def test_damaged_pgm_reads_back_or_names_the_file(tmp_path_factory, data):
 def test_image_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     img = Image2D(pixels=rng.integers(0, 256, size=(9, 9)) / 255.0)
-    save_image(tmp_path / "x.pgm", img, bit_depth=8)
+    save_image(tmp_path / "x.pgm", img)
     back = load_image(tmp_path / "x.pgm")
     np.testing.assert_allclose(back.pixels, img.pixels, atol=1e-12)
 

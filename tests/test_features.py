@@ -217,7 +217,7 @@ def test_extraction_chunking_never_changes_a_bit(tiny_corpus, monkeypatch,
               for img in stack]
     assert len(images) == whole.n_rows
     for row, image in zip(whole.values, images):
-        maps = crbm._hidden_probs(model, image)
+        maps = crbm._hidden_probs(model, image[None])[0]
         want = np.zeros(maps.shape[1:])
         for one in maps:
             want += one

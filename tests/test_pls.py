@@ -314,3 +314,28 @@ def test_a_paper_shape_fit_holds_two_copies_of_its_input():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * X.nbytes
+
+
+@pytest.mark.parametrize("mode", ["latent", "vip-subset"])
+def test_apply_reducer_standardizes_one_copy_of_its_input(mode):
+    # a paper-slice fold's training rows: apply_reducer copies the
+    # reducer's columns once and standardizes that copy in place (1.13
+    # times the input seen); a standardization that made two new results
+    # peaked at 3.0 times.  X is left as it was, and the rows are the bits
+    # of the standardization written out
+    X, y = random_problem(13, n=36, p=63_504)
+    reducer = fit_reducer(X, y, 3, mode)
+    before = X.tobytes()
+    apply_reducer(reducer, X)  # lazy set-up first
+    tracemalloc.start()
+    try:
+        got = apply_reducer(reducer, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * X.nbytes
+    assert X.tobytes() == before
+    want = (X[:, reducer.columns] - reducer.means) / reducer.sds
+    if reducer.rotation is not None:
+        want = want @ reducer.rotation
+    assert got.tobytes() == want.tobytes()
